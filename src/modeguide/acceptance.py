@@ -20,6 +20,7 @@ l = 5..6 is 0.1%).
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -40,9 +41,11 @@ from .solve import (
     refine_eigenvalue,
     window_integral,
     _assemble_at,
+    _lam_signs,
     _polish_root,
     _solve_at,
     _threshold_resonance,
+    _width_signs,
 )
 
 __all__ = ["CriterionResult", "Workspace", "run_acceptance", "CRITERIA"]
@@ -107,7 +110,8 @@ class Workspace:
                 tr = Truncation(n)
                 def f(x):
                     return det_sign(_assemble_at(cfg, tr, x))
-                lam = _polish_root(f, lam, 8e-3, 1e-13, lo_cap=0.2500011, hi_cap=1 - 1e-6)
+                lam = _polish_root(f, functools.partial(_lam_signs, cfg, tr), lam, 8e-3, 1e-13,
+                                   lo_cap=0.2500011, hi_cap=1 - 1e-6)
                 pair = _solve_at(cfg, tr, lam=lam)
                 alpha = extract_tail(pair).alpha
                 integral = window_integral(pair, pair.kappa1)
@@ -157,7 +161,8 @@ class Workspace:
                 tr = Truncation(n)
                 def f(x):
                     return det_sign(assemble_threshold(x, tr, w0.parity))
-                a = _polish_root(f, a, 2.5e-2, 1e-13, lo_cap=1e-3)
+                a = _polish_root(f, functools.partial(_width_signs, tr, w0.parity), a, 2.5e-2,
+                                 1e-13, lo_cap=1e-3)
                 res = _threshold_resonance(a, tr, w0.parity)
                 beta = math.sqrt(2.0 / PI) * float(res.outside_coeffs[1]) * math.exp(math.sqrt(3.0) * a)
                 i3 = window_integral(res, math.sqrt(3.0))

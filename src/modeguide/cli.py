@@ -154,6 +154,13 @@ def _config_snapshot(args, keys) -> dict:
 # subcommands
 # ---------------------------------------------------------------------------
 
+def _length_scale(d: float) -> float:
+    """Canonical length per physical length for strip width d (exactly 1 at d = pi)."""
+    if not (d > 0):
+        raise GeometryError(f"strip width must satisfy d > 0, got d={d}")
+    return math.pi / d
+
+
 def _physical_columns(cfg, rows: list[dict]) -> list[str]:
     """Append physical-unit columns when the strip width is not pi."""
     if cfg.lambda_scale == 1.0:
@@ -291,6 +298,7 @@ def cmd_critical(args) -> int:
     if args.n < 1:
         print("critical: need --n >= 1", file=sys.stderr)
         return EXIT_USAGE
+    scale = _length_scale(args.d)
     trunc = Truncation(args.modes)
     scan = find_critical_widths(args.n, trunc, tol=args.tol)
     rows = []
@@ -302,14 +310,17 @@ def cmd_critical(args) -> int:
             "mu_beta": pred.mu_beta, "mu_integral": pred.mu_integral,
             "kappa_formula": f"sqrt({_fmt(pred.mu_beta)})*exp(-2*sqrt(3)*l)",
         })
+    columns = ["index", "a", "parity", "beta", "mu_beta", "mu_integral", "kappa_formula"]
+    if scale != 1.0:
+        for row in rows:
+            row["a_phys"] = row["a"] / scale
+        columns.insert(2, "a_phys")
     notes = []
     if scan.exhausted:
         notes.append(f"range exhausted: only {len(scan.widths)} roots below a={scan.a_max}")
-    record = RunRecord("critical", _config_snapshot(args, ("n", "modes", "tol", "format")),
+    record = RunRecord("critical", _config_snapshot(args, ("d", "n", "modes", "tol", "format")),
                        {"widths": [r["a"] for r in rows]}, _provenance(args))
-    _emit(args, "critical", rows,
-          ["index", "a", "parity", "beta", "mu_beta", "mu_integral", "kappa_formula"],
-          extra_lines=notes, record=record)
+    _emit(args, "critical", rows, columns, extra_lines=notes, record=record)
     return EXIT_OK
 
 
@@ -319,13 +330,14 @@ def cmd_threshold(args) -> int:
         print("threshold: --l range is required", file=sys.stderr)
         return EXIT_USAGE
     ls = _parse_range(args.l)
+    scale = _length_scale(args.d)
     trunc = Truncation(args.modes)
     scan = find_critical_widths(args.n, trunc, tol=args.tol)
     if len(scan.widths) < args.n:
         print(f"threshold: fewer than {args.n} critical widths found", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
     width = scan.widths[args.n - 1]
-    if args.a is not None and abs(args.a - width.a) > 1e-4:
+    if args.a is not None and abs(scale * args.a - width.a) > 1e-4:
         print(f"threshold: a={args.a} is not a critical width at this truncation "
               f"(nearest: a_{width.index} = {width.a:.8f}); run the critical command first",
               file=sys.stderr)
@@ -333,7 +345,9 @@ def cmd_threshold(args) -> int:
     integral = window_integral(width.resonance, math.sqrt(3.0))
     pred = predict_threshold(beta=width.beta, window_integral=integral)
     rows = []
-    for l in ls:
+    for l_phys in ls:
+        # the critical width is canonical, so the sweep runs on the canonical strip
+        l = scale * l_phys
         cfg = canonicalize(StripConfig(d=math.pi, a=width.a, l=l, kind=ProblemKind.TWO_WINDOW_EVEN))
         roots = find_near_threshold(cfg, trunc)
         if not roots:
@@ -342,6 +356,7 @@ def cmd_threshold(args) -> int:
         kappa = min(p.kappa1 for p in roots)
         rows.append({"l": l, "kappa": kappa, "gap": kappa * kappa,
                      "gap_predicted": pred.gap(l)})
+    columns = ["l", "kappa", "gap", "gap_predicted"]
     notes = [f"critical width a_{width.index} = {_fmt(width.a)} ({width.parity})",
              f"beta = {_fmt(width.beta)}", f"mu = {_fmt(pred.mu_beta)}",
              f"predicted rate = {_fmt(THRESHOLD_RATE)}"]
@@ -349,10 +364,15 @@ def cmd_threshold(args) -> int:
         fit = fit_exponential([(r["l"], r["gap"]) for r in rows])
         notes += [f"fitted rate = {_fmt(fit.rate)}", f"fitted prefactor = {_fmt(fit.prefactor)}",
                   f"fit r2 = {_fmt(fit.r2)}"]
-    record = RunRecord("threshold", _config_snapshot(args, ("a", "l", "n", "modes", "tol", "format")),
+    if scale != 1.0:
+        for row, l_phys in zip(rows, ls):
+            row["l_phys"], row["kappa_phys"] = l_phys, scale * row["kappa"]
+        columns += ["l_phys", "kappa_phys"]
+        notes.append(f"critical width a_{width.index} in physical units = {_fmt(width.a / scale)}")
+    record = RunRecord("threshold",
+                       _config_snapshot(args, ("d", "a", "l", "n", "modes", "tol", "format")),
                        {"rows": rows}, _provenance(args))
-    _emit(args, "threshold", rows, ["l", "kappa", "gap", "gap_predicted"],
-          extra_lines=notes, record=record)
+    _emit(args, "threshold", rows, columns, extra_lines=notes, record=record)
     return EXIT_OK
 
 
@@ -398,7 +418,7 @@ def cmd_oracle(args) -> int:
 def cmd_verify(args) -> int:
     _defaults(args, modes=40, tol=1e-12, format="csv")
     from .acceptance import run_acceptance
-    results = run_acceptance(quick=bool(args.quick))
+    results = run_acceptance(quick=bool(args.quick), trunc=Truncation(args.modes))
     for res in results:
         for line in res.lines():
             print(line)
@@ -425,41 +445,45 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command")
 
-    def common(p, *, l_flag=True):
-        p.add_argument("--d", type=float, default=None, help="strip width (default pi)")
-        p.add_argument("--a", type=float, default=None, help="window half-length")
-        if l_flag:
-            p.add_argument("--l", type=str, default=None,
-                           help="half-separation or range start:stop:step")
-        p.add_argument("--modes", type=int, default=None, help="transverse modes per region (default 40)")
-        p.add_argument("--tol", type=float, default=None, help="bracketing tolerance (default 1e-12)")
-        p.add_argument("--jobs", type=int, default=None, help="parallel sweep workers")
-        p.add_argument("--format", choices=("csv", "json"), default=None)
+    flag_specs = {
+        "d": dict(type=float, help="strip width (default pi)"),
+        "a": dict(type=float, help="window half-length"),
+        "l": dict(type=str, help="half-separation or range start:stop:step"),
+        "modes": dict(type=int, help="transverse modes per region (default 40)"),
+        "tol": dict(type=float, help="bracketing tolerance (default 1e-12)"),
+        "jobs": dict(type=int, help="parallel sweep workers"),
+        "format": dict(choices=("csv", "json")),
+    }
+
+    def flags(p, *names):
+        # each subcommand accepts only the flags it honours; argparse rejects the rest
+        for name in names:
+            p.add_argument(f"--{name}", default=None, **flag_specs[name])
         p.add_argument("--out", type=str, default=None, help="output directory")
         p.add_argument("--config", type=str, default=None, help="flat key=value config file")
 
     p = sub.add_parser("single", help="single-window bound states")
-    common(p, l_flag=False)
+    flags(p, "d", "a", "modes", "tol", "format")
     p.add_argument("--refine", action="store_true",
                    help="add truncation-ladder extrapolated eigenvalues")
     p.set_defaults(func=cmd_single)
 
     p = sub.add_parser("split", help="two-window pair sweep and splitting fit")
-    common(p)
+    flags(p, "d", "a", "l", "modes", "tol", "jobs", "format")
     p.set_defaults(func=cmd_split)
 
     p = sub.add_parser("critical", help="critical window half-lengths")
-    common(p, l_flag=False)
+    flags(p, "d", "modes", "tol", "format")
     p.add_argument("--n", type=int, default=None, help="number of critical widths (default 1)")
     p.set_defaults(func=cmd_critical)
 
     p = sub.add_parser("threshold", help="near-threshold sweep at a critical width")
-    common(p)
+    flags(p, "d", "a", "l", "modes", "tol", "format")
     p.add_argument("--n", type=int, default=None, help="critical-width index (default 1)")
     p.set_defaults(func=cmd_threshold)
 
     p = sub.add_parser("oracle", help="finite-difference oracle eigenvalues")
-    common(p)
+    flags(p, "d", "a", "l", "format")
     p.add_argument("--h", type=float, default=None, help="grid step (default 1/64)")
     p.add_argument("--L", type=float, default=None, help="truncation half-length")
     p.add_argument("--k", type=int, default=None, help="eigenvalues to report (default 4)")
@@ -467,7 +491,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("verify", help="run the acceptance suite")
-    common(p, l_flag=False)
+    flags(p, "modes")
     p.add_argument("--quick", action="store_true", help="skip oracle grid refinement")
     p.set_defaults(func=cmd_verify)
 

@@ -15,6 +15,10 @@ families leaves a dense real system over the window-region coefficients:
   first outside mode degenerates to a constant profile with zero decay;
   its kernel marks a critical window half-length.
 
+All systems of one kind come from :func:`assemble_stack`, which builds a
+batch of points at once (a single point is a batch of one), and their
+determinant signs from ``slogdet``.
+
 Evanescent window profiles are normalized to unit edge value during
 assembly, which keeps every entry bounded for arbitrarily large mode
 counts and separations; the applied log-scales are recorded so kernel
@@ -24,11 +28,9 @@ vectors can be mapped back to raw coefficients exactly.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .modes import (
     CanonicalConfig,
@@ -46,6 +48,9 @@ __all__ = [
     "assemble_two_window",
     "assemble_two_window_at_kappa",
     "assemble_threshold",
+    "assemble_stack",
+    "det_sign",
+    "det_signs",
     "merit",
     "symmetrized",
 ]
@@ -53,6 +58,9 @@ __all__ = [
 #: open spectral interval searched by the generic assemblies
 LAMBDA_MIN = 0.25
 LAMBDA_MAX = 1.0
+#: bytes of matrices assembled and factorized at once by :func:`det_signs`;
+#: whole stacks would reach tens of MB at N = 320 and raise peak memory
+STACK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -111,23 +119,54 @@ def _rates(n: int, kappa1: float) -> tuple[np.ndarray, np.ndarray]:
     return kap, t
 
 
+def _block(S: np.ndarray, val: np.ndarray, der: np.ndarray) -> np.ndarray:
+    """diag(der) + S * val over a stack: the per-point block, entry for entry."""
+    B = S * val[:, None, :]
+    i = np.arange(B.shape[-1])
+    B[:, i, i] += der
+    return B
+
+
+def assemble_stack(kind: ProblemKind, n: int, a, kappa1, l: float | None = None) -> np.ndarray:
+    """Matching matrices of one kind at a batch of points, shape (G, n, n) or (G, 2n, 2n).
+
+    ``a`` and ``kappa1`` = sqrt(1 - lam) are scalars or 1-D arrays that
+    broadcast to the G points (kappa1 = 0 is the threshold system); ``l``
+    is the two-window half-separation.  Each matrix equals the one
+    assembled at its point alone bit for bit: the elementwise work is the
+    same, and the products are the per-point ``M.T @ (rate * M)`` batched.
+    """
+    a = np.reshape(np.asarray(a, dtype=float), (-1, 1))
+    kap, t = _rates(n, np.reshape(np.asarray(kappa1, dtype=float), (-1, 1)))
+    M = overlap_matrix(n)
+    if not kind.is_two_window:
+        val, der = window_profile_at_edge(t, a, kind.parity)
+        return _block(M.T @ (kap[:, :, None] * M), val, der)
+    r = axial_logderiv(kap, l - a, kind.parity)
+    P = M.T @ (r[:, :, None] * M)
+    Q = M.T @ (kap[:, :, None] * M)
+    cv, cd = window_profile_at_edge(t, a, "even")
+    sv, sd = window_profile_at_edge(t, a, "odd")
+    K = np.empty((max(len(a), len(kap)), 2 * n, 2 * n))
+    K[:, :n, :n] = -_block(P, cv, cd)
+    K[:, :n, n:] = _block(P, sv, sd)
+    K[:, n:, :n] = _block(Q, cv, cd)
+    K[:, n:, n:] = _block(Q, sv, sd)
+    return K
+
+
 def _assemble_single_core(a: float, kappa1: float, n: int, parity: str,
                           kind: ProblemKind) -> MatchingSystem:
-    kap, t = _rates(n, kappa1)
-    M = overlap_matrix(n)
-    val, der = window_profile_at_edge(t, a, parity)
-    S = M.T @ (kap[:, None] * M)
-    K = np.diag(der) + S * val[None, :]
-    col_log = np.asarray(window_profile_scale_log(t, a, parity))
+    _, t = _rates(n, kappa1)
     return MatchingSystem(
-        matrix=K,
+        matrix=assemble_stack(kind, n, a, kappa1)[0],
         lam=1.0 - kappa1 * kappa1,
         kappa1=kappa1,
         kind=kind,
         a=a,
         l=None,
         n=n,
-        col_log=col_log,
+        col_log=np.asarray(window_profile_scale_log(t, a, parity)),
     )
 
 
@@ -164,26 +203,13 @@ def assemble_threshold(a: float, trunc: Truncation, parity: str = "even") -> Mat
 
 def _assemble_two_core(a: float, l: float, kappa1: float, n: int, plane: str,
                        kind: ProblemKind) -> MatchingSystem:
-    kap, t = _rates(n, kappa1)
-    M = overlap_matrix(n)
-    r = axial_logderiv(kap, l - a, plane)
-    P = M.T @ (np.asarray(r)[:, None] * M)
-    Q = M.T @ (kap[:, None] * M)
-    cv, cd = window_profile_at_edge(t, a, "even")
-    sv, sd = window_profile_at_edge(t, a, "odd")
-
-    K = np.empty((2 * n, 2 * n))
-    K[:n, :n] = -(np.diag(cd) + P * cv[None, :])
-    K[:n, n:] = np.diag(sd) + P * sv[None, :]
-    K[n:, :n] = np.diag(cd) + Q * cv[None, :]
-    K[n:, n:] = np.diag(sd) + Q * sv[None, :]
-
+    _, t = _rates(n, kappa1)
     col_log = np.concatenate([
         np.asarray(window_profile_scale_log(t, a, "even")),
         np.asarray(window_profile_scale_log(t, a, "odd")),
     ])
     return MatchingSystem(
-        matrix=K,
+        matrix=assemble_stack(kind, n, a, kappa1, l)[0],
         lam=1.0 - kappa1 * kappa1,
         kappa1=kappa1,
         kind=kind,
@@ -231,43 +257,44 @@ def assemble_two_window_at_kappa(cfg: CanonicalConfig, kappa1: float,
 def merit(sys: MatchingSystem) -> tuple[float, int]:
     """Smallest singular value and determinant sign of the assembled matrix.
 
-    The determinant sign comes from a pivoted LU factorization with
-    permutation-sign tracking; scanning it over the spectral parameter
-    gives robust brackets for the simple eigenvalues, while the singular
-    value confirms a root and feeds kernel extraction.
+    Scanning the sign over the spectral parameter gives robust brackets
+    for the simple eigenvalues, while the singular value confirms a root
+    and feeds kernel extraction.
     """
     K = sys.matrix
     if not np.all(np.isfinite(K)):
         raise ValueError("matching matrix contains non-finite entries")
     s = np.linalg.svd(K, compute_uv=False)
-    s_min = float(s[-1])
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(K, check_finite=False)
-    diag = np.diag(lu)
-    if np.any(diag == 0.0):
-        return s_min, 0
-    sign = 1
-    for i, p in enumerate(piv):
-        if p != i:
-            sign = -sign
-    sign *= int(np.prod(np.sign(diag)))
-    return s_min, sign
+    return float(s[-1]), det_sign(sys)
 
 
 def det_sign(sys: MatchingSystem) -> int:
-    """Determinant sign alone (cheaper than :func:`merit` for scanning)."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(sys.matrix, check_finite=False)
-    diag = np.diag(lu)
-    if np.any(diag == 0.0):
-        return 0
-    sign = 1
-    for i, p in enumerate(piv):
-        if p != i:
-            sign = -sign
-    return sign * int(np.prod(np.sign(diag)))
+    """Determinant sign alone (cheaper than :func:`merit` for scanning).
+
+    The sign of a pivoted LU factorization via ``slogdet``; 0 when a pivot
+    vanishes exactly.
+    """
+    return int(np.linalg.slogdet(sys.matrix)[0])
+
+
+def det_signs(kind: ProblemKind, n: int, a, kappa1, l: float | None = None) -> np.ndarray:
+    """Determinant signs of :func:`assemble_stack` at every point, as ints.
+
+    The stack is assembled and factorized in chunks of at most
+    ``STACK_BYTES`` of matrices, which bounds the memory of large
+    truncations; the signs are those :func:`det_sign` gives point by point.
+    """
+    a, kappa1 = np.broadcast_arrays(np.atleast_1d(np.asarray(a, dtype=float)),
+                                    np.atleast_1d(np.asarray(kappa1, dtype=float)))
+    dim = 2 * n if kind.is_two_window else n
+    step = max(1, STACK_BYTES // (8 * dim * dim))
+    signs = np.empty(len(a), dtype=int)
+    for i in range(0, len(a), step):
+        K = assemble_stack(kind, n, a[i:i + step], kappa1[i:i + step], l)
+        if not np.all(np.isfinite(K)):
+            raise ValueError("matching matrix contains non-finite entries")
+        signs[i:i + step] = np.linalg.slogdet(K)[0]
+    return signs
 
 
 def symmetrized(sys: MatchingSystem) -> np.ndarray:

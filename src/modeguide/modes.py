@@ -22,6 +22,7 @@ needed anywhere).
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -232,11 +233,17 @@ def overlap(j: int, m: int) -> float:
     return (2.0 / math.pi) * j / (j * j - half * half)
 
 
+@functools.lru_cache(maxsize=16)
 def overlap_matrix(n: int) -> np.ndarray:
-    """Dense overlap matrix M[j-1, m-1] for 1 <= j, m <= n."""
+    """Dense overlap matrix M[j-1, m-1] for 1 <= j, m <= n.
+
+    Memoised per n; the shared array is read-only.
+    """
     j = np.arange(1, n + 1, dtype=float)[:, None]
     half = (np.arange(1, n + 1, dtype=float) - 0.5)[None, :]
-    return (2.0 / math.pi) * j / (j * j - half * half)
+    M = (2.0 / math.pi) * j / (j * j - half * half)
+    M.setflags(write=False)
+    return M
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,11 @@ record holds the when/how.
 Expensive results (finite-difference oracle runs, acceptance artifacts)
 can be cached across processes in the directory named by the
 MODEGUIDE_CACHE environment variable; caching is disabled when the
-variable is unset.
+variable is unset.  Entries are keyed on the package version and a cache
+schema tag as well as the caller's key, so no entry written by another
+code version is served, and they are written through a temporary file
+that is renamed into place, so a reader never sees a half-written entry
+(an unreadable entry counts as a miss).
 """
 
 from __future__ import annotations
@@ -21,12 +25,17 @@ import datetime
 import hashlib
 import json
 import os
+import tempfile
 from pathlib import Path
 from typing import Any
+
+from . import __version__
 
 __all__ = ["RunRecord", "cache_get", "cache_put", "cache_dir"]
 
 CACHE_ENV = "MODEGUIDE_CACHE"
+#: layout of a cache entry; bump when it changes
+CACHE_SCHEMA = 1
 
 
 @dataclasses.dataclass
@@ -74,21 +83,26 @@ def cache_dir() -> Path | None:
     return path
 
 
+def _full_key(key: dict[str, Any]) -> dict[str, Any]:
+    return {"schema": CACHE_SCHEMA, "version": __version__, "key": key}
+
+
 def _cache_path(key: dict[str, Any]) -> Path | None:
     root = cache_dir()
     if root is None:
         return None
-    blob = json.dumps(key, sort_keys=True).encode()
+    blob = json.dumps(_full_key(key), sort_keys=True).encode()
     return root / (hashlib.sha256(blob).hexdigest()[:24] + ".json")
 
 
 def cache_get(key: dict[str, Any]) -> Any | None:
     path = _cache_path(key)
-    if path is None or not path.exists():
+    if path is None:
         return None
     try:
         return json.loads(path.read_text())["payload"]
-    except (json.JSONDecodeError, KeyError):
+    except (FileNotFoundError, ValueError, KeyError, TypeError):
+        # absent, truncated or garbled: a miss, recomputed and overwritten
         return None
 
 
@@ -96,4 +110,12 @@ def cache_put(key: dict[str, Any], payload: Any) -> None:
     path = _cache_path(key)
     if path is None:
         return
-    path.write_text(json.dumps({"key": key, "payload": payload}, sort_keys=True))
+    text = json.dumps({"key": _full_key(key), "payload": payload}, sort_keys=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.stem, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as f:
+            f.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise

@@ -7,6 +7,11 @@ coefficients, from which the outer families and the L2 normalization
 follow in closed form (the transverse bases are orthonormal, so the norm
 is a sum of one-dimensional longitudinal integrals).
 
+Grid signs come from one stacked kappa-parametrized assembly per grid and
+a batched ``slogdet``, chunked to a fixed memory budget (see
+:func:`~modeguide.matching.det_signs`); bisection steps stay sequential,
+one assembled point each, signed by the same ``slogdet``.
+
 Two solver extensions matter in practice:
 
 * Near the continuum threshold the natural variable is the decay rate
@@ -23,6 +28,7 @@ Two solver extensions matter in practice:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -36,6 +42,7 @@ from .matching import (
     _rates,
     assemble_threshold,
     det_sign,
+    det_signs,
 )
 from .modes import (
     CanonicalConfig,
@@ -169,8 +176,8 @@ def _bisect_sign(f, lo: float, hi: float, s_lo: int, tol: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _scan_roots(f, grid: np.ndarray, tol: float) -> list[float]:
-    signs = [f(x) for x in grid]
+def _scan_roots(f, grid: np.ndarray, signs: np.ndarray, tol: float) -> list[float]:
+    # signs: stacked determinant signs over the grid; f: the same sign at one point
     roots = []
     for i in range(len(grid) - 1):
         s0, s1 = signs[i], signs[i + 1]
@@ -191,6 +198,28 @@ def _bisect_sign_log(f, lo: float, hi: float, s_lo: int, rel_tol: float) -> floa
         else:
             hi = mid
     return math.sqrt(lo * hi)
+
+
+def _scan_roots_log(g, kgrid: np.ndarray, signs: np.ndarray) -> list[float]:
+    return [_bisect_sign_log(g, float(kgrid[i]), float(kgrid[i + 1]), signs[i], 1e-12)
+            for i in range(len(kgrid) - 1) if signs[i] != 0 and signs[i] * signs[i + 1] < 0]
+
+
+def _kappa_signs(cfg: CanonicalConfig, trunc: Truncation, kappa1: np.ndarray) -> np.ndarray:
+    """Stacked determinant signs over a grid of kappa1 = sqrt(1 - lam)."""
+    b = cfg.base
+    return det_signs(b.kind, trunc.n, b.a, kappa1, b.l)
+
+
+def _lam_signs(cfg: CanonicalConfig, trunc: Truncation, lam: np.ndarray) -> np.ndarray:
+    """Stacked determinant signs over a grid of lam."""
+    return _kappa_signs(cfg, trunc, np.sqrt(1.0 - lam))
+
+
+def _width_signs(trunc: Truncation, parity: str, a: np.ndarray) -> np.ndarray:
+    """Stacked threshold-system signs over a grid of window half-lengths."""
+    kind = ProblemKind.SINGLE_WINDOW_EVEN if parity == "even" else ProblemKind.SINGLE_WINDOW_ODD
+    return det_signs(kind, trunc.n, a, 0.0)
 
 
 def _assemble_at(cfg: CanonicalConfig, trunc: Truncation, lam: float) -> MatchingSystem:
@@ -230,7 +259,8 @@ def find_eigenvalues(cfg: CanonicalConfig, trunc: Truncation = Truncation(),
     def f(lam: float) -> int:
         return det_sign(_assemble_at(cfg, trunc, lam))
 
-    pairs = [_solve_at(cfg, trunc, lam=root) for root in _scan_roots(f, grid, tol)]
+    roots = _scan_roots(f, grid, _lam_signs(cfg, trunc, grid), tol)
+    pairs = [_solve_at(cfg, trunc, lam=root) for root in roots]
 
     if cfg.base.kind is ProblemKind.TWO_WINDOW_EVEN:
         k_lo, k_hi = NEAR_THRESHOLD_KAPPA
@@ -239,11 +269,8 @@ def find_eigenvalues(cfg: CanonicalConfig, trunc: Truncation = Truncation(),
             return det_sign(_assemble_at_kappa(cfg, trunc, kap))
 
         kgrid = np.geomspace(k_lo, k_hi, 240)
-        signs = [g(k) for k in kgrid]
-        for i in range(len(kgrid) - 1):
-            if signs[i] != 0 and signs[i] * signs[i + 1] < 0:
-                kap = _bisect_sign_log(g, float(kgrid[i]), float(kgrid[i + 1]), signs[i], 1e-12)
-                pairs.append(_solve_at(cfg, trunc, kappa1=kap))
+        for kap in _scan_roots_log(g, kgrid, _kappa_signs(cfg, trunc, kgrid)):
+            pairs.append(_solve_at(cfg, trunc, kappa1=kap))
 
     pairs.sort(key=lambda p: p.lam)
     return pairs
@@ -266,12 +293,8 @@ def find_near_threshold(cfg: CanonicalConfig, trunc: Truncation = Truncation(),
         return det_sign(_assemble_at_kappa(cfg, trunc, kap))
 
     kgrid = np.geomspace(kappa_lo, kappa_hi, points)
-    signs = [g(k) for k in kgrid]
-    pairs = []
-    for i in range(len(kgrid) - 1):
-        if signs[i] != 0 and signs[i] * signs[i + 1] < 0:
-            kap = _bisect_sign_log(g, float(kgrid[i]), float(kgrid[i + 1]), signs[i], 1e-12)
-            pairs.append(_solve_at(cfg, trunc, kappa1=kap))
+    pairs = [_solve_at(cfg, trunc, kappa1=kap)
+             for kap in _scan_roots_log(g, kgrid, _kappa_signs(cfg, trunc, kgrid))]
     pairs.sort(key=lambda p: -p.kappa1)
     return pairs
 
@@ -544,7 +567,8 @@ def find_critical_widths(n_max: int, trunc: Truncation = Truncation(),
     for parity in ("even", "odd"):
         def f(a: float) -> int:
             return det_sign(assemble_threshold(a, trunc, parity))
-        found.extend((root, parity) for root in _scan_roots(f, grid, tol))
+        signs = _width_signs(trunc, parity, grid)
+        found.extend((root, parity) for root in _scan_roots(f, grid, signs, tol))
     found.sort()
     widths = []
     for i, (a_n, parity) in enumerate(found[:n_max], start=1):
@@ -581,8 +605,9 @@ def _ladder_fit(ns: list[int], vals: list[float]) -> RefinedValue:
     return RefinedValue(value=v_inf, error=err, by_n=dict(zip(ns, vals)))
 
 
-def _polish_root(f_sign, x0: float, width: float, tol: float,
+def _polish_root(f_sign, f_signs, x0: float, width: float, tol: float,
                  lo_cap: float | None = None, hi_cap: float | None = None) -> float:
+    # f_signs gives the stacked signs of a 17-point window, f_sign one bisection point
     for attempt in range(4):
         w = width * (2.0 ** attempt)
         lo, hi = x0 - w, x0 + w
@@ -591,7 +616,7 @@ def _polish_root(f_sign, x0: float, width: float, tol: float,
         if hi_cap is not None:
             hi = min(hi, hi_cap)
         xs = np.linspace(lo, hi, 17)
-        signs = [f_sign(x) for x in xs]
+        signs = f_signs(xs)
         for i in range(len(xs) - 1):
             if signs[i] != 0 and signs[i] * signs[i + 1] < 0:
                 return _bisect_sign(f_sign, float(xs[i]), float(xs[i + 1]), signs[i], tol)
@@ -610,11 +635,13 @@ def refine_eigenvalue(cfg: CanonicalConfig, lam0: float, trunc: Truncation = Tru
     vals: list[float] = []
     x = lam0
     for n in ns:
+        tr = Truncation(n)
         def f(lam: float) -> int:
-            return det_sign(_assemble_at(cfg, Truncation(n), lam))
+            return det_sign(_assemble_at(cfg, tr, lam))
         # the root drifts by about half the previous rung-to-rung step
         width = max(3.0 * abs(vals[-1] - vals[-2]) if len(vals) >= 2 else 5e-3, 1e-3)
-        x = _polish_root(f, x, width, tol, lo_cap=0.25 + SEARCH_EPS, hi_cap=1.0 - SEARCH_EPS)
+        x = _polish_root(f, functools.partial(_lam_signs, cfg, tr), x, width, tol,
+                         lo_cap=0.25 + SEARCH_EPS, hi_cap=1.0 - SEARCH_EPS)
         vals.append(x)
     return _ladder_fit(ns, vals)
 
@@ -626,9 +653,10 @@ def refine_critical_width(a0: float, parity: str, trunc: Truncation = Truncation
     vals: list[float] = []
     x = a0
     for n in ns:
+        tr = Truncation(n)
         def f(a: float) -> int:
-            return det_sign(assemble_threshold(a, Truncation(n), parity))
+            return det_sign(assemble_threshold(a, tr, parity))
         width = max(3.0 * abs(vals[-1] - vals[-2]) if len(vals) >= 2 else 2e-2, 5e-3)
-        x = _polish_root(f, x, width, tol, lo_cap=1e-3)
+        x = _polish_root(f, functools.partial(_width_signs, tr, parity), x, width, tol, lo_cap=1e-3)
         vals.append(x)
     return _ladder_fit(ns, vals)

@@ -199,3 +199,69 @@ def test_config_file_precedence(capsys, tmp_path):
     code, out2, _ = run(capsys, "single", "--config", str(cfg), "--a", "1", "--modes", "12")
     assert code == 0
     assert out2 != out
+
+
+TWO_PI = repr(2 * math.pi)
+
+
+def test_critical_reports_physical_widths(capsys):
+    _, canon, _ = run(capsys, "critical", "--n", "1", "--modes", "16")
+    code, out, _ = run(capsys, "critical", "--n", "1", "--modes", "16", "--d", TWO_PI)
+    assert code == 0
+    (row,), (ref,) = parse_csv(out), parse_csv(canon)
+    assert "a_phys" not in ref
+    assert row["a"] == ref["a"]
+    assert float(row["a_phys"]) == pytest.approx(2.0 * float(row["a"]), rel=1e-15)
+    code, _, err = run(capsys, "critical", "--n", "1", "--d", "-1")
+    assert code == 2 and "d > 0" in err
+
+
+def test_threshold_honours_strip_width(capsys):
+    _, canon, _ = run(capsys, "threshold", "--n", "1", "--l", "4:4.5:0.5", "--modes", "16")
+    code, out, _ = run(capsys, "threshold", "--n", "1", "--l", "8:9:1", "--modes", "16",
+                       "--d", TWO_PI)
+    assert code == 0
+    rows, ref = parse_csv(out), parse_csv(canon)
+    assert [(r["l"], r["kappa"]) for r in rows] == [(r["l"], r["kappa"]) for r in ref]
+    assert [float(r["l_phys"]) for r in rows] == [8.0, 9.0]
+    for row in rows:
+        assert float(row["kappa_phys"]) == float(row["kappa"]) / 2.0
+    # --a is a physical width too: twice the canonical critical width passes
+    a1 = [n.split("= ")[1].split(" ")[0] for n in notes(canon) if n.startswith("critical width")][0]
+    code, _, _ = run(capsys, "threshold", "--n", "1", "--l", "8:8:1", "--modes", "16",
+                     "--d", TWO_PI, "--a", repr(2.0 * float(a1)))
+    assert code == 0
+    code, _, _ = run(capsys, "threshold", "--n", "1", "--l", "8:8:1", "--modes", "16",
+                     "--d", TWO_PI, "--a", a1)
+    assert code == 4
+
+
+def test_verify_runs_at_the_requested_truncation(capsys, monkeypatch):
+    from modeguide import Truncation, acceptance
+    seen = []
+
+    def fake_run_acceptance(quick=False, trunc=Truncation(40), cids=None):
+        seen.append(trunc)
+        return []
+
+    monkeypatch.setattr(acceptance, "run_acceptance", fake_run_acceptance)
+    assert run(capsys, "verify", "--modes", "8")[0] == 0
+    assert run(capsys, "verify")[0] == 0
+    assert seen == [Truncation(8), Truncation(40)]
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--tol", "1e-10"),
+    ("verify", "--d", "2"),
+    ("verify", "--format", "json"),
+    ("single", "--a", "1", "--jobs", "2"),
+    ("critical", "--a", "1"),
+    ("critical", "--jobs", "2"),
+    ("threshold", "--l", "4:5:1", "--jobs", "2"),
+    ("oracle", "--a", "1", "--modes", "16"),
+    ("oracle", "--a", "1", "--tol", "1e-10"),
+])
+def test_flags_a_subcommand_cannot_honour_are_rejected(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert "unrecognized arguments" in err

@@ -14,7 +14,9 @@ from modeguide import (
     merit,
     symmetrized,
 )
-from modeguide.matching import det_sign
+from modeguide import matching
+from modeguide.matching import assemble_stack, det_sign, det_signs
+from modeguide.modes import axial_logderiv, overlap_matrix, window_profile_at_edge
 
 from conftest import single_cfg, two_cfg
 
@@ -240,3 +242,74 @@ def test_concurrent_assembly_matches_sequential():
     with ThreadPoolExecutor(max_workers=8) as pool:
         threaded = list(pool.map(sign_at, lams))
     assert threaded == sequential
+
+
+# ---------------------------------------------------------------------------
+# stacked assembly and signs
+# ---------------------------------------------------------------------------
+
+def _reference_matrix(kind, n, a, kappa1, l):
+    # one point at a time, the straightforward way: the reference for the stack
+    j = np.arange(1, n + 1, dtype=float)
+    kap = np.sqrt(j * j - 1.0 + kappa1 * kappa1)
+    half = j - 0.5
+    t = half * half - 1.0 + kappa1 * kappa1
+    M = overlap_matrix(n)
+    Q = M.T @ (kap[:, None] * M)
+    if not kind.is_two_window:
+        val, der = window_profile_at_edge(t, a, kind.parity)
+        return np.diag(der) + Q * val[None, :]
+    P = M.T @ (axial_logderiv(kap, l - a, kind.parity)[:, None] * M)
+    cv, cd = window_profile_at_edge(t, a, "even")
+    sv, sd = window_profile_at_edge(t, a, "odd")
+    return np.block([[-(np.diag(cd) + P * cv[None, :]), np.diag(sd) + P * sv[None, :]],
+                     [np.diag(cd) + Q * cv[None, :], np.diag(sd) + Q * sv[None, :]]])
+
+
+# crosses the oscillatory/evanescent switch of the first window mode at
+# kappa1 = sqrt(3)/2 and includes the threshold kappa1 = 0
+KAPPA_GRID = np.concatenate([np.linspace(0.0, 1.2, 25), np.geomspace(1e-13, 1e-3, 5)])
+
+
+@pytest.mark.parametrize("n", [40, 80])
+@pytest.mark.parametrize("kind", list(ProblemKind))
+def test_stack_equals_per_point_assembly(kind, n):
+    a, l = 1.0625, (6.0 if kind.is_two_window else None)
+    stack = assemble_stack(kind, n, a, KAPPA_GRID, l)
+    assert stack.shape == (len(KAPPA_GRID),) + 2 * ((2 if kind.is_two_window else 1) * n,)
+    for k, K in zip(KAPPA_GRID, stack):
+        assert np.array_equal(K, _reference_matrix(kind, n, a, float(k), l))
+        assert np.array_equal(K, assemble_stack(kind, n, a, float(k), l)[0])
+
+
+@pytest.mark.parametrize("n", [40, 80])
+@pytest.mark.parametrize("parity", ["even", "odd"])
+def test_threshold_stack_equals_per_point_assembly(parity, n):
+    kind = ProblemKind.SINGLE_WINDOW_EVEN if parity == "even" else ProblemKind.SINGLE_WINDOW_ODD
+    widths = np.arange(0.02, 8.0, 0.31)
+    stack = assemble_stack(kind, n, widths, 0.0)
+    for a, K in zip(widths, stack):
+        assert np.array_equal(K, assemble_threshold(float(a), Truncation(n), parity).matrix)
+        assert np.array_equal(K, _reference_matrix(kind, n, float(a), 0.0, None))
+
+
+def test_chunked_signs_equal_one_stack(monkeypatch):
+    kind, n = ProblemKind.TWO_WINDOW_ODD, 12
+    kappas = np.linspace(0.05, 0.85, 101)
+    whole = det_signs(kind, n, 1.0, kappas, 5.0)
+    assert len(set(whole.tolist())) == 2  # the grid crosses roots
+    # 7 matrices per chunk: 15 chunks, the last one short
+    monkeypatch.setattr(matching, "STACK_BYTES", 7 * 8 * (2 * n) ** 2)
+    assert np.array_equal(det_signs(kind, n, 1.0, kappas, 5.0), whole)
+    monkeypatch.setattr(matching, "STACK_BYTES", 1)
+    assert np.array_equal(det_signs(kind, n, 1.0, kappas, 5.0), whole)
+
+
+def test_det_sign_of_permuted_and_singular_matrices():
+    swap = np.eye(4)[[1, 0, 2, 3]]
+    assert det_sign(_dummy_system(swap)) == -1
+    assert det_sign(_dummy_system(-swap)) == -1
+    assert det_sign(_dummy_system(np.eye(4)[[1, 2, 0, 3]])) == 1
+    assert det_sign(_dummy_system(np.diag([1.0, 1.0, 1.0, 0.0]))) == 0
+    singular = np.ones((4, 4))
+    assert det_sign(_dummy_system(singular)) == 0

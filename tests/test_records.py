@@ -1,3 +1,4 @@
+from modeguide import records
 from modeguide.records import RunRecord, cache_dir, cache_get, cache_put
 
 
@@ -31,3 +32,31 @@ def test_replay_argv_handles_flag_kinds():
     assert "--quick" in argv
     assert "--modes" in argv and "40" in argv
     assert "--out" not in argv
+
+
+def test_half_written_cache_entry_is_a_miss(tmp_path, monkeypatch):
+    monkeypatch.setenv("MODEGUIDE_CACHE", str(tmp_path))
+    key = {"what": "unit", "a": 1.5}
+    cache_put(key, {"values": [1.25, 2.5]})
+    (entry,) = tmp_path.iterdir()
+    text = entry.read_text()
+    for broken in (text[: len(text) // 2], "", "[1, 2]", '{"key": 1}'):
+        entry.write_text(broken)
+        assert cache_get(key) is None
+    cache_put(key, {"values": [1.25, 2.5]})
+    assert cache_get(key) == {"values": [1.25, 2.5]}
+    # writes go through a renamed temporary file and leave nothing else behind
+    assert [p.name for p in tmp_path.iterdir()] == [entry.name]
+
+
+def test_cache_entry_from_another_version_is_a_miss(tmp_path, monkeypatch):
+    monkeypatch.setenv("MODEGUIDE_CACHE", str(tmp_path))
+    key = {"what": "unit", "a": 1.5}
+    monkeypatch.setattr(records, "__version__", "0.0.0-other")
+    cache_put(key, 1.0)
+    assert cache_get(key) == 1.0
+    monkeypatch.undo()
+    monkeypatch.setenv("MODEGUIDE_CACHE", str(tmp_path))
+    assert cache_get(key) is None
+    monkeypatch.setattr(records, "CACHE_SCHEMA", records.CACHE_SCHEMA + 1)
+    assert cache_get(key) is None

@@ -18,7 +18,8 @@ from modeguide import (
     window_integral,
     window_trace,
 )
-from modeguide.solve import _norm_sq
+from modeguide.matching import assemble_threshold, det_sign
+from modeguide.solve import SEARCH_EPS, _assemble_at, _lam_signs, _norm_sq, _width_signs
 
 from conftest import single_cfg, two_cfg
 
@@ -331,3 +332,28 @@ def test_refine_eigenvalue_base_independence():
     assert abs(r20.value - r40.value) < 3e-4
     assert r40.error > 0.0
     assert set(r40.by_n) == {40, 80, 160}
+
+
+# ---------------------------------------------------------------------------
+# stacked grid signs against per-point signs
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("parity", ["even", "odd"])
+def test_stacked_lam_grid_signs_equal_per_point(parity):
+    cfg, tr = two_cfg(1.0, 6.0, parity), Truncation(40)
+    lo, hi = 0.25 + SEARCH_EPS, 1.0 - SEARCH_EPS
+    grid = np.arange(lo, hi + 0.5e-3, 1e-3)
+    grid[-1] = min(grid[-1], hi)  # the scan grid of find_eigenvalues
+    stacked = _lam_signs(cfg, tr, grid)
+    assert stacked.tolist() == [det_sign(_assemble_at(cfg, tr, lam)) for lam in grid]
+    assert np.any(stacked[:-1] * stacked[1:] < 0)
+
+
+def test_stacked_width_grid_signs_equal_per_point():
+    tr = Truncation(40)
+    grid = np.arange(0.02, 8.0 + 0.01, 0.02)
+    assert len(grid) == 400
+    for parity in ("even", "odd"):
+        stacked = _width_signs(tr, parity, grid)
+        assert stacked.tolist() == [det_sign(assemble_threshold(a, tr, parity)) for a in grid]
+        assert np.any(stacked[:-1] * stacked[1:] < 0)
