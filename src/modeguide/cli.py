@@ -128,7 +128,7 @@ def _apply_config(args: argparse.Namespace) -> None:
     cfg = _load_config(getattr(args, "config", None))
     for key, raw in cfg.items():
         if not hasattr(args, key):
-            continue
+            raise ValueError(f"config key {key!r} is not an option of this command")
         if getattr(args, key) is None:
             cast = _CONFIG_CASTS.get(key, str)
             setattr(args, key, cast(raw))
@@ -226,6 +226,9 @@ def cmd_split(args) -> int:
         return EXIT_NO_CONVERGENCE
     lam1 = base[0].lam
     pred = predict_splitting(lam1, window_integral=window_integral(base[0], base[0].kappa1))
+    # eigenvalues and the predicted rate are canonical, so fit against the
+    # canonical half-separation
+    scale = _length_scale(args.d)
 
     tasks = [(args.d, args.a, l, args.modes, args.tol) for l in ls]
     if args.jobs and args.jobs > 1:
@@ -236,16 +239,18 @@ def cmd_split(args) -> int:
 
     rows = []
     for (l, lam_p, lam_m) in results:
-        gap = pred.mu * math.exp(-pred.rate * l)
+        gap = pred.mu * math.exp(-pred.rate * scale * l)
         rows.append({
             "l": l, "lambda_plus": lam_p, "lambda_minus": lam_m,
             "delta_plus": lam1 - lam_p, "delta_minus": lam_m - lam1,
             "delta_predicted": gap,
         })
-    deltas = [(r["l"], math.sqrt(r["delta_plus"] * r["delta_minus"]))
+    deltas = [(scale * r["l"], math.sqrt(r["delta_plus"] * r["delta_minus"]))
               for r in rows if r["delta_plus"] > 0 and r["delta_minus"] > 0]
     notes = [f"lambda_1 = {_fmt(lam1)}", f"predicted rate = {_fmt(pred.rate)}",
              f"predicted prefactor = {_fmt(pred.mu)}"]
+    if scale != 1.0:
+        notes.append(f"rates are per canonical half-separation l*pi/d = {_fmt(scale)}*l")
     if len(deltas) >= 3:
         fit = fit_exponential(deltas)
         notes += [f"fitted rate = {_fmt(fit.rate)}", f"fitted prefactor = {_fmt(fit.prefactor)}",
@@ -256,7 +261,7 @@ def cmd_split(args) -> int:
           ["l", "lambda_plus", "lambda_minus", "delta_plus", "delta_minus", "delta_predicted"],
           extra_lines=notes, record=record)
     if args.out:
-        (Path(args.out) / "split_plot.py").write_text(_plot_script(rows, pred))
+        (Path(args.out) / "split_plot.py").write_text(_plot_script(rows, pred, scale))
     return EXIT_OK
 
 
@@ -270,7 +275,7 @@ def _split_point(task):
     return l, lam_p, lam_m
 
 
-def _plot_script(rows: list[dict], pred) -> str:
+def _plot_script(rows: list[dict], pred, scale: float) -> str:
     ls = [r["l"] for r in rows]
     dps = [r["delta_plus"] for r in rows]
     dms = [r["delta_minus"] for r in rows]
@@ -282,7 +287,7 @@ def _plot_script(rows: list[dict], pred) -> str:
         f"ls = {ls!r}\n"
         f"delta_plus = {dps!r}\n"
         f"delta_minus = {dms!r}\n"
-        f"rate, mu = {pred.rate!r}, {pred.mu!r}\n"
+        f"rate, mu = {pred.rate * scale!r}, {pred.mu!r}\n"
         "plt.semilogy(ls, delta_plus, 'o', label='even gap')\n"
         "plt.semilogy(ls, delta_minus, 's', label='odd gap')\n"
         "plt.semilogy(ls, [mu * math.exp(-rate * l) for l in ls], '-', label='predicted')\n"

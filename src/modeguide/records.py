@@ -34,8 +34,9 @@ from . import __version__
 __all__ = ["RunRecord", "cache_get", "cache_put", "cache_dir"]
 
 CACHE_ENV = "MODEGUIDE_CACHE"
-#: layout of a cache entry; bump when it changes
-CACHE_SCHEMA = 1
+#: layout of a cache entry; bump when it or the cached values change
+#: (2: FD oracle eigenvalues from the minimum-degree ordered factorization)
+CACHE_SCHEMA = 2
 
 
 @dataclasses.dataclass

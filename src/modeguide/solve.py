@@ -74,12 +74,17 @@ __all__ = [
     "extrapolate_truncation",
     "SCAN_STEP",
     "SEARCH_EPS",
+    "RESIDUAL_GATE",
 ]
 
 #: default spectral-grid step for the determinant sign scan
 SCAN_STEP = 1e-3
 #: clip of the search interval away from 1/4 and 1
 SEARCH_EPS = 1e-6
+#: largest relative kernel residual s_min/s_max of an accepted root; roots
+#: bracketed to tol have residuals of tol/20 to tol/140 (below 4e-14 at the
+#: default tol), so every tol up to 2e-7 passes
+RESIDUAL_GATE = 1e-8
 #: logarithmic kappa window for the near-threshold scan of the even sector
 NEAR_THRESHOLD_KAPPA = (1e-13, 1e-3)
 
@@ -315,6 +320,9 @@ def _solve_at(cfg: CanonicalConfig, trunc: Truncation, lam: float | None = None,
         kappa1 = math.sqrt(1.0 - lam)
     sys = _assemble_at_kappa(cfg, trunc, kappa1)
     vec, residual = _kernel_vector(sys)
+    if not residual <= RESIDUAL_GATE:
+        raise ArithmeticError(f"kernel residual {residual:.3g} at lam={sys.lam!r} exceeds "
+                              f"{RESIDUAL_GATE:g}: not a root")
     pair = _build_pair(sys, vec, residual)
     _normalize(pair)
     _fix_sign(pair)

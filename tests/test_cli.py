@@ -88,6 +88,22 @@ def test_single_refine_column(capsys):
     assert float(row["refine_error"]) > 0.0
 
 
+def test_split_fits_against_canonical_separation(capsys):
+    _, canon, _ = run(capsys, "split", "--a", "1", "--l", "4:7:1", "--modes", "12")
+    code, out, _ = run(capsys, "split", "--a", "2", "--l", "8:14:2", "--modes", "12",
+                       "--d", TWO_PI)
+    assert code == 0
+
+    def rates(text):
+        return [n for n in notes(text) if n.startswith(("predicted", "fitted"))]
+
+    assert rates(out) and rates(out) == rates(canon)
+    assert "rates are per canonical half-separation l*pi/d = 0.5*l" in notes(out)
+    assert not any("half-separation" in n for n in notes(canon))
+    assert ([r["delta_predicted"] for r in parse_csv(out)]
+            == [r["delta_predicted"] for r in parse_csv(canon)])
+
+
 def test_split_jobs_deterministic(capsys):
     argv = ("split", "--a", "1", "--l", "4:6:1", "--modes", "12")
     _, seq, _ = run(capsys, *argv)
@@ -199,6 +215,22 @@ def test_config_file_precedence(capsys, tmp_path):
     code, out2, _ = run(capsys, "single", "--config", str(cfg), "--a", "1", "--modes", "12")
     assert code == 0
     assert out2 != out
+
+
+def test_config_file_rejects_unknown_key(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("a = 1\njobs = 4\n")
+    code, out, err = run(capsys, "single", "--config", str(cfg))
+    assert code == 2
+    assert "'jobs'" in err and not out
+
+
+def test_single_rejects_root_failing_the_residual_gate(capsys):
+    # a coarse bracketing tolerance stops far from the root: the kernel
+    # residual fails the gate and the run reports non-convergence
+    code, out, err = run(capsys, "single", "--a", "1", "--modes", "12", "--tol", "1e-3")
+    assert code == 3
+    assert "residual" in err and not out
 
 
 TWO_PI = repr(2 * math.pi)

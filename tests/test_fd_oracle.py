@@ -13,6 +13,7 @@ from modeguide import (
     oracle_eigenvalues,
     refine_and_extrapolate,
 )
+from modeguide import ProblemKind, StripConfig, canonicalize
 from modeguide.fd_oracle import discretize_with_nodes
 
 from conftest import single_cfg, two_cfg
@@ -174,3 +175,90 @@ def test_oracle_config_validation():
         OracleConfig(L=8.0, h=1 / 16, k=2, end="robin")
     with pytest.raises(ValueError):
         lowest_eigenvalues(sparse.eye(3).tocsr(), 5)
+
+
+def _dict_loop_discretize(cfg, ocfg):
+    """Per-node reference assembly: the same operator built one node at a time."""
+    kind = cfg.base.kind
+    a, h = cfg.base.a, ocfg.h
+    n1 = round(ocfg.L / h)
+    n2 = round(PI / h)
+    h2 = PI / n2
+    win_lo, win_hi = (cfg.base.l - a, cfg.base.l + a) if kind.is_two_window else (-a, a)
+    plane_neumann = kind.parity == "even"
+    end_neumann = ocfg.end == "neumann"
+    i_lo = 0 if plane_neumann else 1
+    i_hi = n1 if end_neumann else n1 - 1
+
+    def in_window(i):
+        return win_lo + 1e-9 < i * h < win_hi - 1e-9
+
+    index = {}
+    for i in range(i_lo, i_hi + 1):
+        for j in range(0 if in_window(i) else 1, n2):
+            index[(i, j)] = len(index)
+    c1, c2 = 1.0 / (h * h), 1.0 / (h2 * h2)
+    rows, cols, vals = [], [], []
+
+    def add(p, q, w):
+        rows.append(p)
+        cols.append(q)
+        vals.append(w)
+
+    for (i, j), p in index.items():
+        add(p, p, 2.0 * c1 + 2.0 * c2)
+        up = index.get((i, j + 1))
+        if up is not None:
+            w = -c2 * math.sqrt(2.0 if j == 0 else 1.0)
+            add(p, up, w)
+            add(up, p, w)
+        if i > i_lo:
+            q = index.get((i - 1, j))
+            if q is not None:
+                m_fwd = 2.0 if (end_neumann and i == n1) else 1.0
+                m_bwd = 2.0 if (plane_neumann and i - 1 == 0) else 1.0
+                w = -c1 * math.sqrt(m_fwd * m_bwd)
+                add(p, q, w)
+                add(q, p, w)
+    size = len(index)
+    op = sparse.csr_matrix((vals, (rows, cols)), shape=(size, size))
+    op.sum_duplicates()
+    x1 = np.empty(size)
+    x2 = np.empty(size)
+    for (i, j), p in index.items():
+        x1[p] = i * h
+        x2[p] = j * h2
+    return op, x1, x2
+
+
+@pytest.mark.parametrize("kind", list(ProblemKind))
+@pytest.mark.parametrize("end", ["dirichlet", "neumann"])
+@pytest.mark.parametrize("h", [1 / 16, 1 / 32])
+def test_vectorized_assembly_equals_dict_loop_bitwise(kind, end, h):
+    l = 3.0 if kind.is_two_window else None
+    cfg = canonicalize(StripConfig(d=PI, a=1.0, l=l, kind=kind))
+    ocfg = OracleConfig(L=8.0, h=h, k=2, end=end)
+    op, x1, x2 = discretize_with_nodes(cfg, ocfg)
+    ref, r1, r2 = _dict_loop_discretize(cfg, ocfg)
+    assert op.shape == ref.shape
+    for name in ("indptr", "indices", "data"):
+        got, want = getattr(op, name), getattr(ref, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+    assert np.array_equal(x1, r1) and np.array_equal(x2, r2)
+
+
+@pytest.mark.parametrize("cfg, ocfg", [
+    (single_cfg(1.0), OracleConfig(L=10.0, h=1 / 16, k=2)),
+    (single_cfg(2.0), OracleConfig(L=12.0, h=1 / 16, k=2)),
+    (two_cfg(1.0, 4.0, "even"), OracleConfig(L=10.0, h=1 / 16, k=2)),
+    (single_cfg(2.0, "odd"), OracleConfig(L=10.0, h=1 / 16, k=2, end="neumann")),
+])
+def test_lowest_eigenvalues_match_plain_shift_invert(cfg, ocfg):
+    import scipy.sparse.linalg as spla
+
+    op = discretize(cfg, ocfg)
+    got = lowest_eigenvalues(op, ocfg.k)
+    plain = np.sort(spla.eigsh(op, k=ocfg.k, sigma=0.2, which="LM", tol=1e-10,
+                               return_eigenvectors=False,
+                               v0=np.full(op.shape[0], op.shape[0] ** -0.5)))
+    assert np.max(np.abs(got - plain) / np.abs(plain)) < 1e-12
