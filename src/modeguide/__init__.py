@@ -14,22 +14,14 @@ from .modes import (
     ProblemKind,
     StripConfig,
     canonicalize,
-    outside_rate,
-    overlap,
     overlap_matrix,
     stable_cosh,
     stable_sinhc,
-    window_rate_sq,
 )
 from .matching import (
     MatchingSystem,
     Truncation,
-    assemble_single,
     assemble_threshold,
-    assemble_two_window,
-    assemble_two_window_at_kappa,
-    merit,
-    symmetrized,
 )
 from .solve import (
     CriticalWidth,

@@ -20,7 +20,6 @@ l = 5..6 is 0.1%).
 
 from __future__ import annotations
 
-import functools
 import math
 import time
 from dataclasses import dataclass
@@ -28,7 +27,7 @@ from dataclasses import dataclass
 
 from .asymptotics import THRESHOLD_RATE, fit_exponential, predict_splitting, predict_threshold
 from .fd_oracle import OracleConfig, critical_width_crossing, oracle_eigenvalues, refine_and_extrapolate
-from .matching import Truncation, assemble_threshold, det_sign
+from .matching import Truncation
 from .modes import ProblemKind, StripConfig, canonicalize
 from .records import cache_get, cache_put
 from .solve import (
@@ -38,15 +37,14 @@ from .solve import (
     find_critical_widths,
     find_eigenvalues,
     find_near_threshold,
+    refine_critical_width,
     refine_eigenvalue,
     window_integral,
-    _assemble_at,
-    _lam_signs,
-    _polish_root,
     _solve_at,
     _threshold_resonance,
-    _width_signs,
 )
+# unused here: bound only because perfbench/tracing.py wraps these names on this module
+from .solve import _assemble_at, _polish_root, assemble_threshold, det_sign  # noqa: F401
 
 __all__ = ["CriterionResult", "Workspace", "run_acceptance", "CRITERIA"]
 
@@ -70,13 +68,11 @@ class CriterionResult:
 
 
 def _single_cfg(a: float, parity: str = "even"):
-    kind = ProblemKind.SINGLE_WINDOW_EVEN if parity == "even" else ProblemKind.SINGLE_WINDOW_ODD
-    return canonicalize(StripConfig(d=PI, a=a, kind=kind))
+    return canonicalize(StripConfig(d=PI, a=a, kind=ProblemKind(f"single-{parity}")))
 
 
 def _two_cfg(a: float, l: float, parity: str):
-    kind = ProblemKind.TWO_WINDOW_EVEN if parity == "even" else ProblemKind.TWO_WINDOW_ODD
-    return canonicalize(StripConfig(d=PI, a=a, l=l, kind=kind))
+    return canonicalize(StripConfig(d=PI, a=a, l=l, kind=ProblemKind(f"two-{parity}")))
 
 
 class Workspace:
@@ -104,21 +100,16 @@ class Workspace:
         """lam, alpha, window integral and alpha*pi*kappa1 per ladder truncation."""
         def compute():
             cfg = _single_cfg(a)
+            lams = refine_eigenvalue(cfg, self.single_pair(a).lam, Truncation(self.LADDER[0]),
+                                     levels=len(self.LADDER) - 1, tol=1e-13).by_n
             rows: dict[int, dict[str, float]] = {}
-            lam = self.single_pair(a).lam
-            for n in self.LADDER:
-                tr = Truncation(n)
-                def f(x):
-                    return det_sign(_assemble_at(cfg, tr, x))
-                lam = _polish_root(f, functools.partial(_lam_signs, cfg, tr), lam, 8e-3, 1e-13,
-                                   lo_cap=0.2500011, hi_cap=1 - 1e-6)
-                pair = _solve_at(cfg, tr, lam=lam)
+            for n, lam in lams.items():
+                pair = _solve_at(cfg, Truncation(n), lam=lam)
                 alpha = extract_tail(pair).alpha
-                integral = window_integral(pair, pair.kappa1)
                 rows[n] = {
                     "lam": pair.lam,
                     "alpha": alpha,
-                    "integral": integral,
+                    "integral": window_integral(pair, pair.kappa1),
                     "alpha_pi_kappa": alpha * PI * pair.kappa1,
                 }
             return rows
@@ -155,21 +146,16 @@ class Workspace:
     def critical_ladder(self) -> dict[int, dict[str, float]]:
         def compute():
             w0 = self.critical()
+            widths = refine_critical_width(w0.a, w0.parity, Truncation(self.LADDER[0]),
+                                           levels=len(self.LADDER) - 1, tol=1e-13).by_n
             rows: dict[int, dict[str, float]] = {}
-            a = w0.a
-            for n in self.LADDER:
-                tr = Truncation(n)
-                def f(x):
-                    return det_sign(assemble_threshold(x, tr, w0.parity))
-                a = _polish_root(f, functools.partial(_width_signs, tr, w0.parity), a, 2.5e-2,
-                                 1e-13, lo_cap=1e-3)
-                res = _threshold_resonance(a, tr, w0.parity)
+            for n, a in widths.items():
+                res = _threshold_resonance(a, Truncation(n), w0.parity)
                 beta = math.sqrt(2.0 / PI) * float(res.outside_coeffs[1]) * math.exp(math.sqrt(3.0) * a)
-                i3 = window_integral(res, math.sqrt(3.0))
                 rows[n] = {
                     "a": a,
                     "beta": beta,
-                    "integral": i3,
+                    "integral": window_integral(res, math.sqrt(3.0)),
                     "beta_rhs": math.sqrt(3.0) * PI / 2.0 * beta,
                 }
             return rows

@@ -119,9 +119,17 @@ def _load_config(path: str | None) -> dict[str, str]:
     return cfg
 
 
+def _switch(text: str) -> bool:
+    """Config-file value of an on/off flag."""
+    words = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
+    if text.lower() not in words:
+        raise ValueError(f"switch value must be true/false/1/0/yes/no, got {text!r}")
+    return words[text.lower()]
+
+
 _CONFIG_CASTS = {"d": float, "a": float, "modes": int, "tol": float, "jobs": int,
                  "l": str, "format": str, "out": str, "h": float, "L": float,
-                 "n": int, "k": int, "end": str}
+                 "n": int, "k": int, "end": str, "refine": _switch, "quick": _switch}
 
 
 def _apply_config(args: argparse.Namespace) -> None:
@@ -140,14 +148,12 @@ def _defaults(args: argparse.Namespace, **pairs) -> None:
             setattr(args, key, value)
 
 
-def _provenance(args, **extra) -> dict:
-    prov = {"version": __version__, "modes": args.modes, "tol": args.tol}
-    prov.update(extra)
-    return prov
-
-
 def _config_snapshot(args, keys) -> dict:
     return {k: getattr(args, k) for k in keys if getattr(args, k, None) is not None}
+
+
+def _provenance(args, **extra) -> dict:
+    return {"version": __version__, **_config_snapshot(args, ("modes", "tol")), **extra}
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +177,7 @@ def _physical_columns(cfg, rows: list[dict]) -> list[str]:
 
 
 def cmd_single(args) -> int:
-    _defaults(args, d=math.pi, modes=40, tol=1e-12, format="csv")
+    _defaults(args, d=math.pi, modes=40, tol=1e-12, format="csv", refine=False)
     if args.a is None:
         print("single: --a is required", file=sys.stderr)
         return EXIT_USAGE
@@ -382,7 +388,7 @@ def cmd_threshold(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    _defaults(args, d=math.pi, modes=40, tol=1e-12, format="csv", h=1 / 64, k=4, end="dirichlet")
+    _defaults(args, d=math.pi, format="csv", h=1 / 64, k=4, end="dirichlet")
     if args.a is None:
         print("oracle: --a is required", file=sys.stderr)
         return EXIT_USAGE
@@ -421,9 +427,9 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    _defaults(args, modes=40, tol=1e-12, format="csv")
+    _defaults(args, modes=40, quick=False)
     from .acceptance import run_acceptance
-    results = run_acceptance(quick=bool(args.quick), trunc=Truncation(args.modes))
+    results = run_acceptance(quick=args.quick, trunc=Truncation(args.modes))
     for res in results:
         for line in res.lines():
             print(line)
@@ -469,7 +475,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("single", help="single-window bound states")
     flags(p, "d", "a", "modes", "tol", "format")
-    p.add_argument("--refine", action="store_true",
+    p.add_argument("--refine", action="store_true", default=None,
                    help="add truncation-ladder extrapolated eigenvalues")
     p.set_defaults(func=cmd_single)
 
@@ -497,7 +503,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the acceptance suite")
     flags(p, "modes")
-    p.add_argument("--quick", action="store_true", help="skip oracle grid refinement")
+    p.add_argument("--quick", action="store_true", default=None, help="skip oracle grid refinement")
     p.set_defaults(func=cmd_verify)
 
     return parser

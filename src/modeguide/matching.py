@@ -27,13 +27,11 @@ vectors can be mapped back to raw coefficients exactly.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .modes import (
-    CanonicalConfig,
     ProblemKind,
     axial_logderiv,
     overlap_matrix,
@@ -44,20 +42,12 @@ from .modes import (
 __all__ = [
     "Truncation",
     "MatchingSystem",
-    "assemble_single",
-    "assemble_two_window",
-    "assemble_two_window_at_kappa",
     "assemble_threshold",
     "assemble_stack",
     "det_sign",
     "det_signs",
-    "merit",
-    "symmetrized",
 ]
 
-#: open spectral interval searched by the generic assemblies
-LAMBDA_MIN = 0.25
-LAMBDA_MAX = 1.0
 #: bytes of matrices assembled and factorized at once by :func:`det_signs`;
 #: whole stacks would reach tens of MB at N = 320 and raise peak memory
 STACK_BYTES = 1 << 20
@@ -78,8 +68,8 @@ class Truncation:
 class MatchingSystem:
     """Assembled dense matching matrix plus the data needed to undo scalings.
 
-    ``col_log``/``row_log`` hold the natural logs of the divisors applied to
-    each column/row during assembly; a kernel vector v of ``matrix``
+    ``col_log`` holds the natural logs of the divisors applied to each
+    column during assembly; a kernel vector v of ``matrix``
     corresponds to raw window coefficients v * exp(-col_log).  ``kappa1``
     stores sqrt(1 - lam) exactly, which matters near the threshold where
     lam itself cannot resolve the distance to 1.
@@ -93,17 +83,10 @@ class MatchingSystem:
     l: float | None
     n: int
     col_log: np.ndarray
-    row_log: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
-        if self.row_log is None:
-            self.row_log = np.zeros(self.matrix.shape[0])
         if not np.all(np.isfinite(self.matrix)):
             raise ValueError("matching matrix contains non-finite entries")
-
-    @property
-    def is_threshold(self) -> bool:
-        return self.kappa1 == 0.0
 
 
 def _rates(n: int, kappa1: float) -> tuple[np.ndarray, np.ndarray]:
@@ -155,36 +138,25 @@ def assemble_stack(kind: ProblemKind, n: int, a, kappa1, l: float | None = None)
     return K
 
 
-def _assemble_single_core(a: float, kappa1: float, n: int, parity: str,
-                          kind: ProblemKind) -> MatchingSystem:
+def _point(kind: ProblemKind, n: int, a: float, kappa1: float, l: float | None,
+           col_log: np.ndarray) -> MatchingSystem:
+    return MatchingSystem(matrix=assemble_stack(kind, n, a, kappa1, l)[0],
+                          lam=1.0 - kappa1 * kappa1, kappa1=kappa1, kind=kind, a=a, l=l, n=n,
+                          col_log=col_log)
+
+
+def _assemble_single_core(kind: ProblemKind, n: int, a: float, kappa1: float) -> MatchingSystem:
+    """Single-window N x N system at one point (kappa1 = 0 is the threshold system)."""
     _, t = _rates(n, kappa1)
-    return MatchingSystem(
-        matrix=assemble_stack(kind, n, a, kappa1)[0],
-        lam=1.0 - kappa1 * kappa1,
-        kappa1=kappa1,
-        kind=kind,
-        a=a,
-        l=None,
-        n=n,
-        col_log=np.asarray(window_profile_scale_log(t, a, parity)),
-    )
+    return _point(kind, n, a, kappa1, None, window_profile_scale_log(t, a, kind.parity))
 
 
-def assemble_single(cfg: CanonicalConfig, lam: float, trunc: Truncation) -> MatchingSystem:
-    """Single-window N x N system over the window coefficients at ``lam``.
-
-    The window sits at |x1| < a so the longitudinal parity of the
-    configuration kind selects cosh-like or sinhc-like window profiles.
-    Only lam strictly inside (1/4, 1) is accepted; the threshold limit has
-    its own assembly.
-    """
-    kind = cfg.base.kind
-    if kind.is_two_window:
-        raise ValueError(f"assemble_single requires a single-window kind, got {kind}")
-    if not (LAMBDA_MIN < lam < LAMBDA_MAX):
-        raise ValueError(f"spectral parameter must lie in (1/4, 1), got lam={lam}")
-    kappa1 = math.sqrt(1.0 - lam)
-    return _assemble_single_core(cfg.base.a, kappa1, trunc.n, kind.parity, kind)
+def _assemble_two_core(kind: ProblemKind, n: int, a: float, kappa1: float,
+                       l: float) -> MatchingSystem:
+    """Two-window 2N x 2N system at one point, window at (l-a, l+a) of the half strip."""
+    _, t = _rates(n, kappa1)
+    col_log = np.concatenate([window_profile_scale_log(t, a, parity) for parity in ("even", "odd")])
+    return _point(kind, n, a, kappa1, l, col_log)
 
 
 def assemble_threshold(a: float, trunc: Truncation, parity: str = "even") -> MatchingSystem:
@@ -197,79 +169,11 @@ def assemble_threshold(a: float, trunc: Truncation, parity: str = "even") -> Mat
     """
     if not (a > 0):
         raise ValueError(f"window half-length must satisfy a > 0, got a={a}")
-    kind = ProblemKind.SINGLE_WINDOW_EVEN if parity == "even" else ProblemKind.SINGLE_WINDOW_ODD
-    return _assemble_single_core(a, 0.0, trunc.n, parity, kind)
-
-
-def _assemble_two_core(a: float, l: float, kappa1: float, n: int, plane: str,
-                       kind: ProblemKind) -> MatchingSystem:
-    _, t = _rates(n, kappa1)
-    col_log = np.concatenate([
-        np.asarray(window_profile_scale_log(t, a, "even")),
-        np.asarray(window_profile_scale_log(t, a, "odd")),
-    ])
-    return MatchingSystem(
-        matrix=assemble_stack(kind, n, a, kappa1, l)[0],
-        lam=1.0 - kappa1 * kappa1,
-        kappa1=kappa1,
-        kind=kind,
-        a=a,
-        l=l,
-        n=n,
-        col_log=col_log,
-    )
-
-
-def assemble_two_window(cfg: CanonicalConfig, lam: float, trunc: Truncation) -> MatchingSystem:
-    """Two-window 2N x 2N system on the mirror-reduced half strip.
-
-    The window occupies (l-a, l+a); the mirror plane at x1 = 0 carries a
-    Neumann condition in the even kind and a Dirichlet one in the odd kind.
-    The region between plane and window enters only through the interface
-    logarithmic derivatives of its normalized profiles, so entries stay
-    bounded for arbitrarily large separations.
-    """
-    kind = cfg.base.kind
-    if not kind.is_two_window:
-        raise ValueError(f"assemble_two_window requires a two-window kind, got {kind}")
-    if not (LAMBDA_MIN < lam < LAMBDA_MAX):
-        raise ValueError(f"spectral parameter must lie in (1/4, 1), got lam={lam}")
-    kappa1 = math.sqrt(1.0 - lam)
-    return _assemble_two_core(cfg.base.a, cfg.base.l, kappa1, trunc.n, kind.parity, kind)
-
-
-def assemble_two_window_at_kappa(cfg: CanonicalConfig, kappa1: float,
-                                 trunc: Truncation) -> MatchingSystem:
-    """Two-window system parametrized by kappa1 = sqrt(1 - lam) directly.
-
-    Near the threshold 1 - lam underflows double precision long before the
-    physics gives out; passing the decay rate itself keeps the assembly
-    exact for eigenvalues exponentially close to 1.
-    """
-    kind = cfg.base.kind
-    if not kind.is_two_window:
-        raise ValueError(f"assemble_two_window_at_kappa requires a two-window kind, got {kind}")
-    if not (0.0 < kappa1 < math.sqrt(1.0 - LAMBDA_MIN)):
-        raise ValueError(f"decay rate must lie in (0, sqrt(3)/2), got kappa1={kappa1}")
-    return _assemble_two_core(cfg.base.a, cfg.base.l, kappa1, trunc.n, kind.parity, kind)
-
-
-def merit(sys: MatchingSystem) -> tuple[float, int]:
-    """Smallest singular value and determinant sign of the assembled matrix.
-
-    Scanning the sign over the spectral parameter gives robust brackets
-    for the simple eigenvalues, while the singular value confirms a root
-    and feeds kernel extraction.
-    """
-    K = sys.matrix
-    if not np.all(np.isfinite(K)):
-        raise ValueError("matching matrix contains non-finite entries")
-    s = np.linalg.svd(K, compute_uv=False)
-    return float(s[-1]), det_sign(sys)
+    return _assemble_single_core(ProblemKind(f"single-{parity}"), trunc.n, a, 0.0)
 
 
 def det_sign(sys: MatchingSystem) -> int:
-    """Determinant sign alone (cheaper than :func:`merit` for scanning).
+    """Determinant sign of an assembled system.
 
     The sign of a pivoted LU factorization via ``slogdet``; 0 when a pivot
     vanishes exactly.
@@ -296,21 +200,3 @@ def det_signs(kind: ProblemKind, n: int, a, kappa1, l: float | None = None) -> n
         signs[i:i + step] = np.linalg.slogdet(K)[0]
     return signs
 
-
-def symmetrized(sys: MatchingSystem) -> np.ndarray:
-    """Symmetric form of a single-window / threshold system.
-
-    Dividing column m by the window profile edge value maps the system onto
-    the interface-trace variables, where the off-diagonal part is the
-    manifestly symmetric sum over outside modes.  Only defined where no
-    edge value vanishes (isolated spectral parameters for oscillatory
-    profiles) and only for the single-window family; the two-window system
-    has no pole-free symmetric form.
-    """
-    if sys.kind.is_two_window:
-        raise ValueError("symmetrized form is defined for single-window systems only")
-    _, t = _rates(sys.n, sys.kappa1)
-    val, _ = window_profile_at_edge(t, sys.a, sys.kind.parity)
-    if np.any(val == 0.0):
-        raise ValueError("a window profile vanishes at the edge; symmetric form is singular here")
-    return sys.matrix / val[None, :]

@@ -34,11 +34,8 @@ __all__ = [
     "StripConfig",
     "CanonicalConfig",
     "canonicalize",
-    "outside_rate",
-    "window_rate_sq",
     "stable_cosh",
     "stable_sinhc",
-    "overlap",
     "overlap_matrix",
     "window_profile_at_edge",
     "window_profile_eval",
@@ -152,30 +149,6 @@ def canonicalize(cfg: StripConfig) -> CanonicalConfig:
 
 
 # ---------------------------------------------------------------------------
-# Mode rates
-# ---------------------------------------------------------------------------
-
-def outside_rate(j: int, lam: float) -> float:
-    """Decay rate kappa_j = sqrt(j^2 - lam) of the j-th outside mode.
-
-    Only evanescent modes are meaningful here, so j^2 <= lam is rejected.
-    """
-    if j < 1:
-        raise ValueError(f"mode index must be a positive integer, got j={j}")
-    if j * j <= lam:
-        raise ValueError(f"mode j={j} is not evanescent at lam={lam} (need j^2 > lam)")
-    return math.sqrt(j * j - lam)
-
-
-def window_rate_sq(m: int, lam: float) -> float:
-    """Signed squared rate nu_m^2 = (m - 1/2)^2 - lam of the m-th window mode."""
-    if m < 1:
-        raise ValueError(f"mode index must be a positive integer, got m={m}")
-    half = m - 0.5
-    return half * half - lam
-
-
-# ---------------------------------------------------------------------------
 # Branch-stable longitudinal evaluators
 # ---------------------------------------------------------------------------
 
@@ -218,26 +191,14 @@ def stable_sinhc(t, x):
 # Overlap coefficients between the two transverse bases
 # ---------------------------------------------------------------------------
 
-def overlap(j: int, m: int) -> float:
-    """Overlap of normalized outside and window transverse modes.
-
-    M_{jm} = int_0^pi sqrt(2/pi) sin(j x2) * sqrt(2/pi) cos((m-1/2) x2) dx2
-           = (2/pi) * j / (j^2 - (m - 1/2)^2).
-
-    The denominator never vanishes (integer vs half-integer), and the sign
-    of M_{jm} is the sign of j^2 - (m - 1/2)^2.
-    """
-    if j < 1 or m < 1:
-        raise ValueError("mode indices must be positive integers")
-    half = m - 0.5
-    return (2.0 / math.pi) * j / (j * j - half * half)
-
-
 @functools.lru_cache(maxsize=16)
 def overlap_matrix(n: int) -> np.ndarray:
-    """Dense overlap matrix M[j-1, m-1] for 1 <= j, m <= n.
+    """Overlaps M[j-1, m-1] of the normalized outside and window modes, 1 <= j, m <= n.
 
-    Memoised per n; the shared array is read-only.
+    M_jm = int_0^pi sqrt(2/pi) sin(j x2) * sqrt(2/pi) cos((m-1/2) x2) dx2
+         = (2/pi) * j / (j^2 - (m - 1/2)^2),
+    whose denominator never vanishes (integer vs half-integer).  Memoised
+    per n; the shared array is read-only.
     """
     j = np.arange(1, n + 1, dtype=float)[:, None]
     half = (np.arange(1, n + 1, dtype=float) - 0.5)[None, :]

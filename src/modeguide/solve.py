@@ -9,8 +9,10 @@ is a sum of one-dimensional longitudinal integrals).
 
 Grid signs come from one stacked kappa-parametrized assembly per grid and
 a batched ``slogdet``, chunked to a fixed memory budget (see
-:func:`~modeguide.matching.det_signs`); bisection steps stay sequential,
-one assembled point each, signed by the same ``slogdet``.
+:func:`~modeguide.matching.det_signs`).  One scanner brackets every grid
+(the lam and log-kappa spectral grids, the width grid of the threshold
+system and the polish windows of the truncation ladder); bisection steps
+stay sequential, one assembled point each, signed by the same ``slogdet``.
 
 Two solver extensions matter in practice:
 
@@ -28,7 +30,6 @@ Two solver extensions matter in practice:
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -171,6 +172,29 @@ class RefinedValue:
 # root scanning
 # ---------------------------------------------------------------------------
 
+def _assemble_at(cfg: CanonicalConfig, trunc: Truncation, kappa1: float) -> MatchingSystem:
+    """The configuration's matching system at kappa1 = sqrt(1 - lam)."""
+    b = cfg.base
+    if b.kind.is_two_window:
+        return _assemble_two_core(b.kind, trunc.n, b.a, kappa1, b.l)
+    return _assemble_single_core(b.kind, trunc.n, b.a, kappa1)
+
+
+def _spectral_sign(cfg: CanonicalConfig, trunc: Truncation, in_lam: bool = True):
+    """Determinant sign at one point and over a grid, of lam or of kappa1 = sqrt(1 - lam)."""
+    b = cfg.base
+    kappa = (lambda lam: np.sqrt(1.0 - lam)) if in_lam else (lambda k: k)
+    return (lambda x: det_sign(_assemble_at(cfg, trunc, kappa(x))),
+            lambda xs: det_signs(b.kind, trunc.n, b.a, kappa(xs), b.l))
+
+
+def _width_sign(trunc: Truncation, parity: str):
+    """Threshold-system determinant sign at one window half-length and over a grid."""
+    kind = ProblemKind(f"single-{parity}")
+    return (lambda a: det_sign(assemble_threshold(a, trunc, parity)),
+            lambda widths: det_signs(kind, trunc.n, widths, 0.0))
+
+
 def _bisect_sign(f, lo: float, hi: float, s_lo: int, tol: float) -> float:
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
@@ -179,19 +203,6 @@ def _bisect_sign(f, lo: float, hi: float, s_lo: int, tol: float) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
-
-
-def _scan_roots(f, grid: np.ndarray, signs: np.ndarray, tol: float) -> list[float]:
-    # signs: stacked determinant signs over the grid; f: the same sign at one point
-    roots = []
-    for i in range(len(grid) - 1):
-        s0, s1 = signs[i], signs[i + 1]
-        if s0 == 0:
-            roots.append(float(grid[i]))
-            continue
-        if s0 * s1 < 0:
-            roots.append(_bisect_sign(f, float(grid[i]), float(grid[i + 1]), s0, tol))
-    return roots
 
 
 def _bisect_sign_log(f, lo: float, hi: float, s_lo: int, rel_tol: float) -> float:
@@ -205,41 +216,20 @@ def _bisect_sign_log(f, lo: float, hi: float, s_lo: int, rel_tol: float) -> floa
     return math.sqrt(lo * hi)
 
 
-def _scan_roots_log(g, kgrid: np.ndarray, signs: np.ndarray) -> list[float]:
-    return [_bisect_sign_log(g, float(kgrid[i]), float(kgrid[i + 1]), signs[i], 1e-12)
-            for i in range(len(kgrid) - 1) if signs[i] != 0 and signs[i] * signs[i + 1] < 0]
+def _roots(sign, grid: np.ndarray, tol: float, log: bool = False):
+    """Roots bracketed on an ascending grid, lazily and in grid order.
 
-
-def _kappa_signs(cfg: CanonicalConfig, trunc: Truncation, kappa1: np.ndarray) -> np.ndarray:
-    """Stacked determinant signs over a grid of kappa1 = sqrt(1 - lam)."""
-    b = cfg.base
-    return det_signs(b.kind, trunc.n, b.a, kappa1, b.l)
-
-
-def _lam_signs(cfg: CanonicalConfig, trunc: Truncation, lam: np.ndarray) -> np.ndarray:
-    """Stacked determinant signs over a grid of lam."""
-    return _kappa_signs(cfg, trunc, np.sqrt(1.0 - lam))
-
-
-def _width_signs(trunc: Truncation, parity: str, a: np.ndarray) -> np.ndarray:
-    """Stacked threshold-system signs over a grid of window half-lengths."""
-    kind = ProblemKind.SINGLE_WINDOW_EVEN if parity == "even" else ProblemKind.SINGLE_WINDOW_ODD
-    return det_signs(kind, trunc.n, a, 0.0)
-
-
-def _assemble_at(cfg: CanonicalConfig, trunc: Truncation, lam: float) -> MatchingSystem:
-    kind = cfg.base.kind
-    kappa1 = math.sqrt(1.0 - lam)
-    if kind.is_two_window:
-        return _assemble_two_core(cfg.base.a, cfg.base.l, kappa1, trunc.n, kind.parity, kind)
-    return _assemble_single_core(cfg.base.a, kappa1, trunc.n, kind.parity, kind)
-
-
-def _assemble_at_kappa(cfg: CanonicalConfig, trunc: Truncation, kappa1: float) -> MatchingSystem:
-    kind = cfg.base.kind
-    if kind.is_two_window:
-        return _assemble_two_core(cfg.base.a, cfg.base.l, kappa1, trunc.n, kind.parity, kind)
-    return _assemble_single_core(cfg.base.a, kappa1, trunc.n, kind.parity, kind)
+    ``sign`` is a (point sign, grid signs) pair.  A grid point whose
+    determinant sign is exactly 0 is a root as it stands; a sign change
+    between neighbours is bisected, geometrically with relative ``tol`` on
+    a logarithmic grid.
+    """
+    sign_at, signs_of = sign
+    s = signs_of(grid)
+    bisect = _bisect_sign_log if log else _bisect_sign
+    for i in np.flatnonzero((s[:-1] == 0) | (s[:-1] * s[1:] < 0)):
+        lo, hi = float(grid[i]), float(grid[i + 1])
+        yield lo if s[i] == 0 else bisect(sign_at, lo, hi, s[i], tol)
 
 
 def find_eigenvalues(cfg: CanonicalConfig, trunc: Truncation = Truncation(),
@@ -248,11 +238,11 @@ def find_eigenvalues(cfg: CanonicalConfig, trunc: Truncation = Truncation(),
 
     The search interval is clipped by ``SEARCH_EPS`` at both ends; the even
     two-window sector is additionally scanned on a logarithmic grid in
-    kappa = sqrt(1 - lam) down to 1e-13, which locates eigenvalues whose
-    distance to the threshold is far below any linear grid (and below
-    double resolution of lam itself).  An empty list is a legitimate
-    outcome (e.g. the odd single-window sector below the first critical
-    width).  Results are sorted by ascending eigenvalue.
+    kappa = sqrt(1 - lam) down to 1e-13 (:func:`find_near_threshold`), which
+    locates eigenvalues whose distance to the threshold is far below any
+    linear grid (and below double resolution of lam itself).  An empty list
+    is a legitimate outcome (e.g. the odd single-window sector below the
+    first critical width).  Results are sorted by ascending eigenvalue.
     """
     if tol < 1e-14:
         raise ValueError(f"bracketing tolerance below 1e-14 is not resolvable, got {tol}")
@@ -260,23 +250,9 @@ def find_eigenvalues(cfg: CanonicalConfig, trunc: Truncation = Truncation(),
     hi = 1.0 - SEARCH_EPS
     grid = np.arange(lo, hi + 0.5 * scan_step, scan_step)
     grid[-1] = min(grid[-1], hi)
-
-    def f(lam: float) -> int:
-        return det_sign(_assemble_at(cfg, trunc, lam))
-
-    roots = _scan_roots(f, grid, _lam_signs(cfg, trunc, grid), tol)
-    pairs = [_solve_at(cfg, trunc, lam=root) for root in roots]
-
+    pairs = [_solve_at(cfg, trunc, lam=root) for root in _roots(_spectral_sign(cfg, trunc), grid, tol)]
     if cfg.base.kind is ProblemKind.TWO_WINDOW_EVEN:
-        k_lo, k_hi = NEAR_THRESHOLD_KAPPA
-
-        def g(kap: float) -> int:
-            return det_sign(_assemble_at_kappa(cfg, trunc, kap))
-
-        kgrid = np.geomspace(k_lo, k_hi, 240)
-        for kap in _scan_roots_log(g, kgrid, _kappa_signs(cfg, trunc, kgrid)):
-            pairs.append(_solve_at(cfg, trunc, kappa1=kap))
-
+        pairs += find_near_threshold(cfg, trunc, *NEAR_THRESHOLD_KAPPA, points=240)
     pairs.sort(key=lambda p: p.lam)
     return pairs
 
@@ -293,15 +269,9 @@ def find_near_threshold(cfg: CanonicalConfig, trunc: Truncation = Truncation(),
     """
     if cfg.base.kind is not ProblemKind.TWO_WINDOW_EVEN:
         raise ValueError("near-threshold states live in the even two-window sector")
-
-    def g(kap: float) -> int:
-        return det_sign(_assemble_at_kappa(cfg, trunc, kap))
-
     kgrid = np.geomspace(kappa_lo, kappa_hi, points)
-    pairs = [_solve_at(cfg, trunc, kappa1=kap)
-             for kap in _scan_roots_log(g, kgrid, _kappa_signs(cfg, trunc, kgrid))]
-    pairs.sort(key=lambda p: -p.kappa1)
-    return pairs
+    roots = _roots(_spectral_sign(cfg, trunc, in_lam=False), kgrid, 1e-12, log=True)
+    return [_solve_at(cfg, trunc, kappa1=kap) for kap in roots][::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +288,7 @@ def _solve_at(cfg: CanonicalConfig, trunc: Truncation, lam: float | None = None,
               kappa1: float | None = None) -> Eigenpair:
     if kappa1 is None:
         kappa1 = math.sqrt(1.0 - lam)
-    sys = _assemble_at_kappa(cfg, trunc, kappa1)
+    sys = _assemble_at(cfg, trunc, kappa1)
     vec, residual = _kernel_vector(sys)
     if not residual <= RESIDUAL_GATE:
         raise ArithmeticError(f"kernel residual {residual:.3g} at lam={sys.lam!r} exceeds "
@@ -570,14 +540,9 @@ def find_critical_widths(n_max: int, trunc: Truncation = Truncation(),
     """
     if n_max < 1:
         raise ValueError(f"need n_max >= 1, got {n_max}")
-    found: list[tuple[float, str]] = []
     grid = np.arange(a_step, a_max + 0.5 * a_step, a_step)
-    for parity in ("even", "odd"):
-        def f(a: float) -> int:
-            return det_sign(assemble_threshold(a, trunc, parity))
-        signs = _width_signs(trunc, parity, grid)
-        found.extend((root, parity) for root in _scan_roots(f, grid, signs, tol))
-    found.sort()
+    found = sorted((root, parity) for parity in ("even", "odd")
+                   for root in _roots(_width_sign(trunc, parity), grid, tol))
     widths = []
     for i, (a_n, parity) in enumerate(found[:n_max], start=1):
         pair = _threshold_resonance(a_n, trunc, parity)
@@ -606,29 +571,38 @@ def extrapolate_truncation(ns, values, exponents=(1.0, 1.5, 2.0)) -> float:
     return float(sol[0])
 
 
-def _ladder_fit(ns: list[int], vals: list[float]) -> RefinedValue:
+def _polish_root(sign, x0: float, width: float, tol: float, lo_cap: float,
+                 hi_cap: float = math.inf) -> float:
+    # the first root on 17 points across x0 +- width, the window doubled up to three times
+    for attempt in range(4):
+        w = width * (2.0 ** attempt)
+        xs = np.linspace(max(x0 - w, lo_cap), min(x0 + w, hi_cap), 17)
+        root = next(_roots(sign, xs, tol), None)
+        if root is not None:
+            return root
+    raise ArithmeticError(f"no sign change near {x0} within widened window {width}")
+
+
+def _ladder(sign_at_n, x: float, trunc: Truncation, levels: int, width: float,
+            min_width: float, tol: float, lo_cap: float, hi_cap: float = math.inf) -> RefinedValue:
+    """Polish a root at truncations n, 2n, ..., then fit the N -> infinity limit.
+
+    ``sign_at_n(tr)`` is the determinant's sign pair at truncation tr.  The
+    first two rungs search +-``width`` around the previous root; later rungs
+    search three times the last rung-to-rung step (at least ``min_width``),
+    since the root drifts by about half that.
+    """
+    ns = [trunc.n * (2 ** k) for k in range(levels + 1)]
+    vals: list[float] = []
+    for n in ns:
+        if len(vals) >= 2:
+            width = max(3.0 * abs(vals[-1] - vals[-2]), min_width)
+        x = _polish_root(sign_at_n(Truncation(n)), x, width, tol, lo_cap, hi_cap)
+        vals.append(x)
     v_inf = extrapolate_truncation(ns[-3:], vals[-3:], exponents=(1.0, 1.5))
     two_point = 2.0 * vals[-1] - vals[-2]
     err = abs(v_inf - two_point) + 1e-15 * abs(v_inf)
     return RefinedValue(value=v_inf, error=err, by_n=dict(zip(ns, vals)))
-
-
-def _polish_root(f_sign, f_signs, x0: float, width: float, tol: float,
-                 lo_cap: float | None = None, hi_cap: float | None = None) -> float:
-    # f_signs gives the stacked signs of a 17-point window, f_sign one bisection point
-    for attempt in range(4):
-        w = width * (2.0 ** attempt)
-        lo, hi = x0 - w, x0 + w
-        if lo_cap is not None:
-            lo = max(lo, lo_cap)
-        if hi_cap is not None:
-            hi = min(hi, hi_cap)
-        xs = np.linspace(lo, hi, 17)
-        signs = f_signs(xs)
-        for i in range(len(xs) - 1):
-            if signs[i] != 0 and signs[i] * signs[i + 1] < 0:
-                return _bisect_sign(f_sign, float(xs[i]), float(xs[i + 1]), signs[i], tol)
-    raise ArithmeticError(f"no sign change near {x0} within widened window {width}")
 
 
 def refine_eigenvalue(cfg: CanonicalConfig, lam0: float, trunc: Truncation = Truncation(),
@@ -639,32 +613,11 @@ def refine_eigenvalue(cfg: CanonicalConfig, lam0: float, trunc: Truncation = Tru
     O(1/N) window-corner error with a two-exponent fit.  The ladder costs
     only local scans, not full-interval sweeps.
     """
-    ns = [trunc.n * (2 ** k) for k in range(levels + 1)]
-    vals: list[float] = []
-    x = lam0
-    for n in ns:
-        tr = Truncation(n)
-        def f(lam: float) -> int:
-            return det_sign(_assemble_at(cfg, tr, lam))
-        # the root drifts by about half the previous rung-to-rung step
-        width = max(3.0 * abs(vals[-1] - vals[-2]) if len(vals) >= 2 else 5e-3, 1e-3)
-        x = _polish_root(f, functools.partial(_lam_signs, cfg, tr), x, width, tol,
-                         lo_cap=0.25 + SEARCH_EPS, hi_cap=1.0 - SEARCH_EPS)
-        vals.append(x)
-    return _ladder_fit(ns, vals)
+    return _ladder(lambda tr: _spectral_sign(cfg, tr), lam0, trunc, levels, 5e-3, 1e-3, tol,
+                   0.25 + SEARCH_EPS, 1.0 - SEARCH_EPS)
 
 
 def refine_critical_width(a0: float, parity: str, trunc: Truncation = Truncation(),
                           levels: int = 2, tol: float = 1e-12) -> RefinedValue:
     """Truncation-ladder refinement of a critical width toward N -> infinity."""
-    ns = [trunc.n * (2 ** k) for k in range(levels + 1)]
-    vals: list[float] = []
-    x = a0
-    for n in ns:
-        tr = Truncation(n)
-        def f(a: float) -> int:
-            return det_sign(assemble_threshold(a, tr, parity))
-        width = max(3.0 * abs(vals[-1] - vals[-2]) if len(vals) >= 2 else 2e-2, 5e-3)
-        x = _polish_root(f, functools.partial(_width_signs, tr, parity), x, width, tol, lo_cap=1e-3)
-        vals.append(x)
-    return _ladder_fit(ns, vals)
+    return _ladder(lambda tr: _width_sign(tr, parity), a0, trunc, levels, 2e-2, 5e-3, tol, 1e-3)

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from modeguide.cli import main
+from modeguide.cli import _switch, main
 from modeguide.records import RunRecord
 
 
@@ -223,6 +223,42 @@ def test_config_file_rejects_unknown_key(capsys, tmp_path):
     code, out, err = run(capsys, "single", "--config", str(cfg))
     assert code == 2
     assert "'jobs'" in err and not out
+
+
+def test_config_file_switches(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("a = 1\nmodes = 8\nrefine = true\n")
+    code, out, _ = run(capsys, "single", "--config", str(cfg))
+    assert code == 0
+    assert "lambda_refined" in out.splitlines()[0]
+    cfg.write_text("a = 1\nmodes = 8\nrefine = no\n")
+    code, out, _ = run(capsys, "single", "--config", str(cfg))
+    assert code == 0 and "lambda_refined" not in out
+    cfg.write_text("quick = maybe\n")
+    code, out, err = run(capsys, "verify", "--config", str(cfg))
+    assert code == 2
+    assert "'maybe'" in err and not out
+
+
+@pytest.mark.parametrize("word,on", [("true", True), ("Yes", True), ("1", True),
+                                     ("false", False), ("NO", False), ("0", False)])
+def test_config_switch_words(word, on):
+    assert _switch(word) is on
+
+
+def test_config_switch_rejects_other_words():
+    for word in ("maybe", "", "on", "2"):
+        with pytest.raises(ValueError):
+            _switch(word)
+
+
+def test_oracle_record_holds_only_oracle_flags(capsys, tmp_path):
+    code, _, _ = run(capsys, "oracle", "--a", "1", "--h", "0.125", "--L", "8", "--k", "1",
+                     "--out", str(tmp_path))
+    assert code == 0
+    record = RunRecord.from_json((tmp_path / "oracle.record.json").read_text())
+    assert "modes" not in record.provenance and "tol" not in record.provenance
+    assert record.provenance["h"] == 0.125 and "modes" not in record.config
 
 
 def test_single_rejects_root_failing_the_residual_gate(capsys):

@@ -10,13 +10,11 @@ from modeguide import (
     ProblemKind,
     StripConfig,
     canonicalize,
-    outside_rate,
-    overlap,
     overlap_matrix,
     stable_cosh,
     stable_sinhc,
-    window_rate_sq,
 )
+from modeguide.matching import _rates
 from modeguide.modes import (
     axial_eval,
     axial_l2,
@@ -101,33 +99,22 @@ def test_spectral_map_roundtrip():
 # mode rates
 # ---------------------------------------------------------------------------
 
-def test_outside_rate_values():
-    assert outside_rate(1, 0.75) == 0.5
-    assert outside_rate(2, 1.0) == pytest.approx(math.sqrt(3.0), rel=1e-15)
-    assert outside_rate(3, 1.0) == pytest.approx(math.sqrt(8.0), rel=1e-15)
-
-
-def test_outside_rate_rejects_non_evanescent():
-    with pytest.raises(ValueError):
-        outside_rate(1, 1.0)
-    with pytest.raises(ValueError):
-        outside_rate(2, 4.5)
-
-
-def test_window_rate_sq_values():
-    assert window_rate_sq(1, 0.25) == 0.0
-    assert window_rate_sq(1, 0.75) == -0.5
-    assert window_rate_sq(2, 0.75) == 1.5
+def test_rate_values_at_kappa():
+    # kappa_j = sqrt(j^2 - lam) and t_m = (m - 1/2)^2 - lam at kappa1 = sqrt(1 - lam)
+    kap, t = _rates(3, 0.5)
+    assert kap[0] == 0.5
+    assert kap[1] == pytest.approx(math.sqrt(3.25), rel=1e-15)
+    assert list(t) == [-0.5, 1.5, 5.5]
+    kap, t = _rates(3, 0.0)  # the threshold lam = 1
+    assert kap[0] == 0.0 and kap[2] == pytest.approx(math.sqrt(8.0), rel=1e-15)
+    assert _rates(1, math.sqrt(0.75))[1][0] == pytest.approx(0.0, abs=1e-15)  # turns at lam = 1/4
 
 
 def test_rate_monotonicity():
-    lams = np.linspace(0.26, 0.99, 25)
-    for j in (1, 2, 3, 5):
-        rates = [outside_rate(j, lam) for lam in lams]
-        assert all(b < a for a, b in zip(rates, rates[1:]))
-    for lam in lams[::6]:
-        byj = [outside_rate(j, lam) for j in range(1, 8)]
-        assert all(b > a for a, b in zip(byj, byj[1:]))
+    kappas = np.sqrt(1.0 - np.linspace(0.26, 0.99, 25))
+    rates = np.array([_rates(7, k)[0] for k in kappas])
+    assert np.all(np.diff(rates, axis=0) < 0)  # every rate falls as lam grows
+    assert np.all(np.diff(rates, axis=1) > 0)  # and grows with the mode index
 
 
 # ---------------------------------------------------------------------------
@@ -159,8 +146,9 @@ def test_evaluator_smoothness_across_zero(x):
 # ---------------------------------------------------------------------------
 
 def test_overlap_closed_values():
-    assert overlap(1, 1) == pytest.approx(8.0 / (3.0 * PI), rel=1e-15)
-    assert overlap(2, 1) == pytest.approx(16.0 / (15.0 * PI), rel=1e-15)
+    M = overlap_matrix(2)
+    assert M[0, 0] == pytest.approx(8.0 / (3.0 * PI), rel=1e-15)
+    assert M[1, 0] == pytest.approx(16.0 / (15.0 * PI), rel=1e-15)
 
 
 def _overlap_quad(j, m):
@@ -170,9 +158,10 @@ def _overlap_quad(j, m):
 
 
 def test_overlap_matches_quadrature_on_grid():
+    M = overlap_matrix(10)
     for j in range(1, 11):
         for m in range(1, 11):
-            assert abs(overlap(j, m) - _overlap_quad(j, m)) < 1e-12
+            assert abs(M[j - 1, m - 1] - _overlap_quad(j, m)) < 1e-12
 
 
 def test_overlap_sign_pattern():
@@ -180,13 +169,6 @@ def test_overlap_sign_pattern():
     j = np.arange(1, 13)[:, None]
     half = (np.arange(1, 13) - 0.5)[None, :]
     assert np.all(np.sign(M) == np.sign(j * j - half * half))
-
-
-def test_overlap_matrix_matches_scalar():
-    M = overlap_matrix(6)
-    for j in range(1, 7):
-        for m in range(1, 7):
-            assert M[j - 1, m - 1] == overlap(j, m)
 
 
 # ---------------------------------------------------------------------------

@@ -2,13 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from modeguide import (
     Eigenpair,
     ProblemKind,
     Truncation,
-    assemble_single,
     eigenfunction_value,
     extract_tail,
     find_critical_widths,
@@ -18,8 +18,16 @@ from modeguide import (
     window_integral,
     window_trace,
 )
-from modeguide.matching import assemble_threshold, det_sign
-from modeguide.solve import SEARCH_EPS, _assemble_at, _lam_signs, _norm_sq, _width_signs
+from modeguide.matching import assemble_threshold, det_sign, det_signs
+from modeguide.solve import (
+    RESIDUAL_GATE,
+    SEARCH_EPS,
+    _assemble_at,
+    _norm_sq,
+    _polish_root,
+    _roots,
+    refine_critical_width,
+)
 
 from conftest import single_cfg, two_cfg
 
@@ -91,6 +99,26 @@ def test_residual_quality(ground_pair):
     assert ground_pair.residual <= 1e-9
 
 
+# a in [0.5, 2] stays below the first critical width (2.20 at N = 12); l >= a + 3
+# because the odd pair state at a = 0.5 binds only from l ~ 3.25
+GEOMETRIES = st.floats(0.5, 2.0).flatmap(lambda a: st.tuples(st.just(a), st.floats(a + 3.0, 8.0)))
+
+
+@given(GEOMETRIES)
+@settings(max_examples=25, deadline=None)
+def test_pair_invariants_on_random_geometries(geometry):
+    a, l = geometry
+    tr = Truncation(12)
+    singles = find_eigenvalues(single_cfg(a), tr) + find_eigenvalues(single_cfg(a, "odd"), tr)
+    evens = find_eigenvalues(two_cfg(a, l, "even"), tr)
+    odds = find_eigenvalues(two_cfg(a, l, "odd"), tr)
+    # one even and one odd two-window state per single-window state
+    assert len(evens) == len(odds) == len(singles) >= 1
+    lam1 = min(p.lam for p in singles)
+    assert evens[0].lam <= lam1 <= odds[0].lam
+    assert all(p.residual <= RESIDUAL_GATE for p in singles + evens + odds)
+
+
 # ---------------------------------------------------------------------------
 # normalization and eigenfunction evaluation
 # ---------------------------------------------------------------------------
@@ -137,7 +165,7 @@ def test_interface_continuity_in_retained_modes(ground_pair):
     # value match is exact by construction; the derivative match in the
     # retained window modes is the kernel equation, so its residual is the
     # converged smallest singular value, far below the 1e-6 contract
-    sys = assemble_single(single_cfg(1.0), ground_pair.lam, Truncation(40))
+    sys = _assemble_at(single_cfg(1.0), Truncation(40), ground_pair.kappa1)
     resid = sys.matrix @ (ground_pair.window_coeffs / np.linalg.norm(ground_pair.window_coeffs))
     assert np.max(np.abs(resid)) < 1e-6
 
@@ -334,6 +362,55 @@ def test_refine_eigenvalue_base_independence():
     assert set(r40.by_n) == {40, 80, 160}
 
 
+def test_refine_critical_width_ladder(first_critical):
+    refined = refine_critical_width(first_critical.a, first_critical.parity, Truncation(40))
+    assert list(refined.by_n) == [40, 80, 160]
+    assert refined.by_n[40] == pytest.approx(first_critical.a, abs=1e-11)
+    for n, a in refined.by_n.items():
+        s = np.linalg.svd(assemble_threshold(a, Truncation(n), first_critical.parity).matrix,
+                          compute_uv=False)
+        assert s[-1] < 1e-10 * s[0]
+    assert refined.value == pytest.approx(2.2730, abs=2e-3) and refined.error > 0.0
+
+
+def test_even_sector_threshold_scan_is_find_near_threshold(first_critical):
+    cfg, tr = two_cfg(first_critical.a, 4.0, "even"), Truncation(40)
+    near = [p.kappa1 for p in find_eigenvalues(cfg, tr) if p.kappa1 < 1e-3]
+    assert near == [p.kappa1 for p in find_near_threshold(cfg, tr, 1e-13, 1e-3, points=240)]
+    assert len(near) == 1
+
+
+# ---------------------------------------------------------------------------
+# the root scanner
+# ---------------------------------------------------------------------------
+
+def _sign_pair(f):
+    # (point sign, grid signs) of a scalar function, as the scanner takes them
+    return lambda x: int(np.sign(f(x))), lambda xs: np.sign(f(xs)).astype(int)
+
+
+def test_scanner_bisects_sign_changes_and_keeps_exact_zeros():
+    grid = np.linspace(0.0, 1.0, 11)
+    assert grid[5] == 0.5
+    roots = list(_roots(_sign_pair(lambda x: (x - 0.33) * (x - 0.5)), grid, 1e-12))
+    assert len(roots) == 2
+    assert roots[0] == pytest.approx(0.33, abs=1e-12)
+    assert roots[1] == 0.5  # a zero grid sign is a root as it stands
+    kgrid = np.geomspace(1e-10, 1.0, 50)
+    (root,) = _roots(_sign_pair(lambda k: k - 3e-7), kgrid, 1e-12, log=True)
+    assert root == pytest.approx(3e-7, rel=1e-12)
+
+
+def test_polish_widens_its_window_up_to_three_times():
+    def sign(root):
+        return _sign_pair(lambda x: x - root)
+    assert _polish_root(sign(0.05), 0.0, 0.01, 1e-12, -1.0) == pytest.approx(0.05, abs=1e-12)
+    with pytest.raises(ArithmeticError):
+        _polish_root(sign(0.2), 0.0, 0.01, 1e-12, -1.0)
+    with pytest.raises(ArithmeticError):  # the cap keeps the root out of every window
+        _polish_root(sign(0.05), 0.0, 0.01, 1e-12, -1.0, hi_cap=0.04)
+
+
 # ---------------------------------------------------------------------------
 # stacked grid signs against per-point signs
 # ---------------------------------------------------------------------------
@@ -344,8 +421,8 @@ def test_stacked_lam_grid_signs_equal_per_point(parity):
     lo, hi = 0.25 + SEARCH_EPS, 1.0 - SEARCH_EPS
     grid = np.arange(lo, hi + 0.5e-3, 1e-3)
     grid[-1] = min(grid[-1], hi)  # the scan grid of find_eigenvalues
-    stacked = _lam_signs(cfg, tr, grid)
-    assert stacked.tolist() == [det_sign(_assemble_at(cfg, tr, lam)) for lam in grid]
+    stacked = det_signs(cfg.base.kind, tr.n, 1.0, np.sqrt(1.0 - grid), 6.0)
+    assert stacked.tolist() == [det_sign(_assemble_at(cfg, tr, math.sqrt(1.0 - lam))) for lam in grid]
     assert np.any(stacked[:-1] * stacked[1:] < 0)
 
 
@@ -354,6 +431,6 @@ def test_stacked_width_grid_signs_equal_per_point():
     grid = np.arange(0.02, 8.0 + 0.01, 0.02)
     assert len(grid) == 400
     for parity in ("even", "odd"):
-        stacked = _width_signs(tr, parity, grid)
+        stacked = det_signs(ProblemKind(f"single-{parity}"), tr.n, grid, 0.0)
         assert stacked.tolist() == [det_sign(assemble_threshold(a, tr, parity)) for a in grid]
         assert np.any(stacked[:-1] * stacked[1:] < 0)
