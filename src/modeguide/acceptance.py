@@ -78,6 +78,8 @@ def _two_cfg(a: float, l: float, parity: str):
 class Workspace:
     """Lazily computed shared artifacts for the acceptance criteria."""
 
+    #: rungs of the single and critical ladders at the default truncation; every
+    #: ladder starts at the base truncation N and doubles (N, 2N, 4N, 8N)
     LADDER = (40, 80, 160, 320)
 
     def __init__(self, trunc: Truncation = Truncation(40), quick: bool = False):
@@ -100,7 +102,7 @@ class Workspace:
         """lam, alpha, window integral and alpha*pi*kappa1 per ladder truncation."""
         def compute():
             cfg = _single_cfg(a)
-            lams = refine_eigenvalue(cfg, self.single_pair(a).lam, Truncation(self.LADDER[0]),
+            lams = refine_eigenvalue(cfg, self.single_pair(a).lam, self.trunc,
                                      levels=len(self.LADDER) - 1, tol=1e-13).by_n
             rows: dict[int, dict[str, float]] = {}
             for n, lam in lams.items():
@@ -146,7 +148,7 @@ class Workspace:
     def critical_ladder(self) -> dict[int, dict[str, float]]:
         def compute():
             w0 = self.critical()
-            widths = refine_critical_width(w0.a, w0.parity, Truncation(self.LADDER[0]),
+            widths = refine_critical_width(w0.a, w0.parity, self.trunc,
                                            levels=len(self.LADDER) - 1, tol=1e-13).by_n
             rows: dict[int, dict[str, float]] = {}
             for n, a in widths.items():
@@ -372,19 +374,17 @@ def criterion_7(ws: Workspace) -> CriterionResult:
 
 
 def criterion_8(ws: Workspace) -> CriterionResult:
-    """Raw eigenvalues move at most 1e-8 between N = 40 and N = 80."""
+    """Raw eigenvalues move at most 1e-8 between the first two rungs (N and 2N)."""
     t0 = time.time()
+    ladders = [(f"single a={a}", {n: row["lam"] for n, row in ws.single_ladder(a).items()})
+               for a in (1.0, 2.0)]
+    ladders += [(f"two-window l=6 {parity}", ws.refined_two(1.0, 6.0, parity).by_n)
+                for parity in ("even", "odd")]
     checks = []
-    for a in (1.0, 2.0):
-        rows = ws.single_ladder(a)
-        drift = abs(rows[80]["lam"] - rows[40]["lam"])
-        checks.append((f"single a={a}: |lam(80) - lam(40)| = {drift:.2e} <= 1e-8",
-                       drift <= 1e-8))
-    for parity in ("even", "odd"):
-        ladder = ws.refined_two(1.0, 6.0, parity).by_n
-        drift = abs(ladder[80] - ladder[40])
-        checks.append((f"two-window l=6 {parity}: drift = {drift:.2e} <= 1e-8",
-                       drift <= 1e-8))
+    for name, lams in ladders:
+        n0, n1 = list(lams)[:2]
+        drift = abs(lams[n1] - lams[n0])
+        checks.append((f"{name}: |lam({n1}) - lam({n0})| = {drift:.2e} <= 1e-8", drift <= 1e-8))
     return _result(8, "truncation stability of raw eigenvalues", checks, t0)
 
 

@@ -13,8 +13,9 @@ verify     run the acceptance suite (exit 0 only if every criterion holds)
 
 All data outputs are deterministic: identical flags produce byte-identical
 CSV/JSON (17 significant digits, no timestamps); the reproducibility
-sidecar written next to them carries the provenance.  A flat key=value
-config file can override defaults, and explicit flags override both.
+sidecar written next to them records the parsed flags and the provenance.
+A flat key = value config file supplies flags of the subcommand, read by
+the same parser with the same types and choices; explicit flags win.
 Exit codes: 0 success, 2 usage error, 3 solver non-convergence, 4 failed
 precondition (e.g. threshold sweep at a non-critical width).
 """
@@ -63,8 +64,9 @@ def _csv(rows: list[dict], columns: list[str]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit(args, name: str, rows: list[dict], columns: list[str],
-          extra_lines: list[str] | None = None, record: RunRecord | None = None) -> None:
+def _emit(args, rows: list[dict], columns: list[str], extra_lines: list[str] | None = None,
+          outputs: dict | None = None) -> None:
+    """Print the data; with --out also write it and its run-record sidecar."""
     if args.format == "json":
         payload = json.dumps({"rows": rows, "notes": extra_lines or []}, indent=2)
         text = payload + "\n"
@@ -76,21 +78,26 @@ def _emit(args, name: str, rows: list[dict], columns: list[str],
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        suffix = "json" if args.format == "json" else "csv"
-        (out / f"{name}.{suffix}").write_text(text)
-        if record is not None:
-            (out / f"{name}.record.json").write_text(record.to_json())
+        (out / f"{args.command}.{args.format}").write_text(text)
+        config = {k: v for k, v in vars(args).items()
+                  if v is not None and k not in ("command", "func", "out", "config")}
+        provenance = {"version": __version__,
+                      **{k: config[k] for k in ("modes", "tol", "h", "L") if k in config}}
+        record = RunRecord(args.command, config, outputs or {"rows": rows}, provenance)
+        (out / f"{args.command}.record.json").write_text(record.to_json())
 
 
 def _parse_range(text: str) -> list[float]:
-    parts = text.split(":")
+    parts = [float(p) for p in text.split(":")]
+    if not all(map(math.isfinite, parts)):
+        raise ValueError(f"range parts must be finite, got {text!r}")
     if len(parts) == 1:
-        return [float(parts[0])]
+        return parts
     if len(parts) == 2:
-        parts.append("1")
+        parts.append(1.0)
     if len(parts) != 3:
         raise ValueError(f"range must be start:stop[:step], got {text!r}")
-    start, stop, step = (float(p) for p in parts)
+    start, stop, step = parts
     if step <= 0 or stop < start:
         raise ValueError(f"empty range {text!r}")
     out = []
@@ -104,21 +111,6 @@ def _parse_range(text: str) -> list[float]:
     return out
 
 
-def _load_config(path: str | None) -> dict[str, str]:
-    if not path:
-        return {}
-    cfg = {}
-    for raw in Path(path).read_text().splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"config line is not key=value: {raw!r}")
-        key, value = line.split("=", 1)
-        cfg[key.strip().replace("-", "_")] = value.strip()
-    return cfg
-
-
 def _switch(text: str) -> bool:
     """Config-file value of an on/off flag."""
     words = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
@@ -127,33 +119,26 @@ def _switch(text: str) -> bool:
     return words[text.lower()]
 
 
-_CONFIG_CASTS = {"d": float, "a": float, "modes": int, "tol": float, "jobs": int,
-                 "l": str, "format": str, "out": str, "h": float, "L": float,
-                 "n": int, "k": int, "end": str, "refine": _switch, "quick": _switch}
-
-
-def _apply_config(args: argparse.Namespace) -> None:
-    cfg = _load_config(getattr(args, "config", None))
-    for key, raw in cfg.items():
-        if not hasattr(args, key):
+def _config_flags(args: argparse.Namespace) -> list[str]:
+    """The --config file's ``key = value`` lines as flags of the parsed subcommand."""
+    flags = []
+    for raw in Path(args.config).read_text().splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, eq, value = line.partition("=")
+        if not eq:
+            raise ValueError(f"config line is not key=value: {raw!r}")
+        key, value = key.strip().replace("-", "_"), value.strip()
+        if key in ("command", "func", "config") or key not in vars(args):
             raise ValueError(f"config key {key!r} is not an option of this command")
-        if getattr(args, key) is None:
-            cast = _CONFIG_CASTS.get(key, str)
-            setattr(args, key, cast(raw))
-
-
-def _defaults(args: argparse.Namespace, **pairs) -> None:
-    for key, value in pairs.items():
-        if getattr(args, key, None) is None:
-            setattr(args, key, value)
-
-
-def _config_snapshot(args, keys) -> dict:
-    return {k: getattr(args, k) for k in keys if getattr(args, k, None) is not None}
-
-
-def _provenance(args, **extra) -> dict:
-    return {"version": __version__, **_config_snapshot(args, ("modes", "tol")), **extra}
+        if isinstance(getattr(args, key), bool):
+            # a store_true switch: a bare flag or nothing
+            if _switch(value):
+                flags.append(f"--{key}")
+        else:
+            flags.append(f"--{key}={value}")
+    return flags
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +162,6 @@ def _physical_columns(cfg, rows: list[dict]) -> list[str]:
 
 
 def cmd_single(args) -> int:
-    _defaults(args, d=math.pi, modes=40, tol=1e-12, format="csv", refine=False)
     if args.a is None:
         print("single: --a is required", file=sys.stderr)
         return EXIT_USAGE
@@ -208,17 +192,16 @@ def cmd_single(args) -> int:
     if args.refine:
         columns += ["lambda_refined", "refine_error"]
     columns += ["alpha", "mu_alpha", "mu_integral", "residual"]
-    record = RunRecord("single",
-                       _config_snapshot(args, ("d", "a", "modes", "tol", "format", "refine")),
-                       {"eigenvalues": [r["lambda"] for r in rows]}, _provenance(args))
-    _emit(args, "single", rows, columns, record=record)
+    _emit(args, rows, columns, outputs={"eigenvalues": [r["lambda"] for r in rows]})
     return EXIT_OK
 
 
 def cmd_split(args) -> int:
-    _defaults(args, d=math.pi, modes=40, tol=1e-12, format="csv", jobs=1)
     if args.a is None or args.l is None:
         print("split: --a and --l are required", file=sys.stderr)
+        return EXIT_USAGE
+    if args.jobs < 1:
+        print(f"split: need --jobs >= 1, got {args.jobs}", file=sys.stderr)
         return EXIT_USAGE
     ls = _parse_range(args.l)
     if not ls or min(ls) <= args.a:
@@ -237,8 +220,10 @@ def cmd_split(args) -> int:
     scale = _length_scale(args.d)
 
     tasks = [(args.d, args.a, l, args.modes, args.tol) for l in ls]
-    if args.jobs and args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # a forked pool starts all its workers at the first submit: no more than there are points
+    workers = min(args.jobs, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_split_point, tasks))
     else:
         results = [_split_point(t) for t in tasks]
@@ -261,11 +246,9 @@ def cmd_split(args) -> int:
         fit = fit_exponential(deltas)
         notes += [f"fitted rate = {_fmt(fit.rate)}", f"fitted prefactor = {_fmt(fit.prefactor)}",
                   f"fit r2 = {_fmt(fit.r2)}", f"fit points = {fit.n_points}"]
-    record = RunRecord("split", _config_snapshot(args, ("d", "a", "l", "modes", "tol", "format", "jobs")),
-                       {"rows": rows}, _provenance(args))
-    _emit(args, "split", rows,
+    _emit(args, rows,
           ["l", "lambda_plus", "lambda_minus", "delta_plus", "delta_minus", "delta_predicted"],
-          extra_lines=notes, record=record)
+          extra_lines=notes)
     if args.out:
         (Path(args.out) / "split_plot.py").write_text(_plot_script(rows, pred, scale))
     return EXIT_OK
@@ -305,7 +288,6 @@ def _plot_script(rows: list[dict], pred, scale: float) -> str:
 
 
 def cmd_critical(args) -> int:
-    _defaults(args, d=math.pi, modes=40, tol=1e-12, format="csv", n=1)
     if args.n < 1:
         print("critical: need --n >= 1", file=sys.stderr)
         return EXIT_USAGE
@@ -329,14 +311,11 @@ def cmd_critical(args) -> int:
     notes = []
     if scan.exhausted:
         notes.append(f"range exhausted: only {len(scan.widths)} roots below a={scan.a_max}")
-    record = RunRecord("critical", _config_snapshot(args, ("d", "n", "modes", "tol", "format")),
-                       {"widths": [r["a"] for r in rows]}, _provenance(args))
-    _emit(args, "critical", rows, columns, extra_lines=notes, record=record)
+    _emit(args, rows, columns, extra_lines=notes, outputs={"widths": [r["a"] for r in rows]})
     return EXIT_OK
 
 
 def cmd_threshold(args) -> int:
-    _defaults(args, d=math.pi, modes=40, tol=1e-12, format="csv", n=1)
     if args.l is None:
         print("threshold: --l range is required", file=sys.stderr)
         return EXIT_USAGE
@@ -380,15 +359,11 @@ def cmd_threshold(args) -> int:
             row["l_phys"], row["kappa_phys"] = l_phys, scale * row["kappa"]
         columns += ["l_phys", "kappa_phys"]
         notes.append(f"critical width a_{width.index} in physical units = {_fmt(width.a / scale)}")
-    record = RunRecord("threshold",
-                       _config_snapshot(args, ("d", "a", "l", "n", "modes", "tol", "format")),
-                       {"rows": rows}, _provenance(args))
-    _emit(args, "threshold", rows, columns, extra_lines=notes, record=record)
+    _emit(args, rows, columns, extra_lines=notes)
     return EXIT_OK
 
 
 def cmd_oracle(args) -> int:
-    _defaults(args, d=math.pi, format="csv", h=1 / 64, k=4, end="dirichlet")
     if args.a is None:
         print("oracle: --a is required", file=sys.stderr)
         return EXIT_USAGE
@@ -419,15 +394,11 @@ def cmd_oracle(args) -> int:
             rows.append({"parity": kind.parity, "index": i + 1,
                          "lambda_h": float(fine[i]), "lambda_extrapolated": float(extrap[i]),
                          "error_bound": float(err[i])})
-    record = RunRecord("oracle", _config_snapshot(args, ("d", "a", "l", "h", "L", "k", "end", "format")),
-                       {"rows": rows}, _provenance(args, h=args.h, L=args.L))
-    _emit(args, "oracle", rows,
-          ["parity", "index", "lambda_h", "lambda_extrapolated", "error_bound"], record=record)
+    _emit(args, rows, ["parity", "index", "lambda_h", "lambda_extrapolated", "error_bound"])
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    _defaults(args, modes=40, quick=False)
     from .acceptance import run_acceptance
     results = run_acceptance(quick=args.quick, trunc=Truncation(args.modes))
     for res in results:
@@ -457,26 +428,26 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command")
 
     flag_specs = {
-        "d": dict(type=float, help="strip width (default pi)"),
+        "d": dict(type=float, default=math.pi, help="strip width (default %(default)s)"),
         "a": dict(type=float, help="window half-length"),
         "l": dict(type=str, help="half-separation or range start:stop:step"),
-        "modes": dict(type=int, help="transverse modes per region (default 40)"),
-        "tol": dict(type=float, help="bracketing tolerance (default 1e-12)"),
-        "jobs": dict(type=int, help="parallel sweep workers"),
-        "format": dict(choices=("csv", "json")),
+        "modes": dict(type=int, default=40, help="transverse modes per region (default %(default)s)"),
+        "tol": dict(type=float, default=1e-12, help="bracketing tolerance (default %(default)s)"),
+        "jobs": dict(type=int, default=1,
+                     help="parallel sweep workers >= 1, capped at the sweep points (default %(default)s)"),
+        "format": dict(choices=("csv", "json"), default="csv", help="output format (default %(default)s)"),
     }
 
     def flags(p, *names):
         # each subcommand accepts only the flags it honours; argparse rejects the rest
         for name in names:
-            p.add_argument(f"--{name}", default=None, **flag_specs[name])
-        p.add_argument("--out", type=str, default=None, help="output directory")
-        p.add_argument("--config", type=str, default=None, help="flat key=value config file")
+            p.add_argument(f"--{name}", **flag_specs[name])
+        p.add_argument("--out", type=str, help="output directory")
+        p.add_argument("--config", type=str, help="flat key = value file of this command's flags")
 
     p = sub.add_parser("single", help="single-window bound states")
     flags(p, "d", "a", "modes", "tol", "format")
-    p.add_argument("--refine", action="store_true", default=None,
-                   help="add truncation-ladder extrapolated eigenvalues")
+    p.add_argument("--refine", action="store_true", help="add truncation-ladder extrapolated eigenvalues")
     p.set_defaults(func=cmd_single)
 
     p = sub.add_parser("split", help="two-window pair sweep and splitting fit")
@@ -485,42 +456,50 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("critical", help="critical window half-lengths")
     flags(p, "d", "modes", "tol", "format")
-    p.add_argument("--n", type=int, default=None, help="number of critical widths (default 1)")
+    p.add_argument("--n", type=int, default=1, help="number of critical widths (default %(default)s)")
     p.set_defaults(func=cmd_critical)
 
     p = sub.add_parser("threshold", help="near-threshold sweep at a critical width")
     flags(p, "d", "a", "l", "modes", "tol", "format")
-    p.add_argument("--n", type=int, default=None, help="critical-width index (default 1)")
+    p.add_argument("--n", type=int, default=1, help="critical-width index (default %(default)s)")
     p.set_defaults(func=cmd_threshold)
 
     p = sub.add_parser("oracle", help="finite-difference oracle eigenvalues")
     flags(p, "d", "a", "l", "format")
-    p.add_argument("--h", type=float, default=None, help="grid step (default 1/64)")
-    p.add_argument("--L", type=float, default=None, help="truncation half-length")
-    p.add_argument("--k", type=int, default=None, help="eigenvalues to report (default 4)")
-    p.add_argument("--end", choices=("dirichlet", "neumann"), default=None)
+    p.add_argument("--h", type=float, default=1 / 64, help="grid step (default %(default)s)")
+    p.add_argument("--L", type=float, help="truncation half-length (default ceil(l + a + 12))")
+    p.add_argument("--k", type=int, default=4, help="eigenvalues to report (default %(default)s)")
+    p.add_argument("--end", choices=("dirichlet", "neumann"), default="dirichlet",
+                   help="condition at the truncation ends (default %(default)s)")
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("verify", help="run the acceptance suite")
     flags(p, "modes")
-    p.add_argument("--quick", action="store_true", default=None, help="skip oracle grid refinement")
+    p.add_argument("--quick", action="store_true", help="skip oracle grid refinement")
     p.set_defaults(func=cmd_verify)
 
     return parser
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "config", None):
+            # the config file's flags go before the explicit ones, so explicit flags win
+            at = argv.index(args.command) + 1
+            args = parser.parse_args(argv[:at] + _config_flags(args) + argv[at:])
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help/--version
         return int(exc.code or 0)
+    except (OSError, ValueError) as exc:
+        print(f"{args.command}: config file: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     if not getattr(args, "command", None):
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
     try:
-        _apply_config(args)
         return args.func(args)
     except (GeometryError, GridAlignmentError, ValueError) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)

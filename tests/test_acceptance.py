@@ -10,6 +10,7 @@ meant to guard is covered by the refined checks in the other criteria.
 
 import pytest
 
+from modeguide import Truncation
 from modeguide.acceptance import (
     Workspace,
     criterion_1,
@@ -93,3 +94,15 @@ def test_runner_subset_and_quick_mode():
     assert len(results) == 1
     assert results[0].cid == 9
     assert results[0].passed
+
+
+def test_ladders_start_at_the_base_truncation():
+    # verify --modes N ladders from N: criteria 5 and 8 report at N = 8 instead of raising
+    results = run_acceptance(quick=True, trunc=Truncation(8), cids=[5, 8])
+    assert [r.cid for r in results] == [5, 8]
+    texts = [text for text, _ in results[1].checks]
+    assert len(texts) == 4 and all("|lam(16) - lam(8)|" in t for t in texts)
+    ws = Workspace(Truncation(8), quick=True)
+    assert list(ws.single_ladder(1.0)) == [8, 16, 32, 64]
+    assert list(ws.critical_ladder()) == [8, 16, 32, 64]
+    assert list(ws.refined_two(1.0, 6.0, "even").by_n) == [8, 16, 32]

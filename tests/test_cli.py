@@ -333,3 +333,80 @@ def test_flags_a_subcommand_cannot_honour_are_rejected(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert "unrecognized arguments" in err
+
+
+def test_split_rejects_jobs_below_one(capsys, tmp_path):
+    for jobs in ("0", "-3"):
+        code, out, err = run(capsys, "split", "--a", "1", "--l", "4:5:1", "--jobs", jobs)
+        assert code == 2 and "--jobs >= 1" in err and not out
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("a = 1\nl = 4:5:1\njobs = -3\n")
+    assert run(capsys, "split", "--config", str(cfg))[0] == 2
+
+
+def test_split_pool_never_exceeds_the_sweep_points(capsys, monkeypatch):
+    from modeguide import cli
+    sizes = []
+
+    class SerialPool:
+        # records the pool size and maps in this process: no worker is started
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    argv = ("split", "--a", "1", "--modes", "8")
+    _, seq, _ = run(capsys, *argv, "--l", "4:5:1")
+    code, par, _ = run(capsys, *argv, "--l", "4:5:1", "--jobs", "64")
+    assert code == 0 and par == seq
+    assert sizes == [2]
+    # one point needs no pool at all
+    assert run(capsys, *argv, "--l", "4", "--jobs", "64")[0] == 0
+    assert sizes == [2]
+
+
+@pytest.mark.parametrize("argv", [
+    ("split", "--a", "1", "--l", "4:inf"),
+    ("threshold", "--l", "4:nan:1"),
+    ("split", "--a", "1", "--l", "inf"),
+])
+def test_ranges_with_non_finite_parts_are_rejected(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and "finite" in err and not out
+
+
+@pytest.mark.parametrize("argv", [
+    ("single", "--a", "1", "--modes", "8", "--refine"),
+    ("split", "--a", "1", "--l", "4:6:1", "--modes", "8"),
+    ("oracle", "--a", "1", "--h", "0.125", "--L", "8", "--k", "1"),
+])
+def test_sidecar_config_replays_as_a_config_file(capsys, tmp_path, argv):
+    code, out, _ = run(capsys, *argv, "--out", str(tmp_path / "run"))
+    assert code == 0
+    record = RunRecord.from_json((tmp_path / "run" / f"{argv[0]}.record.json").read_text())
+    cfg = tmp_path / "replay.cfg"
+    cfg.write_text("".join(f"{key} = {value}\n" for key, value in record.config.items()))
+    code, replay, _ = run(capsys, argv[0], "--config", str(cfg))
+    assert code == 0
+    assert replay == out
+
+
+def test_config_file_values_go_through_the_parser(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("a = 1\nformat = xml\n")
+    code, out, err = run(capsys, "single", "--config", str(cfg))
+    assert code == 2 and "invalid choice: 'xml'" in err and not out
+    assert run(capsys, "single", "--a", "1", "--format", "xml")[0] == 2
+    cfg.write_text("a = 1\nconfig = other.cfg\n")
+    code, out, err = run(capsys, "single", "--config", str(cfg))
+    assert code == 2 and "'config'" in err and not out
+    code, out, err = run(capsys, "single", "--config", str(tmp_path / "missing.cfg"))
+    assert code == 2 and "missing.cfg" in err and not out
