@@ -51,6 +51,10 @@ EXIT_USAGE = 2
 EXIT_NO_CONVERGENCE = 3
 EXIT_PRECONDITION = 4
 
+#: most points a start:stop:step range may hold; every point of a sweep is one
+#: or two eigenvalue searches, so a larger range is a typing error, not a run
+MAX_SWEEP_POINTS = 10_000
+
 
 def _fmt(x) -> str:
     if isinstance(x, float):
@@ -100,6 +104,8 @@ def _parse_range(text: str) -> list[float]:
     start, stop, step = parts
     if step <= 0 or stop < start:
         raise ValueError(f"empty range {text!r}")
+    if (stop + 1e-9 - start) / step >= MAX_SWEEP_POINTS:
+        raise ValueError(f"range {text!r} holds more than {MAX_SWEEP_POINTS} points")
     out = []
     k = 0
     while True:
@@ -109,6 +115,26 @@ def _parse_range(text: str) -> list[float]:
         out.append(round(v, 12))
         k += 1
     return out
+
+
+def _finite(text: str) -> float:
+    """argparse type of a float flag: a finite number."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
+def _range_text(text: str) -> str:
+    """argparse type of --l: a value or a start:stop[:step] range, kept as text."""
+    try:
+        _parse_range(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return text
 
 
 def _switch(text: str) -> bool:
@@ -428,11 +454,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command")
 
     flag_specs = {
-        "d": dict(type=float, default=math.pi, help="strip width (default %(default)s)"),
-        "a": dict(type=float, help="window half-length"),
-        "l": dict(type=str, help="half-separation or range start:stop:step"),
+        "d": dict(type=_finite, default=math.pi, help="strip width (default %(default)s)"),
+        "a": dict(type=_finite, help="window half-length"),
+        "l": dict(type=_range_text, help="half-separation or range start:stop:step"),
         "modes": dict(type=int, default=40, help="transverse modes per region (default %(default)s)"),
-        "tol": dict(type=float, default=1e-12, help="bracketing tolerance (default %(default)s)"),
+        "tol": dict(type=_finite, default=1e-12,
+                    help="root tolerance >= 1e-14: each root is polished to a bracket of "
+                         "width tol/10 (default %(default)s)"),
         "jobs": dict(type=int, default=1,
                      help="parallel sweep workers >= 1, capped at the sweep points (default %(default)s)"),
         "format": dict(choices=("csv", "json"), default="csv", help="output format (default %(default)s)"),
@@ -466,8 +494,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="finite-difference oracle eigenvalues")
     flags(p, "d", "a", "l", "format")
-    p.add_argument("--h", type=float, default=1 / 64, help="grid step (default %(default)s)")
-    p.add_argument("--L", type=float, help="truncation half-length (default ceil(l + a + 12))")
+    p.add_argument("--h", type=_finite, default=1 / 64, help="grid step (default %(default)s)")
+    p.add_argument("--L", type=_finite, help="truncation half-length (default ceil(l + a + 12))")
     p.add_argument("--k", type=int, default=4, help="eigenvalues to report (default %(default)s)")
     p.add_argument("--end", choices=("dirichlet", "neumann"), default="dirichlet",
                    help="condition at the truncation ends (default %(default)s)")

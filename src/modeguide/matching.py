@@ -19,6 +19,12 @@ All systems of one kind come from :func:`assemble_stack`, which builds a
 batch of points at once (a single point is a batch of one), and their
 determinant signs from ``slogdet``.
 
+Dividing each column by its window profile's edge value turns a system
+into the symmetric trace form of :func:`trace_form`: a sum of
+Dirichlet-to-Neumann maps, all decreasing in lam.  Its inertia counts
+roots (Wittrick-Williams): negative eigenvalues plus the poles of
+:func:`pole_count` rise by one across each root.
+
 Evanescent window profiles are normalized to unit edge value during
 assembly, which keeps every entry bounded for arbitrarily large mode
 counts and separations; the applied log-scales are recorded so kernel
@@ -27,6 +33,7 @@ vectors can be mapped back to raw coefficients exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +51,8 @@ __all__ = [
     "MatchingSystem",
     "assemble_threshold",
     "assemble_stack",
+    "trace_form",
+    "pole_count",
     "det_sign",
     "det_signs",
 ]
@@ -136,6 +145,57 @@ def assemble_stack(kind: ProblemKind, n: int, a, kappa1, l: float | None = None)
     K[:, n:, :n] = _block(Q, cv, cd)
     K[:, n:, n:] = _block(Q, sv, sd)
     return K
+
+
+def trace_form(kind: ProblemKind, n: int, a: float, kappa1: float,
+               l: float | None = None) -> np.ndarray:
+    """Symmetric trace form S of one system at one point (kappa1 = 0: threshold system).
+
+    Single window: ``M^T diag(kappa) M + diag(der/val)``, the matching matrix
+    with column m divided by the edge value of window profile m.  Two
+    windows, in the edge traces ``w_L = cv d+ - sv d-``, ``w_R = cv d+ + sv d-``
+    of the even/odd profile coefficients: ``[[P + Sigma, Delta], [Delta,
+    Q + Sigma]]`` with P and Q the region-1 and outside maps,
+    ``Sigma = (g_e + g_o)/2``, ``Delta = (g_e - g_o)/2`` and ``g = der/val``.
+    S is singular exactly where the matching matrix is, away from the poles
+    where an edge value vanishes.
+    """
+    kap, t = _rates(n, kappa1)
+    M = overlap_matrix(n)
+    S = M.T @ (kap[:, None] * M)
+    i = np.arange(n)
+    if kind.is_two_window:
+        r = axial_logderiv(kap, l - a, kind.parity)
+        cv, cd = window_profile_at_edge(t, a, "even")
+        sv, sd = window_profile_at_edge(t, a, "odd")
+        g_e, g_o = cd / cv, sd / sv
+        Q, S = S, np.zeros((2 * n, 2 * n))
+        S[:n, :n] = M.T @ (r[:, None] * M)
+        S[n:, n:] = Q
+        S[i, i] += 0.5 * (g_e + g_o)
+        S[i + n, i + n] += 0.5 * (g_e + g_o)
+        S[i, i + n] = S[i + n, i] = 0.5 * (g_e - g_o)
+    else:
+        val, der = window_profile_at_edge(t, a, kind.parity)
+        S[i, i] += der / val
+    if not np.all(np.isfinite(S)):
+        raise ValueError("matching matrix contains non-finite entries")
+    return S
+
+
+def pole_count(kind: ProblemKind, a: float, kappa1: float) -> int:
+    """Poles of :func:`trace_form` with lam in (1/4, 1 - kappa1^2).
+
+    Only the first window mode oscillates; its even edge value vanishes at
+    ``sqrt(lam - 1/4) a = (k + 1/2) pi`` and its odd one at ``(k + 1) pi``.
+    A two-window form carries both profiles.  At each pole one eigenvalue of
+    S jumps from -inf to +inf.
+    """
+    y = math.sqrt(max(0.75 - kappa1 * kappa1, 0.0)) * a / math.pi
+    even, odd = math.floor(y + 0.5), math.floor(y)
+    if kind.is_two_window:
+        return even + odd
+    return even if kind.parity == "even" else odd
 
 
 def _point(kind: ProblemKind, n: int, a: float, kappa1: float, l: float | None,

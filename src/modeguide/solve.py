@@ -1,25 +1,33 @@
 """Eigenvalue location, eigenfunctions, tail amplitudes, critical widths.
 
-Roots of the matching determinant are bracketed by sign changes on a
-spectral grid, refined by bisection, and confirmed through the smallest
-singular value; the corresponding kernel vector yields the window-region
+Roots are located by count (Wittrick-Williams).  With its columns divided
+by the window profiles' edge values, the matching system becomes the
+symmetric trace form S of :func:`~modeguide.matching.trace_form`, and the
+number of negative eigenvalues of S plus the closed-form poles below a
+point (:func:`~modeguide.matching.pole_count`) rises by exactly one across
+each root.  A search counts at the ends of its interval, bisects on the
+count until every bracket holds one root and no pole, and polishes each
+bracket with Brent's method on the determinant of S, whose sign changes
+only at the root there, to a bracket of ``tol / 10``.  The roots found
+must number what the count says, so none is dropped silently.  The same
+count serves the three variables: lam (single and two windows), kappa =
+sqrt(1 - lam) near the threshold, and the window half-length a of the
+threshold system.  The truncation ladder takes the root of the same index
+at each rung.
+
+Each root is confirmed through the smallest singular value of the
+matching matrix; the corresponding kernel vector yields the window-region
 coefficients, from which the outer families and the L2 normalization
 follow in closed form (the transverse bases are orthonormal, so the norm
 is a sum of one-dimensional longitudinal integrals).
-
-Grid signs come from one stacked kappa-parametrized assembly per grid and
-a batched ``slogdet``, chunked to a fixed memory budget (see
-:func:`~modeguide.matching.det_signs`).  One scanner brackets every grid
-(the lam and log-kappa spectral grids, the width grid of the threshold
-system and the polish windows of the truncation ladder); bisection steps
-stay sequential, one assembled point each, signed by the same ``slogdet``.
 
 Two solver extensions matter in practice:
 
 * Near the continuum threshold the natural variable is the decay rate
   kappa = sqrt(1 - lam), not lam itself: eigenvalues exponentially close
-  to 1 are located on a logarithmic kappa grid where 1 - lam would
-  underflow.  The even two-window sector is always given this extra scan.
+  to 1 are counted and polished in kappa, down to 1e-13, where 1 - lam
+  would underflow.  The even two-window sector always gets this extra
+  search.
 * Window-edge corners limit the truncated systems to O(1/N) absolute
   accuracy.  Within a fixed truncation all derived quantities are mutually
   consistent (the shared bias cancels from differences), but comparisons
@@ -32,6 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -42,9 +51,11 @@ from .matching import (
     _assemble_two_core,
     _rates,
     assemble_threshold,
-    det_sign,
-    det_signs,
+    pole_count,
+    trace_form,
 )
+# unused here: bound only because perfbench/tracing.py wraps it on this module
+from .matching import det_sign  # noqa: F401
 from .modes import (
     CanonicalConfig,
     ProblemKind,
@@ -73,21 +84,28 @@ __all__ = [
     "refine_eigenvalue",
     "refine_critical_width",
     "extrapolate_truncation",
-    "SCAN_STEP",
     "SEARCH_EPS",
     "RESIDUAL_GATE",
 ]
 
-#: default spectral-grid step for the determinant sign scan
-SCAN_STEP = 1e-3
 #: clip of the search interval away from 1/4 and 1
 SEARCH_EPS = 1e-6
 #: largest relative kernel residual s_min/s_max of an accepted root; roots
-#: bracketed to tol have residuals of tol/20 to tol/140 (below 4e-14 at the
-#: default tol), so every tol up to 2e-7 passes
+#: polished to a bracket of tol/10 have residuals below tol/200 (at most
+#: 4.7e-3 tol over single- and two-window sectors at N = 12 and 40, for tol
+#: from 1e-12 to 1e-3), so every tol up to about 2e-6 passes
 RESIDUAL_GATE = 1e-8
-#: logarithmic kappa window for the near-threshold scan of the even sector
+#: kappa window of the near-threshold search of the even two-window sector
 NEAR_THRESHOLD_KAPPA = (1e-13, 1e-3)
+#: relative tolerance of near-threshold kappa roots (polished to a tenth of it)
+KAPPA_RTOL = 1e-12
+#: window half-lengths of the critical-width search: (A_MIN, a_max], A_MAX by default
+A_MIN = 1e-3
+A_MAX = 8.0
+#: half-width of a ladder rung's first search window, in the sector's variable
+LADDER_WIDTH = 1e-3
+
+_EPS = float(np.finfo(float).eps)
 
 _ROOT2_PI = math.sqrt(2.0 / math.pi)
 
@@ -169,31 +187,243 @@ class RefinedValue:
 
 
 # ---------------------------------------------------------------------------
-# root scanning
+# root location by count
 # ---------------------------------------------------------------------------
 
-def _assemble_at(cfg: CanonicalConfig, trunc: Truncation, kappa1: float) -> MatchingSystem:
-    """The configuration's matching system at kappa1 = sqrt(1 - lam)."""
+def _check_tol(tol: float) -> None:
+    """The tolerance rule of every solver entry point (NaN fails it too)."""
+    if not tol >= 1e-14:
+        raise ValueError(f"bracketing tolerance below 1e-14 is not resolvable, got {tol}")
+
+
+@dataclass(frozen=True)
+class _Sector:
+    """One system's roots as a function of a scalar x on [lo, hi].
+
+    ``form(x)`` is the trace form S at x and its pole count.  ``sense`` is -1
+    when x runs against lam (x = kappa), so that ``sense * (negative
+    eigenvalues + poles)`` is the number of roots below x up to a constant.
+    Count bisection halves geometrically when ``geometric`` is set; the
+    polish stops at a bracket width of ``xtol + rtol * |x|``.
+    """
+
+    form: Callable[[float], tuple[np.ndarray, int]]
+    lo: float
+    hi: float
+    xtol: float
+    rtol: float = 4.0 * _EPS
+    sense: int = 1
+    geometric: bool = False
+
+
+def _form_at_kappa(cfg: CanonicalConfig, trunc: Truncation):
     b = cfg.base
-    if b.kind.is_two_window:
-        return _assemble_two_core(b.kind, trunc.n, b.a, kappa1, b.l)
-    return _assemble_single_core(b.kind, trunc.n, b.a, kappa1)
+    return lambda kappa1: (trace_form(b.kind, trunc.n, b.a, kappa1, b.l),
+                           pole_count(b.kind, b.a, kappa1))
 
 
-def _spectral_sign(cfg: CanonicalConfig, trunc: Truncation, in_lam: bool = True):
-    """Determinant sign at one point and over a grid, of lam or of kappa1 = sqrt(1 - lam)."""
-    b = cfg.base
-    kappa = (lambda lam: np.sqrt(1.0 - lam)) if in_lam else (lambda k: k)
-    return (lambda x: det_sign(_assemble_at(cfg, trunc, kappa(x))),
-            lambda xs: det_signs(b.kind, trunc.n, b.a, kappa(xs), b.l))
+def _lam_sector(cfg: CanonicalConfig, trunc: Truncation, tol: float) -> _Sector:
+    form = _form_at_kappa(cfg, trunc)
+    return _Sector(lambda lam: form(math.sqrt(1.0 - lam)), 0.25 + SEARCH_EPS, 1.0 - SEARCH_EPS,
+                   tol / 10.0)
 
 
-def _width_sign(trunc: Truncation, parity: str):
-    """Threshold-system determinant sign at one window half-length and over a grid."""
+def _kappa_sector(cfg: CanonicalConfig, trunc: Truncation, kappa_lo: float,
+                  kappa_hi: float) -> _Sector:
+    return _Sector(_form_at_kappa(cfg, trunc), kappa_lo, kappa_hi, 0.0, KAPPA_RTOL / 10.0,
+                   sense=-1, geometric=True)
+
+
+def _width_sector(trunc: Truncation, parity: str, a_max: float, tol: float) -> _Sector:
     kind = ProblemKind(f"single-{parity}")
-    return (lambda a: det_sign(assemble_threshold(a, trunc, parity)),
-            lambda widths: det_signs(kind, trunc.n, widths, 0.0))
 
+    def form(a):
+        return trace_form(kind, trunc.n, a, 0.0), pole_count(kind, a, 0.0)
+    return _Sector(form, A_MIN, a_max, tol / 10.0)
+
+
+@dataclass(frozen=True)
+class _Count:
+    """Inertia of a sector's trace form at x."""
+
+    x: float
+    roots: int      # roots below x, up to a constant of the sector
+    poles: int
+    sign: float     # sign of det S
+    logdet: float   # log |det S|
+
+
+def _count(sec: _Sector, x: float) -> _Count:
+    S, poles = sec.form(x)
+    mu = np.linalg.eigvalsh(S)
+    neg = int(np.count_nonzero(mu < 0.0))
+    with np.errstate(divide="ignore"):
+        logdet = float(np.sum(np.log(np.abs(mu))))
+    return _Count(x, sec.sense * (neg + poles), poles, -1.0 if neg % 2 else 1.0, logdet)
+
+
+def _isolate(sec: _Sector, lo: _Count, hi: _Count):
+    """Brackets of (lo, hi] holding one root and no pole each, ascending, by count bisection."""
+    stack = [(lo, hi)]
+    while stack:
+        lo, hi = stack.pop()
+        if hi.roots <= lo.roots:
+            continue
+        if hi.roots == lo.roots + 1 and hi.poles == lo.poles:
+            yield lo, hi
+            continue
+        if hi.x - lo.x <= sec.xtol + sec.rtol * abs(hi.x):
+            raise ArithmeticError(f"roots or poles closer than the tolerance at x={hi.x!r}")
+        mid = _count(sec, math.sqrt(lo.x * hi.x) if sec.geometric else 0.5 * (lo.x + hi.x))
+        stack += [(mid, hi), (lo, mid)]
+
+
+def _brent(f, a: float, b: float, fa: float, fb: float, xtol: float, rtol: float) -> float:
+    """Root of f in the sign-change bracket [a, b] (Brent 1973, ch. 4, zeroin).
+
+    Secant and inverse quadratic steps, with bisection whenever they do not
+    shrink the bracket fast enough; returns the end of the final bracket,
+    of width at most ``xtol + rtol * |root|``, at which |f| is smaller.
+    """
+    c, fc = a, fa
+    d = e = b - a
+    while True:
+        if (fb > 0.0) == (fc > 0.0):
+            c, fc = a, fa
+            d = e = b - a
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        tol1 = 0.5 * (xtol + rtol * abs(b))
+        m = 0.5 * (c - b)
+        if fb == 0.0 or abs(m) <= tol1:
+            return float(b)
+        if abs(e) >= tol1 and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:
+                p, q = 2.0 * m * s, 1.0 - s
+            else:
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            p = abs(p)
+            if 2.0 * p < min(3.0 * m * q - abs(tol1 * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = m
+        else:
+            d = e = m
+        a, fa = b, fb
+        b += d if abs(d) > tol1 else math.copysign(tol1, m)
+        fb = f(b)
+
+
+def _polish(sec: _Sector, lo: _Count, hi: _Count) -> float | None:
+    """The root of a one-root, pole-free bracket, by Brent's method on det S.
+
+    Across such a bracket det S changes sign once, at the root.  The values
+    are scaled by det S(lo) and clipped to e^+-700, so they stay finite.
+    None when the determinant keeps its sign (the count was wrong).
+    """
+    if lo.sign == hi.sign:
+        return None
+    for end in (lo, hi):
+        if end.logdet == -math.inf:
+            return end.x
+
+    def scaled(sign, logdet):
+        return float(sign) * math.exp(min(max(logdet - lo.logdet, -700.0), 700.0))
+
+    def f(x):
+        return scaled(*np.linalg.slogdet(sec.form(x)[0]))
+    return _brent(f, lo.x, hi.x, scaled(lo.sign, lo.logdet), scaled(hi.sign, hi.logdet),
+                  sec.xtol, sec.rtol)
+
+
+def _sector_roots(sec: _Sector) -> list[float]:
+    """Every root of the sector in (lo, hi], ascending.
+
+    Raises ArithmeticError when the roots found are fewer than the count
+    across the sector, so that no root is lost silently.
+    """
+    lo, hi = _count(sec, sec.lo), _count(sec, sec.hi)
+    roots = [x for x in (_polish(sec, *b) for b in _isolate(sec, lo, hi)) if x is not None]
+    if len(roots) != hi.roots - lo.roots:
+        raise ArithmeticError(f"found {len(roots)} roots in [{sec.lo!r}, {sec.hi!r}] "
+                              f"where the count gives {hi.roots - lo.roots}")
+    return roots
+
+
+def _kth_root(sec: _Sector, x0: float, width: float, k: int | None) -> tuple[float, int]:
+    """Root k of the sector (1-based from ``sec.lo``), searched from x0 +- width.
+
+    The window doubles until it brackets the root.  With k None, the root
+    is the first one the doubling window meets.  Returns the root and k.
+    """
+    base = _count(sec, sec.lo).roots
+
+    def at(x):
+        return _count(sec, min(max(x, sec.lo), sec.hi))
+    width = max(width, sec.xtol + sec.rtol * abs(x0))
+    lo, hi = at(x0 - width), at(x0 + width)
+    while (hi.roots == lo.roots if k is None else not lo.roots < base + k <= hi.roots):
+        if lo.x == sec.lo and hi.x == sec.hi:
+            which = "no root" if k is None else f"no root {k}"
+            raise ArithmeticError(f"{which} in [{sec.lo!r}, {sec.hi!r}] near {x0!r}")
+        width *= 2.0
+        lo, hi = at(x0 - width), at(x0 + width)
+    if k is None:
+        k = lo.roots - base + 1
+    bracket = next((b for b in _isolate(sec, lo, hi) if b[1].roots == base + k), None)
+    root = None if bracket is None else _polish(sec, *bracket)
+    if root is None:
+        raise ArithmeticError(f"root {k} near {x0!r} does not change the sign of det S")
+    return root, k
+
+
+def find_eigenvalues(cfg: CanonicalConfig, trunc: Truncation = Truncation(),
+                     tol: float = 1e-12) -> list[Eigenpair]:
+    """All simple matching-determinant roots in (1/4, 1), as normalized pairs.
+
+    The search interval is clipped by ``SEARCH_EPS`` at both ends; the even
+    two-window sector is additionally searched in kappa = sqrt(1 - lam) down
+    to 1e-13 (:func:`find_near_threshold`), which locates eigenvalues whose
+    distance to the threshold is below double resolution of lam itself.
+    Each root is bracketed by the count and polished to ``tol / 10``.  An
+    empty list is a legitimate outcome (e.g. the odd single-window sector
+    below the first critical width).  Results are sorted by ascending
+    eigenvalue.
+    """
+    _check_tol(tol)
+    pairs = [_solve_at(cfg, trunc, lam=root) for root in _sector_roots(_lam_sector(cfg, trunc, tol))]
+    if cfg.base.kind is ProblemKind.TWO_WINDOW_EVEN:
+        pairs += find_near_threshold(cfg, trunc, *NEAR_THRESHOLD_KAPPA)
+    pairs.sort(key=lambda p: p.lam)
+    return pairs
+
+
+def find_near_threshold(cfg: CanonicalConfig, trunc: Truncation = Truncation(),
+                        kappa_lo: float = 1e-13, kappa_hi: float = 0.05) -> list[Eigenpair]:
+    """Even two-window eigenvalues with kappa = sqrt(1 - lam) in (kappa_lo, kappa_hi].
+
+    Counts and polishes in kappa itself (relative tolerance ``KAPPA_RTOL``),
+    so roots are located exactly even when 1 - lam is below
+    double-precision resolution of lam.  Returns pairs sorted by descending
+    kappa (deepest first); usually there is exactly one at a critical
+    window width.
+    """
+    if cfg.base.kind is not ProblemKind.TWO_WINDOW_EVEN:
+        raise ValueError("near-threshold states live in the even two-window sector")
+    roots = _sector_roots(_kappa_sector(cfg, trunc, kappa_lo, kappa_hi))
+    return [_solve_at(cfg, trunc, kappa1=kap) for kap in reversed(roots)]
+
+
+# ---------------------------------------------------------------------------
+# the determinant-sign scanner: no solver path uses it any more; it stays,
+# with its tests, while perfbench/tracing.py wraps these names
+# ---------------------------------------------------------------------------
 
 def _bisect_sign(f, lo: float, hi: float, s_lo: int, tol: float) -> float:
     while hi - lo > tol:
@@ -232,51 +462,29 @@ def _roots(sign, grid: np.ndarray, tol: float, log: bool = False):
         yield lo if s[i] == 0 else bisect(sign_at, lo, hi, s[i], tol)
 
 
-def find_eigenvalues(cfg: CanonicalConfig, trunc: Truncation = Truncation(),
-                     tol: float = 1e-12, scan_step: float = SCAN_STEP) -> list[Eigenpair]:
-    """All simple matching-determinant roots in (1/4, 1), as normalized pairs.
-
-    The search interval is clipped by ``SEARCH_EPS`` at both ends; the even
-    two-window sector is additionally scanned on a logarithmic grid in
-    kappa = sqrt(1 - lam) down to 1e-13 (:func:`find_near_threshold`), which
-    locates eigenvalues whose distance to the threshold is far below any
-    linear grid (and below double resolution of lam itself).  An empty list
-    is a legitimate outcome (e.g. the odd single-window sector below the
-    first critical width).  Results are sorted by ascending eigenvalue.
-    """
-    if tol < 1e-14:
-        raise ValueError(f"bracketing tolerance below 1e-14 is not resolvable, got {tol}")
-    lo = 0.25 + SEARCH_EPS
-    hi = 1.0 - SEARCH_EPS
-    grid = np.arange(lo, hi + 0.5 * scan_step, scan_step)
-    grid[-1] = min(grid[-1], hi)
-    pairs = [_solve_at(cfg, trunc, lam=root) for root in _roots(_spectral_sign(cfg, trunc), grid, tol)]
-    if cfg.base.kind is ProblemKind.TWO_WINDOW_EVEN:
-        pairs += find_near_threshold(cfg, trunc, *NEAR_THRESHOLD_KAPPA, points=240)
-    pairs.sort(key=lambda p: p.lam)
-    return pairs
-
-
-def find_near_threshold(cfg: CanonicalConfig, trunc: Truncation = Truncation(),
-                        kappa_lo: float = 1e-13, kappa_hi: float = 0.05,
-                        points: int = 300) -> list[Eigenpair]:
-    """Even two-window eigenvalues within kappa_hi of the threshold.
-
-    Scans the decay rate kappa = sqrt(1 - lam) on a logarithmic grid, so
-    roots are located exactly even when 1 - lam is below double-precision
-    resolution of lam.  Returns pairs sorted by descending kappa (deepest
-    first); usually there is exactly one at a critical window width.
-    """
-    if cfg.base.kind is not ProblemKind.TWO_WINDOW_EVEN:
-        raise ValueError("near-threshold states live in the even two-window sector")
-    kgrid = np.geomspace(kappa_lo, kappa_hi, points)
-    roots = _roots(_spectral_sign(cfg, trunc, in_lam=False), kgrid, 1e-12, log=True)
-    return [_solve_at(cfg, trunc, kappa1=kap) for kap in roots][::-1]
+def _polish_root(sign, x0: float, width: float, tol: float, lo_cap: float,
+                 hi_cap: float = math.inf) -> float:
+    # the first root on 17 points across x0 +- width, the window doubled up to three times
+    for attempt in range(4):
+        w = width * (2.0 ** attempt)
+        xs = np.linspace(max(x0 - w, lo_cap), min(x0 + w, hi_cap), 17)
+        root = next(_roots(sign, xs, tol), None)
+        if root is not None:
+            return root
+    raise ArithmeticError(f"no sign change near {x0} within widened window {width}")
 
 
 # ---------------------------------------------------------------------------
 # kernel extraction and normalization
 # ---------------------------------------------------------------------------
+
+def _assemble_at(cfg: CanonicalConfig, trunc: Truncation, kappa1: float) -> MatchingSystem:
+    """The configuration's matching system at kappa1 = sqrt(1 - lam)."""
+    b = cfg.base
+    if b.kind.is_two_window:
+        return _assemble_two_core(b.kind, trunc.n, b.a, kappa1, b.l)
+    return _assemble_single_core(b.kind, trunc.n, b.a, kappa1)
+
 
 def _kernel_vector(sys: MatchingSystem) -> tuple[np.ndarray, float]:
     u, s, vt = np.linalg.svd(sys.matrix)
@@ -351,17 +559,18 @@ def _norm_sq(pair: Eigenpair) -> float:
     return float(win + tail)
 
 
-def _scale_pair(pair: Eigenpair, factor: float) -> None:
-    pair.window_coeffs = pair.window_coeffs * factor
-    pair.outside_coeffs = pair.outside_coeffs * factor
+def _scale_pair(pair: Eigenpair, divisor: float) -> None:
+    # a division leaves the coefficient divided by itself exactly 1
+    pair.window_coeffs = pair.window_coeffs / divisor
+    pair.outside_coeffs = pair.outside_coeffs / divisor
     if pair.region1_coeffs is not None:
-        pair.region1_coeffs = pair.region1_coeffs * factor
+        pair.region1_coeffs = pair.region1_coeffs / divisor
 
 
 def _normalize(pair: Eigenpair) -> None:
-    factor = 1.0 / math.sqrt(_norm_sq(pair))
-    _scale_pair(pair, factor)
-    pair.norm = factor
+    norm = math.sqrt(_norm_sq(pair))
+    _scale_pair(pair, norm)
+    pair.norm = 1.0 / norm
 
 
 def _fix_sign(pair: Eigenpair) -> None:
@@ -521,28 +730,28 @@ def _threshold_resonance(a: float, trunc: Truncation, parity: str) -> Eigenpair:
     b1 = float(pair.outside_coeffs[0])
     if b1 == 0.0:
         raise ArithmeticError(f"degenerate threshold resonance at a={a}: no constant tail")
-    _scale_pair(pair, 1.0 / b1)
+    _scale_pair(pair, b1)
     pair.norm = 1.0 / b1
     return pair
 
 
 def find_critical_widths(n_max: int, trunc: Truncation = Truncation(),
-                         tol: float = 1e-12, a_max: float = 8.0,
-                         a_step: float = 0.02) -> CriticalWidthScan:
+                         tol: float = 1e-12, a_max: float = A_MAX) -> CriticalWidthScan:
     """First ``n_max`` critical window half-lengths, ascending over both parities.
 
     Critical widths alternate between the two longitudinal parities (each
-    new bound state emerges with one more sign change), so both threshold
-    systems are scanned and their roots merged.  Each resonance is
-    normalized to a unit constant tail; ``beta`` is then
-    sqrt(2/pi) * B_2 * e^(sqrt(3) a).  If fewer than ``n_max`` roots exist
-    below ``a_max`` the scan is flagged exhausted.
+    new bound state emerges with one more sign change), so the threshold
+    systems of both parities are counted over a in (``A_MIN``, ``a_max``]
+    and their roots merged.  Each resonance is normalized to a unit
+    constant tail; ``beta`` is then sqrt(2/pi) * B_2 * e^(sqrt(3) a).  If
+    fewer than ``n_max`` roots exist below ``a_max`` the scan is flagged
+    exhausted.
     """
+    _check_tol(tol)
     if n_max < 1:
         raise ValueError(f"need n_max >= 1, got {n_max}")
-    grid = np.arange(a_step, a_max + 0.5 * a_step, a_step)
     found = sorted((root, parity) for parity in ("even", "odd")
-                   for root in _roots(_width_sign(trunc, parity), grid, tol))
+                   for root in _sector_roots(_width_sector(trunc, parity, a_max, tol)))
     widths = []
     for i, (a_n, parity) in enumerate(found[:n_max], start=1):
         pair = _threshold_resonance(a_n, trunc, parity)
@@ -571,33 +780,21 @@ def extrapolate_truncation(ns, values, exponents=(1.0, 1.5, 2.0)) -> float:
     return float(sol[0])
 
 
-def _polish_root(sign, x0: float, width: float, tol: float, lo_cap: float,
-                 hi_cap: float = math.inf) -> float:
-    # the first root on 17 points across x0 +- width, the window doubled up to three times
-    for attempt in range(4):
-        w = width * (2.0 ** attempt)
-        xs = np.linspace(max(x0 - w, lo_cap), min(x0 + w, hi_cap), 17)
-        root = next(_roots(sign, xs, tol), None)
-        if root is not None:
-            return root
-    raise ArithmeticError(f"no sign change near {x0} within widened window {width}")
+def _ladder(sector_at_n, x: float, trunc: Truncation, levels: int) -> RefinedValue:
+    """Re-locate a root at truncations n, 2n, ..., then fit the N -> infinity limit.
 
-
-def _ladder(sign_at_n, x: float, trunc: Truncation, levels: int, width: float,
-            min_width: float, tol: float, lo_cap: float, hi_cap: float = math.inf) -> RefinedValue:
-    """Polish a root at truncations n, 2n, ..., then fit the N -> infinity limit.
-
-    ``sign_at_n(tr)`` is the determinant's sign pair at truncation tr.  The
-    first two rungs search +-``width`` around the previous root; later rungs
-    search three times the last rung-to-rung step (at least ``min_width``),
-    since the root drifts by about half that.
+    ``sector_at_n(tr)`` is the root's sector at truncation tr.  The first
+    rung takes the root nearest x; every later rung takes the root of the
+    same index in its sector, searched from the previous rung's root over
+    three times the last rung-to-rung step (the root drifts by about half
+    that), or ``LADDER_WIDTH`` before there is a step.
     """
     ns = [trunc.n * (2 ** k) for k in range(levels + 1)]
     vals: list[float] = []
+    k = None
     for n in ns:
-        if len(vals) >= 2:
-            width = max(3.0 * abs(vals[-1] - vals[-2]), min_width)
-        x = _polish_root(sign_at_n(Truncation(n)), x, width, tol, lo_cap, hi_cap)
+        width = 3.0 * abs(vals[-1] - vals[-2]) if len(vals) >= 2 else LADDER_WIDTH
+        x, k = _kth_root(sector_at_n(Truncation(n)), x, width, k)
         vals.append(x)
     v_inf = extrapolate_truncation(ns[-3:], vals[-3:], exponents=(1.0, 1.5))
     two_point = 2.0 * vals[-1] - vals[-2]
@@ -609,15 +806,17 @@ def refine_eigenvalue(cfg: CanonicalConfig, lam0: float, trunc: Truncation = Tru
                       levels: int = 2, tol: float = 1e-12) -> RefinedValue:
     """Truncation-ladder refinement of one eigenvalue toward N -> infinity.
 
-    Re-polishes the root at truncations n, 2n, ..., then extrapolates the
-    O(1/N) window-corner error with a two-exponent fit.  The ladder costs
-    only local scans, not full-interval sweeps.
+    Re-locates the root at truncations n, 2n, ..., then extrapolates the
+    O(1/N) window-corner error with a two-exponent fit.  Each rung counts
+    and polishes only around the previous rung's root.
     """
-    return _ladder(lambda tr: _spectral_sign(cfg, tr), lam0, trunc, levels, 5e-3, 1e-3, tol,
-                   0.25 + SEARCH_EPS, 1.0 - SEARCH_EPS)
+    _check_tol(tol)
+    return _ladder(lambda tr: _lam_sector(cfg, tr, tol), lam0, trunc, levels)
 
 
 def refine_critical_width(a0: float, parity: str, trunc: Truncation = Truncation(),
                           levels: int = 2, tol: float = 1e-12) -> RefinedValue:
     """Truncation-ladder refinement of a critical width toward N -> infinity."""
-    return _ladder(lambda tr: _width_sign(tr, parity), a0, trunc, levels, 2e-2, 5e-3, tol, 1e-3)
+    _check_tol(tol)
+    a_max = max(A_MAX, 2.0 * a0)
+    return _ladder(lambda tr: _width_sector(tr, parity, a_max, tol), a0, trunc, levels)

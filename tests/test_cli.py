@@ -1,9 +1,15 @@
+import contextlib
 import json
 import math
+import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from modeguide.cli import _switch, main
+from modeguide.cli import MAX_SWEEP_POINTS, _parse_range, _switch, main
 from modeguide.records import RunRecord
 
 
@@ -410,3 +416,61 @@ def test_config_file_values_go_through_the_parser(capsys, tmp_path):
     assert code == 2 and "'config'" in err and not out
     code, out, err = run(capsys, "single", "--config", str(tmp_path / "missing.cfg"))
     assert code == 2 and "missing.cfg" in err and not out
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    # SIGALRM interrupts a Python-level loop that never returns
+    def expire(signum, frame):
+        raise TimeoutError(f"no exit within {seconds} s")
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+@pytest.mark.parametrize("argv", [
+    ("critical", "--n", "1", "--modes", "8", "--tol", "-1"),   # a bisection to width -1 never ends
+    ("threshold", "--n", "1", "--l", "3:4", "--modes", "8", "--tol", "0"),
+    ("single", "--a", "1", "--modes", "8", "--tol", "nan"),   # nan < 1e-14 is false
+    ("single", "--a", "1", "--modes", "8", "--refine", "--tol", "1e-15"),
+    ("split", "--a", "1", "--l", "4:5", "--modes", "8", "--tol", "-1"),
+])
+def test_unresolvable_tolerances_exit_2_promptly(capsys, argv):
+    with deadline(5):
+        code, out, err = run(capsys, *argv)
+    assert code == 2 and not out
+    assert "tol" in err or "tolerance" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("oracle", "--a", "1", "--l", "inf", "--h", "0.125"),   # ceil(inf) in the default --L
+    ("oracle", "--a", "1", "--h", "nan"),
+    ("oracle", "--a", "1", "--L", "inf", "--h", "0.125"),
+    ("single", "--a", "inf"),
+    ("single", "--a", "1", "--d", "nan"),
+    ("split", "--a", "1", "--l", "4:6", "--tol", "inf"),
+])
+def test_float_flags_reject_non_finite_values(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and "finite" in err and not out
+
+
+def test_sweep_ranges_are_capped(capsys):
+    assert len(_parse_range(f"0:{MAX_SWEEP_POINTS - 1}:1")) == MAX_SWEEP_POINTS
+    for text in (f"0:{MAX_SWEEP_POINTS}:1", "0:1e6:1", "0:1e300:1e-300"):
+        with pytest.raises(ValueError, match="more than"):
+            _parse_range(text)
+    code, out, err = run(capsys, "split", "--a", "1", "--l", "2:1e9:1")
+    assert code == 2 and "more than" in err and not out
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # importing scipy.optimize adds about half of the CLI's start-up time
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    code = "import sys, modeguide.cli; sys.exit(int('scipy.optimize' in sys.modules))"
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0

@@ -5,7 +5,7 @@ import pytest
 
 from modeguide import MatchingSystem, ProblemKind, Truncation, assemble_threshold
 from modeguide import matching
-from modeguide.matching import _rates, assemble_stack, det_sign, det_signs
+from modeguide.matching import _rates, assemble_stack, det_sign, det_signs, pole_count, trace_form
 from modeguide.modes import axial_logderiv, overlap_matrix, window_profile_at_edge
 from modeguide.solve import _assemble_at
 
@@ -46,6 +46,47 @@ def test_symmetric_trace_form():
         assert np.max(np.abs(S - S.T)) < 1e-13 * scale
 
 
+@pytest.mark.parametrize("kind, a, l, lam", [
+    (ProblemKind.SINGLE_WINDOW_EVEN, 1.0, None, 0.6),
+    (ProblemKind.SINGLE_WINDOW_ODD, 2.5, None, 0.5),
+    (ProblemKind.TWO_WINDOW_EVEN, 1.0, 6.0, 0.85),
+    (ProblemKind.TWO_WINDOW_ODD, 3.5, 5.0, 0.45),
+])
+def test_trace_form_is_the_matching_matrix_in_edge_traces(kind, a, l, lam):
+    # K = S diag(val) for one window; K = diag(-I, I) S T for two, where T
+    # maps the even/odd profile coefficients to the traces (w_L, w_R)
+    n = 24
+    kappa1 = math.sqrt(1.0 - lam)
+    K = assemble_stack(kind, n, a, kappa1, l)[0]
+    S = trace_form(kind, n, a, kappa1, l)
+    assert np.max(np.abs(S - S.T)) < 1e-14 * np.max(np.abs(S))
+    _, t = _rates(n, kappa1)
+    if kind.is_two_window:
+        cv, _ = window_profile_at_edge(t, a, "even")
+        sv, _ = window_profile_at_edge(t, a, "odd")
+        T = np.block([[np.diag(cv), -np.diag(sv)], [np.diag(cv), np.diag(sv)]])
+        rebuilt = np.diag(np.r_[-np.ones(n), np.ones(n)]) @ S @ T
+    else:
+        val, _ = window_profile_at_edge(t, a, kind.parity)
+        rebuilt = S * val[None, :]
+    assert np.max(np.abs(rebuilt - K)) < 1e-13 * np.max(np.abs(K))
+
+
+def test_count_is_continuous_across_a_pole():
+    # a = 3.5, even: cos(sqrt(lam - 1/4) a) vanishes at lam = 1/4 + (pi/7)^2;
+    # one eigenvalue of S jumps from -inf to +inf while the pole count rises
+    kind, n, a = ProblemKind.SINGLE_WINDOW_EVEN, 24, 3.5
+    pole = 0.25 + (PI / 7.0) ** 2
+    counts = []
+    for lam in (pole - 1e-6, pole + 1e-6):
+        kappa1 = math.sqrt(1.0 - lam)
+        neg = int(np.sum(np.linalg.eigvalsh(trace_form(kind, n, a, kappa1)) < 0))
+        counts.append((neg, pole_count(kind, a, kappa1)))
+    assert counts == [(1, 0), (0, 1)]
+    assert pole_count(ProblemKind.TWO_WINDOW_ODD, 3.5, 0.0) == 1 + 0   # sqrt(3/4) * 3.5 / pi = 0.96
+    assert pole_count(ProblemKind.SINGLE_WINDOW_ODD, 8.0, 0.0) == 2      # 2.21
+
+
 def test_parity_swap_is_bit_exact():
     cfg_e, cfg_o = single_cfg(1.5, "even"), single_cfg(1.5, "odd")
     first = _system(cfg_e, 0.62, 20).matrix
@@ -65,6 +106,8 @@ def test_system_rejects_non_finite():
     mat[2, 2] = np.inf
     with pytest.raises(ValueError):
         _dummy_system(mat)
+    with pytest.raises(ValueError):
+        trace_form(ProblemKind.SINGLE_WINDOW_EVEN, 8, math.nan, 0.5)
 
 
 def test_singular_at_converged_root(ground_pair):

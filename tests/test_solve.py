@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -18,11 +19,16 @@ from modeguide import (
     window_integral,
     window_trace,
 )
+from modeguide import solve
 from modeguide.matching import assemble_threshold, det_sign, det_signs
 from modeguide.solve import (
+    NEAR_THRESHOLD_KAPPA,
     RESIDUAL_GATE,
     SEARCH_EPS,
     _assemble_at,
+    _count,
+    _kappa_sector,
+    _lam_sector,
     _norm_sq,
     _polish_root,
     _roots,
@@ -93,6 +99,18 @@ def test_eigenvalue_counts_for_large_separation():
 def test_rejects_unresolvable_tolerance():
     with pytest.raises(ValueError):
         find_eigenvalues(single_cfg(1.0), Truncation(8), tol=1e-16)
+
+
+@pytest.mark.parametrize("tol", [1e-16, 0.0, -1.0, math.nan])
+@pytest.mark.parametrize("entry", [
+    lambda tol: find_eigenvalues(single_cfg(1.0), Truncation(8), tol=tol),
+    lambda tol: find_critical_widths(1, Truncation(8), tol=tol),
+    lambda tol: refine_eigenvalue(single_cfg(1.0), 0.86, Truncation(8), tol=tol),
+    lambda tol: refine_critical_width(2.2, "odd", Truncation(8), tol=tol),
+], ids=["find_eigenvalues", "find_critical_widths", "refine_eigenvalue", "refine_critical_width"])
+def test_every_entry_point_applies_the_tol_rule(entry, tol):
+    with pytest.raises(ValueError, match="not resolvable"):
+        entry(tol)
 
 
 def test_residual_quality(ground_pair):
@@ -376,12 +394,86 @@ def test_refine_critical_width_ladder(first_critical):
 def test_even_sector_threshold_scan_is_find_near_threshold(first_critical):
     cfg, tr = two_cfg(first_critical.a, 4.0, "even"), Truncation(40)
     near = [p.kappa1 for p in find_eigenvalues(cfg, tr) if p.kappa1 < 1e-3]
-    assert near == [p.kappa1 for p in find_near_threshold(cfg, tr, 1e-13, 1e-3, points=240)]
+    assert near == [p.kappa1 for p in find_near_threshold(cfg, tr, 1e-13, 1e-3)]
     assert len(near) == 1
 
 
 # ---------------------------------------------------------------------------
-# the root scanner
+# root location by count
+# ---------------------------------------------------------------------------
+
+def _old_grid_roots(cfg, tr):
+    # sign changes on the grids of the determinant-sign scanner this count
+    # replaced: 750 lam points, plus 240 log-kappa points in the even
+    # two-window sector
+    b = cfg.base
+    grid = np.arange(0.25 + SEARCH_EPS, 1.0 - SEARCH_EPS + 0.5e-3, 1e-3)
+    grid[-1] = min(grid[-1], 1.0 - SEARCH_EPS)
+    kappas = [np.sqrt(1.0 - grid)]
+    if b.kind is ProblemKind.TWO_WINDOW_EVEN:
+        kappas.append(np.geomspace(*NEAR_THRESHOLD_KAPPA, 240))
+    changes = 0
+    for k in kappas:
+        s = det_signs(b.kind, tr.n, b.a, k, b.l)
+        changes += int(np.count_nonzero((s[:-1] == 0) | (s[:-1] * s[1:] < 0)))
+    return changes
+
+
+def _count_across(sec):
+    return _count(sec, sec.hi).roots - _count(sec, sec.lo).roots
+
+
+@given(GEOMETRIES)
+@settings(max_examples=15, deadline=None)
+def test_roots_found_equal_the_count_on_random_geometries(geometry):
+    a, l = geometry
+    tr = Truncation(12)
+    for cfg in (single_cfg(a), single_cfg(a, "odd"), two_cfg(a, l, "even"), two_cfg(a, l, "odd")):
+        expected = _count_across(_lam_sector(cfg, tr, 1e-12))
+        if cfg.base.kind is ProblemKind.TWO_WINDOW_EVEN:
+            expected += _count_across(_kappa_sector(cfg, tr, *NEAR_THRESHOLD_KAPPA))
+        found = len(find_eigenvalues(cfg, tr))
+        assert found == expected == _old_grid_roots(cfg, tr)
+
+
+def test_forced_count_mismatch_raises(monkeypatch):
+    # a count that claims a root where det S keeps its sign
+    real = solve._count
+
+    def phantom(sec, x):
+        c = real(sec, x)
+        return dataclasses.replace(c, roots=c.roots + (x > 0.95))
+    monkeypatch.setattr(solve, "_count", phantom)
+    with pytest.raises(ArithmeticError, match="count gives 2"):
+        find_eigenvalues(single_cfg(1.0), Truncation(12))
+
+
+def test_count_evaluates_ten_times_fewer_matrices_per_root(monkeypatch):
+    # the determinant-sign scanner signed a 750-point lam grid per sector
+    # (plus 240 log-kappa points in the even two-window sector, and 400
+    # width points per parity for critical widths) and then bisected each
+    # root from the grid step to tol = 1e-12 (30 steps in lam, 35 in a)
+    calls = []
+    real = solve.trace_form
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(solve, "trace_form", counted)
+    tr = Truncation(40)
+    roots = sum(len(find_eigenvalues(cfg, tr)) for cfg in
+                (single_cfg(2.0), single_cfg(3.5, "odd"), two_cfg(1.0, 6.0, "even"),
+                 two_cfg(1.0, 6.0, "odd"), single_cfg(8.0)))
+    grid_then = 5 * 750 + 240 + 30 * roots
+    widths = find_critical_widths(4, tr).widths
+    grid_then += 2 * 400 + 35 * len(widths)
+    roots += len(widths)
+    assert roots == 11
+    assert 10 * len(calls) <= grid_then
+
+
+# ---------------------------------------------------------------------------
+# the sign scanner
 # ---------------------------------------------------------------------------
 
 def _sign_pair(f):
