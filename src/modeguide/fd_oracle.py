@@ -30,11 +30,14 @@ The far face can optionally carry a Neumann condition, which lowers
 eigenvalues instead of raising them and so keeps an emerging bound state
 visible on the truncated domain; :func:`critical_width_crossing` uses it
 to locate the window width where a new state crosses below the discrete
-threshold.
+threshold.  That search walks a lattice of widths from the cell where the
+crossing lies one grid coarser, so it takes two eigensolves on its own
+grid.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -55,6 +58,10 @@ __all__ = [
     "discrete_threshold",
     "critical_width_crossing",
 ]
+
+
+#: coarsest grid whose crossing seeds the search on the grid twice as fine
+COARSEST_SEED_GRID = 1.0 / 8.0
 
 
 class GridAlignmentError(ValueError):
@@ -253,32 +260,64 @@ def critical_width_crossing(parity: str, h: float, L: float = 16.0,
                             cutoff_margin: float = 1e-8) -> float:
     """Window half-length at which the discrete operator gains a bound state.
 
-    Runs the single-window problem of the given parity with a Neumann far
-    face (so the emerging state is not pushed above the threshold by the
-    truncation), sweeps grid-aligned window widths, and secant-interpolates
-    where the lowest eigenvalue crosses the discrete threshold minus a
-    small margin.  The crossing drifts linearly in h (the effective window
-    edge sits within one cell of the nominal one), so two grids plus
+    Runs the single-window problem of the given parity (``"even"`` or
+    ``"odd"``) with a Neumann far face (so the emerging state is not pushed
+    above the threshold by the truncation) and secant-interpolates where
+    the lowest eigenvalue crosses the discrete threshold minus a small
+    margin.  The crossing drifts linearly in h (the effective window edge
+    sits within one cell of the nominal one), so two grids plus
     first-order extrapolation land within a few 1e-3 of the true critical
     width.
+
+    The widths searched form a lattice of step 2h from round(a_lo/h)*h,
+    each point rounded to the grid and the last one clamped to
+    round(a_hi/h)*h.  The gap (lowest eigenvalue minus cutoff) decreases
+    monotonically in a, by min-max for a growing Neumann window, so one
+    lattice cell holds the sign change.  The search starts in the cell
+    that holds the crossing one grid coarser (2h, found by the same
+    search while 2h <= COARSEST_SEED_GRID; on coarser grids, or when the
+    coarse grid gives none, it starts in the first cell), solves the
+    gap at both ends and walks one cell at a time towards the sign
+    change.  The crossing moves by much less than a cell between grids,
+    so a search takes two eigensolves on its own grid, plus the coarser
+    grids' solves.  The result equals, bit for bit, that of a scan over
+    the lattice from a_lo to the first sign change.  Raises
+    ArithmeticError when the lattice holds no crossing and ValueError for
+    any other parity.
     """
+    if parity not in ("even", "odd"):
+        raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
     kind = ProblemKind.SINGLE_WINDOW_EVEN if parity == "even" else ProblemKind.SINGLE_WINDOW_ODD
     cut = discrete_threshold(h) - cutoff_margin
-    step = 2.0 * h
 
     def gap(a_aligned: float) -> float:
         cfg = canonicalize(StripConfig(d=math.pi, a=a_aligned, kind=kind))
         w = oracle_eigenvalues(cfg, OracleConfig(L=L, h=h, k=2, end="neumann"))
         return float(w[0] - cut)
 
-    a_prev = round(a_lo / h) * h
-    g_prev = gap(a_prev)
-    a = a_prev
-    while a < a_hi - 1e-12:
-        a = min(round((a + step) / h) * h, round(a_hi / h) * h)
-        g = gap(a)
+    lattice = [round(a_lo / h) * h]
+    end = round(a_hi / h) * h
+    while lattice[-1] < end:
+        lattice.append(min(round((lattice[-1] + 2.0 * h) / h) * h, end))
+    seed = lattice[0]
+    if 2.0 * h <= COARSEST_SEED_GRID:
+        try:
+            seed = critical_width_crossing(parity, 2.0 * h, L, a_lo, a_hi, cutoff_margin)
+        except (ArithmeticError, GridAlignmentError):
+            pass  # no seed: start in the first cell
+    i = min(max(bisect.bisect_right(lattice, seed) - 1, 0), len(lattice) - 2)
+    gaps: dict[int, float] = {}
+    while 0 <= i < len(lattice) - 1:
+        for j in (i, i + 1):
+            if j not in gaps:
+                gaps[j] = gap(lattice[j])
+        g_prev, g = gaps[i], gaps[i + 1]
         if g_prev > 0.0 >= g:
+            a_prev, a = lattice[i], lattice[i + 1]
             return a_prev + (a - a_prev) * g_prev / (g_prev - g)
-        a_prev, g_prev = a, g
+        if g_prev <= 0.0 < g:
+            raise ArithmeticError(
+                f"threshold gap increases from a={lattice[i]} to a={lattice[i + 1]} at h={h}")
+        i += 1 if g > 0.0 else -1
     raise ArithmeticError(
         f"no threshold crossing for parity={parity} in [{a_lo}, {a_hi}] at h={h}")

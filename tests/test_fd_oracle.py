@@ -7,13 +7,14 @@ import scipy.sparse as sparse
 from modeguide import (
     GridAlignmentError,
     OracleConfig,
+    critical_width_crossing,
     discrete_threshold,
     discretize,
     lowest_eigenvalues,
     oracle_eigenvalues,
     refine_and_extrapolate,
 )
-from modeguide import ProblemKind, StripConfig, canonicalize
+from modeguide import ProblemKind, StripConfig, canonicalize, fd_oracle
 from modeguide.fd_oracle import discretize_with_nodes
 
 from conftest import single_cfg, two_cfg
@@ -262,3 +263,61 @@ def test_lowest_eigenvalues_match_plain_shift_invert(cfg, ocfg):
                                return_eigenvectors=False,
                                v0=np.full(op.shape[0], op.shape[0] ** -0.5)))
     assert np.max(np.abs(got - plain) / np.abs(plain)) < 1e-12
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """(h, a) of each eigensolve the crossing search makes, capped at 40."""
+    seen = []
+    solve = fd_oracle.oracle_eigenvalues
+
+    def counted(cfg, ocfg):
+        seen.append((ocfg.h, cfg.base.a))
+        assert len(seen) <= 40, "the crossing search does not end"
+        return solve(cfg, ocfg)
+
+    monkeypatch.setattr(fd_oracle, "oracle_eigenvalues", counted)
+    return seen
+
+
+@pytest.mark.parametrize("h, L", [(1 / 16, 16.0), (1 / 32, 16.0),
+                                  (1 / 16, 16.0625)])  # L off the h = 1/8 grid: no seed
+def test_crossing_walk_equals_plain_scan(h, L):
+    # reference: every gap on the 2h lattice, the first sign change, the secant
+    cut = discrete_threshold(h) - 1e-8
+    widths = [round(2.0 / h) * h]
+    while widths[-1] < round(2.6 / h) * h:
+        widths.append(min(round((widths[-1] + 2.0 * h) / h) * h, round(2.6 / h) * h))
+    ocfg = OracleConfig(L=L, h=h, k=2, end="neumann")
+    gaps = [oracle_eigenvalues(single_cfg(a, "odd"), ocfg)[0] - cut for a in widths]
+    assert all(g1 > g2 for g1, g2 in zip(gaps, gaps[1:]))
+    i = next(i for i in range(len(gaps) - 1) if gaps[i] > 0.0 >= gaps[i + 1])
+    scan = widths[i] + (widths[i + 1] - widths[i]) * gaps[i] / (gaps[i] - gaps[i + 1])
+    assert critical_width_crossing("odd", h, L=L) == scan
+
+
+def test_crossing_solves_twice_on_its_own_grid(solves):
+    assert critical_width_crossing("odd", 1 / 32) == 2.2810347423242283
+    assert [a for h, a in solves if h == 1 / 32] == [2.25, 2.3125]
+
+
+def test_crossing_walk_recovers_from_a_wrong_seed(monkeypatch, solves):
+    # a seed at 2.55 starts four cells right of the crossing: one more solve each
+    monkeypatch.setattr(fd_oracle, "critical_width_crossing", lambda *args: 2.55)
+    assert critical_width_crossing("odd", 1 / 32) == 2.2810347423242283
+    assert solves == [(1 / 32, a) for a in (2.5, 2.5625, 2.4375, 2.375, 2.3125, 2.25)]
+
+
+@pytest.mark.parametrize("h", [1 / 16, 1 / 32])
+def test_crossing_without_a_new_state_raises(h, solves):
+    # the even ground state binds at every width, so every gap is negative;
+    # at h = 1/32 the lattice ends at 2.59375 < 2.6, where a scan never stopped
+    with pytest.raises(ArithmeticError, match="no threshold crossing"):
+        critical_width_crossing("even", h)
+    assert [a for step, a in solves if step == h] == [2.0, 2.0 + 2.0 * h]
+
+
+def test_crossing_rejects_unknown_parity(solves):
+    with pytest.raises(ValueError, match="parity"):
+        critical_width_crossing("Odd", 1 / 16)
+    assert solves == []
