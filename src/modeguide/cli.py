@@ -460,7 +460,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "modes": dict(type=int, default=40, help="transverse modes per region (default %(default)s)"),
         "tol": dict(type=_finite, default=1e-12,
                     help="root tolerance >= 1e-14: each root is polished to a bracket of "
-                         "width tol/10 (default %(default)s)"),
+                         "width tol/10, and a root whose kernel residual |mu|/max|mu| "
+                         "exceeds 1e-8 is rejected, which any tol up to about 1e-6 "
+                         "passes (default %(default)s)"),
         "jobs": dict(type=int, default=1,
                      help="parallel sweep workers >= 1, capped at the sweep points (default %(default)s)"),
         "format": dict(choices=("csv", "json"), default="csv", help="output format (default %(default)s)"),

@@ -1,11 +1,12 @@
 """Eigenvalue location, eigenfunctions, tail amplitudes, critical widths.
 
-Roots are located by count (Wittrick-Williams).  With its columns divided
-by the window profiles' edge values, the matching system becomes the
-symmetric trace form S of :func:`~modeguide.matching.trace_form`, and the
-number of negative eigenvalues of S plus the closed-form poles below a
-point (:func:`~modeguide.matching.pole_count`) rises by exactly one across
-each root.  A search counts at the ends of its interval, bisects on the
+Roots are located by count (Wittrick-Williams).  The matching system is
+the symmetric trace form S of :func:`~modeguide.matching.trace_form`,
+assembled only through :func:`_assemble_at` and
+:func:`~modeguide.matching.assemble_threshold`, and the number of
+negative eigenvalues of S plus the closed-form poles below a point
+(:func:`~modeguide.matching.pole_count`) rises by exactly one across each
+root.  A search counts at the ends of its interval, bisects on the
 count until every bracket holds one root and no pole, and polishes each
 bracket with Brent's method on the determinant of S, whose sign changes
 only at the root there, to a bracket of ``tol / 10``.  The roots found
@@ -15,11 +16,11 @@ sqrt(1 - lam) near the threshold, and the window half-length a of the
 threshold system.  The truncation ladder takes the root of the same index
 at each rung.
 
-Each root is confirmed through the smallest singular value of the
-matching matrix; the corresponding kernel vector yields the window-region
-coefficients, from which the outer families and the L2 normalization
-follow in closed form (the transverse bases are orthonormal, so the norm
-is a sum of one-dimensional longitudinal integrals).
+Each root is confirmed through the eigenvalue of S smallest in modulus;
+its eigenvector holds the window-edge traces, from which the window,
+region-1 and outside coefficients and the L2 normalization follow in
+closed form (the transverse bases are orthonormal, so the norm is a sum
+of one-dimensional longitudinal integrals).
 
 Two solver extensions matter in practice:
 
@@ -52,7 +53,6 @@ from .matching import (
     _rates,
     assemble_threshold,
     pole_count,
-    trace_form,
 )
 # unused here: bound only because perfbench/tracing.py wraps it on this module
 from .matching import det_sign  # noqa: F401
@@ -90,14 +90,18 @@ __all__ = [
 
 #: clip of the search interval away from 1/4 and 1
 SEARCH_EPS = 1e-6
-#: largest relative kernel residual s_min/s_max of an accepted root; roots
-#: polished to a bracket of tol/10 have residuals below tol/200 (at most
-#: 4.7e-3 tol over single- and two-window sectors at N = 12 and 40, for tol
-#: from 1e-12 to 1e-3), so every tol up to about 2e-6 passes
+#: largest relative kernel residual |mu|/max|mu| of an accepted root, mu the
+#: eigenvalue of S smallest in modulus; roots polished to a bracket of tol/10
+#: have residuals below tol/160 (at most 6.0e-3 tol over single- and
+#: two-window sectors at N = 12 and 40, for tol from 1e-12 to 1e-3), so every
+#: tol up to about 1.7e-6 passes (all up to 1e-5 did; 3e-5 failed)
 RESIDUAL_GATE = 1e-8
 #: kappa window of the near-threshold search of the even two-window sector
 NEAR_THRESHOLD_KAPPA = (1e-13, 1e-3)
-#: relative tolerance of near-threshold kappa roots (polished to a tenth of it)
+#: relative tolerance of near-threshold kappa roots (polished to a tenth of it);
+#: at large separations rounding in S limits the root itself to about 1e-8
+#: relative (a = a_1, N = 40, l = 6: kappa = 1.17e-7, the smallest eigenvalue
+#: of S stays at rounding level across a relative 3e-8 of it)
 KAPPA_RTOL = 1e-12
 #: window half-lengths of the critical-width search: (A_MIN, a_max], A_MAX by default
 A_MIN = 1e-3
@@ -218,8 +222,7 @@ class _Sector:
 
 def _form_at_kappa(cfg: CanonicalConfig, trunc: Truncation):
     b = cfg.base
-    return lambda kappa1: (trace_form(b.kind, trunc.n, b.a, kappa1, b.l),
-                           pole_count(b.kind, b.a, kappa1))
+    return lambda kappa1: (_assemble_at(cfg, trunc, kappa1).matrix, pole_count(b.kind, b.a, kappa1))
 
 
 def _lam_sector(cfg: CanonicalConfig, trunc: Truncation, tol: float) -> _Sector:
@@ -238,7 +241,7 @@ def _width_sector(trunc: Truncation, parity: str, a_max: float, tol: float) -> _
     kind = ProblemKind(f"single-{parity}")
 
     def form(a):
-        return trace_form(kind, trunc.n, a, 0.0), pole_count(kind, a, 0.0)
+        return assemble_threshold(a, trunc, parity).matrix, pole_count(kind, a, 0.0)
     return _Sector(form, A_MIN, a_max, tol / 10.0)
 
 
@@ -409,8 +412,10 @@ def find_near_threshold(cfg: CanonicalConfig, trunc: Truncation = Truncation(),
     """Even two-window eigenvalues with kappa = sqrt(1 - lam) in (kappa_lo, kappa_hi].
 
     Counts and polishes in kappa itself (relative tolerance ``KAPPA_RTOL``),
-    so roots are located exactly even when 1 - lam is below
-    double-precision resolution of lam.  Returns pairs sorted by descending
+    so roots are located even when 1 - lam is below double-precision
+    resolution of lam; at large separations the root carries about 8
+    correct digits (about 1e-8 relative at l = 6, see ``KAPPA_RTOL``), the
+    rest being rounding noise of S.  Returns pairs sorted by descending
     kappa (deepest first); usually there is exactly one at a critical
     window width.
     """
@@ -487,9 +492,10 @@ def _assemble_at(cfg: CanonicalConfig, trunc: Truncation, kappa1: float) -> Matc
 
 
 def _kernel_vector(sys: MatchingSystem) -> tuple[np.ndarray, float]:
-    u, s, vt = np.linalg.svd(sys.matrix)
-    residual = float(s[-1] / s[0])
-    return vt[-1], residual
+    """Eigenvector of S for its eigenvalue mu smallest in modulus, and |mu|/max|mu|."""
+    mu, vecs = np.linalg.eigh(sys.matrix)
+    i = int(np.argmin(np.abs(mu)))
+    return vecs[:, i], float(abs(mu[i]) / np.max(np.abs(mu)))
 
 
 def _solve_at(cfg: CanonicalConfig, trunc: Truncation, lam: float | None = None,
@@ -507,25 +513,24 @@ def _solve_at(cfg: CanonicalConfig, trunc: Truncation, lam: float | None = None,
     return pair
 
 
-def _build_pair(sys: MatchingSystem, vec: np.ndarray, residual: float,
+def _build_pair(sys: MatchingSystem, w: np.ndarray, residual: float,
                 threshold_profile: bool = False) -> Eigenpair:
+    """The pair whose window-edge traces are the kernel vector w of S."""
     n = sys.n
     kap, t = _rates(n, sys.kappa1)
     M = overlap_matrix(n)
     if sys.kind.is_two_window:
-        dplus, dminus = vec[:n], vec[n:]
+        w_left, w_right = w[:n], w[n:]
         cv, _ = window_profile_at_edge(t, sys.a, "even")
         sv, _ = window_profile_at_edge(t, sys.a, "odd")
-        w_left = cv * dplus - sv * dminus
-        w_right = cv * dplus + sv * dminus
-        plane = sys.kind.parity
-        L1 = sys.l - sys.a
-        g_end = np.ones(n) if plane == "even" else np.tanh(kap * L1)
+        coeffs = np.concatenate([(w_left + w_right) / (2.0 * cv), (w_right - w_left) / (2.0 * sv)])
+        g_end = np.ones(n) if sys.kind.parity == "even" else np.tanh(kap * (sys.l - sys.a))
         region1 = (M @ w_left) / g_end
         outside = M @ w_right
     else:
         val, _ = window_profile_at_edge(t, sys.a, sys.kind.parity)
-        outside = M @ (val * vec)
+        coeffs = w / val
+        outside = M @ w
         region1 = None
     return Eigenpair(
         lam=sys.lam,
@@ -534,7 +539,7 @@ def _build_pair(sys: MatchingSystem, vec: np.ndarray, residual: float,
         a=sys.a,
         l=sys.l,
         n=n,
-        window_coeffs=vec.copy(),
+        window_coeffs=coeffs,
         outside_coeffs=outside,
         region1_coeffs=region1,
         residual=residual,

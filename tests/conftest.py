@@ -1,8 +1,10 @@
 import math
 
+import numpy as np
 import pytest
 
 from modeguide import ProblemKind, StripConfig, Truncation, canonicalize
+from modeguide.modes import axial_logderiv, overlap_matrix, window_profile_at_edge
 from modeguide.solve import find_critical_widths, find_eigenvalues
 
 PI = math.pi
@@ -16,6 +18,35 @@ def single_cfg(a, parity="even", d=PI):
 def two_cfg(a, l, parity, d=PI):
     kind = ProblemKind.TWO_WINDOW_EVEN if parity == "even" else ProblemKind.TWO_WINDOW_ODD
     return canonicalize(StripConfig(d=d, a=a, l=l, kind=kind))
+
+
+def reference_matrix(kind, n, a, kappa1, l=None):
+    """The non-symmetric matching matrix K over the window profile coefficients.
+
+    Value matching eliminates the outside (and region-1) coefficients, and
+    derivative matching in the window modes leaves K, built the
+    straightforward way; an array of kappa1 gives one K per point, stacked
+    on a leading axis.  The package assembles only the trace form S;
+    K = S diag(val) for one window and K = diag(-I, I) S T for two, where T
+    maps the even/odd profile coefficients to the edge traces (w_L, w_R).
+    """
+    kappa1 = np.asarray(kappa1, dtype=float)[..., None]
+    j = np.arange(1, n + 1, dtype=float)
+    kap = np.sqrt(j * j - 1.0 + kappa1 * kappa1)
+    half = j - 0.5
+    t = half * half - 1.0 + kappa1 * kappa1
+    M = overlap_matrix(n)
+
+    def coupled(rate, val, der):
+        # diag(der) + M^T diag(rate) M diag(val)
+        return der[..., None] * np.eye(n) + ((M.T * rate[..., None, :]) @ M) * val[..., None, :]
+    if not kind.is_two_window:
+        return coupled(kap, *window_profile_at_edge(t, a, kind.parity))
+    r = axial_logderiv(kap, l - a, kind.parity)
+    even = window_profile_at_edge(t, a, "even")
+    odd = window_profile_at_edge(t, a, "odd")
+    return np.block([[-coupled(r, *even), coupled(r, *odd)],
+                     [coupled(kap, *even), coupled(kap, *odd)]])
 
 
 @pytest.fixture(scope="session")

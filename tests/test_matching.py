@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from modeguide import MatchingSystem, ProblemKind, Truncation, assemble_threshold
-from modeguide import matching
-from modeguide.matching import _rates, assemble_stack, det_sign, det_signs, pole_count, trace_form
-from modeguide.modes import axial_logderiv, overlap_matrix, window_profile_at_edge
-from modeguide.solve import _assemble_at
+from modeguide.matching import _assemble_two_core, _rates, det_sign, pole_count, trace_form
+from modeguide.modes import window_profile_at_edge
+from modeguide.solve import _assemble_at, find_critical_widths, find_eigenvalues
 
-from conftest import single_cfg, two_cfg
+from conftest import reference_matrix, single_cfg, two_cfg
 
 PI = math.pi
 
@@ -32,16 +31,14 @@ def test_single_system_shape_and_finiteness():
     sys = _system(single_cfg(1.0), 0.5, 24)
     assert sys.matrix.shape == (24, 24)
     assert np.all(np.isfinite(sys.matrix))
-    assert sys.col_log.shape == (24,)
+    assert np.array_equal(sys.matrix, trace_form(ProblemKind.SINGLE_WINDOW_EVEN, 24, 1.0,
+                                                 sys.kappa1))
 
 
 def test_symmetric_trace_form():
-    # dividing column m by the window-profile edge value exposes the
-    # symmetric trace form; the residual asymmetry is pure roundoff
+    # the assembled system is the trace form; its asymmetry is pure roundoff
     for parity, a, lam in (("even", 1.0, 0.6), ("odd", 2.5, 0.5), ("even", 2.0, 0.87)):
-        sys = _system(single_cfg(a, parity), lam, 32)
-        val, _ = window_profile_at_edge(_rates(32, sys.kappa1)[1], a, parity)
-        S = sys.matrix / val[None, :]
+        S = _system(single_cfg(a, parity), lam, 32).matrix
         scale = np.max(np.abs(S))
         assert np.max(np.abs(S - S.T)) < 1e-13 * scale
 
@@ -57,7 +54,7 @@ def test_trace_form_is_the_matching_matrix_in_edge_traces(kind, a, l, lam):
     # maps the even/odd profile coefficients to the traces (w_L, w_R)
     n = 24
     kappa1 = math.sqrt(1.0 - lam)
-    K = assemble_stack(kind, n, a, kappa1, l)[0]
+    K = reference_matrix(kind, n, a, kappa1, l)
     S = trace_form(kind, n, a, kappa1, l)
     assert np.max(np.abs(S - S.T)) < 1e-14 * np.max(np.abs(S))
     _, t = _rates(n, kappa1)
@@ -98,16 +95,15 @@ def test_parity_swap_is_bit_exact():
 def _dummy_system(matrix):
     return MatchingSystem(matrix=matrix, lam=0.5, kappa1=math.sqrt(0.5),
                           kind=ProblemKind.SINGLE_WINDOW_EVEN, a=1.0, l=None,
-                          n=matrix.shape[0], col_log=np.zeros(matrix.shape[0]))
+                          n=matrix.shape[0])
 
 
 def test_system_rejects_non_finite():
-    mat = np.eye(4)
-    mat[2, 2] = np.inf
-    with pytest.raises(ValueError):
-        _dummy_system(mat)
-    with pytest.raises(ValueError):
+    # the one finiteness check, in trace_form, guards every assembly
+    with pytest.raises(ValueError, match="non-finite"):
         trace_form(ProblemKind.SINGLE_WINDOW_EVEN, 8, math.nan, 0.5)
+    with pytest.raises(ValueError, match="non-finite"):
+        _assemble_two_core(ProblemKind.TWO_WINDOW_ODD, 8, 1.0, math.nan, 6.0)
 
 
 def test_singular_at_converged_root(ground_pair):
@@ -136,22 +132,23 @@ def test_two_window_no_overflow_at_huge_separation():
 
 def test_two_window_degenerates_to_single_window():
     # the plane-to-window region couples only through interface log-derivatives,
-    # which approach the outgoing rates at the rate 2*kappa1*(l - a)
+    # which approach the outgoing rates at the rate 2*kappa1*(l - a); in the
+    # rotated traces (w_R + w_L)/sqrt2, (w_R - w_L)/sqrt2 the form then splits
+    # into the even and the odd single-window forms
     lam, n = 0.7, 20
     kappa1 = math.sqrt(1.0 - lam)
-    single = _system(single_cfg(1.0, "even"), lam, n).matrix
+    eye = np.eye(n)
+    R = np.block([[eye, -eye], [eye, eye]]) / math.sqrt(2.0)
+    split = np.zeros((2 * n, 2 * n))
+    split[:n, :n] = _system(single_cfg(1.0, "even"), lam, n).matrix
+    split[n:, n:] = _system(single_cfg(1.0, "odd"), lam, n).matrix
     diffs = {}
     for l in (6.0, 8.0, 10.0):
         two = _system(two_cfg(1.0, l, "even"), lam, n).matrix
-        upper_left = -two[:n, :n]
-        diffs[l] = np.max(np.abs(upper_left - single))
+        diffs[l] = np.max(np.abs(R.T @ two @ R - split))
     c = diffs[6.0] / math.exp(-2.0 * kappa1 * 5.0)
     for l in (8.0, 10.0):
         assert diffs[l] <= 1.5 * c * math.exp(-2.0 * kappa1 * (l - 1.0))
-    # and the lower-right block reproduces the odd single-window system
-    two = _system(two_cfg(1.0, 10.0, "even"), lam, n).matrix
-    single_odd = _system(single_cfg(1.0, "odd"), lam, n).matrix
-    assert np.max(np.abs(two[n:, n:] - single_odd)) <= 2.0 * c * math.exp(-2.0 * kappa1 * 9.0)
 
 
 # ---------------------------------------------------------------------------
@@ -183,20 +180,6 @@ def test_threshold_singular_at_critical_width(first_critical):
 def test_threshold_validates_width():
     with pytest.raises(ValueError):
         assemble_threshold(-0.5, Truncation(8))
-
-
-def test_recorded_scalings_map_to_raw_profiles():
-    # a kernel vector in the normalized basis times exp(-col_log) gives the
-    # coefficients of the raw cosh/sinhc profiles exactly
-    from modeguide import stable_cosh, stable_sinhc
-    from modeguide.modes import window_profile_eval
-    x = np.array([0.37])
-    for parity, raw in (("even", stable_cosh), ("odd", stable_sinhc)):
-        sys = _system(single_cfg(1.0, parity), 0.6, 10)
-        _, t = _rates(10, sys.kappa1)
-        normalized = window_profile_eval(t[:, None], x[None, :], 1.0, parity)[:, 0]
-        rescaled = raw(t, x[0]) * np.exp(-sys.col_log)
-        assert np.allclose(normalized, rescaled, rtol=1e-12)
 
 
 def test_smallest_singular_value_truncation_drift():
@@ -235,64 +218,35 @@ def test_concurrent_assembly_matches_sequential():
 
 
 # ---------------------------------------------------------------------------
-# stacked assembly and signs
+# kernels
 # ---------------------------------------------------------------------------
 
-def _reference_matrix(kind, n, a, kappa1, l):
-    # one point at a time, the straightforward way: the reference for the stack
-    j = np.arange(1, n + 1, dtype=float)
-    kap = np.sqrt(j * j - 1.0 + kappa1 * kappa1)
-    half = j - 0.5
-    t = half * half - 1.0 + kappa1 * kappa1
-    M = overlap_matrix(n)
-    Q = M.T @ (kap[:, None] * M)
-    if not kind.is_two_window:
-        val, der = window_profile_at_edge(t, a, kind.parity)
-        return np.diag(der) + Q * val[None, :]
-    P = M.T @ (axial_logderiv(kap, l - a, kind.parity)[:, None] * M)
-    cv, cd = window_profile_at_edge(t, a, "even")
-    sv, sd = window_profile_at_edge(t, a, "odd")
-    return np.block([[-(np.diag(cd) + P * cv[None, :]), np.diag(sd) + P * sv[None, :]],
-                     [np.diag(cd) + Q * cv[None, :], np.diag(sd) + Q * sv[None, :]]])
+def _svd_kernel(K):
+    return np.linalg.svd(K)[2][-1]
 
 
-# crosses the oscillatory/evanescent switch of the first window mode at
-# kappa1 = sqrt(3)/2 and includes the threshold kappa1 = 0
-KAPPA_GRID = np.concatenate([np.linspace(0.0, 1.2, 25), np.geomspace(1e-13, 1e-3, 5)])
+def _same_up_to_sign(u, v):
+    u, v = u / np.linalg.norm(u), v / np.linalg.norm(v)
+    return min(np.max(np.abs(u - v)), np.max(np.abs(u + v)))
 
 
-@pytest.mark.parametrize("n", [40, 80])
-@pytest.mark.parametrize("kind", list(ProblemKind))
-def test_stack_equals_per_point_assembly(kind, n):
-    a, l = 1.0625, (6.0 if kind.is_two_window else None)
-    stack = assemble_stack(kind, n, a, KAPPA_GRID, l)
-    assert stack.shape == (len(KAPPA_GRID),) + 2 * ((2 if kind.is_two_window else 1) * n,)
-    for k, K in zip(KAPPA_GRID, stack):
-        assert np.array_equal(K, _reference_matrix(kind, n, a, float(k), l))
-        assert np.array_equal(K, assemble_stack(kind, n, a, float(k), l)[0])
+@pytest.mark.parametrize("n", [40, 320])
+@pytest.mark.parametrize("cfg", [single_cfg(1.0), single_cfg(3.5, "odd"), two_cfg(1.0, 6.0, "even"),
+                                 two_cfg(1.0, 6.0, "odd")], ids=[k.value for k in ProblemKind])
+def test_eigh_kernel_equals_the_svd_kernel_of_the_matching_matrix(cfg, n):
+    # the eigenvector of S mapped back to profile coefficients is the kernel
+    # of the non-symmetric matching matrix K
+    b = cfg.base
+    pair = find_eigenvalues(cfg, Truncation(n))[0]
+    K = reference_matrix(b.kind, n, b.a, pair.kappa1, b.l)
+    assert _same_up_to_sign(pair.window_coeffs, _svd_kernel(K)) < 1e-12
 
 
-@pytest.mark.parametrize("n", [40, 80])
-@pytest.mark.parametrize("parity", ["even", "odd"])
-def test_threshold_stack_equals_per_point_assembly(parity, n):
-    kind = ProblemKind.SINGLE_WINDOW_EVEN if parity == "even" else ProblemKind.SINGLE_WINDOW_ODD
-    widths = np.arange(0.02, 8.0, 0.31)
-    stack = assemble_stack(kind, n, widths, 0.0)
-    for a, K in zip(widths, stack):
-        assert np.array_equal(K, assemble_threshold(float(a), Truncation(n), parity).matrix)
-        assert np.array_equal(K, _reference_matrix(kind, n, float(a), 0.0, None))
-
-
-def test_chunked_signs_equal_one_stack(monkeypatch):
-    kind, n = ProblemKind.TWO_WINDOW_ODD, 12
-    kappas = np.linspace(0.05, 0.85, 101)
-    whole = det_signs(kind, n, 1.0, kappas, 5.0)
-    assert len(set(whole.tolist())) == 2  # the grid crosses roots
-    # 7 matrices per chunk: 15 chunks, the last one short
-    monkeypatch.setattr(matching, "STACK_BYTES", 7 * 8 * (2 * n) ** 2)
-    assert np.array_equal(det_signs(kind, n, 1.0, kappas, 5.0), whole)
-    monkeypatch.setattr(matching, "STACK_BYTES", 1)
-    assert np.array_equal(det_signs(kind, n, 1.0, kappas, 5.0), whole)
+@pytest.mark.parametrize("n", [40, 320])
+def test_threshold_eigh_kernel_equals_the_svd_kernel(n):
+    width = find_critical_widths(1, Truncation(n)).widths[0]
+    K = reference_matrix(ProblemKind(f"single-{width.parity}"), n, width.a, 0.0)
+    assert _same_up_to_sign(width.resonance.window_coeffs, _svd_kernel(K)) < 1e-12
 
 
 def test_det_sign_of_permuted_and_singular_matrices():

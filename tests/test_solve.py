@@ -19,8 +19,9 @@ from modeguide import (
     window_integral,
     window_trace,
 )
-from modeguide import solve
-from modeguide.matching import assemble_threshold, det_sign, det_signs
+from modeguide import matching, solve
+from modeguide.matching import _rates, assemble_threshold
+from modeguide.modes import window_profile_at_edge
 from modeguide.solve import (
     NEAR_THRESHOLD_KAPPA,
     RESIDUAL_GATE,
@@ -35,7 +36,7 @@ from modeguide.solve import (
     refine_critical_width,
 )
 
-from conftest import single_cfg, two_cfg
+from conftest import reference_matrix, single_cfg, two_cfg
 
 PI = math.pi
 
@@ -181,10 +182,13 @@ def test_rejects_points_outside_strip(ground_pair):
 
 def test_interface_continuity_in_retained_modes(ground_pair):
     # value match is exact by construction; the derivative match in the
-    # retained window modes is the kernel equation, so its residual is the
-    # converged smallest singular value, far below the 1e-6 contract
+    # retained window modes is the kernel equation S w = 0 in the edge
+    # traces w = val * d, so its residual is the converged eigenvalue of S
+    # smallest in modulus, far below the 1e-6 contract
     sys = _assemble_at(single_cfg(1.0), Truncation(40), ground_pair.kappa1)
-    resid = sys.matrix @ (ground_pair.window_coeffs / np.linalg.norm(ground_pair.window_coeffs))
+    val, _ = window_profile_at_edge(_rates(40, ground_pair.kappa1)[1], 1.0, "even")
+    traces = val * ground_pair.window_coeffs
+    resid = sys.matrix @ (traces / np.linalg.norm(traces))
     assert np.max(np.abs(resid)) < 1e-6
 
 
@@ -405,7 +409,7 @@ def test_even_sector_threshold_scan_is_find_near_threshold(first_critical):
 def _old_grid_roots(cfg, tr):
     # sign changes on the grids of the determinant-sign scanner this count
     # replaced: 750 lam points, plus 240 log-kappa points in the even
-    # two-window sector
+    # two-window sector, each signed by slogdet of the matching matrix K
     b = cfg.base
     grid = np.arange(0.25 + SEARCH_EPS, 1.0 - SEARCH_EPS + 0.5e-3, 1e-3)
     grid[-1] = min(grid[-1], 1.0 - SEARCH_EPS)
@@ -414,7 +418,7 @@ def _old_grid_roots(cfg, tr):
         kappas.append(np.geomspace(*NEAR_THRESHOLD_KAPPA, 240))
     changes = 0
     for k in kappas:
-        s = det_signs(b.kind, tr.n, b.a, k, b.l)
+        s = np.linalg.slogdet(reference_matrix(b.kind, tr.n, b.a, k, b.l))[0]
         changes += int(np.count_nonzero((s[:-1] == 0) | (s[:-1] * s[1:] < 0)))
     return changes
 
@@ -452,14 +456,15 @@ def test_count_evaluates_ten_times_fewer_matrices_per_root(monkeypatch):
     # the determinant-sign scanner signed a 750-point lam grid per sector
     # (plus 240 log-kappa points in the even two-window sector, and 400
     # width points per parity for critical widths) and then bisected each
-    # root from the grid step to tol = 1e-12 (30 steps in lam, 35 in a)
+    # root from the grid step to tol = 1e-12 (30 steps in lam, 35 in a);
+    # every assembly of S counts, the one each kernel takes included
     calls = []
-    real = solve.trace_form
+    real = matching.trace_form
 
     def counted(*args):
         calls.append(args)
         return real(*args)
-    monkeypatch.setattr(solve, "trace_form", counted)
+    monkeypatch.setattr(matching, "trace_form", counted)
     tr = Truncation(40)
     roots = sum(len(find_eigenvalues(cfg, tr)) for cfg in
                 (single_cfg(2.0), single_cfg(3.5, "odd"), two_cfg(1.0, 6.0, "even"),
@@ -501,28 +506,3 @@ def test_polish_widens_its_window_up_to_three_times():
         _polish_root(sign(0.2), 0.0, 0.01, 1e-12, -1.0)
     with pytest.raises(ArithmeticError):  # the cap keeps the root out of every window
         _polish_root(sign(0.05), 0.0, 0.01, 1e-12, -1.0, hi_cap=0.04)
-
-
-# ---------------------------------------------------------------------------
-# stacked grid signs against per-point signs
-# ---------------------------------------------------------------------------
-
-@pytest.mark.parametrize("parity", ["even", "odd"])
-def test_stacked_lam_grid_signs_equal_per_point(parity):
-    cfg, tr = two_cfg(1.0, 6.0, parity), Truncation(40)
-    lo, hi = 0.25 + SEARCH_EPS, 1.0 - SEARCH_EPS
-    grid = np.arange(lo, hi + 0.5e-3, 1e-3)
-    grid[-1] = min(grid[-1], hi)  # the scan grid of find_eigenvalues
-    stacked = det_signs(cfg.base.kind, tr.n, 1.0, np.sqrt(1.0 - grid), 6.0)
-    assert stacked.tolist() == [det_sign(_assemble_at(cfg, tr, math.sqrt(1.0 - lam))) for lam in grid]
-    assert np.any(stacked[:-1] * stacked[1:] < 0)
-
-
-def test_stacked_width_grid_signs_equal_per_point():
-    tr = Truncation(40)
-    grid = np.arange(0.02, 8.0 + 0.01, 0.02)
-    assert len(grid) == 400
-    for parity in ("even", "odd"):
-        stacked = det_signs(ProblemKind(f"single-{parity}"), tr.n, grid, 0.0)
-        assert stacked.tolist() == [det_sign(assemble_threshold(a, tr, parity)) for a in grid]
-        assert np.any(stacked[:-1] * stacked[1:] < 0)
