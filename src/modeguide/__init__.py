@@ -44,6 +44,7 @@ from .fd_oracle import (
     GridAlignmentError,
     OracleConfig,
     critical_width_crossing,
+    critical_width_crossings,
     discrete_threshold,
     discretize,
     lowest_eigenvalues,

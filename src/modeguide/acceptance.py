@@ -26,7 +26,13 @@ from dataclasses import dataclass
 
 
 from .asymptotics import THRESHOLD_RATE, fit_exponential, predict_splitting, predict_threshold
-from .fd_oracle import OracleConfig, critical_width_crossing, oracle_eigenvalues, refine_and_extrapolate
+from .fd_oracle import (
+    OracleConfig,
+    critical_width_crossing,
+    critical_width_crossings,
+    oracle_eigenvalues,
+    refine_and_extrapolate,
+)
 from .matching import Truncation
 from .modes import ProblemKind, StripConfig, canonicalize
 from .records import cache_get, cache_put
@@ -204,8 +210,10 @@ class Workspace:
             if cached is not None:
                 return cached
             parity = self.critical().parity
-            coarse = critical_width_crossing(parity, grids[0])
-            fine = critical_width_crossing(parity, grids[1])
+            # the search on the fine grid starts from the coarse grid's crossing
+            coarse, fine = critical_width_crossings(parity, grids[1])
+            if coarse is None:  # the coarse grid has no crossing: its own search raises
+                coarse = critical_width_crossing(parity, grids[0])
             result = 2.0 * fine - coarse
             cache_put(key, result)
             return result

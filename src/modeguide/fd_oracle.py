@@ -9,11 +9,17 @@ half-cell weights of the reflected nodes.  Its job is to be auditable and
 independent of the mode-matching code: it takes only the geometry types
 from :mod:`modes` and nothing from the matching solver.
 
-The operator is assembled with array index arithmetic (a node mask over
-the (i, j) grid, numbered in row order, and one masked coupling array
-per direction), and the shift-inverted eigensolver factors once with a
-minimum-degree ordering on A + A^T, the natural fill-reducing order for
-a symmetric 5-point stencil.
+One node layout (:class:`FDGrid`: node mask, window rows, ghost
+multiplicities) feeds both the CSR assembly, done with array index
+arithmetic, and the solve of the shift-inverted Lanczos iteration.  Away
+from the windows the operator is separable, T1 (x) I + I (x) T2 with
+Dirichlet T2 and a T1 set by the mirror-plane parity and the far-face
+condition, so orthonormal DCT/DST transforms diagonalize it; the few
+window nodes couple only to their neighbors at j = 1 and are eliminated
+through a small dense Schur complement (the capacitance-matrix method of
+Buzbee, Dorr, George and Golub, SIAM J. Numer. Anal. 8 (1971) 722-736).
+The CSR operator stays the definition: every eigenpair is checked
+against it.
 
 The mirror plane at x1 = 0 carries the parity of the configuration kind:
 ghost reflection for even kinds, an eliminated row for odd kinds.  For
@@ -38,10 +44,12 @@ grid.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sparse
 import scipy.sparse.linalg as splinalg
 
@@ -57,11 +65,20 @@ __all__ = [
     "refine_and_extrapolate",
     "discrete_threshold",
     "critical_width_crossing",
+    "critical_width_crossings",
+    "FDGrid",
+    "FDOperator",
 ]
 
 
 #: coarsest grid whose crossing seeds the search on the grid twice as fine
 COARSEST_SEED_GRID = 1.0 / 8.0
+#: shift of the inverted Lanczos iteration, below every bound state (> 1/4)
+SIGMA = 0.2
+#: largest relative eigenpair residual ||op v - lam v|| / |lam| accepted
+EIGENPAIR_GATE = 1e-8
+#: largest operator without a grid that lowest_eigenvalues inverts densely
+DENSE_ROWS = 2000
 
 
 class GridAlignmentError(ValueError):
@@ -114,7 +131,171 @@ def discrete_threshold(h: float) -> float:
     return (4.0 / h2 ** 2) * math.sin(h2 / 2.0) ** 2
 
 
-def discretize(cfg: CanonicalConfig, ocfg: OracleConfig) -> sparse.csr_matrix:
+class FDGrid:
+    """Node layout of the 5-point operator, shared by its assembly and its inverse.
+
+    Grid rows are x1 = i*h for i in [i_lo, i_hi] and columns x2 = j*h2 for
+    j in [0, n2).  Row i_lo = 0 exists only with a reflecting mirror plane
+    (even kinds) and row i_hi = n1 only with a Neumann far face.  Node
+    (i, j) exists for every j >= 1 and, on the window rows, for j = 0; it
+    is numbered ``index[i - i_lo, j]`` in row order (-1 where eliminated).
+    """
+
+    def __init__(self, cfg: CanonicalConfig, ocfg: OracleConfig) -> None:
+        kind = cfg.base.kind
+        a = cfg.base.a
+        h = ocfg.h
+        n1 = _check_aligned("L", ocfg.L, h)
+        if kind.is_two_window:
+            l = cfg.base.l
+            _check_aligned("l-a", l - a, h)
+            _check_aligned("a", a, h)
+            win_lo, win_hi = l - a, l + a
+        else:
+            _check_aligned("a", a, h)
+            win_lo, win_hi = -a, a
+        if win_hi >= ocfg.L:
+            raise ValueError(f"window reaches the truncation face: need l+a < L, got {win_hi} >= {ocfg.L}")
+
+        self.h = h
+        self.n1 = n1
+        self.n2 = round(math.pi / h)
+        self.h2 = math.pi / self.n2
+        self.c1 = 1.0 / (h * h)
+        self.c2 = 1.0 / (self.h2 * self.h2)
+        self.diagonal = 2.0 * self.c1 + 2.0 * self.c2
+        self.plane_neumann = kind.parity == "even"
+        self.end_neumann = ocfg.end == "neumann"
+        self.i_lo = 0 if self.plane_neumann else 1
+        self.i_hi = n1 if self.end_neumann else n1 - 1  # inclusive
+        eps = 1e-9
+        x = np.arange(self.i_lo, self.i_hi + 1) * h
+        #: per row: the j = 0 node lies on a window
+        self.window = (win_lo + eps < x) & (x < win_hi - eps)
+        self.keep = np.ones((len(x), self.n2), dtype=bool)
+        self.keep[:, 0] = self.window
+        self.size = int(np.count_nonzero(self.keep))
+        self.index = np.full(self.keep.shape, -1)
+        self.index[self.keep] = np.arange(self.size)
+
+    def x1_couplings(self) -> np.ndarray:
+        """Weight of the x1 coupling between each row and the next.
+
+        Reflection doubles the weight of a ghost coupling at the mirror
+        plane (even kinds) and at a Neumann far face; the symmetrized
+        weight is -c1 * sqrt(m_fwd * m_bwd).
+        """
+        i = np.arange(self.i_lo, self.i_hi)
+        m_fwd = np.where(self.end_neumann & (i + 1 == self.n1), 2.0, 1.0)
+        m_bwd = np.where(self.plane_neumann & (i == 0), 2.0, 1.0)
+        return -self.c1 * np.sqrt(m_fwd * m_bwd)
+
+    def x1_transform(self):
+        """The orthonormal transform that diagonalizes the x1 operator.
+
+        Returns (forward, inverse, eigenvalues) with forward(x) = Q^T x and
+        inverse(x) = Q x along the first axis of x.  The rows i_lo..i_hi
+        carry the 1-D operator with diagonal 2*c1 and the couplings of
+        :meth:`x1_couplings`; its eigenvalues are 4*c1*sin^2(theta/2) with
+        theta = (k + s)*pi/n1, and its eigenvectors are the orthonormal DCT
+        or DST basis of the plane's parity and the far face's condition
+        (the sqrt(2) ghost weights are the ``norm="ortho"`` end weights).
+        """
+        from scipy import fft
+
+        name, kind, s = {(True, False): ("dct", 3, 0.5),   # Neumann plane, Dirichlet face
+                         (False, False): ("dst", 1, 1.0),  # Dirichlet at both
+                         (True, True): ("dct", 1, 0.0),    # Neumann at both
+                         (False, True): ("dst", 3, 0.5),   # Dirichlet plane, Neumann face
+                         }[(self.plane_neumann, self.end_neumann)]
+        fwd, inv = getattr(fft, name), getattr(fft, "i" + name)
+        theta = (np.arange(self.i_hi - self.i_lo + 1) + s) * (math.pi / self.n1)
+        return (lambda x: fwd(x, type=kind, norm="ortho", axis=0),
+                lambda x: inv(x, type=kind, norm="ortho", axis=0),
+                4.0 * self.c1 * np.sin(theta / 2.0) ** 2)
+
+    def shift_solver(self, sigma: float):
+        """x -> (A - sigma I)^-1 x for the operator A of :func:`discretize`.
+
+        The nodes j >= 1 carry T1 (x) I + I (x) T2, diagonal in the x1
+        transform of :meth:`x1_transform` times the orthonormal DST-I in
+        x2, with eigenvalues lam_m + mu_k.  The DST-I is applied as a
+        product with its dense sine matrix: its FFT length 2*n2 has the
+        prime factors 67 (h = 1/64) and 101 (h = 1/32), where the matrix
+        product is about three times faster.  The window nodes (j = 0)
+        couple only to j = 1, by -g with g = sqrt(2)*c2, and are
+        eliminated through the dense Schur complement
+
+            S = W - sigma - g^2 Q_w diag(sum_k phi_k(1)^2/(lam_m + mu_k - sigma)) Q_w^T
+              = Q_w diag(e_m) Q_w^T,   e_m = n2 / sum_k 1/(lam_m + nu_k - sigma),
+
+        with W the window block, Q_w the x1 basis on the window rows (the
+        transform of the unit vectors there) and phi_k(1) the x2 modes at
+        j = 1.  The second form holds because W = Q_w (diag(lam) + 2 c2) Q_w^T:
+        e_m is the Schur complement onto j = 0 of the x2 line in x1 mode m
+        (T2 with the node j = 0 added, shifted by lam_m - sigma), whose
+        eigenvalues are lam_m - sigma + nu_k, nu_k = 4 c2 sin^2((k + 1/2)
+        pi/(2 n2)), and whose eigenvectors all weigh 1/n2 at j = 0.  Its
+        terms are all positive, where the first form cancels O(c2) terms.
+        S is factored once by Cholesky, which needs it positive definite,
+        as it is when sigma lies below the spectrum; a failed
+        factorization raises ArithmeticError.  A solve then costs a
+        forward and an inverse 2-D transform, a diagonal scaling and two
+        small triangular solves, and is exact up to rounding.
+        """
+        # the operator's diagonal is 2*c1 + 2*c2 rounded, which moves its whole
+        # spectrum by the rounding error; TwoSum gives that error exactly
+        d1, d2 = 2.0 * self.c1, 2.0 * self.c2
+        dd = self.diagonal - d1
+        shift = sigma + ((d1 - (self.diagonal - dd)) + (d2 - dd))
+        x1_fwd, x1_inv, lam = self.x1_transform()
+        k = np.arange(1, self.n2)
+        mu = 4.0 * self.c2 * np.sin(k * (math.pi / (2 * self.n2))) ** 2
+        # j*k is reduced mod 2*n2 so every sine argument stays below 2*pi
+        sines = math.sqrt(2.0 / self.n2) * np.sin(np.outer(k, k) % (2 * self.n2) * (math.pi / self.n2))
+        phi = sines[0]  # the x2 modes at j = 1
+        denom = lam[:, None] + (mu - shift)
+        g = math.sqrt(2.0) * self.c2
+
+        rows = np.flatnonzero(self.window)
+        unit = np.zeros((len(self.window), len(rows)))
+        unit[rows, np.arange(len(rows))] = 1.0
+        q_w = x1_fwd(unit)  # Q_w^T: the x1 modes on the window rows
+        nu = 4.0 * self.c2 * np.sin((np.arange(self.n2) + 0.5) * (math.pi / (2 * self.n2))) ** 2
+        e = self.n2 / (1.0 / (lam[:, None] + (nu - shift))).sum(axis=1)
+        s_mat = q_w.T @ (e[:, None] * q_w)
+        try:
+            chol = scipy.linalg.cho_factor(s_mat, lower=True, check_finite=False)
+        except np.linalg.LinAlgError as exc:
+            raise ArithmeticError(f"shifted window system is not positive definite at sigma={sigma}") from exc
+        u_nodes = self.index[:, 1:].ravel()
+        w_nodes = self.index[rows, 0]
+
+        def solve(b: np.ndarray) -> np.ndarray:
+            b = np.asarray(b, dtype=float).ravel()
+            y = x1_fwd(b.take(u_nodes).reshape(denom.shape)) @ sines
+            y /= denom
+            x_w = scipy.linalg.cho_solve(chol, b[w_nodes] + g * (q_w.T @ (y @ phi)), check_finite=False)
+            y += g * np.outer(q_w @ x_w, phi) / denom
+            x = np.empty(self.size)
+            x[u_nodes] = x1_inv(y @ sines).ravel()
+            x[w_nodes] = x_w
+            return x
+
+        return solve
+
+
+class FDOperator(sparse.csr_matrix):
+    """The CSR operator of :func:`discretize`, carrying the grid it lives on.
+
+    ``grid`` lets :func:`lowest_eigenvalues` invert the shifted operator by
+    fast transforms.  Matrices that scipy derives from it carry no grid.
+    """
+
+    grid: FDGrid | None = None
+
+
+def discretize(cfg: CanonicalConfig, ocfg: OracleConfig) -> FDOperator:
     """Symmetric sparse 5-point operator on the half strip [0, L] x [0, pi].
 
     Ghost-point reflection at Neumann boundaries is symmetrized exactly:
@@ -137,85 +318,60 @@ def discretize_with_nodes(cfg: CanonicalConfig, ocfg: OracleConfig):
     returned operator equals sqrt(s) times the field values, with s = 1/2
     per reflecting boundary the node sits on).
     """
-    kind = cfg.base.kind
-    a = cfg.base.a
-    h = ocfg.h
-    n1 = _check_aligned("L", ocfg.L, h)
-    n2 = round(math.pi / h)
-    h2 = math.pi / n2
-    if kind.is_two_window:
-        l = cfg.base.l
-        _check_aligned("l-a", l - a, h)
-        _check_aligned("a", a, h)
-        win_lo, win_hi = l - a, l + a
-    else:
-        _check_aligned("a", a, h)
-        win_lo, win_hi = -a, a
-    if win_hi >= ocfg.L:
-        raise ValueError(f"window reaches the truncation face: need l+a < L, got {win_hi} >= {ocfg.L}")
-
-    plane_neumann = kind.parity == "even"
-    end_neumann = ocfg.end == "neumann"
-    i_lo = 0 if plane_neumann else 1
-    i_hi = n1 if end_neumann else n1 - 1  # inclusive
-
-    eps = 1e-9
-    i = np.arange(i_lo, i_hi + 1)
-    x = i * h
-    in_window = (win_lo + eps < x) & (x < win_hi - eps)
-    # node grid in row order (i major); j = 0 is kept only on the windows
-    ii, jj = np.meshgrid(i, np.arange(n2), indexing="ij")
-    keep = (jj > 0) | in_window[:, None]
-    size = int(np.count_nonzero(keep))
-    index = np.full(keep.shape, -1)
-    index[keep] = np.arange(size)
-
-    c1 = 1.0 / (h * h)
-    c2 = 1.0 / (h2 * h2)
+    grid = FDGrid(cfg, ocfg)
+    keep, index = grid.keep, grid.index
+    ii, jj = np.meshgrid(np.arange(grid.i_lo, grid.i_hi + 1), np.arange(grid.n2), indexing="ij")
     # x2 couplings (p, p + 1 in j) with ghost doubling at a window node (j = 0)
     up = keep[:, :-1]
     p2, q2 = index[:, :-1][up], index[:, 1:][up]
-    w2 = np.where(jj[:, :-1][up] == 0, -c2 * math.sqrt(2.0), -c2)
-    # x1 couplings (p, p - 1 in i); reflection doubles the weight of a ghost
-    # coupling at the mirror plane (even kinds) and at a Neumann far face
+    w2 = np.where(jj[:, :-1][up] == 0, -grid.c2 * math.sqrt(2.0), -grid.c2)
+    # x1 couplings (p, p - 1 in i)
     back = keep[1:] & keep[:-1]
     p1, q1 = index[1:][back], index[:-1][back]
-    m_fwd = np.where(end_neumann & (ii[1:][back] == n1), 2.0, 1.0)
-    m_bwd = np.where(plane_neumann & (ii[:-1][back] == 0), 2.0, 1.0)
-    w1 = -c1 * np.sqrt(m_fwd * m_bwd)
+    w1 = np.broadcast_to(grid.x1_couplings()[:, None], back.shape)[back]
 
-    diag = np.arange(size)
+    diag = np.arange(grid.size)
     rows = np.concatenate((diag, p2, q2, p1, q1))
     cols = np.concatenate((diag, q2, p2, q1, p1))
-    vals = np.concatenate((np.full(size, 2.0 * c1 + 2.0 * c2), w2, w2, w1, w1))
-    op = sparse.csr_matrix((vals, (rows, cols)), shape=(size, size))
+    vals = np.concatenate((np.full(grid.size, grid.diagonal), w2, w2, w1, w1))
+    op = FDOperator((vals, (rows, cols)), shape=(grid.size, grid.size))
     op.sum_duplicates()
-    return op, ii[keep] * h, jj[keep] * h2
+    op.grid = grid
+    return op, ii[keep] * grid.h, jj[keep] * grid.h2
 
 
 def lowest_eigenvalues(op: sparse.csr_matrix, k: int, tol: float = 1e-10) -> np.ndarray:
     """The k smallest eigenvalues of a symmetric operator, sorted ascending.
 
-    Shift-inverted Lanczos around the bottom of the spectrum; the starting
-    vector is fixed so repeated runs are reproducible bit-for-bit, though
-    converged spectra agree to solver tolerance for any start.  The shifted
-    operator is factored once with a minimum-degree column ordering on
-    A + A^T, which suits the symmetric 5-point stencil far better than
-    SuperLU's default COLAMD (about 40% less fill at h = 1/64); SuperLU's
-    threshold pivoting is kept, so any symmetric input is handled.
+    Shift-inverted Lanczos around SIGMA; the starting vector is fixed so
+    repeated runs are reproducible bit-for-bit, though converged spectra
+    agree to solver tolerance for any start.  An operator from
+    :func:`discretize` is inverted through its grid
+    (:meth:`FDGrid.shift_solver`); any other operator of at most
+    DENSE_ROWS rows is inverted densely, and a larger one raises
+    ValueError.  Every eigenpair (lam, v) is checked against the operator
+    itself: ArithmeticError unless ||op v - lam v|| <= EIGENPAIR_GATE * |lam|.
     """
     n = op.shape[0]
     if k >= n:
         raise ValueError("requested more eigenvalues than the operator has rows")
+    grid = getattr(op, "grid", None)
+    if grid is not None:
+        solve = grid.shift_solver(SIGMA)
+    elif n <= DENSE_ROWS:
+        lu = scipy.linalg.lu_factor(op.toarray() - SIGMA * np.eye(n))
+        solve = functools.partial(scipy.linalg.lu_solve, lu)
+    else:
+        raise ValueError(f"an operator of {n} > {DENSE_ROWS} rows must come from discretize")
     v0 = np.full(n, 1.0 / math.sqrt(n))
-    sigma = 0.2
-    lu = splinalg.splu(sparse.csc_matrix(op - sigma * sparse.eye(n)), permc_spec="MMD_AT_PLUS_A")
-    op_inv = splinalg.LinearOperator((n, n), matvec=lu.solve, dtype=op.dtype)
+    op_inv = splinalg.LinearOperator((n, n), matvec=solve, dtype=float)
     try:
-        w = splinalg.eigsh(op, k=k, sigma=sigma, which="LM", tol=tol, OPinv=op_inv,
-                           return_eigenvectors=False, v0=v0)
+        w, v = splinalg.eigsh(op, k=k, sigma=SIGMA, which="LM", tol=tol, OPinv=op_inv, v0=v0)
     except splinalg.ArpackNoConvergence as exc:  # pragma: no cover - diagnostic path
         raise ArithmeticError(f"eigensolver failed to converge: {exc}") from exc
+    residual = np.linalg.norm(op @ v - v * w, axis=0) / np.abs(w)
+    if not np.all(residual <= EIGENPAIR_GATE):
+        raise ArithmeticError(f"eigenpair residual {residual.max():.3g} exceeds {EIGENPAIR_GATE:g}")
     return np.sort(w)
 
 
@@ -283,7 +439,22 @@ def critical_width_crossing(parity: str, h: float, L: float = 16.0,
     grids' solves.  The result equals, bit for bit, that of a scan over
     the lattice from a_lo to the first sign change.  Raises
     ArithmeticError when the lattice holds no crossing and ValueError for
-    any other parity.
+    any other parity.  :func:`critical_width_crossings` returns the seed
+    crossing on 2h as well.
+    """
+    return critical_width_crossings(parity, h, L, a_lo, a_hi, cutoff_margin)[1]
+
+
+def critical_width_crossings(parity: str, h: float, L: float = 16.0,
+                             a_lo: float = 2.0, a_hi: float = 2.6,
+                             cutoff_margin: float = 1e-8) -> tuple[float | None, float]:
+    """The crossing on grid 2h that seeded the search on grid h, and the crossing on h.
+
+    The search is that of :func:`critical_width_crossing`; the first value
+    is None where no coarser crossing seeded it (2h coarser than
+    COARSEST_SEED_GRID, or no crossing on 2h).  Each value equals, bit for
+    bit, that of :func:`critical_width_crossing` on its grid, so a
+    two-grid extrapolation needs only the search on the finer grid.
     """
     if parity not in ("even", "odd"):
         raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
@@ -299,13 +470,14 @@ def critical_width_crossing(parity: str, h: float, L: float = 16.0,
     end = round(a_hi / h) * h
     while lattice[-1] < end:
         lattice.append(min(round((lattice[-1] + 2.0 * h) / h) * h, end))
-    seed = lattice[0]
+    seed = None
     if 2.0 * h <= COARSEST_SEED_GRID:
         try:
             seed = critical_width_crossing(parity, 2.0 * h, L, a_lo, a_hi, cutoff_margin)
         except (ArithmeticError, GridAlignmentError):
             pass  # no seed: start in the first cell
-    i = min(max(bisect.bisect_right(lattice, seed) - 1, 0), len(lattice) - 2)
+    start = lattice[0] if seed is None else seed
+    i = min(max(bisect.bisect_right(lattice, start) - 1, 0), len(lattice) - 2)
     gaps: dict[int, float] = {}
     while 0 <= i < len(lattice) - 1:
         for j in (i, i + 1):
@@ -314,7 +486,7 @@ def critical_width_crossing(parity: str, h: float, L: float = 16.0,
         g_prev, g = gaps[i], gaps[i + 1]
         if g_prev > 0.0 >= g:
             a_prev, a = lattice[i], lattice[i + 1]
-            return a_prev + (a - a_prev) * g_prev / (g_prev - g)
+            return seed, a_prev + (a - a_prev) * g_prev / (g_prev - g)
         if g_prev <= 0.0 < g:
             raise ArithmeticError(
                 f"threshold gap increases from a={lattice[i]} to a={lattice[i + 1]} at h={h}")

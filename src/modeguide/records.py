@@ -35,8 +35,9 @@ __all__ = ["RunRecord", "cache_get", "cache_put", "cache_dir"]
 
 CACHE_ENV = "MODEGUIDE_CACHE"
 #: layout of a cache entry; bump when it or the cached values change
-#: (2: FD oracle eigenvalues from the minimum-degree ordered factorization)
-CACHE_SCHEMA = 2
+#: (2: FD oracle eigenvalues from the minimum-degree ordered factorization;
+#: 3: FD oracle eigenvalues from the fast-transform shift-invert solve)
+CACHE_SCHEMA = 3
 
 
 @dataclasses.dataclass

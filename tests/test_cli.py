@@ -468,9 +468,11 @@ def test_sweep_ranges_are_capped(capsys):
     assert code == 2 and "more than" in err and not out
 
 
-def test_cli_import_leaves_scipy_optimize_unloaded():
-    # importing scipy.optimize adds about half of the CLI's start-up time
+@pytest.mark.parametrize("module", ["scipy.optimize", "scipy.fft"])
+def test_cli_import_leaves_scipy_optimize_unloaded(module):
+    # importing scipy.optimize adds about half of the CLI's start-up time;
+    # scipy.fft (used only inside the FD solve) adds 55-86 ms
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
-    code = "import sys, modeguide.cli; sys.exit(int('scipy.optimize' in sys.modules))"
+    code = f"import sys, modeguide.cli; sys.exit(int({module!r} in sys.modules))"
     assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0

@@ -297,14 +297,14 @@ def test_crossing_walk_equals_plain_scan(h, L):
 
 
 def test_crossing_solves_twice_on_its_own_grid(solves):
-    assert critical_width_crossing("odd", 1 / 32) == 2.2810347423242283
+    assert critical_width_crossing("odd", 1 / 32) == 2.281034742322101
     assert [a for h, a in solves if h == 1 / 32] == [2.25, 2.3125]
 
 
 def test_crossing_walk_recovers_from_a_wrong_seed(monkeypatch, solves):
     # a seed at 2.55 starts four cells right of the crossing: one more solve each
     monkeypatch.setattr(fd_oracle, "critical_width_crossing", lambda *args: 2.55)
-    assert critical_width_crossing("odd", 1 / 32) == 2.2810347423242283
+    assert critical_width_crossing("odd", 1 / 32) == 2.281034742322101
     assert solves == [(1 / 32, a) for a in (2.5, 2.5625, 2.4375, 2.375, 2.3125, 2.25)]
 
 
@@ -321,3 +321,70 @@ def test_crossing_rejects_unknown_parity(solves):
     with pytest.raises(ValueError, match="parity"):
         critical_width_crossing("Odd", 1 / 16)
     assert solves == []
+
+
+@pytest.mark.parametrize("kind", list(ProblemKind))
+@pytest.mark.parametrize("end", ["dirichlet", "neumann"])
+@pytest.mark.parametrize("h", [1 / 16, 1 / 32])
+def test_shift_solver_inverts_the_shifted_operator(kind, end, h):
+    l = 3.0 if kind.is_two_window else None
+    cfg = canonicalize(StripConfig(d=PI, a=1.0, l=l, kind=kind))
+    op = discretize(cfg, OracleConfig(L=8.0, h=h, k=2, end=end))
+    b = np.random.default_rng(3).standard_normal(op.shape[0])
+    x = op.grid.shift_solver(fd_oracle.SIGMA)(b)
+    residual = op @ x - fd_oracle.SIGMA * x - b
+    assert np.linalg.norm(residual) <= 1e-12 * np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("parity", ["even", "odd"])
+@pytest.mark.parametrize("end", ["dirichlet", "neumann"])
+def test_x1_transform_diagonalizes_the_x1_operator(parity, end):
+    # the nodes of one x2 line (j = 1) couple only in x1: diagonal 2 c1 + 2 c2
+    op, _, x2 = discretize_with_nodes(single_cfg(1.0, parity), OracleConfig(L=4.0, h=1 / 16, k=2, end=end))
+    grid = op.grid
+    line = np.flatnonzero(np.isclose(x2, grid.h2))
+    t1 = op[line][:, line].toarray() - 2.0 * grid.c2 * np.eye(len(line))
+    forward, inverse, lam = grid.x1_transform()
+    q = inverse(np.eye(len(line)))
+    assert np.allclose(forward(q), np.eye(len(line)), rtol=0.0, atol=1e-13)
+    assert np.allclose(q.T @ q, np.eye(len(line)), rtol=0.0, atol=1e-13)
+    assert np.max(np.abs(q.T @ t1 @ q - np.diag(lam))) <= 1e-12 * 4.0 * grid.c1
+
+
+def test_a_corrupted_solve_fails_the_eigenpair_gate(monkeypatch):
+    # the solve of a shift 0.05 off moves every Ritz value by 0.05
+    shift_solver = fd_oracle.FDGrid.shift_solver
+    monkeypatch.setattr(fd_oracle.FDGrid, "shift_solver", lambda grid, sigma: shift_solver(grid, sigma + 0.05))
+    with pytest.raises(ArithmeticError, match="eigenpair residual"):
+        oracle_eigenvalues(single_cfg(1.0), OracleConfig(L=8.0, h=1 / 16, k=2))
+
+
+def test_an_indefinite_window_system_raises():
+    # lam_1 = 0.86 at h = 1/16: the window system is indefinite at 0.9
+    op = discretize(single_cfg(1.0), OracleConfig(L=8.0, h=1 / 16, k=2))
+    assert lowest_eigenvalues(op, 1)[0] < 0.9
+    with pytest.raises(ArithmeticError, match="positive definite"):
+        op.grid.shift_solver(0.9)
+
+
+def test_a_large_operator_needs_its_grid():
+    with pytest.raises(ValueError, match="discretize"):
+        lowest_eigenvalues(sparse.identity(fd_oracle.DENSE_ROWS + 1, format="csr"), 2)
+    # scipy arithmetic returns a matrix without the grid
+    op = discretize(single_cfg(1.0), OracleConfig(L=8.0, h=1 / 16, k=2))
+    with pytest.raises(ValueError, match="discretize"):
+        lowest_eigenvalues(op * 1.0, 2)
+
+
+def test_fd_critical_crossing_searches_once(monkeypatch, solves):
+    # one search on the fine grid (h = 1/32) also gives the crossing on 1/16
+    from collections import Counter
+
+    from modeguide.acceptance import Workspace
+
+    monkeypatch.delenv("MODEGUIDE_CACHE", raising=False)
+    ws = Workspace(quick=True)
+    parity = ws.critical().parity
+    value = ws.fd_critical_crossing()
+    assert Counter(h for h, _ in solves) == {1 / 8: 3, 1 / 16: 2, 1 / 32: 2}
+    assert value == 2.0 * critical_width_crossing(parity, 1 / 32) - critical_width_crossing(parity, 1 / 16)
