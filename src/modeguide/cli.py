@@ -178,12 +178,12 @@ def _length_scale(d: float) -> float:
     return math.pi / d
 
 
-def _physical_columns(cfg, rows: list[dict]) -> list[str]:
-    """Append physical-unit columns when the strip width is not pi."""
+def _physical_columns(cfg, rows: list[dict], key: str = "lambda") -> list[str]:
+    """Add ``lambda_phys``, the physical value of ``row[key]``, when the strip width is not pi."""
     if cfg.lambda_scale == 1.0:
         return []
     for row in rows:
-        row["lambda_phys"] = cfg.to_physical(row["lambda"])
+        row["lambda_phys"] = cfg.to_physical(row[key])
     return ["lambda_phys"]
 
 
@@ -399,8 +399,10 @@ def cmd_oracle(args) -> int:
     else:
         l = None
         kinds = (ProblemKind.SINGLE_WINDOW_EVEN, ProblemKind.SINGLE_WINDOW_ODD)
+    # --h and --L are physical lengths, like --a and --l
+    scale = _length_scale(args.d)
     if args.L is None:
-        args.L = math.ceil((l or 0.0) + args.a + 12.0)
+        args.L = math.ceil((l or 0.0) + args.a + 12.0 / scale)
     rows = []
     for kind in kinds:
         cfg = canonicalize(StripConfig(d=args.d, a=args.a, l=l, kind=kind))
@@ -410,8 +412,13 @@ def cmd_oracle(args) -> int:
                    "l": l, "L": args.L, "h": h, "k": args.k, "end": args.end}
             vals = cache_get(key)
             if vals is None:
-                vals = [float(v) for v in
-                        oracle_eigenvalues(cfg, OracleConfig(L=args.L, h=h, k=args.k, end=args.end))]
+                ocfg = OracleConfig(L=scale * args.L, h=scale * h, k=args.k, end=args.end)
+                try:
+                    vals = [float(v) for v in oracle_eigenvalues(cfg, ocfg)]
+                except GridAlignmentError as exc:
+                    units = "" if scale == 1.0 else ", lengths in canonical units (times pi/d)"
+                    raise GridAlignmentError(
+                        f"{exc}{units}: --h {args.h} runs the grids h and 2h = {2 * args.h}") from exc
                 cache_put(key, vals)
             per_grid.append(vals)
         coarse, fine = per_grid
@@ -420,7 +427,9 @@ def cmd_oracle(args) -> int:
             rows.append({"parity": kind.parity, "index": i + 1,
                          "lambda_h": float(fine[i]), "lambda_extrapolated": float(extrap[i]),
                          "error_bound": float(err[i])})
-    _emit(args, rows, ["parity", "index", "lambda_h", "lambda_extrapolated", "error_bound"])
+    columns = ["parity", "index", "lambda_h"]
+    columns += _physical_columns(cfg, rows, "lambda_h")
+    _emit(args, rows, columns + ["lambda_extrapolated", "error_bound"])
     return EXIT_OK
 
 
@@ -497,7 +506,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="finite-difference oracle eigenvalues")
     flags(p, "d", "a", "l", "format")
     p.add_argument("--h", type=_finite, default=1 / 64, help="grid step (default %(default)s)")
-    p.add_argument("--L", type=_finite, help="truncation half-length (default ceil(l + a + 12))")
+    p.add_argument("--L", type=_finite, help="truncation half-length (default ceil(l + a + 12 d/pi))")
     p.add_argument("--k", type=int, default=4, help="eigenvalues to report (default %(default)s)")
     p.add_argument("--end", choices=("dirichlet", "neumann"), default="dirichlet",
                    help="condition at the truncation ends (default %(default)s)")

@@ -10,15 +10,20 @@ independent of the mode-matching code: it takes only the geometry types
 from :mod:`modes` and nothing from the matching solver.
 
 One node layout (:class:`FDGrid`: node mask, window rows, ghost
-multiplicities) feeds both the CSR assembly, done with array index
-arithmetic, and the solve of the shift-inverted Lanczos iteration.  Away
-from the windows the operator is separable, T1 (x) I + I (x) T2 with
-Dirichlet T2 and a T1 set by the mirror-plane parity and the far-face
-condition, so orthonormal DCT/DST transforms diagonalize it; the few
-window nodes couple only to their neighbors at j = 1 and are eliminated
-through a small dense Schur complement (the capacitance-matrix method of
-Buzbee, Dorr, George and Golub, SIAM J. Numer. Anal. 8 (1971) 722-736).
-The CSR operator stays the definition: every eigenpair is checked
+multiplicities) feeds both the CSR assembly, written row by row in
+column order, and the solve of the shift-inverted Lanczos iteration.
+Away from the windows the operator is separable, T1 (x) I + I (x) T2
+with Dirichlet T2 and a T1 set by the mirror-plane parity and the
+far-face condition, so orthonormal DCT/DST transforms diagonalize it;
+the few window nodes couple only to their neighbors at j = 1 and are
+eliminated through a small dense Schur complement (the capacitance-matrix
+method of Buzbee, Dorr, George and Golub, SIAM J. Numer. Anal. 8 (1971)
+722-736).  Shift-invert Lanczos gives the same Ritz values in any
+orthonormal basis (Ericsson and Ruhe, Math. Comp. 35 (1980) 1251-1268),
+so the iteration runs in the transforms' mode coordinates, where a step
+is a diagonal scaling plus the window correction; only the start vector
+and the Ritz vectors are transformed.  The CSR operator stays the
+definition: every eigenpair is mapped back to the nodes and checked
 against it.
 
 The mirror plane at x1 = 0 carries the parity of the configuration kind:
@@ -46,6 +51,7 @@ from __future__ import annotations
 import bisect
 import functools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,6 +74,7 @@ __all__ = [
     "critical_width_crossings",
     "FDGrid",
     "FDOperator",
+    "ModeSolver",
 ]
 
 
@@ -75,6 +82,8 @@ __all__ = [
 COARSEST_SEED_GRID = 1.0 / 8.0
 #: shift of the inverted Lanczos iteration, below every bound state (> 1/4)
 SIGMA = 0.2
+#: Lanczos basis size of an eigensolve on a grid (raised to 2k + 1 where larger)
+LANCZOS_VECTORS = 8
 #: largest relative eigenpair residual ||op v - lam v|| / |lam| accepted
 EIGENPAIR_GATE = 1e-8
 #: largest operator without a grid that lowest_eigenvalues inverts densely
@@ -214,16 +223,18 @@ class FDGrid:
                 lambda x: inv(x, type=kind, norm="ortho", axis=0),
                 4.0 * self.c1 * np.sin(theta / 2.0) ** 2)
 
-    def shift_solver(self, sigma: float):
-        """x -> (A - sigma I)^-1 x for the operator A of :func:`discretize`.
+    def shift_solver(self, sigma: float) -> ModeSolver:
+        """(A - sigma I)^-1 for the operator A of :func:`discretize`, in mode coordinates.
 
         The nodes j >= 1 carry T1 (x) I + I (x) T2, diagonal in the x1
         transform of :meth:`x1_transform` times the orthonormal DST-I in
-        x2, with eigenvalues lam_m + mu_k.  The DST-I is applied as a
-        product with its dense sine matrix: its FFT length 2*n2 has the
-        prime factors 67 (h = 1/64) and 101 (h = 1/32), where the matrix
-        product is about three times faster.  The window nodes (j = 0)
-        couple only to j = 1, by -g with g = sqrt(2)*c2, and are
+        x2, with eigenvalues lam_m + mu_k.  The mode coordinates of a node
+        vector are its 2-D transform on those nodes followed by its values
+        on the window nodes (j = 0), an orthonormal change of basis Q.  The
+        DST-I is applied as a product with its dense sine matrix: its FFT
+        length 2*n2 has the prime factors 67 (h = 1/64) and 101 (h = 1/32),
+        where the matrix product is about three times faster.  The window
+        nodes couple only to j = 1, by -g with g = sqrt(2)*c2, and are
         eliminated through the dense Schur complement
 
             S = W - sigma - g^2 Q_w diag(sum_k phi_k(1)^2/(lam_m + mu_k - sigma)) Q_w^T
@@ -239,9 +250,13 @@ class FDGrid:
         terms are all positive, where the first form cancels O(c2) terms.
         S is factored once by Cholesky, which needs it positive definite,
         as it is when sigma lies below the spectrum; a failed
-        factorization raises ArithmeticError.  A solve then costs a
-        forward and an inverse 2-D transform, a diagonal scaling and two
-        small triangular solves, and is exact up to rounding.
+        factorization raises ArithmeticError.
+
+        Returns a :class:`ModeSolver`: ``solve`` is Q^T (A - sigma I)^-1 Q,
+        a diagonal scaling, two small triangular solves and a rank-one
+        window correction, exact up to rounding and free of transforms;
+        ``to_modes`` (Q^T) and ``to_nodes`` (Q) are one 2-D transform each.  The node-space solve is
+        ``to_nodes(solve(to_modes(b)))``.
         """
         # the operator's diagonal is 2*c1 + 2*c2 rounded, which moves its whole
         # spectrum by the rounding error; TwoSum gives that error exactly
@@ -270,19 +285,39 @@ class FDGrid:
             raise ArithmeticError(f"shifted window system is not positive definite at sigma={sigma}") from exc
         u_nodes = self.index[:, 1:].ravel()
         w_nodes = self.index[rows, 0]
+        n_u = u_nodes.size
 
-        def solve(b: np.ndarray) -> np.ndarray:
-            b = np.asarray(b, dtype=float).ravel()
-            y = x1_fwd(b.take(u_nodes).reshape(denom.shape)) @ sines
-            y /= denom
-            x_w = scipy.linalg.cho_solve(chol, b[w_nodes] + g * (q_w.T @ (y @ phi)), check_finite=False)
-            y += g * np.outer(q_w @ x_w, phi) / denom
+        def solve(z: np.ndarray) -> np.ndarray:
+            z = np.asarray(z, dtype=float).ravel()
             x = np.empty(self.size)
-            x[u_nodes] = x1_inv(y @ sines).ravel()
-            x[w_nodes] = x_w
+            y = x[:n_u].reshape(denom.shape)
+            np.divide(z[:n_u].reshape(denom.shape), denom, out=y)
+            x_w = scipy.linalg.cho_solve(chol, z[n_u:] + g * (q_w.T @ (y @ phi)), check_finite=False)
+            y += g * np.outer(q_w @ x_w, phi) / denom
+            x[n_u:] = x_w
             return x
 
-        return solve
+        def to_modes(b: np.ndarray) -> np.ndarray:
+            b = np.asarray(b, dtype=float).ravel()
+            return np.concatenate(((x1_fwd(b.take(u_nodes).reshape(denom.shape)) @ sines).ravel(),
+                                   b[w_nodes]))
+
+        def to_nodes(z: np.ndarray) -> np.ndarray:
+            x = np.empty(self.size)
+            x[u_nodes] = x1_inv(z[:n_u].reshape(denom.shape) @ sines).ravel()
+            x[w_nodes] = z[n_u:]
+            return x
+
+        return ModeSolver(solve, to_modes, to_nodes)
+
+
+@dataclass(frozen=True)
+class ModeSolver:
+    """A shifted inverse in the mode coordinates of its grid (:meth:`FDGrid.shift_solver`)."""
+
+    solve: Callable[[np.ndarray], np.ndarray]
+    to_modes: Callable[[np.ndarray], np.ndarray]
+    to_nodes: Callable[[np.ndarray], np.ndarray]
 
 
 class FDOperator(sparse.csr_matrix):
@@ -320,24 +355,32 @@ def discretize_with_nodes(cfg: CanonicalConfig, ocfg: OracleConfig):
     """
     grid = FDGrid(cfg, ocfg)
     keep, index = grid.keep, grid.index
-    ii, jj = np.meshgrid(np.arange(grid.i_lo, grid.i_hi + 1), np.arange(grid.n2), indexing="ij")
-    # x2 couplings (p, p + 1 in j) with ghost doubling at a window node (j = 0)
-    up = keep[:, :-1]
-    p2, q2 = index[:, :-1][up], index[:, 1:][up]
-    w2 = np.where(jj[:, :-1][up] == 0, -grid.c2 * math.sqrt(2.0), -grid.c2)
-    # x1 couplings (p, p - 1 in i)
-    back = keep[1:] & keep[:-1]
-    p1, q1 = index[1:][back], index[:-1][back]
-    w1 = np.broadcast_to(grid.x1_couplings()[:, None], back.shape)[back]
-
-    diag = np.arange(grid.size)
-    rows = np.concatenate((diag, p2, q2, p1, q1))
-    cols = np.concatenate((diag, q2, p2, q1, p1))
-    vals = np.concatenate((np.full(grid.size, grid.diagonal), w2, w2, w1, w1))
-    op = FDOperator((vals, (rows, cols)), shape=(grid.size, grid.size))
-    op.sum_duplicates()
+    # the five stencil slots of node (i, j) in ascending column order, since
+    # nodes are numbered in row order: (i - 1, j), (i, j - 1), (i, j),
+    # (i, j + 1), (i + 1, j); a slot without a node holds column -1
+    cols = np.full(keep.shape + (5,), -1)
+    cols[1:, :, 0] = index[:-1]
+    cols[:, 1:, 1] = index[:, :-1]
+    cols[:, :, 2] = index
+    cols[:, :-1, 3] = index[:, 1:]
+    cols[:-1, :, 4] = index[1:]
+    w1 = grid.x1_couplings()[:, None]
+    # x2 couplings, with ghost doubling at a window node (j = 0)
+    w2 = np.full(grid.n2 - 1, -grid.c2)
+    w2[0] = -grid.c2 * math.sqrt(2.0)
+    vals = np.empty(cols.shape)
+    vals[1:, :, 0] = w1
+    vals[:, 1:, 1] = w2
+    vals[:, :, 2] = grid.diagonal
+    vals[:, :-1, 3] = w2
+    vals[:-1, :, 4] = w1
+    stencil = keep[..., None] & (cols >= 0)
+    indptr = np.zeros(grid.size + 1, dtype=np.int64)
+    np.cumsum(stencil.sum(axis=2)[keep], out=indptr[1:])
+    op = FDOperator((vals[stencil], cols[stencil], indptr), shape=(grid.size, grid.size))
     op.grid = grid
-    return op, ii[keep] * grid.h, jj[keep] * grid.h2
+    ii, jj = np.nonzero(keep)
+    return op, (ii + grid.i_lo) * grid.h, jj * grid.h2
 
 
 def lowest_eigenvalues(op: sparse.csr_matrix, k: int, tol: float = 1e-10) -> np.ndarray:
@@ -347,8 +390,12 @@ def lowest_eigenvalues(op: sparse.csr_matrix, k: int, tol: float = 1e-10) -> np.
     repeated runs are reproducible bit-for-bit, though converged spectra
     agree to solver tolerance for any start.  An operator from
     :func:`discretize` is inverted through its grid
-    (:meth:`FDGrid.shift_solver`); any other operator of at most
-    DENSE_ROWS rows is inverted densely, and a larger one raises
+    (:meth:`FDGrid.shift_solver`), and the iteration runs in the grid's
+    orthonormal mode coordinates, which leave the Ritz values unchanged:
+    each step is a diagonal scaling plus the window correction, and only
+    the start vector and the k Ritz vectors are transformed, with a basis
+    of LANCZOS_VECTORS (at least 2k + 1) vectors.  Any other operator of
+    at most DENSE_ROWS rows is inverted densely, and a larger one raises
     ValueError.  Every eigenpair (lam, v) is checked against the operator
     itself: ArithmeticError unless ||op v - lam v|| <= EIGENPAIR_GATE * |lam|.
     """
@@ -356,19 +403,24 @@ def lowest_eigenvalues(op: sparse.csr_matrix, k: int, tol: float = 1e-10) -> np.
     if k >= n:
         raise ValueError("requested more eigenvalues than the operator has rows")
     grid = getattr(op, "grid", None)
+    v0 = np.full(n, 1.0 / math.sqrt(n))
     if grid is not None:
-        solve = grid.shift_solver(SIGMA)
+        modes = grid.shift_solver(SIGMA)
+        solve, v0, ncv = modes.solve, modes.to_modes(v0), min(n, max(2 * k + 1, LANCZOS_VECTORS))
     elif n <= DENSE_ROWS:
+        modes, ncv = None, None
         lu = scipy.linalg.lu_factor(op.toarray() - SIGMA * np.eye(n))
         solve = functools.partial(scipy.linalg.lu_solve, lu)
     else:
         raise ValueError(f"an operator of {n} > {DENSE_ROWS} rows must come from discretize")
-    v0 = np.full(n, 1.0 / math.sqrt(n))
     op_inv = splinalg.LinearOperator((n, n), matvec=solve, dtype=float)
     try:
-        w, v = splinalg.eigsh(op, k=k, sigma=SIGMA, which="LM", tol=tol, OPinv=op_inv, v0=v0)
+        # in shift-invert mode eigsh takes only the shape and dtype of its first argument
+        w, v = splinalg.eigsh(op_inv, k=k, sigma=SIGMA, which="LM", tol=tol, OPinv=op_inv, v0=v0, ncv=ncv)
     except splinalg.ArpackNoConvergence as exc:  # pragma: no cover - diagnostic path
         raise ArithmeticError(f"eigensolver failed to converge: {exc}") from exc
+    if modes is not None:
+        v = np.column_stack([modes.to_nodes(z) for z in v.T])
     residual = np.linalg.norm(op @ v - v * w, axis=0) / np.abs(w)
     if not np.all(residual <= EIGENPAIR_GATE):
         raise ArithmeticError(f"eigenpair residual {residual.max():.3g} exceeds {EIGENPAIR_GATE:g}")

@@ -36,8 +36,10 @@ __all__ = ["RunRecord", "cache_get", "cache_put", "cache_dir"]
 CACHE_ENV = "MODEGUIDE_CACHE"
 #: layout of a cache entry; bump when it or the cached values change
 #: (2: FD oracle eigenvalues from the minimum-degree ordered factorization;
-#: 3: FD oracle eigenvalues from the fast-transform shift-invert solve)
-CACHE_SCHEMA = 3
+#: 3: FD oracle eigenvalues from the fast-transform shift-invert solve;
+#: 4: FD oracle eigenvalues from the Lanczos iteration in mode coordinates,
+#: and oracle keys whose --h and --L are physical lengths)
+CACHE_SCHEMA = 4
 
 
 @dataclasses.dataclass

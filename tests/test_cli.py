@@ -195,6 +195,26 @@ def test_oracle_grid_alignment_error(capsys):
     assert "grid step" in err
 
 
+def test_oracle_alignment_error_names_the_given_step(capsys):
+    # a = 1.0625 sits on h = 1/16 but not on 2h, the coarse grid of the extrapolation
+    code, out, err = run(capsys, "oracle", "--a", "1.0625", "--h", "0.0625", "--L", "8")
+    assert code == 2 and not out
+    assert "--h 0.0625" in err and "2h = 0.125" in err
+
+
+def test_oracle_lengths_are_physical_when_rescaled(capsys):
+    # d = 2 pi halves every length: the same grid as the canonical run below
+    code, out, _ = run(capsys, "oracle", "--d", str(2 * math.pi), "--a", "2", "--h", "0.125",
+                       "--L", "16", "--k", "1")
+    assert code == 0
+    code, canonical, _ = run(capsys, "oracle", "--a", "1", "--h", "0.0625", "--L", "8", "--k", "1")
+    assert code == 0
+    rows = parse_csv(out)
+    assert [r["lambda_h"] for r in rows] == [r["lambda_h"] for r in parse_csv(canonical)]
+    for row in rows:
+        assert float(row["lambda_phys"]) == float(row["lambda_h"]) / 4.0
+
+
 def test_unknown_subcommand_usage(capsys):
     code = main(["bogus"])
     assert code == 2

@@ -297,14 +297,14 @@ def test_crossing_walk_equals_plain_scan(h, L):
 
 
 def test_crossing_solves_twice_on_its_own_grid(solves):
-    assert critical_width_crossing("odd", 1 / 32) == 2.281034742322101
+    assert critical_width_crossing("odd", 1 / 32) == 2.281034742322072
     assert [a for h, a in solves if h == 1 / 32] == [2.25, 2.3125]
 
 
 def test_crossing_walk_recovers_from_a_wrong_seed(monkeypatch, solves):
     # a seed at 2.55 starts four cells right of the crossing: one more solve each
     monkeypatch.setattr(fd_oracle, "critical_width_crossing", lambda *args: 2.55)
-    assert critical_width_crossing("odd", 1 / 32) == 2.281034742322101
+    assert critical_width_crossing("odd", 1 / 32) == 2.281034742322072
     assert solves == [(1 / 32, a) for a in (2.5, 2.5625, 2.4375, 2.375, 2.3125, 2.25)]
 
 
@@ -331,7 +331,8 @@ def test_shift_solver_inverts_the_shifted_operator(kind, end, h):
     cfg = canonicalize(StripConfig(d=PI, a=1.0, l=l, kind=kind))
     op = discretize(cfg, OracleConfig(L=8.0, h=h, k=2, end=end))
     b = np.random.default_rng(3).standard_normal(op.shape[0])
-    x = op.grid.shift_solver(fd_oracle.SIGMA)(b)
+    modes = op.grid.shift_solver(fd_oracle.SIGMA)
+    x = modes.to_nodes(modes.solve(modes.to_modes(b)))
     residual = op @ x - fd_oracle.SIGMA * x - b
     assert np.linalg.norm(residual) <= 1e-12 * np.linalg.norm(b)
 
@@ -349,6 +350,41 @@ def test_x1_transform_diagonalizes_the_x1_operator(parity, end):
     assert np.allclose(forward(q), np.eye(len(line)), rtol=0.0, atol=1e-13)
     assert np.allclose(q.T @ q, np.eye(len(line)), rtol=0.0, atol=1e-13)
     assert np.max(np.abs(q.T @ t1 @ q - np.diag(lam))) <= 1e-12 * 4.0 * grid.c1
+
+
+def test_mode_coordinates_are_orthonormal():
+    op = discretize(two_cfg(1.0, 3.0, "odd"), OracleConfig(L=8.0, h=1 / 16, k=2))
+    modes = op.grid.shift_solver(fd_oracle.SIGMA)
+    b = np.random.default_rng(5).standard_normal(op.shape[0])
+    z = modes.to_modes(b)
+    assert abs(np.linalg.norm(z) - np.linalg.norm(b)) <= 1e-13 * np.linalg.norm(b)
+    assert np.linalg.norm(modes.to_nodes(z) - b) <= 1e-13 * np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("cfg, ocfg", [
+    (two_cfg(1.0, 4.0, "even"), OracleConfig(L=10.0, h=1 / 32, k=2)),
+    (single_cfg(2.25, "odd"), OracleConfig(L=16.0, h=1 / 32, k=3, end="neumann")),
+])
+def test_an_eigensolve_transforms_only_its_start_and_ritz_vectors(monkeypatch, cfg, ocfg):
+    # the window basis, the start vector and one per Ritz vector, whatever the step count
+    transforms, steps = [], []
+    x1_transform, shift_solver = fd_oracle.FDGrid.x1_transform, fd_oracle.FDGrid.shift_solver
+
+    def counted_transform(grid):
+        forward, inverse, lam = x1_transform(grid)
+        return (lambda x: transforms.append(1) or forward(x),
+                lambda x: transforms.append(1) or inverse(x), lam)
+
+    def counted_solver(grid, sigma):
+        modes = shift_solver(grid, sigma)
+        return fd_oracle.ModeSolver(lambda z: steps.append(1) or modes.solve(z),
+                                    modes.to_modes, modes.to_nodes)
+
+    monkeypatch.setattr(fd_oracle.FDGrid, "x1_transform", counted_transform)
+    monkeypatch.setattr(fd_oracle.FDGrid, "shift_solver", counted_solver)
+    lowest_eigenvalues(discretize(cfg, ocfg), ocfg.k)
+    assert len(steps) > ocfg.k + 2
+    assert len(transforms) <= ocfg.k + 2
 
 
 def test_a_corrupted_solve_fails_the_eigenpair_gate(monkeypatch):
