@@ -11,6 +11,7 @@ __version__ = "0.1.0"
 from .modes import (
     CanonicalConfig,
     GeometryError,
+    GridAlignmentError,
     ProblemKind,
     StripConfig,
     canonicalize,
@@ -40,17 +41,6 @@ from .solve import (
     window_integral,
     window_trace,
 )
-from .fd_oracle import (
-    GridAlignmentError,
-    OracleConfig,
-    critical_width_crossing,
-    critical_width_crossings,
-    discrete_threshold,
-    discretize,
-    lowest_eigenvalues,
-    oracle_eigenvalues,
-    refine_and_extrapolate,
-)
 from .asymptotics import (
     FitResult,
     SplittingPrediction,
@@ -60,3 +50,16 @@ from .asymptotics import (
     predict_threshold,
 )
 from .records import RunRecord
+
+# the oracle needs scipy, which the matching solver does not: its names load
+# on first use (PEP 562), so the matching path imports numpy only
+_FD_ORACLE_NAMES = ("OracleConfig", "critical_width_crossing", "critical_width_crossings",
+                    "discrete_threshold", "discretize", "lowest_eigenvalues", "oracle_eigenvalues",
+                    "refine_and_extrapolate")
+
+
+def __getattr__(name):
+    if name in _FD_ORACLE_NAMES:
+        from . import fd_oracle
+        return getattr(fd_oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -437,9 +437,6 @@ CRITERIA = [criterion_1, criterion_2, criterion_3, criterion_4, criterion_5,
             criterion_6, criterion_7, criterion_8, criterion_9, criterion_10]
 
 #: criteria that cannot pass with the prescribed formulation; see module docstring
-EXPECTED_UNATTAINABLE = {7, 8}
-
-
 def run_acceptance(quick: bool = False, trunc: Truncation = Truncation(40),
                    cids: list[int] | None = None) -> list[CriterionResult]:
     ws = Workspace(trunc=trunc, quick=quick)

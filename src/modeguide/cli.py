@@ -31,9 +31,8 @@ from pathlib import Path
 
 from . import __version__
 from .asymptotics import THRESHOLD_RATE, fit_exponential, predict_splitting, predict_threshold
-from .fd_oracle import GridAlignmentError, OracleConfig, oracle_eigenvalues, refine_and_extrapolate
-from .matching import Truncation
-from .modes import GeometryError, ProblemKind, StripConfig, canonicalize
+from .matching import Truncation, max_modes
+from .modes import GeometryError, GridAlignmentError, ProblemKind, StripConfig, canonicalize
 from .records import RunRecord, cache_get, cache_put
 from .solve import (
     extract_tail,
@@ -54,6 +53,17 @@ EXIT_PRECONDITION = 4
 #: most points a start:stop:step range may hold; every point of a sweep is one
 #: or two eigenvalue searches, so a larger range is a typing error, not a run
 MAX_SWEEP_POINTS = 10_000
+
+#: the oracle subcommand's names from fd_oracle, which imports scipy; they are
+#: bound on first use (PEP 562), so the matching subcommands load no scipy
+_FD_ORACLE_NAMES = ("OracleConfig", "oracle_eigenvalues", "refine_and_extrapolate")
+
+
+def __getattr__(name: str):
+    if name not in _FD_ORACLE_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import fd_oracle
+    return globals().setdefault(name, getattr(fd_oracle, name))
 
 
 def _fmt(x) -> str:
@@ -390,6 +400,9 @@ def cmd_threshold(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    # looked up on the module, so names rebound there (perfbench's tracer) are called
+    OracleConfig, oracle_eigenvalues, refine_and_extrapolate = (
+        getattr(sys.modules[__name__], name) for name in _FD_ORACLE_NAMES)
     if args.a is None:
         print("oracle: --a is required", file=sys.stderr)
         return EXIT_USAGE
@@ -403,6 +416,8 @@ def cmd_oracle(args) -> int:
     scale = _length_scale(args.d)
     if args.L is None:
         args.L = math.ceil((l or 0.0) + args.a + 12.0 / scale)
+    # the finer grid is the larger: its size and --k are checked before any solve
+    OracleConfig(L=scale * args.L, h=scale * args.h, k=args.k, end=args.end)
     rows = []
     for kind in kinds:
         cfg = canonicalize(StripConfig(d=args.d, a=args.a, l=l, kind=kind))
@@ -520,6 +535,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_modes(args) -> None:
+    """Reject a --modes whose widest dense form, 2N for two windows, 4N atop
+    the single --refine ladder and 8N atop verify's, exceeds the budget."""
+    width = 8 if args.command == "verify" else 4 if getattr(args, "refine", False) else 2
+    if getattr(args, "modes", 0) > max_modes(width):
+        raise ValueError(f"--modes {args.modes} exceeds the cap of {max_modes(width)} for this run, "
+                         f"whose widest dense form is {width}N")
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = _build_parser()
@@ -539,6 +563,7 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
     try:
+        _check_modes(args)
         return args.func(args)
     except (GeometryError, GridAlignmentError, ValueError) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)

@@ -4,62 +4,47 @@ A deliberately simple 5-point discretization of the Laplacian on the
 truncated half strip [0, L] x [0, pi]: Dirichlet rows are eliminated on
 the walls and (by default) at the truncation face x1 = L, the Neumann
 window segments and the mirror plane use second-order ghost-point
-reflection, and the resulting operator is symmetrized exactly by the
-half-cell weights of the reflected nodes.  Its job is to be auditable and
-independent of the mode-matching code: it takes only the geometry types
-from :mod:`modes` and nothing from the matching solver.
+reflection, and the operator is symmetrized exactly by the half-cell
+weights of the reflected nodes.  The mirror plane x1 = 0 (the window
+center, or the midpoint of two windows) is reflecting for even kinds and
+eliminated for odd ones.
 
-One node layout (:class:`FDGrid`: node mask, window rows, ghost
-multiplicities) feeds both the CSR assembly, written row by row in
-column order, and the solve of the shift-inverted Lanczos iteration.
-Away from the windows the operator is separable, T1 (x) I + I (x) T2
-with Dirichlet T2 and a T1 set by the mirror-plane parity and the
-far-face condition, so orthonormal DCT/DST transforms diagonalize it;
-the few window nodes couple only to their neighbors at j = 1 and are
-eliminated through a small dense Schur complement (the capacitance-matrix
-method of Buzbee, Dorr, George and Golub, SIAM J. Numer. Anal. 8 (1971)
-722-736).  Shift-invert Lanczos gives the same Ritz values in any
-orthonormal basis (Ericsson and Ruhe, Math. Comp. 35 (1980) 1251-1268),
-so the iteration runs in the transforms' mode coordinates, where a step
-is a diagonal scaling plus the window correction; only the start vector
-and the Ritz vectors are transformed.  The CSR operator stays the
-definition: every eigenpair is mapped back to the nodes and checked
-against it.
-
-The mirror plane at x1 = 0 carries the parity of the configuration kind:
-ghost reflection for even kinds, an eliminated row for odd kinds.  For
-single-window kinds the plane passes through the window center, for
-two-window kinds through the midpoint between the windows.
+One node layout (:class:`FDGrid`) feeds both the CSR assembly and the
+eigensolve.  Away from the windows the operator is separable, and
+orthonormal DCT/DST transforms diagonalize it with eigenvalues
+lam_m + mu_k; eliminating every node but the few window nodes leaves the
+small dense window Schur complement S(sigma) of A - sigma I
+(:class:`WindowForm`).  By inertia additivity the number of eigenvalues
+below sigma is the number of modes lam_m + mu_k below it, the poles of
+S, plus the negative eigenvalues of S(sigma), so the eigensolve is the
+matching solver's count, isolation and polish (:mod:`modeguide.roots`).
+The CSR operator stays the definition: every eigenpair is checked
+against it.  The oracle shares only the geometry types and that root
+finder with the matching solver; its independence rests on its own
+discretization, the completeness of the count and that check.
 
 The window-edge corners host a square-root field singularity, so the
-eigenvalue error is first-order dominated; accuracy therefore comes from
+eigenvalue error is first-order dominated; accuracy comes from
 Richardson extrapolation over grids, with the difference of the two
-finest grids kept as a conservative error bound (the BOUND, not the
-nominal rate, is the contract).
-
-The far face can optionally carry a Neumann condition, which lowers
-eigenvalues instead of raising them and so keeps an emerging bound state
-visible on the truncated domain; :func:`critical_width_crossing` uses it
-to locate the window width where a new state crosses below the discrete
-threshold.  That search walks a lattice of widths from the cell where the
-crossing lies one grid coarser, so it takes two eigensolves on its own
-grid.
+finest grids kept as a conservative error bound.  A Neumann far face
+lowers eigenvalues instead of raising them and so keeps an emerging
+bound state visible on the truncated domain, which
+:func:`critical_width_crossing` uses to locate the window width where a
+new state crosses below the discrete threshold.
 """
 
 from __future__ import annotations
 
 import bisect
-import functools
+import itertools
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sparse
-import scipy.sparse.linalg as splinalg
 
-from .modes import CanonicalConfig, ProblemKind, StripConfig, canonicalize
+from .modes import CanonicalConfig, GridAlignmentError, ProblemKind, StripConfig, canonicalize
+from .roots import Sector, count, isolate, polish
 
 __all__ = [
     "GridAlignmentError",
@@ -74,24 +59,19 @@ __all__ = [
     "critical_width_crossings",
     "FDGrid",
     "FDOperator",
-    "ModeSolver",
+    "WindowForm",
+    "MAX_UNKNOWNS",
 ]
 
 
 #: coarsest grid whose crossing seeds the search on the grid twice as fine
 COARSEST_SEED_GRID = 1.0 / 8.0
-#: shift of the inverted Lanczos iteration, below every bound state (> 1/4)
-SIGMA = 0.2
-#: Lanczos basis size of an eigensolve on a grid (raised to 2k + 1 where larger)
-LANCZOS_VECTORS = 8
 #: largest relative eigenpair residual ||op v - lam v|| / |lam| accepted
 EIGENPAIR_GATE = 1e-8
-#: largest operator without a grid that lowest_eigenvalues inverts densely
-DENSE_ROWS = 2000
-
-
-class GridAlignmentError(ValueError):
-    """A geometric length does not sit on the finite-difference grid."""
+#: most grid nodes (L/h) * (pi/h) of a discretization: ten times the h = 1/64,
+#: L = 16 grid; an eigensolve for k = 4 peaks at 230-270 bytes per node
+#: (measured at h = 1/64 and 1/128, L = 16), so a run stays below about 0.6 GB
+MAX_UNKNOWNS = 2 ** 21
 
 
 @dataclass(frozen=True)
@@ -118,6 +98,12 @@ class OracleConfig:
             raise ValueError("must request at least one eigenvalue")
         if self.end not in ("dirichlet", "neumann"):
             raise ValueError(f"end condition must be 'dirichlet' or 'neumann', got {self.end!r}")
+        unknowns = (self.L / self.h) * (math.pi / self.h)
+        if not unknowns <= MAX_UNKNOWNS:
+            raise ValueError(f"a grid of L={self.L}, h={self.h} holds {unknowns:.4g} unknowns, "
+                             f"over the cap of {MAX_UNKNOWNS}")
+        if self.k > unknowns:
+            raise ValueError(f"k={self.k} exceeds the {unknowns:.0f} unknowns of the grid")
 
 
 def _check_aligned(name: str, value: float, h: float) -> int:
@@ -141,7 +127,7 @@ def discrete_threshold(h: float) -> float:
 
 
 class FDGrid:
-    """Node layout of the 5-point operator, shared by its assembly and its inverse.
+    """Node layout of the 5-point operator, shared by its assembly and its eigensolve.
 
     Grid rows are x1 = i*h for i in [i_lo, i_hi] and columns x2 = j*h2 for
     j in [0, n2).  Row i_lo = 0 exists only with a reflecting mirror plane
@@ -152,17 +138,11 @@ class FDGrid:
 
     def __init__(self, cfg: CanonicalConfig, ocfg: OracleConfig) -> None:
         kind = cfg.base.kind
-        a = cfg.base.a
-        h = ocfg.h
+        a, l, h = cfg.base.a, cfg.base.l if kind.is_two_window else 0.0, ocfg.h
         n1 = _check_aligned("L", ocfg.L, h)
-        if kind.is_two_window:
-            l = cfg.base.l
-            _check_aligned("l-a", l - a, h)
-            _check_aligned("a", a, h)
-            win_lo, win_hi = l - a, l + a
-        else:
-            _check_aligned("a", a, h)
-            win_lo, win_hi = -a, a
+        _check_aligned("a", a, h)
+        _check_aligned("l-a", l - a, h)
+        win_lo, win_hi = l - a, l + a
         if win_hi >= ocfg.L:
             raise ValueError(f"window reaches the truncation face: need l+a < L, got {win_hi} >= {ocfg.L}")
 
@@ -200,15 +180,13 @@ class FDGrid:
         return -self.c1 * np.sqrt(m_fwd * m_bwd)
 
     def x1_transform(self):
-        """The orthonormal transform that diagonalizes the x1 operator.
+        """(forward, inverse, eigenvalues) of the x1 operator, Q^T x and Q x along axis 0.
 
-        Returns (forward, inverse, eigenvalues) with forward(x) = Q^T x and
-        inverse(x) = Q x along the first axis of x.  The rows i_lo..i_hi
-        carry the 1-D operator with diagonal 2*c1 and the couplings of
-        :meth:`x1_couplings`; its eigenvalues are 4*c1*sin^2(theta/2) with
-        theta = (k + s)*pi/n1, and its eigenvectors are the orthonormal DCT
-        or DST basis of the plane's parity and the far face's condition
-        (the sqrt(2) ghost weights are the ``norm="ortho"`` end weights).
+        The 1-D operator on rows i_lo..i_hi (diagonal 2*c1, couplings of
+        :meth:`x1_couplings`) has eigenvalues 4*c1*sin^2(theta/2), theta =
+        (k + s)*pi/n1, and the orthonormal DCT or DST basis of the plane's
+        parity and the far face's condition (the sqrt(2) ghost weights are
+        the ``norm="ortho"`` end weights).
         """
         from scipy import fft
 
@@ -223,108 +201,93 @@ class FDGrid:
                 lambda x: inv(x, type=kind, norm="ortho", axis=0),
                 4.0 * self.c1 * np.sin(theta / 2.0) ** 2)
 
-    def shift_solver(self, sigma: float) -> ModeSolver:
-        """(A - sigma I)^-1 for the operator A of :func:`discretize`, in mode coordinates.
 
-        The nodes j >= 1 carry T1 (x) I + I (x) T2, diagonal in the x1
-        transform of :meth:`x1_transform` times the orthonormal DST-I in
-        x2, with eigenvalues lam_m + mu_k.  The mode coordinates of a node
-        vector are its 2-D transform on those nodes followed by its values
-        on the window nodes (j = 0), an orthonormal change of basis Q.  The
-        DST-I is applied as a product with its dense sine matrix: its FFT
-        length 2*n2 has the prime factors 67 (h = 1/64) and 101 (h = 1/32),
-        where the matrix product is about three times faster.  The window
-        nodes couple only to j = 1, by -g with g = sqrt(2)*c2, and are
-        eliminated through the dense Schur complement
+class WindowForm:
+    """The window Schur complement S(sigma) of A - sigma I, a form of sigma.
 
-            S = W - sigma - g^2 Q_w diag(sum_k phi_k(1)^2/(lam_m + mu_k - sigma)) Q_w^T
-              = Q_w diag(e_m) Q_w^T,   e_m = n2 / sum_k 1/(lam_m + nu_k - sigma),
+    A is the operator of :func:`discretize` on ``grid``.  Its nodes j >= 1
+    carry T1 (x) I + I (x) T2, diagonal in the x1 transform times the
+    orthonormal DST-I in x2 with eigenvalues lam_m + mu_k, the poles of S.
+    The window nodes (j = 0) couple only to j = 1, by -g = -sqrt(2)*c2, and
 
-        with W the window block, Q_w the x1 basis on the window rows (the
-        transform of the unit vectors there) and phi_k(1) the x2 modes at
-        j = 1.  The second form holds because W = Q_w (diag(lam) + 2 c2) Q_w^T:
-        e_m is the Schur complement onto j = 0 of the x2 line in x1 mode m
-        (T2 with the node j = 0 added, shifted by lam_m - sigma), whose
-        eigenvalues are lam_m - sigma + nu_k, nu_k = 4 c2 sin^2((k + 1/2)
-        pi/(2 n2)), and whose eigenvectors all weigh 1/n2 at j = 0.  Its
-        terms are all positive, where the first form cancels O(c2) terms.
-        S is factored once by Cholesky, which needs it positive definite,
-        as it is when sigma lies below the spectrum; a failed
-        factorization raises ArithmeticError.
+        S = Q_w diag(e_m) Q_w^T,   e_m = n2 / sum_k 1/(lam_m + nu_k - sigma),
 
-        Returns a :class:`ModeSolver`: ``solve`` is Q^T (A - sigma I)^-1 Q,
-        a diagonal scaling, two small triangular solves and a rank-one
-        window correction, exact up to rounding and free of transforms;
-        ``to_modes`` (Q^T) and ``to_nodes`` (Q) are one 2-D transform each.  The node-space solve is
-        ``to_nodes(solve(to_modes(b)))``.
-        """
+    with Q_w the x1 basis on the window rows: e_m is the Schur complement
+    onto j = 0 of the x2 line in x1 mode m (T2 with the node j = 0, shifted
+    by lam_m - sigma), whose eigenvalues are lam_m - sigma + nu_k,
+    nu_k = 4 c2 sin^2((k + 1/2) pi/(2 n2)), and whose eigenvectors all weigh
+    1/n2 at j = 0.  Called, the form gives S(sigma) and the number of poles
+    below sigma, whose count (:mod:`modeguide.roots`) is by inertia
+    additivity (Haynsworth, Linear Algebra Appl. 1 (1968) 73-81) the
+    number of eigenvalues of A below sigma.
+    """
+
+    def __init__(self, grid: FDGrid) -> None:
         # the operator's diagonal is 2*c1 + 2*c2 rounded, which moves its whole
         # spectrum by the rounding error; TwoSum gives that error exactly
-        d1, d2 = 2.0 * self.c1, 2.0 * self.c2
-        dd = self.diagonal - d1
-        shift = sigma + ((d1 - (self.diagonal - dd)) + (d2 - dd))
-        x1_fwd, x1_inv, lam = self.x1_transform()
-        k = np.arange(1, self.n2)
-        mu = 4.0 * self.c2 * np.sin(k * (math.pi / (2 * self.n2))) ** 2
-        # j*k is reduced mod 2*n2 so every sine argument stays below 2*pi
-        sines = math.sqrt(2.0 / self.n2) * np.sin(np.outer(k, k) % (2 * self.n2) * (math.pi / self.n2))
-        phi = sines[0]  # the x2 modes at j = 1
-        denom = lam[:, None] + (mu - shift)
-        g = math.sqrt(2.0) * self.c2
-
-        rows = np.flatnonzero(self.window)
-        unit = np.zeros((len(self.window), len(rows)))
+        d1, d2 = 2.0 * grid.c1, 2.0 * grid.c2
+        dd = grid.diagonal - d1
+        self.correction = (d1 - (grid.diagonal - dd)) + (d2 - dd)
+        x1_fwd, self.x1_inv, self.lam = grid.x1_transform()
+        n2 = grid.n2
+        k = np.arange(1, n2)
+        self.mu = 4.0 * grid.c2 * np.sin(k * (math.pi / (2 * n2))) ** 2
+        self.nu = 4.0 * grid.c2 * np.sin((np.arange(n2) + 0.5) * (math.pi / (2 * n2))) ** 2
+        # the DST-I in x2 as a product with its sine matrix, 2-8 times faster than
+        # scipy's at these lengths; j*k mod 2*n2 keeps every argument below 2*pi
+        self.sines = math.sqrt(2.0 / n2) * np.sin(np.outer(k, k) % (2 * n2) * (math.pi / n2))
+        self.g = math.sqrt(2.0) * grid.c2
+        rows = np.flatnonzero(grid.window)
+        unit = np.zeros((len(grid.window), len(rows)))
         unit[rows, np.arange(len(rows))] = 1.0
-        q_w = x1_fwd(unit)  # Q_w^T: the x1 modes on the window rows
-        nu = 4.0 * self.c2 * np.sin((np.arange(self.n2) + 0.5) * (math.pi / (2 * self.n2))) ** 2
-        e = self.n2 / (1.0 / (lam[:, None] + (nu - shift))).sum(axis=1)
-        s_mat = q_w.T @ (e[:, None] * q_w)
-        try:
-            chol = scipy.linalg.cho_factor(s_mat, lower=True, check_finite=False)
-        except np.linalg.LinAlgError as exc:
-            raise ArithmeticError(f"shifted window system is not positive definite at sigma={sigma}") from exc
-        u_nodes = self.index[:, 1:].ravel()
-        w_nodes = self.index[rows, 0]
-        n_u = u_nodes.size
+        self.q_w = x1_fwd(unit)  # Q_w^T: the x1 modes on the window rows
+        self.n2 = n2
+        self.size = grid.size
+        self.u_nodes = grid.index[:, 1:].ravel()
+        self.w_nodes = grid.index[rows, 0]
 
-        def solve(z: np.ndarray) -> np.ndarray:
-            z = np.asarray(z, dtype=float).ravel()
-            x = np.empty(self.size)
-            y = x[:n_u].reshape(denom.shape)
-            np.divide(z[:n_u].reshape(denom.shape), denom, out=y)
-            x_w = scipy.linalg.cho_solve(chol, z[n_u:] + g * (q_w.T @ (y @ phi)), check_finite=False)
-            y += g * np.outer(q_w @ x_w, phi) / denom
-            x[n_u:] = x_w
-            return x
+    def __call__(self, sigma: float) -> tuple[np.ndarray, int]:
+        shift = sigma + self.correction
+        e = self.n2 / (1.0 / (self.lam[:, None] + (self.nu - shift))).sum(axis=1)
+        poles = int(np.searchsorted(self.mu, shift - self.lam).sum())
+        return self.q_w.T @ (e[:, None] * self.q_w), poles
 
-        def to_modes(b: np.ndarray) -> np.ndarray:
-            b = np.asarray(b, dtype=float).ravel()
-            return np.concatenate(((x1_fwd(b.take(u_nodes).reshape(denom.shape)) @ sines).ravel(),
-                                   b[w_nodes]))
+    def vectors(self, roots) -> np.ndarray:
+        """Unit node vectors, one column per root: x_w, the kernel vector of
+        S(root), and in mode coordinates y = g (Q_w x_w) (x) phi / (lam_m + mu_k - root)."""
+        x_w = np.column_stack([_kernel(self(root)[0]) for root in roots])
+        shifts = np.asarray(roots)[:, None] + self.correction
+        y = ((self.g * (self.q_w @ x_w))[:, :, None] * self.sines[0]  # the x2 modes at j = 1
+             / (self.lam[:, None, None] + (self.mu - shifts)))
+        return self._to_nodes(y, x_w)
 
-        def to_nodes(z: np.ndarray) -> np.ndarray:
-            x = np.empty(self.size)
-            x[u_nodes] = x1_inv(z[:n_u].reshape(denom.shape) @ sines).ravel()
-            x[w_nodes] = z[n_u:]
-            return x
+    def separable(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """The k lowest eigenpairs of A without window nodes: lam_m + mu_k and their modes."""
+        d = self.lam[:, None] + self.mu
+        m, j = np.unravel_index(np.argsort(d, axis=None)[:k], d.shape)
+        y = np.zeros((len(self.lam), k, len(self.mu)))
+        y[m, np.arange(k), j] = 1.0
+        return d[m, j] - self.correction, self._to_nodes(y, np.zeros((0, k)))
 
-        return ModeSolver(solve, to_modes, to_nodes)
+    def _to_nodes(self, y: np.ndarray, x_w: np.ndarray) -> np.ndarray:
+        # y holds the mode coordinates of the nodes j >= 1 as (x1 mode, column, x2 mode)
+        v = np.empty((self.size, y.shape[1]))
+        v[self.u_nodes] = self.x1_inv(y @ self.sines).transpose(0, 2, 1).reshape(-1, y.shape[1])
+        v[self.w_nodes] = x_w
+        return v / np.linalg.norm(v, axis=0)
 
 
-@dataclass(frozen=True)
-class ModeSolver:
-    """A shifted inverse in the mode coordinates of its grid (:meth:`FDGrid.shift_solver`)."""
-
-    solve: Callable[[np.ndarray], np.ndarray]
-    to_modes: Callable[[np.ndarray], np.ndarray]
-    to_nodes: Callable[[np.ndarray], np.ndarray]
+def _kernel(s: np.ndarray) -> np.ndarray:
+    """Eigenvector of a symmetric matrix for its eigenvalue smallest in modulus."""
+    mu, vecs = np.linalg.eigh(s)
+    return vecs[:, np.argmin(np.abs(mu))]
 
 
 class FDOperator(sparse.csr_matrix):
     """The CSR operator of :func:`discretize`, carrying the grid it lives on.
 
-    ``grid`` lets :func:`lowest_eigenvalues` invert the shifted operator by
-    fast transforms.  Matrices that scipy derives from it carry no grid.
+    ``grid`` gives :func:`lowest_eigenvalues` its window form
+    (:class:`WindowForm`).  Matrices that scipy derives from it carry no grid.
     """
 
     grid: FDGrid | None = None
@@ -333,12 +296,10 @@ class FDOperator(sparse.csr_matrix):
 def discretize(cfg: CanonicalConfig, ocfg: OracleConfig) -> FDOperator:
     """Symmetric sparse 5-point operator on the half strip [0, L] x [0, pi].
 
-    Ghost-point reflection at Neumann boundaries is symmetrized exactly:
-    every undirected neighbor pair (p, q) gets the weight
-    -c * sqrt(m_pq * m_qp), where m counts the ghost multiplicity of the
-    coupling, which is the similarity transform of the raw stencil by the
-    square root of the half-cell weights.  The matrix equals its transpose
-    bit-exactly by construction.
+    Every neighbor pair (p, q) gets the weight -c * sqrt(m_pq * m_qp), m the
+    ghost multiplicity of the coupling: the raw stencil's similarity
+    transform by the square root of the half-cell weights, equal to its
+    transpose bit-exactly by construction.
     """
     op, _, _ = discretize_with_nodes(cfg, ocfg)
     return op
@@ -347,11 +308,9 @@ def discretize(cfg: CanonicalConfig, ocfg: OracleConfig) -> FDOperator:
 def discretize_with_nodes(cfg: CanonicalConfig, ocfg: OracleConfig):
     """Like :func:`discretize`, also returning the node coordinates.
 
-    Returns (operator, x1, x2) with one coordinate entry per operator row,
-    so discrete eigenvectors can be compared pointwise against analytic
-    eigenfunctions (note the similarity weights: a raw eigenvector of the
-    returned operator equals sqrt(s) times the field values, with s = 1/2
-    per reflecting boundary the node sits on).
+    Returns (operator, x1, x2), one coordinate per operator row.  A raw
+    eigenvector equals sqrt(s) times the field values, with s = 1/2 per
+    reflecting boundary the node sits on (the similarity weights).
     """
     grid = FDGrid(cfg, ocfg)
     keep, index = grid.keep, grid.index
@@ -383,44 +342,38 @@ def discretize_with_nodes(cfg: CanonicalConfig, ocfg: OracleConfig):
     return op, (ii + grid.i_lo) * grid.h, jj * grid.h2
 
 
-def lowest_eigenvalues(op: sparse.csr_matrix, k: int, tol: float = 1e-10) -> np.ndarray:
-    """The k smallest eigenvalues of a symmetric operator, sorted ascending.
+def lowest_eigenvalues(op: FDOperator, k: int) -> np.ndarray:
+    """The k smallest eigenvalues of an operator from :func:`discretize`, ascending.
 
-    Shift-inverted Lanczos around SIGMA; the starting vector is fixed so
-    repeated runs are reproducible bit-for-bit, though converged spectra
-    agree to solver tolerance for any start.  An operator from
-    :func:`discretize` is inverted through its grid
-    (:meth:`FDGrid.shift_solver`), and the iteration runs in the grid's
-    orthonormal mode coordinates, which leave the Ritz values unchanged:
-    each step is a diagonal scaling plus the window correction, and only
-    the start vector and the k Ritz vectors are transformed, with a basis
-    of LANCZOS_VECTORS (at least 2k + 1) vectors.  Any other operator of
-    at most DENSE_ROWS rows is inverted densely, and a larger one raises
-    ValueError.  Every eigenpair (lam, v) is checked against the operator
-    itself: ArithmeticError unless ||op v - lam v|| <= EIGENPAIR_GATE * |lam|.
+    The roots of the grid's :class:`WindowForm`: the count is 0 at sigma = 0,
+    below the positive definite spectrum, and the upper end doubles from 1
+    until the count reaches k; count bisection isolates the k lowest roots
+    and Brent's method on det S polishes them to a few ulps.  A root no
+    bracket separates from a pole raises ArithmeticError.  Without window
+    nodes the eigenvalues are the closed-form lam_m + mu_k.  Every eigenpair
+    (lam, v) is checked against the operator: ArithmeticError unless
+    ||op v - lam v|| <= EIGENPAIR_GATE * |lam|.  An operator without its
+    grid (scipy arithmetic drops it) raises ValueError.
     """
     n = op.shape[0]
     if k >= n:
         raise ValueError("requested more eigenvalues than the operator has rows")
     grid = getattr(op, "grid", None)
-    v0 = np.full(n, 1.0 / math.sqrt(n))
-    if grid is not None:
-        modes = grid.shift_solver(SIGMA)
-        solve, v0, ncv = modes.solve, modes.to_modes(v0), min(n, max(2 * k + 1, LANCZOS_VECTORS))
-    elif n <= DENSE_ROWS:
-        modes, ncv = None, None
-        lu = scipy.linalg.lu_factor(op.toarray() - SIGMA * np.eye(n))
-        solve = functools.partial(scipy.linalg.lu_solve, lu)
+    if grid is None:
+        raise ValueError("lowest_eigenvalues needs the grid of an operator from discretize")
+    form = WindowForm(grid)
+    if not form.w_nodes.size:
+        w, v = form.separable(k)
     else:
-        raise ValueError(f"an operator of {n} > {DENSE_ROWS} rows must come from discretize")
-    op_inv = splinalg.LinearOperator((n, n), matvec=solve, dtype=float)
-    try:
-        # in shift-invert mode eigsh takes only the shape and dtype of its first argument
-        w, v = splinalg.eigsh(op_inv, k=k, sigma=SIGMA, which="LM", tol=tol, OPinv=op_inv, v0=v0, ncv=ncv)
-    except splinalg.ArpackNoConvergence as exc:  # pragma: no cover - diagnostic path
-        raise ArithmeticError(f"eigensolver failed to converge: {exc}") from exc
-    if modes is not None:
-        v = np.column_stack([modes.to_nodes(z) for z in v.T])
+        sec = Sector(form, 0.0, 1.0, 0.0)
+        lo, hi = count(sec, sec.lo), count(sec, sec.hi)
+        while hi.roots < k:
+            hi = count(sec, 2.0 * hi.x)
+        w = [polish(sec, *b) for b in itertools.islice(isolate(sec, lo, hi), k)]
+        if None in w:
+            raise ArithmeticError("a counted eigenvalue does not change the sign of det S")
+        w = np.array(w)
+        v = form.vectors(w)
     residual = np.linalg.norm(op @ v - v * w, axis=0) / np.abs(w)
     if not np.all(residual <= EIGENPAIR_GATE):
         raise ArithmeticError(f"eigenpair residual {residual.max():.3g} exceeds {EIGENPAIR_GATE:g}")
@@ -435,13 +388,11 @@ def oracle_eigenvalues(cfg: CanonicalConfig, ocfg: OracleConfig) -> np.ndarray:
 def refine_and_extrapolate(values_h, values_h2, values_h4=None):
     """Richardson extrapolation over a grid-halving sequence.
 
-    With two grids the corner singularity makes first order the safe
-    model; a third (finest) grid estimates the effective order per
-    eigenvalue instead.  Returns (extrapolated values, error bounds,
-    effective order).  The error bound is the difference of the two finest
-    grids, which stays valid even where the rate assumption does not; a
-    non-monotone refinement falls back to the finest raw values with that
-    same bound.
+    With two grids the corner singularity makes first order the safe model;
+    a third (finest) grid estimates the effective order.  Returns
+    (extrapolated values, error bounds, effective order).  The bound is the
+    difference of the two finest grids, valid where the rate assumption is
+    not; a non-monotone refinement falls back to the finest raw values.
     """
     v1 = np.atleast_1d(np.asarray(values_h, dtype=float))
     v2 = np.atleast_1d(np.asarray(values_h2, dtype=float))
@@ -468,31 +419,21 @@ def critical_width_crossing(parity: str, h: float, L: float = 16.0,
                             cutoff_margin: float = 1e-8) -> float:
     """Window half-length at which the discrete operator gains a bound state.
 
-    Runs the single-window problem of the given parity (``"even"`` or
-    ``"odd"``) with a Neumann far face (so the emerging state is not pushed
-    above the threshold by the truncation) and secant-interpolates where
-    the lowest eigenvalue crosses the discrete threshold minus a small
-    margin.  The crossing drifts linearly in h (the effective window edge
-    sits within one cell of the nominal one), so two grids plus
-    first-order extrapolation land within a few 1e-3 of the true critical
-    width.
+    The single-window problem of the given parity (``"even"`` or ``"odd"``)
+    with a Neumann far face, secant-interpolated where the lowest eigenvalue
+    crosses the discrete threshold minus a small margin.  The crossing
+    drifts linearly in h, so two grids plus first-order extrapolation land
+    within a few 1e-3 of the true critical width.
 
-    The widths searched form a lattice of step 2h from round(a_lo/h)*h,
-    each point rounded to the grid and the last one clamped to
-    round(a_hi/h)*h.  The gap (lowest eigenvalue minus cutoff) decreases
-    monotonically in a, by min-max for a growing Neumann window, so one
-    lattice cell holds the sign change.  The search starts in the cell
-    that holds the crossing one grid coarser (2h, found by the same
-    search while 2h <= COARSEST_SEED_GRID; on coarser grids, or when the
-    coarse grid gives none, it starts in the first cell), solves the
-    gap at both ends and walks one cell at a time towards the sign
-    change.  The crossing moves by much less than a cell between grids,
-    so a search takes two eigensolves on its own grid, plus the coarser
-    grids' solves.  The result equals, bit for bit, that of a scan over
-    the lattice from a_lo to the first sign change.  Raises
-    ArithmeticError when the lattice holds no crossing and ValueError for
-    any other parity.  :func:`critical_width_crossings` returns the seed
-    crossing on 2h as well.
+    The widths form a lattice of step 2h from round(a_lo/h)*h, each point
+    rounded to the grid and the last clamped to round(a_hi/h)*h.  The gap
+    (lowest eigenvalue minus cutoff) decreases in a by min-max, so one cell
+    holds the sign change.  The search starts in the cell of the crossing
+    one grid coarser (2h, while 2h <= COARSEST_SEED_GRID; else, or without
+    one, in the first cell) and walks cell by cell towards the sign change:
+    two eigensolves on its own grid, with a result equal bit for bit to a
+    scan from a_lo.  Raises ArithmeticError when the lattice holds no
+    crossing and ValueError for any other parity.
     """
     return critical_width_crossings(parity, h, L, a_lo, a_hi, cutoff_margin)[1]
 
@@ -503,10 +444,8 @@ def critical_width_crossings(parity: str, h: float, L: float = 16.0,
     """The crossing on grid 2h that seeded the search on grid h, and the crossing on h.
 
     The search is that of :func:`critical_width_crossing`; the first value
-    is None where no coarser crossing seeded it (2h coarser than
-    COARSEST_SEED_GRID, or no crossing on 2h).  Each value equals, bit for
-    bit, that of :func:`critical_width_crossing` on its grid, so a
-    two-grid extrapolation needs only the search on the finer grid.
+    is None where no coarser crossing seeded it.  Each value equals, bit for
+    bit, that of :func:`critical_width_crossing` on its grid.
     """
     if parity not in ("even", "odd"):
         raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")

@@ -43,18 +43,33 @@ __all__ = [
     "trace_form",
     "pole_count",
     "det_sign",
+    "MAX_FORM_BYTES",
+    "max_modes",
 ]
+
+#: largest dense trace form a run may build, in bytes (128 MiB, dimension
+#: 4096): a count, polish and kernel of one form peak at 5.2-5.7 times its
+#: size (measured at dimensions 1000-4000), so a form stays below about 0.75 GB
+MAX_FORM_BYTES = 2 ** 27
+
+
+def max_modes(width: int) -> int:
+    """Largest truncation N whose dense form of dimension width * N fits MAX_FORM_BYTES."""
+    return math.isqrt(MAX_FORM_BYTES // 8) // width
 
 
 @dataclass(frozen=True)
 class Truncation:
-    """Number of transverse modes retained in every region (default 40)."""
+    """Number of transverse modes retained in every region (default 40, at most max_modes(2))."""
 
     n: int = 40
 
     def __post_init__(self) -> None:
         if self.n < 4:
             raise ValueError(f"truncation must retain at least 4 modes, got n={self.n}")
+        if self.n > max_modes(2):
+            raise ValueError(f"truncation n={self.n} exceeds the cap of {max_modes(2)} modes, "
+                             f"where a two-window form reaches {MAX_FORM_BYTES >> 20} MiB")
 
 
 @dataclass

@@ -30,6 +30,7 @@ import numpy as np
 
 __all__ = [
     "GeometryError",
+    "GridAlignmentError",
     "ProblemKind",
     "StripConfig",
     "CanonicalConfig",
@@ -49,6 +50,10 @@ __all__ = [
 
 class GeometryError(ValueError):
     """Raised when a strip configuration violates a geometric constraint."""
+
+
+class GridAlignmentError(ValueError):
+    """A geometric length does not sit on the finite-difference grid."""
 
 
 class ProblemKind(enum.Enum):

@@ -34,12 +34,11 @@ from . import __version__
 __all__ = ["RunRecord", "cache_get", "cache_put", "cache_dir"]
 
 CACHE_ENV = "MODEGUIDE_CACHE"
-#: layout of a cache entry; bump when it or the cached values change
-#: (2: FD oracle eigenvalues from the minimum-degree ordered factorization;
-#: 3: FD oracle eigenvalues from the fast-transform shift-invert solve;
-#: 4: FD oracle eigenvalues from the Lanczos iteration in mode coordinates,
-#: and oracle keys whose --h and --L are physical lengths)
-CACHE_SCHEMA = 4
+#: layout of a cache entry; bump when it or the cached values change (FD oracle
+#: eigenvalues from: 2 an ordered factorization, 3 a fast-transform shift-invert
+#: solve, 4 Lanczos in mode coordinates, with physical --h and --L in oracle
+#: keys, 5 count and polish of the window Schur complement)
+CACHE_SCHEMA = 5
 
 
 @dataclasses.dataclass

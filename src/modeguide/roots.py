@@ -1,0 +1,183 @@
+"""Roots of a symmetric form by count: isolate by inertia, polish by determinant.
+
+A form maps x to a symmetric matrix S(x) and its number of poles below x.
+Negative eigenvalues of S plus poles (Wittrick and Williams, Q. J. Mech.
+Appl. Math. 24 (1971) 263-284) rise by one across each simple root, so
+count bisection isolates each root in a bracket of one root and no pole,
+where Brent's method on det S polishes it.  The mode-matching solver
+(:mod:`modeguide.solve`) and the finite-difference oracle
+(:mod:`modeguide.fd_oracle`) both use it.  numpy only.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from typing import Callable
+
+import numpy as np
+
+__all__ = ["Sector", "Count", "count", "isolate", "brent", "polish", "sector_roots", "kth_root"]
+
+_EPS = float(np.finfo(float).eps)
+
+
+@dataclass(frozen=True)
+class Sector:
+    """One system's roots as a function of a scalar x on [lo, hi].
+
+    ``form(x)`` is the symmetric form S at x and its pole count.  ``sense`` is -1
+    when x runs against the form's own variable (x = kappa for lam), so that
+    ``sense * (negative eigenvalues + poles)`` is the number of roots below x up
+    to a constant.  Count bisection halves geometrically when ``geometric`` is
+    set; the polish stops at a bracket width of ``xtol + rtol * |x|``.
+    """
+
+    form: Callable[[float], tuple[np.ndarray, int]]
+    lo: float
+    hi: float
+    xtol: float
+    rtol: float = 4.0 * _EPS
+    sense: int = 1
+    geometric: bool = False
+
+
+@dataclass(frozen=True)
+class Count:
+    """Inertia of a sector's form at x."""
+
+    x: float
+    roots: int      # roots below x, up to a constant of the sector
+    poles: int
+    sign: float     # sign of det S
+    logdet: float   # log |det S|
+
+
+def count(sec: Sector, x: float) -> Count:
+    S, poles = sec.form(x)
+    mu = np.linalg.eigvalsh(S)
+    neg = int(np.count_nonzero(mu < 0.0))
+    with np.errstate(divide="ignore"):
+        logdet = float(np.sum(np.log(np.abs(mu))))
+    return Count(x, sec.sense * (neg + poles), poles, -1.0 if neg % 2 else 1.0, logdet)
+
+
+def isolate(sec: Sector, lo: Count, hi: Count):
+    """Brackets of (lo, hi] holding one root and no pole each, ascending, by count bisection."""
+    stack = [(lo, hi)]
+    while stack:
+        lo, hi = stack.pop()
+        if hi.roots <= lo.roots:
+            continue
+        if hi.roots == lo.roots + 1 and hi.poles == lo.poles:
+            yield lo, hi
+            continue
+        if hi.x - lo.x <= sec.xtol + sec.rtol * abs(hi.x):
+            raise ArithmeticError(f"roots or poles closer than the tolerance at x={hi.x!r}")
+        mid = count(sec, math.sqrt(lo.x * hi.x) if sec.geometric else 0.5 * (lo.x + hi.x))
+        stack += [(mid, hi), (lo, mid)]
+
+
+def brent(f, a: float, b: float, fa: float, fb: float, xtol: float, rtol: float) -> float:
+    """Root of f in the sign-change bracket [a, b] (Brent 1973, ch. 4, zeroin).
+
+    Secant and inverse quadratic steps, with bisection whenever they do not
+    shrink the bracket fast enough; returns the end of the final bracket,
+    of width at most ``xtol + rtol * |root|``, at which |f| is smaller.
+    """
+    c, fc = a, fa
+    d = e = b - a
+    while True:
+        if (fb > 0.0) == (fc > 0.0):
+            c, fc = a, fa
+            d = e = b - a
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        tol1 = 0.5 * (xtol + rtol * abs(b))
+        m = 0.5 * (c - b)
+        if fb == 0.0 or abs(m) <= tol1:
+            return float(b)
+        if abs(e) >= tol1 and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:
+                p, q = 2.0 * m * s, 1.0 - s
+            else:
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            p = abs(p)
+            if 2.0 * p < min(3.0 * m * q - abs(tol1 * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = m
+        else:
+            d = e = m
+        a, fa = b, fb
+        b += d if abs(d) > tol1 else math.copysign(tol1, m)
+        fb = f(b)
+
+
+def polish(sec: Sector, lo: Count, hi: Count) -> float | None:
+    """The root of a one-root, pole-free bracket, by Brent's method on det S.
+
+    Across such a bracket det S changes sign once, at the root.  The values
+    are scaled by det S(lo) and clipped to e^+-700, so they stay finite.
+    None when the determinant keeps its sign (the count was wrong).
+    """
+    if lo.sign == hi.sign:
+        return None
+    for end in (lo, hi):
+        if end.logdet == -math.inf:
+            return end.x
+
+    def scaled(sign, logdet):
+        return float(sign) * math.exp(min(max(logdet - lo.logdet, -700.0), 700.0))
+
+    def f(x):
+        return scaled(*np.linalg.slogdet(sec.form(x)[0]))
+    return brent(f, lo.x, hi.x, scaled(lo.sign, lo.logdet), scaled(hi.sign, hi.logdet),
+                 sec.xtol, sec.rtol)
+
+
+def sector_roots(sec: Sector) -> list[float]:
+    """Every root of the sector in (lo, hi], ascending.
+
+    Raises ArithmeticError when the roots found are fewer than the count
+    across the sector, so that no root is lost silently.
+    """
+    lo, hi = count(sec, sec.lo), count(sec, sec.hi)
+    roots = [x for x in (polish(sec, *b) for b in isolate(sec, lo, hi)) if x is not None]
+    if len(roots) != hi.roots - lo.roots:
+        raise ArithmeticError(f"found {len(roots)} roots in [{sec.lo!r}, {sec.hi!r}] "
+                              f"where the count gives {hi.roots - lo.roots}")
+    return roots
+
+
+def kth_root(sec: Sector, x0: float, width: float, k: int | None) -> tuple[float, int]:
+    """Root k of the sector (1-based from ``sec.lo``), searched from x0 +- width.
+
+    The window doubles until it brackets the root.  With k None, the root
+    is the first one the doubling window meets.  Returns the root and k.
+    """
+    base = count(sec, sec.lo).roots
+
+    def at(x):
+        return count(sec, min(max(x, sec.lo), sec.hi))
+    width = max(width, sec.xtol + sec.rtol * abs(x0))
+    lo, hi = at(x0 - width), at(x0 + width)
+    while (hi.roots == lo.roots if k is None else not lo.roots < base + k <= hi.roots):
+        if lo.x == sec.lo and hi.x == sec.hi:
+            which = "no root" if k is None else f"no root {k}"
+            raise ArithmeticError(f"{which} in [{sec.lo!r}, {sec.hi!r}] near {x0!r}")
+        width *= 2.0
+        lo, hi = at(x0 - width), at(x0 + width)
+    if k is None:
+        k = lo.roots - base + 1
+    bracket = next((b for b in isolate(sec, lo, hi) if b[1].roots == base + k), None)
+    root = None if bracket is None else polish(sec, *bracket)
+    if root is None:
+        raise ArithmeticError(f"root {k} near {x0!r} does not change the sign of det S")
+    return root, k

@@ -1,20 +1,14 @@
 """Eigenvalue location, eigenfunctions, tail amplitudes, critical widths.
 
-Roots are located by count (Wittrick-Williams).  The matching system is
-the symmetric trace form S of :func:`~modeguide.matching.trace_form`,
-assembled only through :func:`_assemble_at` and
-:func:`~modeguide.matching.assemble_threshold`, and the number of
-negative eigenvalues of S plus the closed-form poles below a point
-(:func:`~modeguide.matching.pole_count`) rises by exactly one across each
-root.  A search counts at the ends of its interval, bisects on the
-count until every bracket holds one root and no pole, and polishes each
-bracket with Brent's method on the determinant of S, whose sign changes
-only at the root there, to a bracket of ``tol / 10``.  The roots found
-must number what the count says, so none is dropped silently.  The same
-count serves the three variables: lam (single and two windows), kappa =
-sqrt(1 - lam) near the threshold, and the window half-length a of the
-threshold system.  The truncation ladder takes the root of the same index
-at each rung.
+Roots are located by count (:mod:`modeguide.roots`) on the symmetric
+trace form S of :func:`~modeguide.matching.trace_form`, assembled only
+through :func:`_assemble_at` and
+:func:`~modeguide.matching.assemble_threshold`, with the closed-form
+poles of :func:`~modeguide.matching.pole_count`, and polished to a
+bracket of ``tol / 10``.  The same count serves three variables: lam,
+kappa = sqrt(1 - lam) near the threshold, and the window half-length a
+of the threshold system.  The truncation ladder takes the root of the
+same index at each rung.
 
 Each root is confirmed through the eigenvalue of S smallest in modulus;
 its eigenvector holds the window-edge traces, from which the window,
@@ -41,7 +35,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -67,6 +60,7 @@ from .modes import (
     window_profile_l2,
     window_profile_scale_log,
 )
+from .roots import Sector, kth_root, sector_roots
 
 __all__ = [
     "Eigenpair",
@@ -108,8 +102,6 @@ A_MIN = 1e-3
 A_MAX = 8.0
 #: half-width of a ladder rung's first search window, in the sector's variable
 LADDER_WIDTH = 1e-3
-
-_EPS = float(np.finfo(float).eps)
 
 _ROOT2_PI = math.sqrt(2.0 / math.pi)
 
@@ -191,7 +183,7 @@ class RefinedValue:
 
 
 # ---------------------------------------------------------------------------
-# root location by count
+# root location by count (:mod:`modeguide.roots`)
 # ---------------------------------------------------------------------------
 
 def _check_tol(tol: float) -> None:
@@ -200,190 +192,29 @@ def _check_tol(tol: float) -> None:
         raise ValueError(f"bracketing tolerance below 1e-14 is not resolvable, got {tol}")
 
 
-@dataclass(frozen=True)
-class _Sector:
-    """One system's roots as a function of a scalar x on [lo, hi].
-
-    ``form(x)`` is the trace form S at x and its pole count.  ``sense`` is -1
-    when x runs against lam (x = kappa), so that ``sense * (negative
-    eigenvalues + poles)`` is the number of roots below x up to a constant.
-    Count bisection halves geometrically when ``geometric`` is set; the
-    polish stops at a bracket width of ``xtol + rtol * |x|``.
-    """
-
-    form: Callable[[float], tuple[np.ndarray, int]]
-    lo: float
-    hi: float
-    xtol: float
-    rtol: float = 4.0 * _EPS
-    sense: int = 1
-    geometric: bool = False
-
-
 def _form_at_kappa(cfg: CanonicalConfig, trunc: Truncation):
     b = cfg.base
     return lambda kappa1: (_assemble_at(cfg, trunc, kappa1).matrix, pole_count(b.kind, b.a, kappa1))
 
 
-def _lam_sector(cfg: CanonicalConfig, trunc: Truncation, tol: float) -> _Sector:
+def _lam_sector(cfg: CanonicalConfig, trunc: Truncation, tol: float) -> Sector:
     form = _form_at_kappa(cfg, trunc)
-    return _Sector(lambda lam: form(math.sqrt(1.0 - lam)), 0.25 + SEARCH_EPS, 1.0 - SEARCH_EPS,
-                   tol / 10.0)
+    return Sector(lambda lam: form(math.sqrt(1.0 - lam)), 0.25 + SEARCH_EPS, 1.0 - SEARCH_EPS,
+                  tol / 10.0)
 
 
 def _kappa_sector(cfg: CanonicalConfig, trunc: Truncation, kappa_lo: float,
-                  kappa_hi: float) -> _Sector:
-    return _Sector(_form_at_kappa(cfg, trunc), kappa_lo, kappa_hi, 0.0, KAPPA_RTOL / 10.0,
-                   sense=-1, geometric=True)
+                  kappa_hi: float) -> Sector:
+    return Sector(_form_at_kappa(cfg, trunc), kappa_lo, kappa_hi, 0.0, KAPPA_RTOL / 10.0,
+                  sense=-1, geometric=True)
 
 
-def _width_sector(trunc: Truncation, parity: str, a_max: float, tol: float) -> _Sector:
+def _width_sector(trunc: Truncation, parity: str, a_max: float, tol: float) -> Sector:
     kind = ProblemKind(f"single-{parity}")
 
     def form(a):
         return assemble_threshold(a, trunc, parity).matrix, pole_count(kind, a, 0.0)
-    return _Sector(form, A_MIN, a_max, tol / 10.0)
-
-
-@dataclass(frozen=True)
-class _Count:
-    """Inertia of a sector's trace form at x."""
-
-    x: float
-    roots: int      # roots below x, up to a constant of the sector
-    poles: int
-    sign: float     # sign of det S
-    logdet: float   # log |det S|
-
-
-def _count(sec: _Sector, x: float) -> _Count:
-    S, poles = sec.form(x)
-    mu = np.linalg.eigvalsh(S)
-    neg = int(np.count_nonzero(mu < 0.0))
-    with np.errstate(divide="ignore"):
-        logdet = float(np.sum(np.log(np.abs(mu))))
-    return _Count(x, sec.sense * (neg + poles), poles, -1.0 if neg % 2 else 1.0, logdet)
-
-
-def _isolate(sec: _Sector, lo: _Count, hi: _Count):
-    """Brackets of (lo, hi] holding one root and no pole each, ascending, by count bisection."""
-    stack = [(lo, hi)]
-    while stack:
-        lo, hi = stack.pop()
-        if hi.roots <= lo.roots:
-            continue
-        if hi.roots == lo.roots + 1 and hi.poles == lo.poles:
-            yield lo, hi
-            continue
-        if hi.x - lo.x <= sec.xtol + sec.rtol * abs(hi.x):
-            raise ArithmeticError(f"roots or poles closer than the tolerance at x={hi.x!r}")
-        mid = _count(sec, math.sqrt(lo.x * hi.x) if sec.geometric else 0.5 * (lo.x + hi.x))
-        stack += [(mid, hi), (lo, mid)]
-
-
-def _brent(f, a: float, b: float, fa: float, fb: float, xtol: float, rtol: float) -> float:
-    """Root of f in the sign-change bracket [a, b] (Brent 1973, ch. 4, zeroin).
-
-    Secant and inverse quadratic steps, with bisection whenever they do not
-    shrink the bracket fast enough; returns the end of the final bracket,
-    of width at most ``xtol + rtol * |root|``, at which |f| is smaller.
-    """
-    c, fc = a, fa
-    d = e = b - a
-    while True:
-        if (fb > 0.0) == (fc > 0.0):
-            c, fc = a, fa
-            d = e = b - a
-        if abs(fc) < abs(fb):
-            a, b, c = b, c, b
-            fa, fb, fc = fb, fc, fb
-        tol1 = 0.5 * (xtol + rtol * abs(b))
-        m = 0.5 * (c - b)
-        if fb == 0.0 or abs(m) <= tol1:
-            return float(b)
-        if abs(e) >= tol1 and abs(fa) > abs(fb):
-            s = fb / fa
-            if a == c:
-                p, q = 2.0 * m * s, 1.0 - s
-            else:
-                q, r = fa / fc, fb / fc
-                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
-                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
-            if p > 0.0:
-                q = -q
-            p = abs(p)
-            if 2.0 * p < min(3.0 * m * q - abs(tol1 * q), abs(e * q)):
-                e, d = d, p / q
-            else:
-                d = e = m
-        else:
-            d = e = m
-        a, fa = b, fb
-        b += d if abs(d) > tol1 else math.copysign(tol1, m)
-        fb = f(b)
-
-
-def _polish(sec: _Sector, lo: _Count, hi: _Count) -> float | None:
-    """The root of a one-root, pole-free bracket, by Brent's method on det S.
-
-    Across such a bracket det S changes sign once, at the root.  The values
-    are scaled by det S(lo) and clipped to e^+-700, so they stay finite.
-    None when the determinant keeps its sign (the count was wrong).
-    """
-    if lo.sign == hi.sign:
-        return None
-    for end in (lo, hi):
-        if end.logdet == -math.inf:
-            return end.x
-
-    def scaled(sign, logdet):
-        return float(sign) * math.exp(min(max(logdet - lo.logdet, -700.0), 700.0))
-
-    def f(x):
-        return scaled(*np.linalg.slogdet(sec.form(x)[0]))
-    return _brent(f, lo.x, hi.x, scaled(lo.sign, lo.logdet), scaled(hi.sign, hi.logdet),
-                  sec.xtol, sec.rtol)
-
-
-def _sector_roots(sec: _Sector) -> list[float]:
-    """Every root of the sector in (lo, hi], ascending.
-
-    Raises ArithmeticError when the roots found are fewer than the count
-    across the sector, so that no root is lost silently.
-    """
-    lo, hi = _count(sec, sec.lo), _count(sec, sec.hi)
-    roots = [x for x in (_polish(sec, *b) for b in _isolate(sec, lo, hi)) if x is not None]
-    if len(roots) != hi.roots - lo.roots:
-        raise ArithmeticError(f"found {len(roots)} roots in [{sec.lo!r}, {sec.hi!r}] "
-                              f"where the count gives {hi.roots - lo.roots}")
-    return roots
-
-
-def _kth_root(sec: _Sector, x0: float, width: float, k: int | None) -> tuple[float, int]:
-    """Root k of the sector (1-based from ``sec.lo``), searched from x0 +- width.
-
-    The window doubles until it brackets the root.  With k None, the root
-    is the first one the doubling window meets.  Returns the root and k.
-    """
-    base = _count(sec, sec.lo).roots
-
-    def at(x):
-        return _count(sec, min(max(x, sec.lo), sec.hi))
-    width = max(width, sec.xtol + sec.rtol * abs(x0))
-    lo, hi = at(x0 - width), at(x0 + width)
-    while (hi.roots == lo.roots if k is None else not lo.roots < base + k <= hi.roots):
-        if lo.x == sec.lo and hi.x == sec.hi:
-            which = "no root" if k is None else f"no root {k}"
-            raise ArithmeticError(f"{which} in [{sec.lo!r}, {sec.hi!r}] near {x0!r}")
-        width *= 2.0
-        lo, hi = at(x0 - width), at(x0 + width)
-    if k is None:
-        k = lo.roots - base + 1
-    bracket = next((b for b in _isolate(sec, lo, hi) if b[1].roots == base + k), None)
-    root = None if bracket is None else _polish(sec, *bracket)
-    if root is None:
-        raise ArithmeticError(f"root {k} near {x0!r} does not change the sign of det S")
-    return root, k
+    return Sector(form, A_MIN, a_max, tol / 10.0)
 
 
 def find_eigenvalues(cfg: CanonicalConfig, trunc: Truncation = Truncation(),
@@ -400,7 +231,7 @@ def find_eigenvalues(cfg: CanonicalConfig, trunc: Truncation = Truncation(),
     eigenvalue.
     """
     _check_tol(tol)
-    pairs = [_solve_at(cfg, trunc, lam=root) for root in _sector_roots(_lam_sector(cfg, trunc, tol))]
+    pairs = [_solve_at(cfg, trunc, lam=root) for root in sector_roots(_lam_sector(cfg, trunc, tol))]
     if cfg.base.kind is ProblemKind.TWO_WINDOW_EVEN:
         pairs += find_near_threshold(cfg, trunc, *NEAR_THRESHOLD_KAPPA)
     pairs.sort(key=lambda p: p.lam)
@@ -421,7 +252,7 @@ def find_near_threshold(cfg: CanonicalConfig, trunc: Truncation = Truncation(),
     """
     if cfg.base.kind is not ProblemKind.TWO_WINDOW_EVEN:
         raise ValueError("near-threshold states live in the even two-window sector")
-    roots = _sector_roots(_kappa_sector(cfg, trunc, kappa_lo, kappa_hi))
+    roots = sector_roots(_kappa_sector(cfg, trunc, kappa_lo, kappa_hi))
     return [_solve_at(cfg, trunc, kappa1=kap) for kap in reversed(roots)]
 
 
@@ -756,7 +587,7 @@ def find_critical_widths(n_max: int, trunc: Truncation = Truncation(),
     if n_max < 1:
         raise ValueError(f"need n_max >= 1, got {n_max}")
     found = sorted((root, parity) for parity in ("even", "odd")
-                   for root in _sector_roots(_width_sector(trunc, parity, a_max, tol)))
+                   for root in sector_roots(_width_sector(trunc, parity, a_max, tol)))
     widths = []
     for i, (a_n, parity) in enumerate(found[:n_max], start=1):
         pair = _threshold_resonance(a_n, trunc, parity)
@@ -799,7 +630,7 @@ def _ladder(sector_at_n, x: float, trunc: Truncation, levels: int) -> RefinedVal
     k = None
     for n in ns:
         width = 3.0 * abs(vals[-1] - vals[-2]) if len(vals) >= 2 else LADDER_WIDTH
-        x, k = _kth_root(sector_at_n(Truncation(n)), x, width, k)
+        x, k = kth_root(sector_at_n(Truncation(n)), x, width, k)
         vals.append(x)
     v_inf = extrapolate_truncation(ns[-3:], vals[-3:], exponents=(1.0, 1.5))
     two_point = 2.0 * vals[-1] - vals[-2]

@@ -189,6 +189,16 @@ def test_oracle_command(capsys):
     assert float(even_rows[0]["error_bound"]) > 0.0
 
 
+def test_oracle_finds_every_mode_of_a_windowless_grid(capsys):
+    # a = 1/16 leaves the odd kind no window node on the coarse grid h = 1/16:
+    # its spectrum is separable, and a missed mode there shows as a large bound
+    code, out, _ = run(capsys, "oracle", "--a", "0.0625", "--h", "0.03125", "--L", "8", "--k", "4")
+    assert code == 0
+    odd = [r for r in parse_csv(out) if r["parity"] == "odd"]
+    assert len(odd) == 4
+    assert all(float(r["error_bound"]) < 1e-2 for r in odd)
+
+
 def test_oracle_grid_alignment_error(capsys):
     code, _, err = run(capsys, "oracle", "--a", "0.33", "--h", "0.125", "--L", "8")
     assert code == 2
@@ -496,3 +506,37 @@ def test_cli_import_leaves_scipy_optimize_unloaded(module):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
     code = f"import sys, modeguide.cli; sys.exit(int({module!r} in sys.modules))"
     assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["single", "--a", "1", "--modes", "8"],
+    ["split", "--a", "1", "--l", "3", "--modes", "8"],
+    ["critical", "--n", "1", "--modes", "8"],
+    ["threshold", "--n", "1", "--l", "4", "--modes", "8"],
+])
+def test_matching_subcommands_load_no_scipy(argv):
+    # only the finite-difference oracle (and verify, which runs it) needs scipy
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, modeguide.cli; code = modeguide.cli.main(sys.argv[1:]); "
+            "sys.exit(code or int(any(m.split('.')[0] == 'scipy' for m in sys.modules)))")
+    result = subprocess.run([sys.executable, "-c", code, *argv], env=env, timeout=60,
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+
+
+@pytest.mark.parametrize("argv, number, cap", [
+    (("single", "--a", "2", "--modes", "100000"), "100000", "2048"),
+    (("split", "--a", "1", "--l", "3", "--modes", "2049"), "2049", "2048"),
+    (("single", "--a", "2", "--modes", "1025", "--refine"), "1025", "1024"),
+    (("verify", "--modes", "513"), "513", "512"),
+    (("oracle", "--a", "1", "--h", "1e-300"), "inf", "2097152"),
+    (("oracle", "--a", "1", "--h", "0.001"), "4.084e+07", "2097152"),
+    (("oracle", "--a", "1", "--h", "0.125", "--L", "2", "--k", "100000"), "100000", "402"),
+])
+def test_sizing_flags_are_capped_before_any_solve(capsys, argv, number, cap):
+    # every value here is rejected from the flags alone: nothing is allocated
+    with deadline(5):
+        code, out, err = run(capsys, *argv)
+    assert code == 2 and not out
+    assert number in err and cap in err

@@ -16,22 +16,26 @@ from modeguide import (
 )
 from modeguide import ProblemKind, StripConfig, canonicalize, fd_oracle
 from modeguide.fd_oracle import discretize_with_nodes
+from modeguide.roots import Sector, count
 
 from conftest import single_cfg, two_cfg
 
 PI = math.pi
 
 
-def test_1d_dirichlet_chain_spectrum():
-    # textbook discrete Laplacian: eigenvalues (4/h^2) sin^2(k pi / (2(n+1)))
-    n, h = 60, 0.1
-    main = np.full(n, 2.0 / h ** 2)
-    off = np.full(n - 1, -1.0 / h ** 2)
-    op = sparse.diags([off, main, off], [-1, 0, 1]).tocsr()
+def test_windowless_grid_gives_the_closed_form_spectrum():
+    # a = h: the odd kind keeps no window node, so the operator is the Dirichlet
+    # T1 (x) I + I (x) T2 and its spectrum is (4/h^2) sin^2 + (4/h2^2) sin^2
+    h, L = 1 / 16, 8.0
+    op = discretize(single_cfg(h, "odd"), OracleConfig(L=L, h=h, k=4))
+    n1, n2 = round(L / h), round(PI / h)
+    h2 = PI / n2
+    lam = (4.0 / h ** 2) * np.sin(np.arange(1, n1) * PI / (2 * n1)) ** 2
+    mu = (4.0 / h2 ** 2) * np.sin(np.arange(1, n2) * PI / (2 * n2)) ** 2
+    expect = np.sort(np.add.outer(lam, mu), axis=None)[:4]
     got = lowest_eigenvalues(op, 4)
-    expect = np.array([(4.0 / h ** 2) * math.sin(k * PI / (2 * (n + 1))) ** 2
-                       for k in range(1, 5)])
-    assert np.max(np.abs(got - expect)) < 1e-10
+    assert np.max(np.abs(got - expect) / expect) < 1e-12
+    assert got[1] == pytest.approx(1.6164, abs=1e-4) and got[3] == pytest.approx(3.4651, abs=1e-4)
 
 
 def test_repeated_runs_agree():
@@ -174,6 +178,13 @@ def test_oracle_config_validation():
         OracleConfig(L=8.0, h=1 / 16, k=0)
     with pytest.raises(ValueError):
         OracleConfig(L=8.0, h=1 / 16, k=2, end="robin")
+    # the caps, checked before any allocation: four times the h = 1/64 grid passes
+    OracleConfig(L=16.0, h=1 / 128, k=4)
+    for L, h in ((16.0, 1 / 1024), (16.0, 1e-300), (1e300, 1.0)):
+        with pytest.raises(ValueError, match="over the cap"):
+            OracleConfig(L=L, h=h, k=2)
+    with pytest.raises(ValueError, match="exceeds"):
+        OracleConfig(L=2.0, h=0.5, k=26)  # 4 * 2 pi unknowns
     with pytest.raises(ValueError):
         lowest_eigenvalues(sparse.eye(3).tocsr(), 5)
 
@@ -297,14 +308,14 @@ def test_crossing_walk_equals_plain_scan(h, L):
 
 
 def test_crossing_solves_twice_on_its_own_grid(solves):
-    assert critical_width_crossing("odd", 1 / 32) == 2.281034742322072
+    assert critical_width_crossing("odd", 1 / 32) == 2.281034742322099
     assert [a for h, a in solves if h == 1 / 32] == [2.25, 2.3125]
 
 
 def test_crossing_walk_recovers_from_a_wrong_seed(monkeypatch, solves):
     # a seed at 2.55 starts four cells right of the crossing: one more solve each
     monkeypatch.setattr(fd_oracle, "critical_width_crossing", lambda *args: 2.55)
-    assert critical_width_crossing("odd", 1 / 32) == 2.281034742322072
+    assert critical_width_crossing("odd", 1 / 32) == 2.281034742322099
     assert solves == [(1 / 32, a) for a in (2.5, 2.5625, 2.4375, 2.375, 2.3125, 2.25)]
 
 
@@ -325,16 +336,17 @@ def test_crossing_rejects_unknown_parity(solves):
 
 @pytest.mark.parametrize("kind", list(ProblemKind))
 @pytest.mark.parametrize("end", ["dirichlet", "neumann"])
-@pytest.mark.parametrize("h", [1 / 16, 1 / 32])
-def test_shift_solver_inverts_the_shifted_operator(kind, end, h):
-    l = 3.0 if kind.is_two_window else None
+def test_window_form_count_equals_the_dense_count(kind, end):
+    # inertia additivity: poles below sigma plus negative eigenvalues of S(sigma),
+    # among the poles above the threshold too
+    l = 2.0 if kind.is_two_window else None
     cfg = canonicalize(StripConfig(d=PI, a=1.0, l=l, kind=kind))
-    op = discretize(cfg, OracleConfig(L=8.0, h=h, k=2, end=end))
-    b = np.random.default_rng(3).standard_normal(op.shape[0])
-    modes = op.grid.shift_solver(fd_oracle.SIGMA)
-    x = modes.to_nodes(modes.solve(modes.to_modes(b)))
-    residual = op @ x - fd_oracle.SIGMA * x - b
-    assert np.linalg.norm(residual) <= 1e-12 * np.linalg.norm(b)
+    op = discretize(cfg, OracleConfig(L=4.0, h=1 / 8, k=2, end=end))
+    spectrum = np.linalg.eigvalsh(op.toarray())
+    sec = Sector(fd_oracle.WindowForm(op.grid), 0.0, 6.0, 0.0)
+    shifts = np.linspace(0.01, 5.99, 240)
+    assert count(sec, 6.0).poles >= 3
+    assert [count(sec, s).roots for s in shifts] == [int(np.count_nonzero(spectrum < s)) for s in shifts]
 
 
 @pytest.mark.parametrize("parity", ["even", "odd"])
@@ -352,60 +364,44 @@ def test_x1_transform_diagonalizes_the_x1_operator(parity, end):
     assert np.max(np.abs(q.T @ t1 @ q - np.diag(lam))) <= 1e-12 * 4.0 * grid.c1
 
 
-def test_mode_coordinates_are_orthonormal():
-    op = discretize(two_cfg(1.0, 3.0, "odd"), OracleConfig(L=8.0, h=1 / 16, k=2))
-    modes = op.grid.shift_solver(fd_oracle.SIGMA)
-    b = np.random.default_rng(5).standard_normal(op.shape[0])
-    z = modes.to_modes(b)
-    assert abs(np.linalg.norm(z) - np.linalg.norm(b)) <= 1e-13 * np.linalg.norm(b)
-    assert np.linalg.norm(modes.to_nodes(z) - b) <= 1e-13 * np.linalg.norm(b)
-
-
 @pytest.mark.parametrize("cfg, ocfg", [
     (two_cfg(1.0, 4.0, "even"), OracleConfig(L=10.0, h=1 / 32, k=2)),
     (single_cfg(2.25, "odd"), OracleConfig(L=16.0, h=1 / 32, k=3, end="neumann")),
 ])
-def test_an_eigensolve_transforms_only_its_start_and_ritz_vectors(monkeypatch, cfg, ocfg):
-    # the window basis, the start vector and one per Ritz vector, whatever the step count
-    transforms, steps = [], []
-    x1_transform, shift_solver = fd_oracle.FDGrid.x1_transform, fd_oracle.FDGrid.shift_solver
+def test_an_eigensolve_transforms_at_most_k_plus_one_times(monkeypatch, cfg, ocfg):
+    # the window basis once, and the eigenvectors back, whatever the count does
+    transforms = []
+    x1_transform = fd_oracle.FDGrid.x1_transform
 
     def counted_transform(grid):
         forward, inverse, lam = x1_transform(grid)
         return (lambda x: transforms.append(1) or forward(x),
                 lambda x: transforms.append(1) or inverse(x), lam)
 
-    def counted_solver(grid, sigma):
-        modes = shift_solver(grid, sigma)
-        return fd_oracle.ModeSolver(lambda z: steps.append(1) or modes.solve(z),
-                                    modes.to_modes, modes.to_nodes)
-
     monkeypatch.setattr(fd_oracle.FDGrid, "x1_transform", counted_transform)
-    monkeypatch.setattr(fd_oracle.FDGrid, "shift_solver", counted_solver)
     lowest_eigenvalues(discretize(cfg, ocfg), ocfg.k)
-    assert len(steps) > ocfg.k + 2
-    assert len(transforms) <= ocfg.k + 2
+    assert 0 < len(transforms) <= ocfg.k + 1
 
 
-def test_a_corrupted_solve_fails_the_eigenpair_gate(monkeypatch):
-    # the solve of a shift 0.05 off moves every Ritz value by 0.05
-    shift_solver = fd_oracle.FDGrid.shift_solver
-    monkeypatch.setattr(fd_oracle.FDGrid, "shift_solver", lambda grid, sigma: shift_solver(grid, sigma + 0.05))
+def test_a_shifted_form_fails_the_eigenpair_gate(monkeypatch):
+    # a form 0.05 off moves every root by 0.05, away from the operator's spectrum
+    form = fd_oracle.WindowForm.__call__
+    monkeypatch.setattr(fd_oracle.WindowForm, "__call__", lambda self, sigma: form(self, sigma + 0.05))
     with pytest.raises(ArithmeticError, match="eigenpair residual"):
         oracle_eigenvalues(single_cfg(1.0), OracleConfig(L=8.0, h=1 / 16, k=2))
 
 
-def test_an_indefinite_window_system_raises():
-    # lam_1 = 0.86 at h = 1/16: the window system is indefinite at 0.9
-    op = discretize(single_cfg(1.0), OracleConfig(L=8.0, h=1 / 16, k=2))
-    assert lowest_eigenvalues(op, 1)[0] < 0.9
-    with pytest.raises(ArithmeticError, match="positive definite"):
-        op.grid.shift_solver(0.9)
+def test_an_eigenvalue_on_a_pole_raises():
+    # a one-node window at x1 = L/2 = 4 misses the x1 modes with a node there:
+    # their eigenvalues (1.6164 the first) sit on poles of S, where no bracket
+    # isolates them, and the search must raise rather than skip them
+    with pytest.raises(ArithmeticError, match="closer than the tolerance at x=1.616"):
+        oracle_eigenvalues(two_cfg(1 / 16, 4.0, "odd"), OracleConfig(L=8.0, h=1 / 16, k=3))
 
 
-def test_a_large_operator_needs_its_grid():
+def test_an_operator_without_its_grid_raises():
     with pytest.raises(ValueError, match="discretize"):
-        lowest_eigenvalues(sparse.identity(fd_oracle.DENSE_ROWS + 1, format="csr"), 2)
+        lowest_eigenvalues(sparse.identity(10, format="csr"), 2)
     # scipy arithmetic returns a matrix without the grid
     op = discretize(single_cfg(1.0), OracleConfig(L=8.0, h=1 / 16, k=2))
     with pytest.raises(ValueError, match="discretize"):

@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 
 from modeguide import MatchingSystem, ProblemKind, Truncation, assemble_threshold
-from modeguide.matching import _assemble_two_core, _rates, det_sign, pole_count, trace_form
+from modeguide.matching import (
+    MAX_FORM_BYTES,
+    _assemble_two_core,
+    _rates,
+    det_sign,
+    max_modes,
+    pole_count,
+    trace_form,
+)
 from modeguide.modes import window_profile_at_edge
 from modeguide.solve import _assemble_at, find_critical_widths, find_eigenvalues
 
@@ -25,6 +33,11 @@ def test_truncation_floor():
     with pytest.raises(ValueError):
         Truncation(3)
     assert Truncation().n == 40
+    # the cap: a two-window form of 2N x 2N entries within MAX_FORM_BYTES
+    assert Truncation(max_modes(2)).n == 2048
+    assert (2 * 2048) ** 2 * 8 == MAX_FORM_BYTES
+    with pytest.raises(ValueError, match="2049 exceeds the cap of 2048"):
+        Truncation(2049)
 
 
 def test_single_system_shape_and_finiteness():

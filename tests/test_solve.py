@@ -19,15 +19,15 @@ from modeguide import (
     window_integral,
     window_trace,
 )
-from modeguide import matching, solve
+from modeguide import matching, roots
 from modeguide.matching import _rates, assemble_threshold
 from modeguide.modes import window_profile_at_edge
+from modeguide.roots import count
 from modeguide.solve import (
     NEAR_THRESHOLD_KAPPA,
     RESIDUAL_GATE,
     SEARCH_EPS,
     _assemble_at,
-    _count,
     _kappa_sector,
     _lam_sector,
     _norm_sq,
@@ -424,7 +424,7 @@ def _old_grid_roots(cfg, tr):
 
 
 def _count_across(sec):
-    return _count(sec, sec.hi).roots - _count(sec, sec.lo).roots
+    return count(sec, sec.hi).roots - count(sec, sec.lo).roots
 
 
 @given(GEOMETRIES)
@@ -442,12 +442,12 @@ def test_roots_found_equal_the_count_on_random_geometries(geometry):
 
 def test_forced_count_mismatch_raises(monkeypatch):
     # a count that claims a root where det S keeps its sign
-    real = solve._count
+    real = roots.count
 
     def phantom(sec, x):
         c = real(sec, x)
         return dataclasses.replace(c, roots=c.roots + (x > 0.95))
-    monkeypatch.setattr(solve, "_count", phantom)
+    monkeypatch.setattr(roots, "count", phantom)
     with pytest.raises(ArithmeticError, match="count gives 2"):
         find_eigenvalues(single_cfg(1.0), Truncation(12))
 
