@@ -16,13 +16,18 @@ sum of Dirichlet-to-Neumann maps, all decreasing in lam:
   first outside mode degenerates to a constant profile with zero decay;
   its kernel marks a critical window half-length.
 
-S is the only matching system: its inertia counts roots
-(Wittrick-Williams: negative eigenvalues plus the poles of
-:func:`pole_count` rise by one across each root), its determinant
-polishes them, and its ``eigh`` eigenvector for the smallest |mu| is the
-kernel.  Evanescent window profiles are normalized to unit edge value,
-which keeps every entry bounded for arbitrarily large mode counts and
-separations.
+S is the only matching system.  Only the first window mode oscillates, so
+every other trace sits in a positive definite block C of S, and
+:func:`schur_complement` reduces S by one solve with C to the 1 x 1
+(single window) or 2 x 2 (two windows) Schur complement Z on the first
+mode's traces.  Z has the negative eigenvalues of S (Haynsworth, Linear
+Algebra Appl. 1 (1968) 73-81) and det S = det C det Z with det C > 0, so
+the inertia of Z counts roots (Wittrick-Williams: negative eigenvalues
+plus the poles of :func:`pole_count` rise by one across each root), its
+determinant polishes them, and its kernel, extended by the same solve,
+is the kernel of S.  Evanescent window profiles are normalized to unit
+edge value, which keeps every entry bounded for arbitrarily large mode
+counts and separations.
 """
 
 from __future__ import annotations
@@ -41,6 +46,8 @@ __all__ = [
     "MatchingSystem",
     "assemble_threshold",
     "trace_form",
+    "schur_complement",
+    "trace_order",
     "pole_count",
     "det_sign",
     "MAX_FORM_BYTES",
@@ -48,8 +55,10 @@ __all__ = [
 ]
 
 #: largest dense trace form a run may build, in bytes (128 MiB, dimension
-#: 4096): a count, polish and kernel of one form peak at 5.2-5.7 times its
-#: size (measured at dimensions 1000-4000), so a form stays below about 0.75 GB
+#: 4096): the assembly, count, polish and kernel of one form peak at 3.1-3.8
+#: times its size (peak RSS over the form's bytes, single- and two-window
+#: forms of dimension 1000-4000; 5.4-6.6 with eigvalsh and eigh on S), so a
+#: form stays below about 0.5 GB
 MAX_FORM_BYTES = 2 ** 27
 
 
@@ -88,6 +97,11 @@ class MatchingSystem:
     l: float | None
     n: int
 
+    @property
+    def width(self) -> int:
+        """Windows in the form: traces per window mode (2 for two windows, else 1)."""
+        return 2 if self.kind.is_two_window else 1
+
 
 def _rates(n: int, kappa1: float) -> tuple[np.ndarray, np.ndarray]:
     """Outside rates kappa_j and window squared rates t_m at sqrt(1-lam) = kappa1.
@@ -100,6 +114,17 @@ def _rates(n: int, kappa1: float) -> tuple[np.ndarray, np.ndarray]:
     half = np.arange(1, n + 1, dtype=float) - 0.5
     t = half * half - 1.0 + kappa1 * kappa1
     return kap, t
+
+
+def _gram(M: np.ndarray, rates: np.ndarray) -> np.ndarray:
+    """``M^T diag(rates) M`` for rates >= 0, as the Gram matrix of sqrt(rates) M.
+
+    numpy computes ``B.T @ B`` by a symmetric rank-k update: about 70% of
+    the time of the general product from N = 320 on (one BLAS thread), and
+    exactly symmetric.
+    """
+    B = np.sqrt(rates)[:, None] * M
+    return B.T @ B
 
 
 def trace_form(kind: ProblemKind, n: int, a: float, kappa1: float,
@@ -116,7 +141,7 @@ def trace_form(kind: ProblemKind, n: int, a: float, kappa1: float,
     """
     kap, t = _rates(n, kappa1)
     M = overlap_matrix(n)
-    S = M.T @ (kap[:, None] * M)
+    S = _gram(M, kap)
     i = np.arange(n)
     if kind.is_two_window:
         r = axial_logderiv(kap, l - a, kind.parity)
@@ -124,7 +149,7 @@ def trace_form(kind: ProblemKind, n: int, a: float, kappa1: float,
         sv, sd = window_profile_at_edge(t, a, "odd")
         g_e, g_o = cd / cv, sd / sv
         Q, S = S, np.zeros((2 * n, 2 * n))
-        S[:n, :n] = M.T @ (r[:, None] * M)
+        S[:n, :n] = _gram(M, r)
         S[n:, n:] = Q
         S[i, i] += 0.5 * (g_e + g_o)
         S[i + n, i + n] += 0.5 * (g_e + g_o)
@@ -135,6 +160,33 @@ def trace_form(kind: ProblemKind, n: int, a: float, kappa1: float,
     if not np.all(np.isfinite(S)):
         raise ValueError("matching matrix contains non-finite entries")
     return S
+
+
+def trace_order(dim: int, width: int) -> np.ndarray:
+    """Trace indices of a form, the first window mode's (0, and n for two windows) first."""
+    w = np.arange(width) * (dim // width)
+    return np.concatenate([w, np.delete(np.arange(dim), w)])
+
+
+def schur_complement(S: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Reduce a trace form S to its first window mode: ``(Z, X)``.
+
+    ``width`` is 1 for a single-window (or threshold) form and 2 for a
+    two-window one; the first mode's traces W are then index 0, or indices
+    0 and n.  The other traces R are evanescent and hold a positive
+    definite block C = S_RR, so with ``X = C^{-1} S_RW`` the Schur
+    complement ``Z = S_WW - S_WR X`` (width x width) has as many negative
+    eigenvalues as S, and ``det S = det C det Z`` with ``det C > 0``.  A
+    kernel vector v_W of Z extends to the kernel vector ``(v_W, -X v_W)``
+    of S, in the order of :func:`trace_order`.  One LU solve with C, numpy
+    only.
+    """
+    if width > 1:
+        order = trace_order(S.shape[0], width)
+        S = S[np.ix_(order, order)]
+    X = np.linalg.solve(S[width:, width:], S[width:, :width])
+    Z = S[:width, :width] - S[:width, width:] @ X
+    return 0.5 * (Z + Z.T), X
 
 
 def pole_count(kind: ProblemKind, a: float, kappa1: float) -> int:

@@ -1,20 +1,24 @@
 """Eigenvalue location, eigenfunctions, tail amplitudes, critical widths.
 
-Roots are located by count (:mod:`modeguide.roots`) on the symmetric
-trace form S of :func:`~modeguide.matching.trace_form`, assembled only
-through :func:`_assemble_at` and
+Roots are located by count (:mod:`modeguide.roots`) on the 1 x 1 or
+2 x 2 Schur complement Z (:func:`~modeguide.matching.schur_complement`)
+of the symmetric trace form S of :func:`~modeguide.matching.trace_form`,
+assembled only through :func:`_assemble_at` and
 :func:`~modeguide.matching.assemble_threshold`, with the closed-form
-poles of :func:`~modeguide.matching.pole_count`, and polished to a
-bracket of ``tol / 10``.  The same count serves three variables: lam,
-kappa = sqrt(1 - lam) near the threshold, and the window half-length a
-of the threshold system.  The truncation ladder takes the root of the
-same index at each rung.
+poles of :func:`~modeguide.matching.pole_count`, and polished on det Z
+to a bracket of ``tol / 10``; one LU solve per point, no eigensolve of
+S.  The same count serves three variables: lam, kappa = sqrt(1 - lam)
+near the threshold, and the window half-length a of the threshold
+system.  The truncation ladder takes the root of the same index at each
+rung.
 
-Each root is confirmed through the eigenvalue of S smallest in modulus;
-its eigenvector holds the window-edge traces, from which the window,
-region-1 and outside coefficients and the L2 normalization follow in
-closed form (the transverse bases are orthonormal, so the norm is a sum
-of one-dimensional longitudinal integrals).
+Each root's kernel vector of S comes from the same solve: the kernel of
+Z on the first window mode's traces, extended to the others.  It holds
+the window-edge traces, from which the window, region-1 and outside
+coefficients and the L2 normalization follow in closed form (the
+transverse bases are orthonormal, so the norm is a sum of
+one-dimensional longitudinal integrals); its residual in S confirms the
+root.
 
 Two solver extensions matter in practice:
 
@@ -46,6 +50,8 @@ from .matching import (
     _rates,
     assemble_threshold,
     pole_count,
+    schur_complement,
+    trace_order,
 )
 # unused here: bound only because perfbench/tracing.py wraps it on this module
 from .matching import det_sign  # noqa: F401
@@ -84,18 +90,22 @@ __all__ = [
 
 #: clip of the search interval away from 1/4 and 1
 SEARCH_EPS = 1e-6
-#: largest relative kernel residual |mu|/max|mu| of an accepted root, mu the
-#: eigenvalue of S smallest in modulus; roots polished to a bracket of tol/10
-#: have residuals below tol/160 (at most 6.0e-3 tol over single- and
-#: two-window sectors at N = 12 and 40, for tol from 1e-12 to 1e-3), so every
-#: tol up to about 1.7e-6 passes (all up to 1e-5 did; 3e-5 failed)
+#: largest kernel residual ||S v|| / (||v|| max_i |S_ii|) of an accepted root,
+#: v its kernel vector (an upper bound on |mu|/max|mu|, mu the eigenvalue of
+#: S smallest in modulus); roots polished to a bracket of tol/10 have
+#: residuals below tol/130 (at most 7.6e-3 tol over single-window sectors at
+#: a = 1, 2, 3.5 and two-window sectors at (a, l) = (1, 6), (2, 4), N = 12 and
+#: 40, tol from 1e-12 to 1e-3), so every tol up to about 1.3e-6 passes (1e-6
+#: did; 3.2e-6 failed)
 RESIDUAL_GATE = 1e-8
 #: kappa window of the near-threshold search of the even two-window sector
 NEAR_THRESHOLD_KAPPA = (1e-13, 1e-3)
 #: relative tolerance of near-threshold kappa roots (polished to a tenth of it);
 #: at large separations rounding in S limits the root itself to about 1e-8
 #: relative (a = a_1, N = 40, l = 6: kappa = 1.17e-7, the smallest eigenvalue
-#: of S stays at rounding level across a relative 3e-8 of it)
+#: of S stays at rounding level across a relative 3e-8 of it, that of Z moves
+#: by one rounding step per relative 2e-9; at l = 7 and 8, det Z changes sign
+#: twice within a relative 1e-7 and 1.4e-6 of the root)
 KAPPA_RTOL = 1e-12
 #: window half-lengths of the critical-width search: (A_MIN, a_max], A_MAX by default
 A_MIN = 1e-3
@@ -192,9 +202,14 @@ def _check_tol(tol: float) -> None:
         raise ValueError(f"bracketing tolerance below 1e-14 is not resolvable, got {tol}")
 
 
+def _reduced(sys: MatchingSystem) -> np.ndarray:
+    """The system's Schur complement Z on the first window mode."""
+    return schur_complement(sys.matrix, sys.width)[0]
+
+
 def _form_at_kappa(cfg: CanonicalConfig, trunc: Truncation):
     b = cfg.base
-    return lambda kappa1: (_assemble_at(cfg, trunc, kappa1).matrix, pole_count(b.kind, b.a, kappa1))
+    return lambda kappa1: (_reduced(_assemble_at(cfg, trunc, kappa1)), pole_count(b.kind, b.a, kappa1))
 
 
 def _lam_sector(cfg: CanonicalConfig, trunc: Truncation, tol: float) -> Sector:
@@ -213,7 +228,7 @@ def _width_sector(trunc: Truncation, parity: str, a_max: float, tol: float) -> S
     kind = ProblemKind(f"single-{parity}")
 
     def form(a):
-        return assemble_threshold(a, trunc, parity).matrix, pole_count(kind, a, 0.0)
+        return _reduced(assemble_threshold(a, trunc, parity)), pole_count(kind, a, 0.0)
     return Sector(form, A_MIN, a_max, tol / 10.0)
 
 
@@ -323,10 +338,21 @@ def _assemble_at(cfg: CanonicalConfig, trunc: Truncation, kappa1: float) -> Matc
 
 
 def _kernel_vector(sys: MatchingSystem) -> tuple[np.ndarray, float]:
-    """Eigenvector of S for its eigenvalue mu smallest in modulus, and |mu|/max|mu|."""
-    mu, vecs = np.linalg.eigh(sys.matrix)
-    i = int(np.argmin(np.abs(mu)))
-    return vecs[:, i], float(abs(mu[i]) / np.max(np.abs(mu)))
+    """Unit kernel vector v of S and its residual ||S v|| / max_i |S_ii|.
+
+    v holds the eigenvector of Z for its eigenvalue smallest in modulus on
+    the first window mode's traces and ``-X`` times it on the others.  The
+    residual bounds |mu|/max|mu| from above, mu the eigenvalue of S
+    smallest in modulus.
+    """
+    S = sys.matrix
+    Z, X = schur_complement(S, sys.width)
+    z, vecs = np.linalg.eigh(Z)
+    v_w = vecs[:, int(np.argmin(np.abs(z)))]
+    v = np.empty(S.shape[0])
+    v[trace_order(S.shape[0], sys.width)] = np.concatenate([v_w, -X @ v_w])
+    v /= np.linalg.norm(v)
+    return v, float(np.linalg.norm(S @ v) / np.max(np.abs(np.diag(S))))
 
 
 def _solve_at(cfg: CanonicalConfig, trunc: Truncation, lam: float | None = None,

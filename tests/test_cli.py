@@ -525,6 +525,26 @@ def test_matching_subcommands_load_no_scipy(argv):
     assert result.returncode == 0, result.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ["single", "--a", "1", "--refine"],
+    ["split", "--a", "1", "--l", "4:10:2"],
+])
+def test_data_output_does_not_depend_on_blas_threads(argv):
+    # a threaded BLAS may sum in another order; the roots, their kernels and
+    # every derived column must still print the same digits
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {k: v for k, v in os.environ.items() if k != "MODEGUIDE_CACHE"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    outs = []
+    for threads in ("1", "2"):
+        result = subprocess.run([sys.executable, "-m", "modeguide", *argv], timeout=120,
+                                env={**env, "OPENBLAS_NUM_THREADS": threads},
+                                capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        outs.append(result.stdout)
+    assert outs[0] and outs[0] == outs[1]
+
+
 @pytest.mark.parametrize("argv, number, cap", [
     (("single", "--a", "2", "--modes", "100000"), "100000", "2048"),
     (("split", "--a", "1", "--l", "3", "--modes", "2049"), "2049", "2048"),

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from modeguide import MatchingSystem, ProblemKind, Truncation, assemble_threshold
 from modeguide.matching import (
@@ -11,7 +12,9 @@ from modeguide.matching import (
     det_sign,
     max_modes,
     pole_count,
+    schur_complement,
     trace_form,
+    trace_order,
 )
 from modeguide.modes import window_profile_at_edge
 from modeguide.solve import _assemble_at, find_critical_widths, find_eigenvalues
@@ -95,6 +98,42 @@ def test_count_is_continuous_across_a_pole():
     assert counts == [(1, 0), (0, 1)]
     assert pole_count(ProblemKind.TWO_WINDOW_ODD, 3.5, 0.0) == 1 + 0   # sqrt(3/4) * 3.5 / pi = 0.96
     assert pole_count(ProblemKind.SINGLE_WINDOW_ODD, 8.0, 0.0) == 2      # 2.21
+
+
+# every kind at lam = 1 - kappa1^2 in [1/4, 1], and the threshold system
+FORMS = st.tuples(
+    st.sampled_from([*ProblemKind, "threshold-even", "threshold-odd"]),
+    st.integers(4, 80),
+    st.floats(0.05, 8.0),
+    st.one_of(st.just(0.0), st.floats(1e-13, 0.05), st.floats(0.05, math.sqrt(0.75))),
+    st.floats(0.05, 10.0),
+)
+
+
+@given(FORMS)
+@settings(max_examples=60, deadline=None)
+def test_schur_count_equals_the_dense_count(form):
+    # all but the first window mode's traces are evanescent, so their block
+    # C is positive definite and the 1 x 1 / 2 x 2 Schur complement Z has
+    # the negative eigenvalues of S, at every point away from poles
+    kind, n, a, kappa1, gap = form
+    if isinstance(kind, str):
+        parity = kind.split("-")[1]
+        S = assemble_threshold(a, Truncation(n), parity).matrix
+        kind, kappa1 = ProblemKind(f"single-{parity}"), 0.0
+    else:
+        S = trace_form(kind, n, a, kappa1, a + gap if kind.is_two_window else None)
+    t1 = np.array([kappa1 * kappa1 - 0.75])
+    parities = ("even", "odd") if kind.is_two_window else (kind.parity,)
+    assume(all(abs(window_profile_at_edge(t1, a, p)[0][0]) > 1e-6 for p in parities))
+    width = 2 if kind.is_two_window else 1
+    order = trace_order(S.shape[0], width)
+    np.linalg.cholesky(S[np.ix_(order, order)][width:, width:])
+    Z, _ = schur_complement(S, width)
+    mu = np.linalg.eigvalsh(S)
+    # a point at rounding distance from a root has no well-defined count
+    assume(np.min(np.abs(mu)) > 1e-10 * np.max(np.abs(mu)))
+    assert np.count_nonzero(np.linalg.eigvalsh(Z) < 0) == np.count_nonzero(mu < 0)
 
 
 def test_parity_swap_is_bit_exact():
@@ -246,7 +285,7 @@ def _same_up_to_sign(u, v):
 @pytest.mark.parametrize("n", [40, 320])
 @pytest.mark.parametrize("cfg", [single_cfg(1.0), single_cfg(3.5, "odd"), two_cfg(1.0, 6.0, "even"),
                                  two_cfg(1.0, 6.0, "odd")], ids=[k.value for k in ProblemKind])
-def test_eigh_kernel_equals_the_svd_kernel_of_the_matching_matrix(cfg, n):
+def test_kernel_equals_the_svd_kernel_of_the_matching_matrix(cfg, n):
     # the eigenvector of S mapped back to profile coefficients is the kernel
     # of the non-symmetric matching matrix K
     b = cfg.base
@@ -256,7 +295,7 @@ def test_eigh_kernel_equals_the_svd_kernel_of_the_matching_matrix(cfg, n):
 
 
 @pytest.mark.parametrize("n", [40, 320])
-def test_threshold_eigh_kernel_equals_the_svd_kernel(n):
+def test_threshold_kernel_equals_the_svd_kernel(n):
     width = find_critical_widths(1, Truncation(n)).widths[0]
     K = reference_matrix(ProblemKind(f"single-{width.parity}"), n, width.a, 0.0)
     assert _same_up_to_sign(width.resonance.window_coeffs, _svd_kernel(K)) < 1e-12
