@@ -158,13 +158,12 @@ class Workspace:
                                            levels=len(self.LADDER) - 1, tol=1e-13).by_n
             rows: dict[int, dict[str, float]] = {}
             for n, a in widths.items():
-                res = _threshold_resonance(a, Truncation(n), w0.parity)
-                beta = math.sqrt(2.0 / PI) * float(res.outside_coeffs[1]) * math.exp(math.sqrt(3.0) * a)
+                w = _threshold_resonance(a, Truncation(n), w0.parity, w0.index)
                 rows[n] = {
                     "a": a,
-                    "beta": beta,
-                    "integral": window_integral(res, math.sqrt(3.0)),
-                    "beta_rhs": math.sqrt(3.0) * PI / 2.0 * beta,
+                    "beta": w.beta,
+                    "integral": window_integral(w.resonance, math.sqrt(3.0)),
+                    "beta_rhs": math.sqrt(3.0) * PI / 2.0 * w.beta,
                 }
             return rows
         return self._once("critical-ladder", compute)
@@ -436,12 +435,11 @@ def criterion_10(ws: Workspace) -> CriterionResult:
 CRITERIA = [criterion_1, criterion_2, criterion_3, criterion_4, criterion_5,
             criterion_6, criterion_7, criterion_8, criterion_9, criterion_10]
 
-#: criteria that cannot pass with the prescribed formulation; see module docstring
 def run_acceptance(quick: bool = False, trunc: Truncation = Truncation(40),
                    cids: list[int] | None = None) -> list[CriterionResult]:
     ws = Workspace(trunc=trunc, quick=quick)
     results = []
-    for fn, cid in zip(CRITERIA, range(1, 11)):
+    for cid, fn in enumerate(CRITERIA, start=1):
         if cids is not None and cid not in cids:
             continue
         results.append(fn(ws))

@@ -60,11 +60,6 @@ class SplittingPrediction:
             return self.mu_integral
         return self.mu_alpha
 
-    def pair(self, l: float) -> tuple[float, float]:
-        """Predicted (even, odd) eigenvalues at half-separation l."""
-        gap = self.mu * math.exp(-self.rate * l)
-        return self.lambda_j - gap, self.lambda_j + gap
-
 
 @dataclass(frozen=True)
 class ThresholdPrediction:

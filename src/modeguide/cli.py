@@ -35,6 +35,7 @@ from .matching import Truncation, max_modes
 from .modes import GeometryError, GridAlignmentError, ProblemKind, StripConfig, canonicalize
 from .records import RunRecord, cache_get, cache_put
 from .solve import (
+    THRESHOLD_KAPPA,
     extract_tail,
     refine_eigenvalue,
     find_critical_widths,
@@ -377,7 +378,9 @@ def cmd_threshold(args) -> int:
         cfg = canonicalize(StripConfig(d=math.pi, a=width.a, l=l, kind=ProblemKind.TWO_WINDOW_EVEN))
         roots = find_near_threshold(cfg, trunc)
         if not roots:
-            print(f"threshold: no near-threshold eigenvalue at l={l}", file=sys.stderr)
+            lo, hi = THRESHOLD_KAPPA
+            print(f"threshold: no near-threshold eigenvalue with kappa in ({lo:g}, {hi:g}] "
+                  f"at l={l}; a root with kappa below {lo:g} cannot be resolved", file=sys.stderr)
             return EXIT_NO_CONVERGENCE
         kappa = min(p.kappa1 for p in roots)
         rows.append({"l": l, "kappa": kappa, "gap": kappa * kappa,

@@ -50,7 +50,6 @@ __all__ = [
     "GridAlignmentError",
     "OracleConfig",
     "discretize",
-    "discretize_with_nodes",
     "lowest_eigenvalues",
     "oracle_eigenvalues",
     "refine_and_extrapolate",
@@ -166,6 +165,15 @@ class FDGrid:
         self.size = int(np.count_nonzero(self.keep))
         self.index = np.full(self.keep.shape, -1)
         self.index[self.keep] = np.arange(self.size)
+
+    def nodes(self) -> tuple[np.ndarray, np.ndarray]:
+        """(x1, x2) of every node, one coordinate per operator row.
+
+        A raw eigenvector equals sqrt(s) times the field values, with s = 1/2
+        per reflecting boundary the node sits on (the similarity weights).
+        """
+        ii, jj = np.nonzero(self.keep)
+        return (ii + self.i_lo) * self.h, jj * self.h2
 
     def x1_couplings(self) -> np.ndarray:
         """Weight of the x1 coupling between each row and the next.
@@ -301,17 +309,6 @@ def discretize(cfg: CanonicalConfig, ocfg: OracleConfig) -> FDOperator:
     transform by the square root of the half-cell weights, equal to its
     transpose bit-exactly by construction.
     """
-    op, _, _ = discretize_with_nodes(cfg, ocfg)
-    return op
-
-
-def discretize_with_nodes(cfg: CanonicalConfig, ocfg: OracleConfig):
-    """Like :func:`discretize`, also returning the node coordinates.
-
-    Returns (operator, x1, x2), one coordinate per operator row.  A raw
-    eigenvector equals sqrt(s) times the field values, with s = 1/2 per
-    reflecting boundary the node sits on (the similarity weights).
-    """
     grid = FDGrid(cfg, ocfg)
     keep, index = grid.keep, grid.index
     # the five stencil slots of node (i, j) in ascending column order, since
@@ -338,8 +335,7 @@ def discretize_with_nodes(cfg: CanonicalConfig, ocfg: OracleConfig):
     np.cumsum(stencil.sum(axis=2)[keep], out=indptr[1:])
     op = FDOperator((vals[stencil], cols[stencil], indptr), shape=(grid.size, grid.size))
     op.grid = grid
-    ii, jj = np.nonzero(keep)
-    return op, (ii + grid.i_lo) * grid.h, jj * grid.h2
+    return op
 
 
 def lowest_eigenvalues(op: FDOperator, k: int) -> np.ndarray:

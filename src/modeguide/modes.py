@@ -35,7 +35,6 @@ __all__ = [
     "StripConfig",
     "CanonicalConfig",
     "canonicalize",
-    "stable_cosh",
     "stable_sinhc",
     "overlap_matrix",
     "window_profile_at_edge",
@@ -157,24 +156,11 @@ def canonicalize(cfg: StripConfig) -> CanonicalConfig:
 # Branch-stable longitudinal evaluators
 # ---------------------------------------------------------------------------
 
-def stable_cosh(t, x):
-    """cosh(sqrt(t)*x) for t >= 0, cos(sqrt(-t)*x) for t < 0.
-
-    Entire in t (even power series in the rate), hence smooth across the
-    oscillatory/evanescent crossover at t = 0.  Accepts scalars or arrays.
-    """
-    t = np.asarray(t, dtype=float)
-    x = np.asarray(x, dtype=float)
-    r = np.sqrt(np.abs(t))
-    with np.errstate(over="ignore"):
-        out = np.where(t >= 0.0, np.cosh(r * x), np.cos(r * x))
-    return out if out.ndim else float(out)
-
-
 def stable_sinhc(t, x):
     """sinh(sqrt(t)*x)/sqrt(t) for t > 0, x at t = 0, sin(sqrt(-t)*x)/sqrt(-t) for t < 0.
 
-    Like :func:`stable_cosh` this is entire in t.  The removable point t = 0
+    Entire in t (even power series in the rate), hence smooth across the
+    oscillatory/evanescent crossover at t = 0.  The removable point t = 0
     is evaluated through a short series to keep full accuracy near the
     crossover.
     """

@@ -17,8 +17,9 @@ Z on the first window mode's traces, extended to the others.  It holds
 the window-edge traces, from which the window, region-1 and outside
 coefficients and the L2 normalization follow in closed form (the
 transverse bases are orthonormal, so the norm is a sum of
-one-dimensional longitudinal integrals); its residual in S confirms the
-root.
+one-dimensional longitudinal integrals); its residual in S gates the
+root.  Bound states and threshold resonances share this constructor,
+one window layout and one tail formula.
 
 Two solver extensions matter in practice:
 
@@ -86,6 +87,7 @@ __all__ = [
     "extrapolate_truncation",
     "SEARCH_EPS",
     "RESIDUAL_GATE",
+    "THRESHOLD_KAPPA",
 ]
 
 #: clip of the search interval away from 1/4 and 1
@@ -98,8 +100,11 @@ SEARCH_EPS = 1e-6
 #: 40, tol from 1e-12 to 1e-3), so every tol up to about 1.3e-6 passes (1e-6
 #: did; 3.2e-6 failed)
 RESIDUAL_GATE = 1e-8
+#: kappa window (lo, hi] that find_near_threshold searches by default; a root
+#: with kappa below the floor lo (1 - lam below 1e-26) is not resolved
+THRESHOLD_KAPPA = (1e-13, 0.05)
 #: kappa window of the near-threshold search of the even two-window sector
-NEAR_THRESHOLD_KAPPA = (1e-13, 1e-3)
+NEAR_THRESHOLD_KAPPA = (THRESHOLD_KAPPA[0], 1e-3)
 #: relative tolerance of near-threshold kappa roots (polished to a tenth of it);
 #: at large separations rounding in S limits the root itself to about 1e-8
 #: relative (a = a_1, N = 40, l = 6: kappa = 1.17e-7, the smallest eigenvalue
@@ -254,7 +259,8 @@ def find_eigenvalues(cfg: CanonicalConfig, trunc: Truncation = Truncation(),
 
 
 def find_near_threshold(cfg: CanonicalConfig, trunc: Truncation = Truncation(),
-                        kappa_lo: float = 1e-13, kappa_hi: float = 0.05) -> list[Eigenpair]:
+                        kappa_lo: float = THRESHOLD_KAPPA[0],
+                        kappa_hi: float = THRESHOLD_KAPPA[1]) -> list[Eigenpair]:
     """Even two-window eigenvalues with kappa = sqrt(1 - lam) in (kappa_lo, kappa_hi].
 
     Counts and polishes in kappa itself (relative tolerance ``KAPPA_RTOL``),
@@ -337,42 +343,37 @@ def _assemble_at(cfg: CanonicalConfig, trunc: Truncation, kappa1: float) -> Matc
     return _assemble_single_core(b.kind, trunc.n, b.a, kappa1)
 
 
-def _kernel_vector(sys: MatchingSystem) -> tuple[np.ndarray, float]:
-    """Unit kernel vector v of S and its residual ||S v|| / max_i |S_ii|.
-
-    v holds the eigenvector of Z for its eigenvalue smallest in modulus on
-    the first window mode's traces and ``-X`` times it on the others.  The
-    residual bounds |mu|/max|mu| from above, mu the eigenvalue of S
-    smallest in modulus.
-    """
-    S = sys.matrix
-    Z, X = schur_complement(S, sys.width)
-    z, vecs = np.linalg.eigh(Z)
-    v_w = vecs[:, int(np.argmin(np.abs(z)))]
-    v = np.empty(S.shape[0])
-    v[trace_order(S.shape[0], sys.width)] = np.concatenate([v_w, -X @ v_w])
-    v /= np.linalg.norm(v)
-    return v, float(np.linalg.norm(S @ v) / np.max(np.abs(np.diag(S))))
-
-
 def _solve_at(cfg: CanonicalConfig, trunc: Truncation, lam: float | None = None,
               kappa1: float | None = None) -> Eigenpair:
     if kappa1 is None:
         kappa1 = math.sqrt(1.0 - lam)
-    sys = _assemble_at(cfg, trunc, kappa1)
-    vec, residual = _kernel_vector(sys)
-    if not residual <= RESIDUAL_GATE:
-        raise ArithmeticError(f"kernel residual {residual:.3g} at lam={sys.lam!r} exceeds "
-                              f"{RESIDUAL_GATE:g}: not a root")
-    pair = _build_pair(sys, vec, residual)
+    pair = _build_pair(_assemble_at(cfg, trunc, kappa1))
     _normalize(pair)
     _fix_sign(pair)
     return pair
 
 
-def _build_pair(sys: MatchingSystem, w: np.ndarray, residual: float,
-                threshold_profile: bool = False) -> Eigenpair:
-    """The pair whose window-edge traces are the kernel vector w of S."""
+def _build_pair(sys: MatchingSystem, threshold_profile: bool = False) -> Eigenpair:
+    """The pair whose window-edge traces are the unit kernel vector w of S.
+
+    w holds the eigenvector of Z for its eigenvalue smallest in modulus on
+    the first window mode's traces and ``-X`` times it on the others.  Its
+    residual ||S w|| / max_i |S_ii| bounds |mu|/max|mu| from above, mu the
+    eigenvalue of S smallest in modulus; above ``RESIDUAL_GATE`` the point
+    is not a root and ArithmeticError is raised.
+    """
+    S = sys.matrix
+    Z, X = schur_complement(S, sys.width)
+    z, vecs = np.linalg.eigh(Z)
+    v_w = vecs[:, int(np.argmin(np.abs(z)))]
+    w = np.empty(S.shape[0])
+    w[trace_order(S.shape[0], sys.width)] = np.concatenate([v_w, -X @ v_w])
+    w /= np.linalg.norm(w)
+    residual = float(np.linalg.norm(S @ w) / np.max(np.abs(np.diag(S))))
+    if not residual <= RESIDUAL_GATE:
+        at = f"a={sys.a!r}" if threshold_profile else f"lam={sys.lam!r}"
+        raise ArithmeticError(f"kernel residual {residual:.3g} at {at} exceeds "
+                              f"{RESIDUAL_GATE:g}: not a root")
     n = sys.n
     kap, t = _rates(n, sys.kappa1)
     M = overlap_matrix(n)
@@ -405,20 +406,41 @@ def _build_pair(sys: MatchingSystem, w: np.ndarray, residual: float,
     )
 
 
-def _norm_sq(pair: Eigenpair) -> float:
-    """Full-strip L2 norm squared from closed-form longitudinal integrals."""
-    n = pair.n
-    kap, t = _rates(n, pair.kappa1)
+def _window_layout(pair: Eigenpair) -> tuple[float, list[tuple[str, np.ndarray]]]:
+    """The window center on x1 >= 0 and the pair's window-profile families.
+
+    Two windows sit at x1 = +-l, each carrying the even profile family and
+    the odd one; a single window sits at 0 and carries the family of the
+    pair's parity.  Each family is ``(parity, coefficients)``.  The strip
+    x1 < 0 is the mirror image of x1 > 0 with the pair's parity.
+    """
+    d = pair.window_coeffs
     if pair.kind.is_two_window:
-        dplus, dminus = pair.window_coeffs[:n], pair.window_coeffs[n:]
-        win = np.sum(dplus ** 2 * window_profile_l2(t, pair.a, "even"))
-        win += np.sum(dminus ** 2 * window_profile_l2(t, pair.a, "odd"))
-        reg1 = np.sum(pair.region1_coeffs ** 2 * axial_l2(kap, pair.l - pair.a, pair.kind.parity))
-        tail = np.sum(pair.outside_coeffs ** 2 / (2.0 * kap))
-        return 2.0 * float(win + reg1 + tail)
-    win = np.sum(pair.window_coeffs ** 2 * window_profile_l2(t, pair.a, pair.kind.parity))
-    tail = np.sum(pair.outside_coeffs ** 2 / kap)
-    return float(win + tail)
+        return pair.l, [("even", d[:pair.n]), ("odd", d[pair.n:])]
+    return 0.0, [(pair.kind.parity, d)]
+
+
+def _window_sum(pair: Eigenpair, xi: np.ndarray, modes=1.0) -> np.ndarray:
+    """sum over the window families of d @ (profile(xi) * modes), xi from the window center."""
+    _, t = _rates(pair.n, pair.kappa1)
+    terms = [d @ (window_profile_eval(t[:, None], xi[None, :], pair.a, parity) * modes)
+             for parity, d in _window_layout(pair)[1]]
+    return sum(terms[1:], terms[0])
+
+
+def _norm_sq(pair: Eigenpair) -> float:
+    """Full-strip L2 norm squared from closed-form longitudinal integrals:
+    twice that of the half strip x1 >= 0."""
+    kap, t = _rates(pair.n, pair.kappa1)
+    center, families = _window_layout(pair)
+    half = sum(np.sum(d ** 2 * window_profile_l2(t, pair.a, parity)) for parity, d in families)
+    if center == 0.0:
+        # a window on the mirror plane has half of it in the half strip
+        half = 0.5 * half
+    if pair.region1_coeffs is not None:
+        half += np.sum(pair.region1_coeffs ** 2 * axial_l2(kap, center - pair.a, pair.kind.parity))
+    half += np.sum(pair.outside_coeffs ** 2 / (2.0 * kap))
+    return 2.0 * float(half)
 
 
 def _scale_pair(pair: Eigenpair, divisor: float) -> None:
@@ -450,18 +472,17 @@ def _fix_sign(pair: Eigenpair) -> None:
 
 
 def _center_slope(pair: Eigenpair) -> float:
-    n = pair.n
-    _, t = _rates(n, pair.kappa1)
-    # odd profiles have slope 1/scale at the center; even ones slope 0, value 1/scale-ish
-    inv_scale_odd = np.exp(-np.asarray(window_profile_scale_log(t, pair.a, "odd")))
-    if pair.kind.is_two_window:
-        dminus = pair.window_coeffs[n:]
-        slope = float(_ROOT2_PI * np.sum(dminus * inv_scale_odd))
+    """Trace slope of the odd profile family at the window center, if it has
+    one and the slope is nonzero; else the trace value there."""
+    d_odd = dict(_window_layout(pair)[1]).get("odd")
+    if d_odd is not None:
+        _, t = _rates(pair.n, pair.kappa1)
+        # odd profiles have slope 1/scale at the center
+        inv_scale = np.exp(-np.asarray(window_profile_scale_log(t, pair.a, "odd")))
+        slope = float(_ROOT2_PI * np.sum(d_odd * inv_scale))
         if slope != 0.0:
             return slope
-        return float(window_trace(pair, np.array([0.0]))[0])
-    if pair.kind.parity == "odd":
-        return float(_ROOT2_PI * np.sum(pair.window_coeffs * inv_scale_odd))
+    # even profiles have slope 0 there and a value of about 1/scale
     return float(window_trace(pair, np.array([0.0]))[0])
 
 
@@ -474,17 +495,7 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
 
 def window_trace(pair: Eigenpair, x_local) -> np.ndarray:
     """Boundary trace psi(x1, 0) over the window, x measured from its center."""
-    x = np.asarray(x_local, dtype=float)
-    n = pair.n
-    _, t = _rates(n, pair.kappa1)
-    if pair.kind.is_two_window:
-        prof_e = window_profile_eval(t[:, None], x[None, :], pair.a, "even")
-        prof_o = window_profile_eval(t[:, None], x[None, :], pair.a, "odd")
-        vals = pair.window_coeffs[:n] @ prof_e + pair.window_coeffs[n:] @ prof_o
-    else:
-        prof = window_profile_eval(t[:, None], x[None, :], pair.a, pair.kind.parity)
-        vals = pair.window_coeffs @ prof
-    return _ROOT2_PI * vals
+    return _ROOT2_PI * _window_sum(pair, np.asarray(x_local, dtype=float))
 
 
 def window_integral(pair: Eigenpair, rate: float, order: int = 64) -> float:
@@ -502,6 +513,12 @@ def window_integral(pair: Eigenpair, rate: float, order: int = 64) -> float:
     return float(pair.a * np.sum(weights * vals))
 
 
+def _tail(pair: Eigenpair, j: int, rate: float) -> float:
+    """Amplitude sqrt(2/pi) B_{j+1} e^(rate a) of the single-window outside
+    mode j + 1, B_{j+1} e^(-rate (x1 - a)) its profile past the window."""
+    return _ROOT2_PI * float(pair.outside_coeffs[j]) * math.exp(rate * pair.a)
+
+
 def extract_tail(pair: Eigenpair) -> TailAmplitude:
     """Leading-tail amplitude alpha with psi ~ alpha e^(-kappa1 x1) sin x2.
 
@@ -512,8 +529,7 @@ def extract_tail(pair: Eigenpair) -> TailAmplitude:
         raise ValueError("tail amplitude in this convention applies to single-window pairs")
     if pair.threshold_profile:
         raise ValueError("threshold resonances carry a constant tail, not a decaying one")
-    alpha = _ROOT2_PI * float(pair.outside_coeffs[0]) * math.exp(pair.kappa1 * pair.a)
-    return TailAmplitude(alpha=alpha, kappa1=pair.kappa1)
+    return TailAmplitude(alpha=_tail(pair, 0, pair.kappa1), kappa1=pair.kappa1)
 
 
 # ---------------------------------------------------------------------------
@@ -533,40 +549,23 @@ def eigenfunction_value(pair: Eigenpair, x1, x2):
     if np.any((x2 < 0.0) | (x2 > math.pi)):
         raise ValueError("transverse coordinate outside the strip [0, pi]")
     n = pair.n
-    kap, t = _rates(n, pair.kappa1)
+    kap, _ = _rates(n, pair.kappa1)
+    center, _ = _window_layout(pair)
     out = np.zeros_like(x1)
-
-    if pair.kind.is_two_window:
-        sign = np.where(x1 >= 0.0, 1.0, 1.0 if pair.kind.parity == "even" else -1.0)
-        ax = np.abs(x1)
-        m_reg1 = ax < pair.l - pair.a
-        m_win = (~m_reg1) & (ax <= pair.l + pair.a)
-        m_out = ax > pair.l + pair.a
-        if np.any(m_reg1):
-            g = axial_eval(kap[:, None], ax[m_reg1][None, :], pair.l - pair.a, pair.kind.parity)
-            out[m_reg1] = (pair.region1_coeffs @ (g * _sin_modes(n, x2[m_reg1]))).ravel()
-        if np.any(m_win):
-            xi = ax[m_win] - pair.l
-            pe = window_profile_eval(t[:, None], xi[None, :], pair.a, "even")
-            po = window_profile_eval(t[:, None], xi[None, :], pair.a, "odd")
-            w = pair.window_coeffs[:n] @ (pe * _cos_modes(n, x2[m_win]))
-            w += pair.window_coeffs[n:] @ (po * _cos_modes(n, x2[m_win]))
-            out[m_win] = w
-        if np.any(m_out):
-            e = np.exp(-kap[:, None] * (ax[m_out] - pair.l - pair.a)[None, :])
-            out[m_out] = (pair.outside_coeffs @ (e * _sin_modes(n, x2[m_out]))).ravel()
-        out *= sign
-    else:
-        sign = np.where(x1 >= 0.0, 1.0, 1.0 if pair.kind.parity == "even" else -1.0)
-        ax = np.abs(x1)
-        m_win = ax <= pair.a
-        m_out = ~m_win
-        if np.any(m_win):
-            prof = window_profile_eval(t[:, None], x1[m_win][None, :], pair.a, pair.kind.parity)
-            out[m_win] = pair.window_coeffs @ (prof * _cos_modes(n, x2[m_win]))
-        if np.any(m_out):
-            e = np.exp(-kap[:, None] * (ax[m_out] - pair.a)[None, :])
-            out[m_out] = sign[m_out] * (pair.outside_coeffs @ (e * _sin_modes(n, x2[m_out])))
+    sign = np.where(x1 >= 0.0, 1.0, 1.0 if pair.kind.parity == "even" else -1.0)
+    ax = np.abs(x1)
+    m_reg1 = ax < center - pair.a
+    m_win = (~m_reg1) & (ax <= center + pair.a)
+    m_out = ax > center + pair.a
+    if np.any(m_reg1):
+        g = axial_eval(kap[:, None], ax[m_reg1][None, :], center - pair.a, pair.kind.parity)
+        out[m_reg1] = pair.region1_coeffs @ (g * _sin_modes(n, x2[m_reg1]))
+    if np.any(m_win):
+        out[m_win] = _window_sum(pair, ax[m_win] - center, _cos_modes(n, x2[m_win]))
+    if np.any(m_out):
+        e = np.exp(-kap[:, None] * (ax[m_out] - center - pair.a)[None, :])
+        out[m_out] = pair.outside_coeffs @ (e * _sin_modes(n, x2[m_out]))
+    out *= sign
     out *= _ROOT2_PI
     return out if out.ndim else float(out)
 
@@ -585,16 +584,17 @@ def _cos_modes(n: int, x2: np.ndarray) -> np.ndarray:
 # critical widths (threshold resonances)
 # ---------------------------------------------------------------------------
 
-def _threshold_resonance(a: float, trunc: Truncation, parity: str) -> Eigenpair:
-    sys = assemble_threshold(a, trunc, parity)
-    vec, residual = _kernel_vector(sys)
-    pair = _build_pair(sys, vec, residual, threshold_profile=True)
+def _threshold_resonance(a: float, trunc: Truncation, parity: str, index: int) -> CriticalWidth:
+    """The ``index``-th critical width a with its resonance, normalized to a
+    unit constant tail, and that resonance's second-mode tail ``beta``."""
+    pair = _build_pair(assemble_threshold(a, trunc, parity), threshold_profile=True)
     b1 = float(pair.outside_coeffs[0])
     if b1 == 0.0:
         raise ArithmeticError(f"degenerate threshold resonance at a={a}: no constant tail")
     _scale_pair(pair, b1)
     pair.norm = 1.0 / b1
-    return pair
+    return CriticalWidth(index=index, a=a, beta=_tail(pair, 1, math.sqrt(3.0)), parity=parity,
+                         resonance=pair)
 
 
 def find_critical_widths(n_max: int, trunc: Truncation = Truncation(),
@@ -614,12 +614,8 @@ def find_critical_widths(n_max: int, trunc: Truncation = Truncation(),
         raise ValueError(f"need n_max >= 1, got {n_max}")
     found = sorted((root, parity) for parity in ("even", "odd")
                    for root in sector_roots(_width_sector(trunc, parity, a_max, tol)))
-    widths = []
-    for i, (a_n, parity) in enumerate(found[:n_max], start=1):
-        pair = _threshold_resonance(a_n, trunc, parity)
-        kap2 = math.sqrt(3.0)
-        beta = _ROOT2_PI * float(pair.outside_coeffs[1]) * math.exp(kap2 * a_n)
-        widths.append(CriticalWidth(index=i, a=a_n, beta=beta, parity=parity, resonance=pair))
+    widths = [_threshold_resonance(a_n, trunc, parity, i)
+              for i, (a_n, parity) in enumerate(found[:n_max], start=1)]
     return CriticalWidthScan(widths=widths, exhausted=len(found) < n_max, a_max=a_max)
 
 

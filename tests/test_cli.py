@@ -172,6 +172,13 @@ def test_threshold_exhausted_scan_is_non_convergence(capsys):
     assert "critical widths" in err
 
 
+def test_threshold_below_the_kappa_floor_names_the_searched_window(capsys):
+    # kappa(l = 10) = 1.1e-13, so at l = 10.25 the bound state lies below the floor
+    code, out, err = run(capsys, "threshold", "--n", "1", "--l", "9.5:10.5:0.25")
+    assert code == 3 and not out
+    assert "1e-13" in err and "l=10.25" in err
+
+
 def test_threshold_deterministic(capsys):
     argv = ("threshold", "--n", "1", "--l", "4:4.5:0.5", "--modes", "16")
     _, out1, _ = run(capsys, *argv)
@@ -297,10 +304,14 @@ def test_oracle_record_holds_only_oracle_flags(capsys, tmp_path):
     assert record.provenance["h"] == 0.125 and "modes" not in record.config
 
 
-def test_single_rejects_root_failing_the_residual_gate(capsys):
+@pytest.mark.parametrize("argv", [
+    ("single", "--a", "1", "--modes", "12", "--tol", "1e-3"),
+    ("critical", "--n", "1", "--modes", "12", "--tol", "1e-3"),
+])
+def test_single_and_critical_reject_root_failing_the_residual_gate(capsys, argv):
     # a coarse bracketing tolerance stops far from the root: the kernel
     # residual fails the gate and the run reports non-convergence
-    code, out, err = run(capsys, "single", "--a", "1", "--modes", "12", "--tol", "1e-3")
+    code, out, err = run(capsys, *argv)
     assert code == 3
     assert "residual" in err and not out
 

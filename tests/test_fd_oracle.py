@@ -15,7 +15,6 @@ from modeguide import (
     refine_and_extrapolate,
 )
 from modeguide import ProblemKind, StripConfig, canonicalize, fd_oracle
-from modeguide.fd_oracle import discretize_with_nodes
 from modeguide.roots import Sector, count
 
 from conftest import single_cfg, two_cfg
@@ -154,7 +153,8 @@ def test_eigenvector_shape_matches_matching_eigenfunction():
     from modeguide import Truncation, eigenfunction_value, find_eigenvalues
 
     cfg = single_cfg(1.0)
-    op, x1, x2 = discretize_with_nodes(cfg, OracleConfig(L=10.0, h=1 / 32, k=1))
+    op = discretize(cfg, OracleConfig(L=10.0, h=1 / 32, k=1))
+    x1, x2 = op.grid.nodes()
     w, v = spla.eigsh(op, k=1, sigma=0.2, which="LM",
                       v0=np.full(op.shape[0], op.shape[0] ** -0.5))
     vec = v[:, 0]
@@ -250,7 +250,8 @@ def test_vectorized_assembly_equals_dict_loop_bitwise(kind, end, h):
     l = 3.0 if kind.is_two_window else None
     cfg = canonicalize(StripConfig(d=PI, a=1.0, l=l, kind=kind))
     ocfg = OracleConfig(L=8.0, h=h, k=2, end=end)
-    op, x1, x2 = discretize_with_nodes(cfg, ocfg)
+    op = discretize(cfg, ocfg)
+    x1, x2 = op.grid.nodes()
     ref, r1, r2 = _dict_loop_discretize(cfg, ocfg)
     assert op.shape == ref.shape
     for name in ("indptr", "indices", "data"):
@@ -353,8 +354,9 @@ def test_window_form_count_equals_the_dense_count(kind, end):
 @pytest.mark.parametrize("end", ["dirichlet", "neumann"])
 def test_x1_transform_diagonalizes_the_x1_operator(parity, end):
     # the nodes of one x2 line (j = 1) couple only in x1: diagonal 2 c1 + 2 c2
-    op, _, x2 = discretize_with_nodes(single_cfg(1.0, parity), OracleConfig(L=4.0, h=1 / 16, k=2, end=end))
+    op = discretize(single_cfg(1.0, parity), OracleConfig(L=4.0, h=1 / 16, k=2, end=end))
     grid = op.grid
+    _, x2 = grid.nodes()
     line = np.flatnonzero(np.isclose(x2, grid.h2))
     t1 = op[line][:, line].toarray() - 2.0 * grid.c2 * np.eye(len(line))
     forward, inverse, lam = grid.x1_transform()

@@ -11,7 +11,6 @@ from modeguide import (
     StripConfig,
     canonicalize,
     overlap_matrix,
-    stable_cosh,
     stable_sinhc,
 )
 from modeguide.matching import _rates
@@ -121,12 +120,6 @@ def test_rate_monotonicity():
 # branch-stable evaluators
 # ---------------------------------------------------------------------------
 
-def test_stable_cosh_basics():
-    assert stable_cosh(0.0, 5.0) == 1.0
-    assert stable_cosh(4.0, 1.0) == pytest.approx(math.cosh(2.0), rel=1e-15)
-    assert stable_cosh(-1.0, PI) == pytest.approx(-1.0, rel=1e-15)
-
-
 def test_stable_sinhc_basics():
     assert stable_sinhc(0.0, 2.5) == 2.5
     assert stable_sinhc(4.0, 1.0) == pytest.approx(math.sinh(2.0) / 2.0, rel=1e-14)
@@ -137,7 +130,6 @@ def test_stable_sinhc_basics():
 @settings(max_examples=40, deadline=None)
 def test_evaluator_smoothness_across_zero(x):
     eps = 1e-8
-    assert abs(stable_cosh(eps, x) - stable_cosh(-eps, x)) <= 1.5 * eps * x * x + 1e-15
     assert abs(stable_sinhc(eps, x) - stable_sinhc(-eps, x)) <= 0.5 * eps * x ** 3 + 1e-15
 
 
