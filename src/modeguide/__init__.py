@@ -52,9 +52,8 @@ from .records import RunRecord
 
 # the oracle needs scipy, which the matching solver does not: its names load
 # on first use (PEP 562), so the matching path imports numpy only
-_FD_ORACLE_NAMES = ("OracleConfig", "critical_width_crossing", "critical_width_crossings",
-                    "discrete_threshold", "discretize", "lowest_eigenvalues", "oracle_eigenvalues",
-                    "refine_and_extrapolate")
+_FD_ORACLE_NAMES = ("OracleConfig", "critical_width_crossing", "discrete_threshold", "discretize",
+                    "lowest_eigenvalues", "oracle_eigenvalues", "refine_and_extrapolate")
 
 
 def __getattr__(name):

@@ -29,7 +29,6 @@ from .asymptotics import THRESHOLD_RATE, fit_exponential, predict_splitting, pre
 from .fd_oracle import (
     OracleConfig,
     critical_width_crossing,
-    critical_width_crossings,
     oracle_eigenvalues,
     refine_and_extrapolate,
 )
@@ -209,10 +208,7 @@ class Workspace:
             if cached is not None:
                 return cached
             parity = self.critical().parity
-            # the search on the fine grid starts from the coarse grid's crossing
-            coarse, fine = critical_width_crossings(parity, grids[1])
-            if coarse is None:  # the coarse grid has no crossing: its own search raises
-                coarse = critical_width_crossing(parity, grids[0])
+            coarse, fine = (critical_width_crossing(parity, h) for h in grids)
             result = 2.0 * fine - coarse
             cache_put(key, result)
             return result
@@ -358,14 +354,15 @@ def criterion_7(ws: Workspace) -> CriterionResult:
     """Threshold-case sweep: rate, prefactor and pointwise decay check."""
     t0 = time.time()
     w1 = ws.critical()
-    mu = predict_threshold(beta=w1.beta).mu_beta
+    pred = predict_threshold(beta=w1.beta)
+    mu = pred.mu_beta
     ls = [3.0 + 0.25 * i for i in range(13)]
     data = ws.t3_sweep(ls)
     fit = fit_exponential([(l, k * k) for l, k in data])
     rel_rate = abs(fit.rate - THRESHOLD_RATE) / THRESHOLD_RATE
     rel_pref = abs(fit.prefactor - mu) / mu
     k5 = dict(data)[5.0]
-    k5_pred = math.sqrt(mu) * math.exp(-2.0 * math.sqrt(3.0) * 5.0)
+    k5_pred = pred.kappa(5.0)
     rel_k5 = abs(k5 - k5_pred) / k5_pred
     checks = [
         (f"rate {fit.rate:.5f} vs 4*sqrt(3) = {THRESHOLD_RATE:.5f}: "

@@ -372,16 +372,15 @@ def cmd_threshold(args) -> int:
     integral = window_integral(width.resonance, math.sqrt(3.0))
     pred = predict_threshold(beta=width.beta, window_integral=integral)
     rows = []
+    unresolved = None
     for l_phys in ls:
         # the critical width is canonical, so the sweep runs on the canonical strip
         l = scale * l_phys
         cfg = canonicalize(StripConfig(d=math.pi, a=width.a, l=l, kind=ProblemKind.TWO_WINDOW_EVEN))
         roots = find_near_threshold(cfg, trunc)
         if not roots:
-            lo, hi = THRESHOLD_KAPPA
-            print(f"threshold: no near-threshold eigenvalue with kappa in ({lo:g}, {hi:g}] "
-                  f"at l={l}; a root with kappa below {lo:g} cannot be resolved", file=sys.stderr)
-            return EXIT_NO_CONVERGENCE
+            unresolved = l  # the rows before it are emitted, then the run exits 3
+            break
         kappa = min(p.kappa1 for p in roots)
         rows.append({"l": l, "kappa": kappa, "gap": kappa * kappa,
                      "gap_predicted": pred.gap(l)})
@@ -399,6 +398,11 @@ def cmd_threshold(args) -> int:
         columns += ["l_phys", "kappa_phys"]
         notes.append(f"critical width a_{width.index} in physical units = {_fmt(width.a / scale)}")
     _emit(args, rows, columns, extra_lines=notes)
+    if unresolved is not None:
+        lo, hi = THRESHOLD_KAPPA
+        print(f"threshold: no near-threshold eigenvalue with kappa in ({lo:g}, {hi:g}] "
+              f"at l={unresolved}; a root with kappa below {lo:g} cannot be resolved", file=sys.stderr)
+        return EXIT_NO_CONVERGENCE
     return EXIT_OK
 
 
@@ -409,11 +413,10 @@ def cmd_oracle(args) -> int:
     if args.a is None:
         print("oracle: --a is required", file=sys.stderr)
         return EXIT_USAGE
-    if args.l is not None:
-        l = float(args.l)
+    l = args.l
+    if l is not None:
         kinds = (ProblemKind.TWO_WINDOW_EVEN, ProblemKind.TWO_WINDOW_ODD)
     else:
-        l = None
         kinds = (ProblemKind.SINGLE_WINDOW_EVEN, ProblemKind.SINGLE_WINDOW_ODD)
     # --h and --L are physical lengths, like --a and --l
     scale = _length_scale(args.d)
@@ -522,7 +525,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_threshold)
 
     p = sub.add_parser("oracle", help="finite-difference oracle eigenvalues")
-    flags(p, "d", "a", "l", "format")
+    flags(p, "d", "a", "format")
+    p.add_argument("--l", type=_finite, help="half-separation of two windows (default: one window)")
     p.add_argument("--h", type=_finite, default=1 / 64, help="grid step (default %(default)s)")
     p.add_argument("--L", type=_finite, help="truncation half-length (default ceil(l + a + 12 d/pi))")
     p.add_argument("--k", type=int, default=4, help="eigenvalues to report (default %(default)s)")

@@ -29,8 +29,8 @@ Richardson extrapolation over grids, with the difference of the two
 finest grids kept as a conservative error bound.  A Neumann far face
 lowers eigenvalues instead of raising them and so keeps an emerging
 bound state visible on the truncated domain, which
-:func:`critical_width_crossing` uses to locate the window width where a
-new state crosses below the discrete threshold.
+:func:`critical_width_crossing` uses to locate, by count, the window
+width where a new state crosses below the discrete threshold.
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ __all__ = [
     "refine_and_extrapolate",
     "discrete_threshold",
     "critical_width_crossing",
-    "critical_width_crossings",
     "FDGrid",
     "FDOperator",
     "WindowForm",
@@ -63,8 +62,6 @@ __all__ = [
 ]
 
 
-#: coarsest grid whose crossing seeds the search on the grid twice as fine
-COARSEST_SEED_GRID = 1.0 / 8.0
 #: largest relative eigenpair residual ||op v - lam v|| / |lam| accepted
 EIGENPAIR_GATE = 1e-8
 #: most grid nodes (L/h) * (pi/h) of a discretization: ten times the h = 1/64,
@@ -422,61 +419,39 @@ def critical_width_crossing(parity: str, h: float, L: float = 16.0,
     within a few 1e-3 of the true critical width.
 
     The widths form a lattice of step 2h from round(a_lo/h)*h, each point
-    rounded to the grid and the last clamped to round(a_hi/h)*h.  The gap
-    (lowest eigenvalue minus cutoff) decreases in a by min-max, so one cell
-    holds the sign change.  The search starts in the cell of the crossing
-    one grid coarser (2h, while 2h <= COARSEST_SEED_GRID; else, or without
-    one, in the first cell) and walks cell by cell towards the sign change:
-    two eigensolves on its own grid, with a result equal bit for bit to a
-    scan from a_lo.  Raises ArithmeticError when the lattice holds no
-    crossing and ValueError for any other parity.
-    """
-    return critical_width_crossings(parity, h, L, a_lo, a_hi, cutoff_margin)[1]
-
-
-def critical_width_crossings(parity: str, h: float, L: float = 16.0,
-                             a_lo: float = 2.0, a_hi: float = 2.6,
-                             cutoff_margin: float = 1e-8) -> tuple[float | None, float]:
-    """The crossing on grid 2h that seeded the search on grid h, and the crossing on h.
-
-    The search is that of :func:`critical_width_crossing`; the first value
-    is None where no coarser crossing seeded it.  Each value equals, bit for
-    bit, that of :func:`critical_width_crossing` on its grid.
+    rounded to the grid and the last clamped to round(a_hi/h)*h.  The lowest
+    eigenvalue decreases in a by min-max, so the number of eigenvalues below
+    the cutoff, read from the count of the grid's :class:`WindowForm`, goes
+    from 0 to 1 or more in one cell, which bisection over the lattice finds.
+    Only that cell's two ends are eigensolved, for the secant: a result
+    equal bit for bit to a scan from a_lo.  Raises ArithmeticError when the
+    lattice holds no crossing, with no eigensolve, or when the two ends do
+    not bracket the cutoff, and ValueError for any other parity.
     """
     if parity not in ("even", "odd"):
         raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
     kind = ProblemKind.SINGLE_WINDOW_EVEN if parity == "even" else ProblemKind.SINGLE_WINDOW_ODD
+    ocfg = OracleConfig(L=L, h=h, k=2, end="neumann")
     cut = discrete_threshold(h) - cutoff_margin
-
-    def gap(a_aligned: float) -> float:
-        cfg = canonicalize(StripConfig(d=math.pi, a=a_aligned, kind=kind))
-        w = oracle_eigenvalues(cfg, OracleConfig(L=L, h=h, k=2, end="neumann"))
-        return float(w[0] - cut)
-
     lattice = [round(a_lo / h) * h]
     end = round(a_hi / h) * h
     while lattice[-1] < end:
         lattice.append(min(round((lattice[-1] + 2.0 * h) / h) * h, end))
-    seed = None
-    if 2.0 * h <= COARSEST_SEED_GRID:
-        try:
-            seed = critical_width_crossing(parity, 2.0 * h, L, a_lo, a_hi, cutoff_margin)
-        except (ArithmeticError, GridAlignmentError):
-            pass  # no seed: start in the first cell
-    start = lattice[0] if seed is None else seed
-    i = min(max(bisect.bisect_right(lattice, start) - 1, 0), len(lattice) - 2)
-    gaps: dict[int, float] = {}
-    while 0 <= i < len(lattice) - 1:
-        for j in (i, i + 1):
-            if j not in gaps:
-                gaps[j] = gap(lattice[j])
-        g_prev, g = gaps[i], gaps[i + 1]
-        if g_prev > 0.0 >= g:
-            a_prev, a = lattice[i], lattice[i + 1]
-            return seed, a_prev + (a - a_prev) * g_prev / (g_prev - g)
-        if g_prev <= 0.0 < g:
-            raise ArithmeticError(
-                f"threshold gap increases from a={lattice[i]} to a={lattice[i + 1]} at h={h}")
-        i += 1 if g > 0.0 else -1
-    raise ArithmeticError(
-        f"no threshold crossing for parity={parity} in [{a_lo}, {a_hi}] at h={h}")
+
+    def config(i: int) -> CanonicalConfig:
+        return canonicalize(StripConfig(d=math.pi, a=lattice[i], kind=kind))
+
+    def bound(i: int) -> bool:
+        form = WindowForm(FDGrid(config(i), ocfg))
+        return count(Sector(form, 0.0, cut, 0.0), cut).roots > 0
+
+    i = bisect.bisect_left(range(len(lattice)), True, key=bound)
+    if not 0 < i < len(lattice):
+        raise ArithmeticError(
+            f"no threshold crossing for parity={parity} in [{a_lo}, {a_hi}] at h={h}")
+    g_prev, g = (float(oracle_eigenvalues(config(j), ocfg)[0] - cut) for j in (i - 1, i))
+    a_prev, a = lattice[i - 1], lattice[i]
+    if not g_prev > 0.0 >= g:
+        raise ArithmeticError(f"threshold gap does not change sign from a={a_prev} to a={a} "
+                              f"at h={h}: {g_prev:.3g}, {g:.3g}")
+    return a_prev + (a - a_prev) * g_prev / (g_prev - g)

@@ -174,8 +174,10 @@ def test_threshold_exhausted_scan_is_non_convergence(capsys):
 
 def test_threshold_below_the_kappa_floor_names_the_searched_window(capsys):
     # kappa(l = 10) = 1.1e-13, so at l = 10.25 the bound state lies below the floor
+    # the rows resolved before l = 10.25 are printed as a sweep ending at l = 10 would print them
     code, out, err = run(capsys, "threshold", "--n", "1", "--l", "9.5:10.5:0.25")
-    assert code == 3 and not out
+    assert code == 3 and out == run(capsys, "threshold", "--n", "1", "--l", "9.5:10:0.25")[1]
+    assert [float(r["l"]) for r in parse_csv(out)] == [9.5, 9.75, 10.0]
     assert "1e-13" in err and "l=10.25" in err
 
 
@@ -204,6 +206,13 @@ def test_oracle_finds_every_mode_of_a_windowless_grid(capsys):
     odd = [r for r in parse_csv(out) if r["parity"] == "odd"]
     assert len(odd) == 4
     assert all(float(r["error_bound"]) < 1e-2 for r in odd)
+
+
+def test_oracle_takes_one_half_separation(capsys):
+    code, out, err = run(capsys, "oracle", "--a", "1", "--l", "3:5", "--h", "0.125")
+    assert code == 2 and not out and "--l" in err
+    assert main(["oracle", "--help"]) == 0
+    assert "range" not in capsys.readouterr().out
 
 
 def test_oracle_grid_alignment_error(capsys):

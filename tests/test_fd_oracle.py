@@ -292,41 +292,55 @@ def solves(monkeypatch):
     return seen
 
 
-@pytest.mark.parametrize("h, L", [(1 / 16, 16.0), (1 / 32, 16.0),
-                                  (1 / 16, 16.0625)])  # L off the h = 1/8 grid: no seed
-def test_crossing_walk_equals_plain_scan(h, L):
+def _scan_crossing(h, L, a_lo, a_hi):
     # reference: every gap on the 2h lattice, the first sign change, the secant
     cut = discrete_threshold(h) - 1e-8
-    widths = [round(2.0 / h) * h]
-    while widths[-1] < round(2.6 / h) * h:
-        widths.append(min(round((widths[-1] + 2.0 * h) / h) * h, round(2.6 / h) * h))
+    widths = [round(a_lo / h) * h]
+    while widths[-1] < round(a_hi / h) * h:
+        widths.append(min(round((widths[-1] + 2.0 * h) / h) * h, round(a_hi / h) * h))
     ocfg = OracleConfig(L=L, h=h, k=2, end="neumann")
     gaps = [oracle_eigenvalues(single_cfg(a, "odd"), ocfg)[0] - cut for a in widths]
     assert all(g1 > g2 for g1, g2 in zip(gaps, gaps[1:]))
     i = next(i for i in range(len(gaps) - 1) if gaps[i] > 0.0 >= gaps[i + 1])
-    scan = widths[i] + (widths[i + 1] - widths[i]) * gaps[i] / (gaps[i] - gaps[i + 1])
-    assert critical_width_crossing("odd", h, L=L) == scan
+    return widths[i] + (widths[i + 1] - widths[i]) * gaps[i] / (gaps[i] - gaps[i + 1])
+
+
+@pytest.mark.parametrize("h, L, a_lo, a_hi", [
+    (1 / 16, 16.0, 2.0, 2.6), (1 / 32, 16.0, 2.0, 2.6), (1 / 16, 16.0625, 2.0, 2.6),
+    (1 / 16, 16.0, 2.25, 2.6),   # the crossing in the first cell, [2.25, 2.375]
+    (1 / 16, 16.0, 2.0, 2.3),    # the crossing in the last cell, [2.25, 2.3125]
+])
+def test_crossing_walk_equals_plain_scan(h, L, a_lo, a_hi):
+    assert critical_width_crossing("odd", h, L=L, a_lo=a_lo, a_hi=a_hi) == _scan_crossing(h, L, a_lo, a_hi)
+
+
+def test_crossing_below_the_lattice_raises(solves):
+    # the crossing at h = 1/16, 2.2847, lies below the lattice's first width, 2.3125
+    with pytest.raises(ArithmeticError, match="no threshold crossing"):
+        critical_width_crossing("odd", 1 / 16, a_lo=2.3)
+    assert solves == []
 
 
 def test_crossing_solves_twice_on_its_own_grid(solves):
     assert critical_width_crossing("odd", 1 / 32) == 2.281034742322099
-    assert [a for h, a in solves if h == 1 / 32] == [2.25, 2.3125]
+    assert solves == [(1 / 32, 2.25), (1 / 32, 2.3125)]
 
 
-def test_crossing_walk_recovers_from_a_wrong_seed(monkeypatch, solves):
-    # a seed at 2.55 starts four cells right of the crossing: one more solve each
-    monkeypatch.setattr(fd_oracle, "critical_width_crossing", lambda *args: 2.55)
-    assert critical_width_crossing("odd", 1 / 32) == 2.281034742322099
-    assert solves == [(1 / 32, a) for a in (2.5, 2.5625, 2.4375, 2.375, 2.3125, 2.25)]
+def test_crossing_raises_where_the_solves_contradict_the_count(monkeypatch):
+    # eigenvalues 1 too high put both ends of the counted cell above the cutoff
+    solve = fd_oracle.oracle_eigenvalues
+    monkeypatch.setattr(fd_oracle, "oracle_eigenvalues", lambda cfg, ocfg: solve(cfg, ocfg) + 1.0)
+    with pytest.raises(ArithmeticError, match="does not change sign from a=2.25 to a=2.375"):
+        critical_width_crossing("odd", 1 / 16)
 
 
 @pytest.mark.parametrize("h", [1 / 16, 1 / 32])
 def test_crossing_without_a_new_state_raises(h, solves):
-    # the even ground state binds at every width, so every gap is negative;
-    # at h = 1/32 the lattice ends at 2.59375 < 2.6, where a scan never stopped
+    # the even ground state binds at every width, so the count is 1 from the
+    # first width on and no eigensolve is made
     with pytest.raises(ArithmeticError, match="no threshold crossing"):
         critical_width_crossing("even", h)
-    assert [a for step, a in solves if step == h] == [2.0, 2.0 + 2.0 * h]
+    assert solves == []
 
 
 def test_crossing_rejects_unknown_parity(solves):
@@ -411,7 +425,7 @@ def test_an_operator_without_its_grid_raises():
 
 
 def test_fd_critical_crossing_searches_once(monkeypatch, solves):
-    # one search on the fine grid (h = 1/32) also gives the crossing on 1/16
+    # one search per grid, two eigensolves each
     from collections import Counter
 
     from modeguide.acceptance import Workspace
@@ -420,5 +434,5 @@ def test_fd_critical_crossing_searches_once(monkeypatch, solves):
     ws = Workspace(quick=True)
     parity = ws.critical().parity
     value = ws.fd_critical_crossing()
-    assert Counter(h for h, _ in solves) == {1 / 8: 3, 1 / 16: 2, 1 / 32: 2}
+    assert Counter(h for h, _ in solves) == {1 / 16: 2, 1 / 32: 2}
     assert value == 2.0 * critical_width_crossing(parity, 1 / 32) - critical_width_crossing(parity, 1 / 16)
