@@ -12,12 +12,14 @@ eliminated for odd ones.
 One node layout (:class:`FDGrid`) feeds both the CSR assembly and the
 eigensolve.  Away from the windows the operator is separable, and
 orthonormal DCT/DST transforms diagonalize it with eigenvalues
-lam_m + mu_k; eliminating every node but the few window nodes leaves the
-small dense window Schur complement S(sigma) of A - sigma I
-(:class:`WindowForm`).  By inertia additivity the number of eigenvalues
-below sigma is the number of modes lam_m + mu_k below it, the poles of
-S, plus the negative eigenvalues of S(sigma), so the eigensolve is the
-matching solver's count, isolation and polish (:mod:`modeguide.roots`).
+lam_m + mu_k.  A mode that vanishes on every window node is an
+eigenvector as it stands (a free mode); eliminating every node but the
+few window nodes leaves the other modes the small dense window Schur
+complement S(sigma) of A - sigma I (:class:`WindowForm`).  By inertia
+additivity the eigenvalues below sigma that are not free number the
+poles of S below it, plus the negative eigenvalues of S(sigma), so the
+eigensolve is the matching solver's count, isolation and polish
+(:mod:`modeguide.roots`) plus the free values in closed form.
 The CSR operator stays the definition: every eigenpair is checked
 against it.  The oracle shares only the geometry types and that root
 finder with the matching solver; its independence rests on its own
@@ -44,7 +46,7 @@ import numpy as np
 import scipy.sparse as sparse
 
 from .modes import CanonicalConfig, GridAlignmentError, ProblemKind, StripConfig, canonicalize
-from .roots import Sector, count, isolate, polish
+from .roots import Sector, count, isolate, kernel, polish
 
 __all__ = [
     "GridAlignmentError",
@@ -212,19 +214,21 @@ class WindowForm:
 
     A is the operator of :func:`discretize` on ``grid``.  Its nodes j >= 1
     carry T1 (x) I + I (x) T2, diagonal in the x1 transform times the
-    orthonormal DST-I in x2 with eigenvalues lam_m + mu_k, the poles of S.
+    orthonormal DST-I in x2 with eigenvalues lam_m + mu_k: eigenvalues of A
+    (``free_values``) for an x1 mode that vanishes on every window row (for
+    every mode on a grid without one), the poles of S for the other modes.
     The window nodes (j = 0) couple only to j = 1, by -g = -sqrt(2)*c2, and
 
         S = Q_w diag(e_m) Q_w^T,   e_m = n2 / sum_k 1/(lam_m + nu_k - sigma),
 
-    with Q_w the x1 basis on the window rows: e_m is the Schur complement
+    with Q_w the other modes on the window rows: e_m is the Schur complement
     onto j = 0 of the x2 line in x1 mode m (T2 with the node j = 0, shifted
     by lam_m - sigma), whose eigenvalues are lam_m - sigma + nu_k,
     nu_k = 4 c2 sin^2((k + 1/2) pi/(2 n2)), and whose eigenvectors all weigh
     1/n2 at j = 0.  Called, the form gives S(sigma) and the number of poles
     below sigma, whose count (:mod:`modeguide.roots`) is by inertia
     additivity (Haynsworth, Linear Algebra Appl. 1 (1968) 73-81) the
-    number of eigenvalues of A below sigma.
+    number of eigenvalues of A below sigma that are not free.
     """
 
     def __init__(self, grid: FDGrid) -> None:
@@ -233,7 +237,7 @@ class WindowForm:
         d1, d2 = 2.0 * grid.c1, 2.0 * grid.c2
         dd = grid.diagonal - d1
         self.correction = (d1 - (grid.diagonal - dd)) + (d2 - dd)
-        x1_fwd, self.x1_inv, self.lam = grid.x1_transform()
+        x1_fwd, self.x1_inv, lam = grid.x1_transform()
         n2 = grid.n2
         k = np.arange(1, n2)
         self.mu = 4.0 * grid.c2 * np.sin(k * (math.pi / (2 * n2))) ** 2
@@ -245,7 +249,13 @@ class WindowForm:
         rows = np.flatnonzero(grid.window)
         unit = np.zeros((len(grid.window), len(rows)))
         unit[rows, np.arange(len(rows))] = 1.0
-        self.q_w = x1_fwd(unit)  # Q_w^T: the x1 modes on the window rows
+        q_w = x1_fwd(unit)  # Q_w^T: the x1 modes on the window rows
+        # the transform leaves a mode's zeros below eps, while a mode that does
+        # not vanish on a window row is about n1^-1.5 there at least
+        free = np.abs(q_w).max(axis=1, initial=0.0) <= len(lam) * np.finfo(float).eps
+        self.free, self.modes = np.flatnonzero(free), np.flatnonzero(~free)
+        self.free_values = lam[free][:, None] + self.mu - self.correction
+        self.lam, self.q_w = lam[~free], q_w[~free]
         self.n2 = n2
         self.size = grid.size
         self.u_nodes = grid.index[:, 1:].ravel()
@@ -257,35 +267,28 @@ class WindowForm:
         poles = int(np.searchsorted(self.mu, shift - self.lam).sum())
         return self.q_w.T @ (e[:, None] * self.q_w), poles
 
-    def vectors(self, roots) -> np.ndarray:
-        """Unit node vectors, one column per root: x_w, the kernel vector of
-        S(root), and in mode coordinates y = g (Q_w x_w) (x) phi / (lam_m + mu_k - root)."""
-        x_w = np.column_stack([_kernel(self(root)[0]) for root in roots])
-        shifts = np.asarray(roots)[:, None] + self.correction
-        y = ((self.g * (self.q_w @ x_w))[:, :, None] * self.sines[0]  # the x2 modes at j = 1
-             / (self.lam[:, None, None] + (self.mu - shifts)))
-        return self._to_nodes(y, x_w)
-
-    def separable(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """The k lowest eigenpairs of A without window nodes: lam_m + mu_k and their modes."""
-        d = self.lam[:, None] + self.mu
-        m, j = np.unravel_index(np.argsort(d, axis=None)[:k], d.shape)
-        y = np.zeros((len(self.lam), k, len(self.mu)))
-        y[m, np.arange(k), j] = 1.0
-        return d[m, j] - self.correction, self._to_nodes(y, np.zeros((0, k)))
-
-    def _to_nodes(self, y: np.ndarray, x_w: np.ndarray) -> np.ndarray:
+    def eigenpairs(self, roots: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """The k lowest of the roots and the free values, roots first, and unit node
+        vectors: for a root x_w, the kernel vector of S(root), and in mode coordinates
+        y = g (Q_w x_w) (x) phi / (lam_m + mu_k - root); for a free value its mode."""
+        low = np.argsort(self.free_values, axis=None)[:k]
+        w = np.concatenate([roots, self.free_values.ravel()[low]])
+        keep = np.sort(np.argsort(w, kind="stable")[:k])
+        n = int(np.count_nonzero(keep < len(roots)))  # the kept roots are roots[:n]
+        m, j = np.unravel_index(low[keep[n:] - len(roots)], self.free_values.shape)
+        x_w = np.column_stack([kernel(self(root)[0]) for root in roots[:n]]
+                              + [np.zeros((len(self.w_nodes), k - n))])
         # y holds the mode coordinates of the nodes j >= 1 as (x1 mode, column, x2 mode)
-        v = np.empty((self.size, y.shape[1]))
-        v[self.u_nodes] = self.x1_inv(y @ self.sines).transpose(0, 2, 1).reshape(-1, y.shape[1])
+        y = np.zeros((len(self.free) + len(self.modes), k, len(self.mu)))
+        shifts = roots[:n, None] + self.correction
+        y[self.modes, :n] = ((self.g * (self.q_w @ x_w[:, :n]))[:, :, None]
+                             * self.sines[0]  # the x2 modes at j = 1
+                             / (self.lam[:, None, None] + (self.mu - shifts)))
+        y[self.free[m], np.arange(n, k), j] = 1.0
+        v = np.empty((self.size, k))
+        v[self.u_nodes] = self.x1_inv(y @ self.sines).transpose(0, 2, 1).reshape(-1, k)
         v[self.w_nodes] = x_w
-        return v / np.linalg.norm(v, axis=0)
-
-
-def _kernel(s: np.ndarray) -> np.ndarray:
-    """Eigenvector of a symmetric matrix for its eigenvalue smallest in modulus."""
-    mu, vecs = np.linalg.eigh(s)
-    return vecs[:, np.argmin(np.abs(mu))]
+        return w[keep], v / np.linalg.norm(v, axis=0)
 
 
 class FDOperator(sparse.csr_matrix):
@@ -338,12 +341,12 @@ def discretize(cfg: CanonicalConfig, ocfg: OracleConfig) -> FDOperator:
 def lowest_eigenvalues(op: FDOperator, k: int) -> np.ndarray:
     """The k smallest eigenvalues of an operator from :func:`discretize`, ascending.
 
-    The roots of the grid's :class:`WindowForm`: the count is 0 at sigma = 0,
-    below the positive definite spectrum, and the upper end doubles from 1
-    until the count reaches k; count bisection isolates the k lowest roots
-    and Brent's method on det S polishes them to a few ulps.  A root no
-    bracket separates from a pole raises ArithmeticError.  Without window
-    nodes the eigenvalues are the closed-form lam_m + mu_k.  Every eigenpair
+    The roots of the grid's :class:`WindowForm` and its free values: their
+    count is 0 at sigma = 0, below the positive definite spectrum, and the
+    upper end doubles from 1 until it reaches k; count bisection isolates
+    the first k roots, Brent's method on det S polishes them to a few ulps,
+    and the k lowest of these and the free values are kept.  A root no
+    bracket separates from a pole raises ArithmeticError.  Every eigenpair
     (lam, v) is checked against the operator: ArithmeticError unless
     ||op v - lam v|| <= EIGENPAIR_GATE * |lam|.  An operator without its
     grid (scipy arithmetic drops it) raises ValueError.
@@ -355,18 +358,14 @@ def lowest_eigenvalues(op: FDOperator, k: int) -> np.ndarray:
     if grid is None:
         raise ValueError("lowest_eigenvalues needs the grid of an operator from discretize")
     form = WindowForm(grid)
-    if not form.w_nodes.size:
-        w, v = form.separable(k)
-    else:
-        sec = Sector(form, 0.0, 1.0, 0.0)
-        lo, hi = count(sec, sec.lo), count(sec, sec.hi)
-        while hi.roots < k:
-            hi = count(sec, 2.0 * hi.x)
-        w = [polish(sec, *b) for b in itertools.islice(isolate(sec, lo, hi), k)]
-        if None in w:
-            raise ArithmeticError("a counted eigenvalue does not change the sign of det S")
-        w = np.array(w)
-        v = form.vectors(w)
+    sec = Sector(form, 0.0, 1.0, 0.0)
+    lo, hi = count(sec, sec.lo), count(sec, sec.hi)
+    while hi.roots + np.count_nonzero(form.free_values < hi.x) < k:
+        hi = count(sec, 2.0 * hi.x)
+    roots = [polish(sec, *b) for b in itertools.islice(isolate(sec, lo, hi), k)]
+    if None in roots:
+        raise ArithmeticError("a counted eigenvalue does not change the sign of det S")
+    w, v = form.eigenpairs(np.array(roots), k)
     residual = np.linalg.norm(op @ v - v * w, axis=0) / np.abs(w)
     if not np.all(residual <= EIGENPAIR_GATE):
         raise ArithmeticError(f"eigenpair residual {residual.max():.3g} exceeds {EIGENPAIR_GATE:g}")
@@ -443,7 +442,8 @@ def critical_width_crossing(parity: str, h: float, L: float = 16.0,
 
     def bound(i: int) -> bool:
         form = WindowForm(FDGrid(config(i), ocfg))
-        return count(Sector(form, 0.0, cut, 0.0), cut).roots > 0
+        free = np.count_nonzero(form.free_values < cut)
+        return count(Sector(form, 0.0, cut, 0.0), cut).roots + free > 0
 
     i = bisect.bisect_left(range(len(lattice)), True, key=bound)
     if not 0 < i < len(lattice):

@@ -17,7 +17,8 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["Sector", "Count", "count", "isolate", "brent", "polish", "sector_roots", "kth_root"]
+__all__ = ["Sector", "Count", "count", "isolate", "brent", "polish", "sector_roots", "kth_root",
+           "kernel"]
 
 _EPS = float(np.finfo(float).eps)
 
@@ -60,6 +61,12 @@ def count(sec: Sector, x: float) -> Count:
     with np.errstate(divide="ignore"):
         logdet = float(np.sum(np.log(np.abs(mu))))
     return Count(x, sec.sense * (neg + poles), poles, -1.0 if neg % 2 else 1.0, logdet)
+
+
+def kernel(S: np.ndarray) -> np.ndarray:
+    """Unit eigenvector of the symmetric S for its eigenvalue smallest in modulus."""
+    mu, vecs = np.linalg.eigh(S)
+    return vecs[:, int(np.argmin(np.abs(mu)))]
 
 
 def isolate(sec: Sector, lo: Count, hi: Count):

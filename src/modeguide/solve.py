@@ -67,7 +67,7 @@ from .modes import (
     window_profile_l2,
     window_profile_scale_log,
 )
-from .roots import Sector, kth_root, sector_roots
+from .roots import Sector, kernel, kth_root, sector_roots
 
 __all__ = [
     "Eigenpair",
@@ -364,8 +364,7 @@ def _build_pair(sys: MatchingSystem, threshold_profile: bool = False) -> Eigenpa
     """
     S = sys.matrix
     Z, X = schur_complement(S, sys.width)
-    z, vecs = np.linalg.eigh(Z)
-    v_w = vecs[:, int(np.argmin(np.abs(z)))]
+    v_w = kernel(Z)
     w = np.empty(S.shape[0])
     w[trace_order(S.shape[0], sys.width)] = np.concatenate([v_w, -X @ v_w])
     w /= np.linalg.norm(w)

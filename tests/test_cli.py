@@ -198,10 +198,13 @@ def test_oracle_command(capsys):
     assert float(even_rows[0]["error_bound"]) > 0.0
 
 
-def test_oracle_finds_every_mode_of_a_windowless_grid(capsys):
+@pytest.mark.parametrize("separation", [(), ("--l", "4")])
+def test_oracle_finds_every_mode_of_a_windowless_grid(capsys, separation):
     # a = 1/16 leaves the odd kind no window node on the coarse grid h = 1/16:
-    # its spectrum is separable, and a missed mode there shows as a large bound
-    code, out, _ = run(capsys, "oracle", "--a", "0.0625", "--h", "0.03125", "--L", "8", "--k", "4")
+    # its spectrum is separable, and a missed mode there shows as a large bound;
+    # two such windows hold one node, at x1 = L/2, which half the x1 modes miss
+    code, out, _ = run(capsys, "oracle", "--a", "0.0625", *separation, "--h", "0.03125",
+                       "--L", "8", "--k", "4")
     assert code == 0
     odd = [r for r in parse_csv(out) if r["parity"] == "odd"]
     assert len(odd) == 4
@@ -548,6 +551,8 @@ def test_matching_subcommands_load_no_scipy(argv):
 @pytest.mark.parametrize("argv", [
     ["single", "--a", "1", "--refine"],
     ["split", "--a", "1", "--l", "4:10:2"],
+    ["oracle", "--a", "1", "--h", "0.03125", "--k", "3"],
+    ["oracle", "--a", "1", "--l", "3", "--h", "0.03125", "--L", "10", "--k", "2"],
 ])
 def test_data_output_does_not_depend_on_blas_threads(argv):
     # a threaded BLAS may sum in another order; the roots, their kernels and

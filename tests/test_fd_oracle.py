@@ -349,19 +349,24 @@ def test_crossing_rejects_unknown_parity(solves):
     assert solves == []
 
 
-@pytest.mark.parametrize("kind", list(ProblemKind))
+@pytest.mark.parametrize("kind, a, l", [(kind, 1.0, 2.0 if kind.is_two_window else None)
+                                        for kind in ProblemKind] + [
+    (ProblemKind.TWO_WINDOW_ODD, 1 / 8, 2.0),    # one window node, at x1 = L/2
+    (ProblemKind.SINGLE_WINDOW_ODD, 1 / 8, None),  # no window node
+])
 @pytest.mark.parametrize("end", ["dirichlet", "neumann"])
-def test_window_form_count_equals_the_dense_count(kind, end):
+def test_window_form_count_equals_the_dense_count(kind, a, l, end):
     # inertia additivity: poles below sigma plus negative eigenvalues of S(sigma),
-    # among the poles above the threshold too
-    l = 2.0 if kind.is_two_window else None
-    cfg = canonicalize(StripConfig(d=PI, a=1.0, l=l, kind=kind))
+    # plus the free values below sigma, among the poles above the threshold too
+    cfg = canonicalize(StripConfig(d=PI, a=a, l=l, kind=kind))
     op = discretize(cfg, OracleConfig(L=4.0, h=1 / 8, k=2, end=end))
     spectrum = np.linalg.eigvalsh(op.toarray())
-    sec = Sector(fd_oracle.WindowForm(op.grid), 0.0, 6.0, 0.0)
+    form = fd_oracle.WindowForm(op.grid)
+    sec = Sector(form, 0.0, 6.0, 0.0)
     shifts = np.linspace(0.01, 5.99, 240)
-    assert count(sec, 6.0).poles >= 3
-    assert [count(sec, s).roots for s in shifts] == [int(np.count_nonzero(spectrum < s)) for s in shifts]
+    assert count(sec, 6.0).poles + np.count_nonzero(form.free_values < 6.0) >= 3
+    assert ([count(sec, s).roots + np.count_nonzero(form.free_values < s) for s in shifts]
+            == [int(np.count_nonzero(spectrum < s)) for s in shifts])
 
 
 @pytest.mark.parametrize("parity", ["even", "odd"])
@@ -407,12 +412,15 @@ def test_a_shifted_form_fails_the_eigenpair_gate(monkeypatch):
         oracle_eigenvalues(single_cfg(1.0), OracleConfig(L=8.0, h=1 / 16, k=2))
 
 
-def test_an_eigenvalue_on_a_pole_raises():
+@pytest.mark.parametrize("parity, end", [("odd", "dirichlet"), ("even", "neumann")])
+def test_an_x1_mode_that_misses_the_window_gives_an_eigenvalue(parity, end):
     # a one-node window at x1 = L/2 = 4 misses the x1 modes with a node there:
-    # their eigenvalues (1.6164 the first) sit on poles of S, where no bracket
-    # isolates them, and the search must raise rather than skip them
-    with pytest.raises(ArithmeticError, match="closer than the tolerance at x=1.616"):
-        oracle_eigenvalues(two_cfg(1 / 16, 4.0, "odd"), OracleConfig(L=8.0, h=1 / 16, k=3))
+    # times each x2 mode they are eigenvectors as they stand (1.6150 the first
+    # for the odd kind), which a form of every mode would put on its poles
+    op = discretize(two_cfg(1 / 8, 4.0, parity), OracleConfig(L=8.0, h=1 / 8, k=3, end=end))
+    assert len(fd_oracle.WindowForm(op.grid).free) > 0
+    dense = np.linalg.eigvalsh(op.toarray())[:3]
+    assert np.max(np.abs(lowest_eigenvalues(op, 3) - dense) / dense) < 1e-10
 
 
 def test_an_operator_without_its_grid_raises():
