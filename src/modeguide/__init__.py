@@ -28,7 +28,6 @@ from .solve import (
     CriticalWidthScan,
     Eigenpair,
     RefinedValue,
-    TailAmplitude,
     eigenfunction_value,
     extract_tail,
     extrapolate_truncation,

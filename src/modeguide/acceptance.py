@@ -112,7 +112,7 @@ class Workspace:
             rows: dict[int, dict[str, float]] = {}
             for n, lam in lams.items():
                 pair = _solve_at(cfg, Truncation(n), lam=lam)
-                alpha = extract_tail(pair).alpha
+                alpha = extract_tail(pair)
                 rows[n] = {
                     "lam": pair.lam,
                     "alpha": alpha,
@@ -140,9 +140,10 @@ class Workspace:
             return refine_eigenvalue(_two_cfg(a, l, parity), lam0, self.trunc, levels=2)
         return self._once(("two-refined", a, l, parity), compute)
 
-    def sweep(self, a: float = 1.0, ls=range(4, 11)) -> list[tuple[float, float, float]]:
-        return self._once(("sweep", a, tuple(ls)),
-                          lambda: [(float(l), *self.two_window_pair_values(a, float(l))) for l in ls])
+    def sweep(self) -> list[tuple[float, float, float]]:
+        """(l, even, odd) ground eigenvalues of the pair at a = 1, l = 4, ..., 10."""
+        return self._once("sweep", lambda: [(float(l), *self.two_window_pair_values(1.0, float(l)))
+                                            for l in range(4, 11)])
 
     # -- threshold artifacts -----------------------------------------------
 
@@ -202,12 +203,12 @@ class Workspace:
 
     def fd_critical_crossing(self) -> float:
         grids = (1 / 16, 1 / 32) if self.quick else (1 / 32, 1 / 64)
-        key = {"what": "fd-crossing", "grids": grids}
         def compute():
+            parity = self.critical().parity
+            key = {"what": "fd-crossing", "parity": parity, "grids": grids}
             cached = cache_get(key)
             if cached is not None:
                 return cached
-            parity = self.critical().parity
             coarse, fine = (critical_width_crossing(parity, h) for h in grids)
             result = 2.0 * fine - coarse
             cache_put(key, result)

@@ -49,7 +49,6 @@ THRESHOLD_RATE = 4.0 * math.sqrt(3.0)
 class SplittingPrediction:
     """Pair-splitting prefactors and rate seeded by one bound state."""
 
-    lambda_j: float
     mu_alpha: float | None
     mu_integral: float | None
     rate: float
@@ -113,8 +112,7 @@ def predict_splitting(lambda_j: float, alpha: float | None = None,
     kappa1 = math.sqrt(1.0 - lambda_j)
     mu_alpha = None if alpha is None else alpha * alpha * math.pi * kappa1
     mu_integral = None if window_integral is None else window_integral ** 2 / (math.pi * kappa1)
-    return SplittingPrediction(lambda_j=lambda_j, mu_alpha=mu_alpha,
-                               mu_integral=mu_integral, rate=2.0 * kappa1)
+    return SplittingPrediction(mu_alpha=mu_alpha, mu_integral=mu_integral, rate=2.0 * kappa1)
 
 
 def predict_threshold(beta: float | None = None,

@@ -211,7 +211,7 @@ def cmd_single(args) -> int:
     pairs.sort(key=lambda pc: pc[0].lam)
     columns = ["index", "parity", "lambda"]
     for idx, (p, cfg) in enumerate(pairs, start=1):
-        alpha = extract_tail(p).alpha
+        alpha = extract_tail(p)
         integral = window_integral(p, p.kappa1)
         pred = predict_splitting(p.lam, alpha=alpha, window_integral=integral)
         row = {

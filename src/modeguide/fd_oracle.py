@@ -70,6 +70,9 @@ EIGENPAIR_GATE = 1e-8
 #: L = 16 grid; an eigensolve for k = 4 peaks at 230-270 bytes per node
 #: (measured at h = 1/64 and 1/128, L = 16), so a run stays below about 0.6 GB
 MAX_UNKNOWNS = 2 ** 21
+#: the crossing's cutoff sits this far below discrete_threshold(h), so an
+#: eigenvalue on the threshold up to rounding does not count as bound
+CROSSING_MARGIN = 1e-8
 
 
 @dataclass(frozen=True)
@@ -407,13 +410,12 @@ def refine_and_extrapolate(values_h, values_h2, values_h4=None):
 
 
 def critical_width_crossing(parity: str, h: float, L: float = 16.0,
-                            a_lo: float = 2.0, a_hi: float = 2.6,
-                            cutoff_margin: float = 1e-8) -> float:
+                            a_lo: float = 2.0, a_hi: float = 2.6) -> float:
     """Window half-length at which the discrete operator gains a bound state.
 
     The single-window problem of the given parity (``"even"`` or ``"odd"``)
     with a Neumann far face, secant-interpolated where the lowest eigenvalue
-    crosses the discrete threshold minus a small margin.  The crossing
+    crosses the discrete threshold minus ``CROSSING_MARGIN``.  The crossing
     drifts linearly in h, so two grids plus first-order extrapolation land
     within a few 1e-3 of the true critical width.
 
@@ -431,7 +433,7 @@ def critical_width_crossing(parity: str, h: float, L: float = 16.0,
         raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
     kind = ProblemKind.SINGLE_WINDOW_EVEN if parity == "even" else ProblemKind.SINGLE_WINDOW_ODD
     ocfg = OracleConfig(L=L, h=h, k=2, end="neumann")
-    cut = discrete_threshold(h) - cutoff_margin
+    cut = discrete_threshold(h) - CROSSING_MARGIN
     lattice = [round(a_lo / h) * h]
     end = round(a_hi / h) * h
     while lattice[-1] < end:

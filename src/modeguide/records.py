@@ -11,17 +11,18 @@ record holds the when/how.
 Expensive results (finite-difference oracle runs, acceptance artifacts)
 can be cached across processes in the directory named by the
 MODEGUIDE_CACHE environment variable; caching is disabled when the
-variable is unset.  Entries are keyed on the package version and a cache
-schema tag as well as the caller's key, so no entry written by another
-code version is served, and they are written through a temporary file
-that is renamed into place, so a reader never sees a half-written entry
-(an unreadable entry counts as a miss).
+variable is unset.  Entries are keyed on a digest of the package's
+sources as well as the caller's key, so no entry written by other code
+is served, and they are written through a temporary file that is renamed
+into place, so a reader never sees a half-written entry (an unreadable
+entry counts as a miss).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import datetime
+import functools
 import hashlib
 import json
 import os
@@ -29,16 +30,9 @@ import tempfile
 from pathlib import Path
 from typing import Any
 
-from . import __version__
-
 __all__ = ["RunRecord", "cache_get", "cache_put", "cache_dir"]
 
 CACHE_ENV = "MODEGUIDE_CACHE"
-#: layout of a cache entry; bump when it or the cached values change (FD oracle
-#: eigenvalues from: 2 an ordered factorization, 3 a fast-transform shift-invert
-#: solve, 4 Lanczos in mode coordinates, with physical --h and --L in oracle
-#: keys, 5 count and polish of the window Schur complement)
-CACHE_SCHEMA = 5
 
 
 @dataclasses.dataclass
@@ -86,8 +80,17 @@ def cache_dir() -> Path | None:
     return path
 
 
+@functools.cache
+def _source_digest() -> str:
+    """sha256 over the package's ``*.py`` sources, read on the first cache use."""
+    digest = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        digest.update(path.name.encode() + b"\0" + hashlib.sha256(path.read_bytes()).digest())
+    return digest.hexdigest()
+
+
 def _full_key(key: dict[str, Any]) -> dict[str, Any]:
-    return {"schema": CACHE_SCHEMA, "version": __version__, "key": key}
+    return {"source": _source_digest(), "key": key}
 
 
 def _cache_path(key: dict[str, Any]) -> Path | None:

@@ -71,7 +71,6 @@ from .roots import Sector, kernel, kth_root, sector_roots
 
 __all__ = [
     "Eigenpair",
-    "TailAmplitude",
     "CriticalWidth",
     "CriticalWidthScan",
     "RefinedValue",
@@ -129,10 +128,9 @@ class Eigenpair:
     window profiles (single window: one family of length n; two windows:
     the even profile family followed by the odd one, length 2n).
     ``kappa1`` duplicates sqrt(1 - lam) exactly; for near-threshold pairs
-    use it rather than 1 - lam, which may have no bits left.
-    ``norm`` is the L2 normalization constant that was applied; threshold
-    resonances are instead normalized to a unit constant tail and carry
-    ``threshold_profile=True``.
+    use it rather than 1 - lam, which may have no bits left.  Bound states
+    (kappa1 > 0) are L2-normalized; threshold resonances (kappa1 == 0) are
+    normalized to a unit constant tail instead.
     """
 
     lam: float
@@ -145,20 +143,10 @@ class Eigenpair:
     outside_coeffs: np.ndarray
     region1_coeffs: np.ndarray | None
     residual: float
-    norm: float
-    threshold_profile: bool = False
 
     @property
     def parity(self) -> str:
         return self.kind.parity
-
-
-@dataclass(frozen=True)
-class TailAmplitude:
-    """Amplitude alpha of the leading evanescent tail alpha*e^(-kappa1*x1)*sin(x2)."""
-
-    alpha: float
-    kappa1: float
 
 
 @dataclass
@@ -348,12 +336,12 @@ def _solve_at(cfg: CanonicalConfig, trunc: Truncation, lam: float | None = None,
     if kappa1 is None:
         kappa1 = math.sqrt(1.0 - lam)
     pair = _build_pair(_assemble_at(cfg, trunc, kappa1))
-    _normalize(pair)
+    _scale_pair(pair, math.sqrt(_norm_sq(pair)))
     _fix_sign(pair)
     return pair
 
 
-def _build_pair(sys: MatchingSystem, threshold_profile: bool = False) -> Eigenpair:
+def _build_pair(sys: MatchingSystem) -> Eigenpair:
     """The pair whose window-edge traces are the unit kernel vector w of S.
 
     w holds the eigenvector of Z for its eigenvalue smallest in modulus on
@@ -370,7 +358,7 @@ def _build_pair(sys: MatchingSystem, threshold_profile: bool = False) -> Eigenpa
     w /= np.linalg.norm(w)
     residual = float(np.linalg.norm(S @ w) / np.max(np.abs(np.diag(S))))
     if not residual <= RESIDUAL_GATE:
-        at = f"a={sys.a!r}" if threshold_profile else f"lam={sys.lam!r}"
+        at = f"a={sys.a!r}" if sys.kappa1 == 0.0 else f"lam={sys.lam!r}"
         raise ArithmeticError(f"kernel residual {residual:.3g} at {at} exceeds "
                               f"{RESIDUAL_GATE:g}: not a root")
     n = sys.n
@@ -400,8 +388,6 @@ def _build_pair(sys: MatchingSystem, threshold_profile: bool = False) -> Eigenpa
         outside_coeffs=outside,
         region1_coeffs=region1,
         residual=residual,
-        norm=1.0,
-        threshold_profile=threshold_profile,
     )
 
 
@@ -450,12 +436,6 @@ def _scale_pair(pair: Eigenpair, divisor: float) -> None:
         pair.region1_coeffs = pair.region1_coeffs / divisor
 
 
-def _normalize(pair: Eigenpair) -> None:
-    norm = math.sqrt(_norm_sq(pair))
-    _scale_pair(pair, norm)
-    pair.norm = 1.0 / norm
-
-
 def _fix_sign(pair: Eigenpair) -> None:
     """Deterministic sign: nonnegative window-trace integral, falling back to
     a nonnegative trace slope (odd) or trace value (even) at the window center."""
@@ -467,7 +447,6 @@ def _fix_sign(pair: Eigenpair) -> None:
         s = math.copysign(1.0, _center_slope(pair))
     if s < 0:
         _scale_pair(pair, -1.0)
-        pair.norm = -pair.norm
 
 
 def _center_slope(pair: Eigenpair) -> float:
@@ -497,19 +476,15 @@ def window_trace(pair: Eigenpair, x_local) -> np.ndarray:
     return _ROOT2_PI * _window_sum(pair, np.asarray(x_local, dtype=float))
 
 
-def window_integral(pair: Eigenpair, rate: float, order: int = 64) -> float:
+def window_integral(pair: Eigenpair, rate: float) -> float:
     """Weighted window-trace integral int_{-a}^{a} psi(x,0) e^(rate*x) dx.
 
-    Fixed-order Gauss-Legendre quadrature; the integrand is smooth, so the
-    default order is exact to machine precision at these sizes.
+    64-node Gauss-Legendre quadrature; the integrand is smooth, so that is
+    exact to machine precision at these sizes.
     """
-    if order == 64:
-        nodes, weights = _GL_NODES, _GL_WEIGHTS
-    else:
-        nodes, weights = np.polynomial.legendre.leggauss(order)
-    x = pair.a * nodes
+    x = pair.a * _GL_NODES
     vals = window_trace(pair, x) * np.exp(rate * x)
-    return float(pair.a * np.sum(weights * vals))
+    return float(pair.a * np.sum(_GL_WEIGHTS * vals))
 
 
 def _tail(pair: Eigenpair, j: int, rate: float) -> float:
@@ -518,7 +493,7 @@ def _tail(pair: Eigenpair, j: int, rate: float) -> float:
     return _ROOT2_PI * float(pair.outside_coeffs[j]) * math.exp(rate * pair.a)
 
 
-def extract_tail(pair: Eigenpair) -> TailAmplitude:
+def extract_tail(pair: Eigenpair) -> float:
     """Leading-tail amplitude alpha with psi ~ alpha e^(-kappa1 x1) sin x2.
 
     For a single-window bound state the first outside coefficient gives
@@ -526,9 +501,9 @@ def extract_tail(pair: Eigenpair) -> TailAmplitude:
     """
     if pair.kind.is_two_window:
         raise ValueError("tail amplitude in this convention applies to single-window pairs")
-    if pair.threshold_profile:
+    if pair.kappa1 == 0.0:
         raise ValueError("threshold resonances carry a constant tail, not a decaying one")
-    return TailAmplitude(alpha=_tail(pair, 0, pair.kappa1), kappa1=pair.kappa1)
+    return _tail(pair, 0, pair.kappa1)
 
 
 # ---------------------------------------------------------------------------
@@ -586,12 +561,11 @@ def _cos_modes(n: int, x2: np.ndarray) -> np.ndarray:
 def _threshold_resonance(a: float, trunc: Truncation, parity: str, index: int) -> CriticalWidth:
     """The ``index``-th critical width a with its resonance, normalized to a
     unit constant tail, and that resonance's second-mode tail ``beta``."""
-    pair = _build_pair(assemble_threshold(a, trunc, parity), threshold_profile=True)
+    pair = _build_pair(assemble_threshold(a, trunc, parity))
     b1 = float(pair.outside_coeffs[0])
     if b1 == 0.0:
         raise ArithmeticError(f"degenerate threshold resonance at a={a}: no constant tail")
     _scale_pair(pair, b1)
-    pair.norm = 1.0 / b1
     return CriticalWidth(index=index, a=a, beta=_tail(pair, 1, math.sqrt(3.0)), parity=parity,
                          resonance=pair)
 

@@ -8,9 +8,11 @@ unattainable with the prescribed equal-truncation matching formulation
 meant to guard is covered by the refined checks in the other criteria.
 """
 
+from types import SimpleNamespace
+
 import pytest
 
-from modeguide import Truncation
+from modeguide import Truncation, acceptance
 from modeguide.acceptance import (
     Workspace,
     criterion_1,
@@ -106,3 +108,19 @@ def test_ladders_start_at_the_base_truncation():
     assert list(ws.single_ladder(1.0)) == [8, 16, 32, 64]
     assert list(ws.critical_ladder()) == [8, 16, 32, 64]
     assert list(ws.refined_two(1.0, 6.0, "even").by_n) == [8, 16, 32]
+
+
+def test_fd_crossing_cache_is_keyed_on_parity(tmp_path, monkeypatch):
+    monkeypatch.setenv("MODEGUIDE_CACHE", str(tmp_path))
+    solved = []
+
+    def crossing(parity, h):
+        solved.append(parity)
+        return {"odd": 2.0, "even": 4.0}[parity]
+    monkeypatch.setattr(acceptance, "critical_width_crossing", crossing)
+    for parity in ("odd", "even", "odd"):
+        monkeypatch.setattr(Workspace, "critical", lambda self, p=parity: SimpleNamespace(parity=p))
+        # 2 * fine - coarse of a stub that is constant in h is that constant
+        assert Workspace(quick=True).fd_critical_crossing() == {"odd": 2.0, "even": 4.0}[parity]
+    # the even crossing is a miss after the odd one; the second odd one is a hit
+    assert solved == ["odd", "odd", "even", "even"]
