@@ -46,7 +46,7 @@ import numpy as np
 import scipy.sparse as sparse
 
 from .modes import CanonicalConfig, GridAlignmentError, ProblemKind, StripConfig, canonicalize
-from .roots import Sector, count, isolate, kernel, polish
+from .roots import Sector, ascending_roots, count, kernel
 
 __all__ = [
     "GridAlignmentError",
@@ -365,9 +365,7 @@ def lowest_eigenvalues(op: FDOperator, k: int) -> np.ndarray:
     lo, hi = count(sec, sec.lo), count(sec, sec.hi)
     while hi.roots + np.count_nonzero(form.free_values < hi.x) < k:
         hi = count(sec, 2.0 * hi.x)
-    roots = [polish(sec, *b) for b in itertools.islice(isolate(sec, lo, hi), k)]
-    if None in roots:
-        raise ArithmeticError("a counted eigenvalue does not change the sign of det S")
+    roots = list(itertools.islice(ascending_roots(sec, lo, hi), k))
     w, v = form.eigenpairs(np.array(roots), k)
     residual = np.linalg.norm(op @ v - v * w, axis=0) / np.abs(w)
     if not np.all(residual <= EIGENPAIR_GATE):

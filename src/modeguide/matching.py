@@ -32,6 +32,7 @@ counts and separations.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -55,10 +56,10 @@ __all__ = [
 ]
 
 #: largest dense trace form a run may build, in bytes (128 MiB, dimension
-#: 4096): the assembly, count, polish and kernel of one form peak at 3.1-3.8
-#: times its size (peak RSS over the form's bytes, single- and two-window
-#: forms of dimension 1000-4000; 5.4-6.6 with eigvalsh and eigh on S), so a
-#: form stays below about 0.5 GB
+#: 4096): the assembly, count, polish and kernel of one form raise the peak
+#: RSS by 3.6-4.4 times its size (single- and two-window forms of dimension
+#: 1000-4096, the overlap matrix and the Gram's one n x n table included),
+#: so a form stays below about 0.5 GB (495 MiB at dimension 4096)
 MAX_FORM_BYTES = 2 ** 27
 
 
@@ -116,15 +117,48 @@ def _rates(n: int, kappa1: float) -> tuple[np.ndarray, np.ndarray]:
     return kap, t
 
 
-def _gram(M: np.ndarray, rates: np.ndarray) -> np.ndarray:
-    """``M^T diag(rates) M`` for rates >= 0, as the Gram matrix of sqrt(rates) M.
+@functools.lru_cache(maxsize=16)
+def _gram_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The n-only tables of :func:`_gram`: ``j``, ``(2/pi) h_m^2`` and
+    ``E_mn = 1/(h_m^2 - h_n^2)`` (0 on the diagonal), h_m = m - 1/2.
 
-    numpy computes ``B.T @ B`` by a symmetric rank-k update: about 70% of
-    the time of the general product from N = 320 on (one BLAS thread), and
-    exactly symmetric.
+    Memoised per n like :func:`~modeguide.modes.overlap_matrix`; the
+    shared arrays are read-only.
     """
-    B = np.sqrt(rates)[:, None] * M
-    return B.T @ B
+    j = np.arange(1, n + 1, dtype=float)
+    h2 = (j - 0.5) ** 2
+    with np.errstate(divide="ignore"):
+        E = 1.0 / np.subtract.outer(h2, h2)
+    np.fill_diagonal(E, 0.0)
+    tables = (j, (2.0 / math.pi) * h2, E)
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
+def _gram(M: np.ndarray, rates: np.ndarray) -> np.ndarray:
+    """``M^T diag(rates) M`` of the overlap matrix M in O(N^2), by its Cauchy structure.
+
+    ``M_jm = (2/pi) j/(j^2 - h_m^2)`` with h_m = m - 1/2, so partial
+    fractions in j^2 give, for m != n,
+    ``G_mn = (2/pi) (h_m^2 U_m - h_n^2 U_n)/(h_m^2 - h_n^2)`` from the one
+    matvec ``U = (rates/j) @ M``; the diagonal is ``sum_j rates_j M_jm^2``.
+    Rounding gives ``1/(h_n^2 - h_m^2) = -1/(h_m^2 - h_n^2)`` exactly, so G
+    is exactly symmetric.  Its largest error is 2.5-7e-16 of max|G| for
+    N = 40-320, against 3e-16 to 1.1e-15 for the O(N^3) product ``B^T B``,
+    B = sqrt(rates) M (decay rates of trace_form, long double reference).
+    A point of a root search costs this assembly and one LU solve with the
+    block C of :func:`schur_complement`.
+    """
+    j, ch2, E = _gram_tables(M.shape[1])
+    P = ch2 * ((rates / j) @ M)
+    # G holds M^2 first: a table of it would keep another n x n array per n
+    G = np.multiply(M, M)
+    diagonal = rates @ G
+    np.subtract.outer(P, P, out=G)
+    G *= E
+    np.fill_diagonal(G, diagonal)
+    return G
 
 
 def trace_form(kind: ProblemKind, n: int, a: float, kappa1: float,
@@ -141,21 +175,21 @@ def trace_form(kind: ProblemKind, n: int, a: float, kappa1: float,
     """
     kap, t = _rates(n, kappa1)
     M = overlap_matrix(n)
-    S = _gram(M, kap)
     i = np.arange(n)
     if kind.is_two_window:
         r = axial_logderiv(kap, l - a, kind.parity)
         cv, cd = window_profile_at_edge(t, a, "even")
         sv, sd = window_profile_at_edge(t, a, "odd")
         g_e, g_o = cd / cv, sd / sv
-        Q, S = S, np.zeros((2 * n, 2 * n))
+        S = np.zeros((2 * n, 2 * n))
         S[:n, :n] = _gram(M, r)
-        S[n:, n:] = Q
+        S[n:, n:] = _gram(M, kap)
         S[i, i] += 0.5 * (g_e + g_o)
         S[i + n, i + n] += 0.5 * (g_e + g_o)
         S[i, i + n] = S[i + n, i] = 0.5 * (g_e - g_o)
     else:
         val, der = window_profile_at_edge(t, a, kind.parity)
+        S = _gram(M, kap)
         S[i, i] += der / val
     if not np.all(np.isfinite(S)):
         raise ValueError("matching matrix contains non-finite entries")
@@ -178,14 +212,16 @@ def schur_complement(S: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]
     complement ``Z = S_WW - S_WR X`` (width x width) has as many negative
     eigenvalues as S, and ``det S = det C det Z`` with ``det C > 0``.  A
     kernel vector v_W of Z extends to the kernel vector ``(v_W, -X v_W)``
-    of S, in the order of :func:`trace_order`.  One LU solve with C, numpy
-    only.
+    of S, in the order of :func:`trace_order`.  The blocks are slices of S
+    seen as width x width blocks of n x n: C is one copy of the four
+    (n-1) x (n-1) blocks for two windows and a view of S for one, and no
+    reordered copy of S is made.  One LU solve with C, numpy only; a point
+    of a sector costs that and the O(N^2) assembly of :func:`trace_form`.
     """
-    if width > 1:
-        order = trace_order(S.shape[0], width)
-        S = S[np.ix_(order, order)]
-    X = np.linalg.solve(S[width:, width:], S[width:, :width])
-    Z = S[:width, :width] - S[:width, width:] @ X
+    r = S.shape[0] - width
+    blocks = S.reshape(width, S.shape[0] // width, width, S.shape[0] // width)
+    X = np.linalg.solve(blocks[:, 1:, :, 1:].reshape(r, r), blocks[:, 1:, :, 0].reshape(r, width))
+    Z = blocks[:, 0, :, 0] - blocks[:, 0, :, 1:].reshape(width, r) @ X
     return 0.5 * (Z + Z.T), X
 
 

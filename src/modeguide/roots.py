@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
-__all__ = ["Sector", "Count", "count", "isolate", "brent", "polish", "sector_roots", "kth_root",
-           "kernel"]
+__all__ = ["Sector", "Count", "count", "isolate", "brent", "polish", "ascending_roots",
+           "sector_roots", "kth_root", "kernel"]
 
 _EPS = float(np.finfo(float).eps)
 
@@ -149,18 +149,24 @@ def polish(sec: Sector, lo: Count, hi: Count) -> float | None:
                  sec.xtol, sec.rtol)
 
 
-def sector_roots(sec: Sector) -> list[float]:
-    """Every root of the sector in (lo, hi], ascending.
+def ascending_roots(sec: Sector, lo: Count, hi: Count) -> Iterator[float]:
+    """The roots in (lo.x, hi.x], ascending, each polished only when it is reached.
 
-    Raises ArithmeticError when the roots found are fewer than the count
-    across the sector, so that no root is lost silently.
+    Raises ArithmeticError at a counted root across which det S keeps its
+    sign, so that no root is lost silently.
     """
-    lo, hi = count(sec, sec.lo), count(sec, sec.hi)
-    roots = [x for x in (polish(sec, *b) for b in isolate(sec, lo, hi)) if x is not None]
-    if len(roots) != hi.roots - lo.roots:
-        raise ArithmeticError(f"found {len(roots)} roots in [{sec.lo!r}, {sec.hi!r}] "
-                              f"where the count gives {hi.roots - lo.roots}")
-    return roots
+    for k, bracket in enumerate(isolate(sec, lo, hi), start=1):
+        root = polish(sec, *bracket)
+        if root is None:
+            raise ArithmeticError(f"the count gives {hi.roots - lo.roots} roots in "
+                                  f"[{lo.x!r}, {hi.x!r}], but det S keeps its sign "
+                                  f"across root {k}")
+        yield root
+
+
+def sector_roots(sec: Sector) -> list[float]:
+    """Every root of the sector in (lo, hi], ascending (see :func:`ascending_roots`)."""
+    return list(ascending_roots(sec, count(sec, sec.lo), count(sec, sec.hi)))
 
 
 def kth_root(sec: Sector, x0: float, width: float, k: int | None) -> tuple[float, int]:

@@ -38,6 +38,8 @@ Two solver extensions matter in practice:
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -67,7 +69,7 @@ from .modes import (
     window_profile_l2,
     window_profile_scale_log,
 )
-from .roots import Sector, kernel, kth_root, sector_roots
+from .roots import Sector, ascending_roots, count, kernel, kth_root, sector_roots
 
 __all__ = [
     "Eigenpair",
@@ -579,17 +581,23 @@ def find_critical_widths(n_max: int, trunc: Truncation = Truncation(),
     systems of both parities are counted over a in (``A_MIN``, ``a_max``]
     and their roots merged.  Each resonance is normalized to a unit
     constant tail; ``beta`` is then sqrt(2/pi) * B_2 * e^(sqrt(3) a).  If
-    fewer than ``n_max`` roots exist below ``a_max`` the scan is flagged
-    exhausted.
+    fewer than ``n_max`` roots exist below ``a_max`` (by the counts at the
+    sector ends) the scan is flagged exhausted.  Roots are polished in
+    ascending order until ``n_max`` are found, so none past the last one
+    returned is.
     """
     _check_tol(tol)
     if n_max < 1:
         raise ValueError(f"need n_max >= 1, got {n_max}")
-    found = sorted((root, parity) for parity in ("even", "odd")
-                   for root in sector_roots(_width_sector(trunc, parity, a_max, tol)))
-    widths = [_threshold_resonance(a_n, trunc, parity, i)
-              for i, (a_n, parity) in enumerate(found[:n_max], start=1)]
-    return CriticalWidthScan(widths=widths, exhausted=len(found) < n_max, a_max=a_max)
+    counted, found = 0, []
+    for parity in ("even", "odd"):
+        sec = _width_sector(trunc, parity, a_max, tol)
+        lo, hi = count(sec, sec.lo), count(sec, sec.hi)
+        counted += hi.roots - lo.roots
+        found.append(zip(ascending_roots(sec, lo, hi), itertools.repeat(parity)))
+    widths = [_threshold_resonance(a_n, trunc, parity, i) for i, (a_n, parity)
+              in enumerate(itertools.islice(heapq.merge(*found), n_max), start=1)]
+    return CriticalWidthScan(widths=widths, exhausted=counted < n_max, a_max=a_max)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from modeguide import MatchingSystem, ProblemKind, Truncation, assemble_threshol
 from modeguide.matching import (
     MAX_FORM_BYTES,
     _assemble_two_core,
+    _gram,
     _rates,
     det_sign,
     max_modes,
@@ -16,7 +18,7 @@ from modeguide.matching import (
     trace_form,
     trace_order,
 )
-from modeguide.modes import window_profile_at_edge
+from modeguide.modes import overlap_matrix, window_profile_at_edge
 from modeguide.solve import _assemble_at, find_critical_widths, find_eigenvalues
 
 from conftest import reference_matrix, single_cfg, two_cfg
@@ -134,6 +136,72 @@ def test_schur_count_equals_the_dense_count(form):
     # a point at rounding distance from a root has no well-defined count
     assume(np.min(np.abs(mu)) > 1e-10 * np.max(np.abs(mu)))
     assert np.count_nonzero(np.linalg.eigvalsh(Z) < 0) == np.count_nonzero(mu < 0)
+
+
+def _gathered_reduction(S, width):
+    # the reduction of S reordered as a whole, first-mode traces first
+    order = trace_order(S.shape[0], width)
+    T = S[np.ix_(order, order)]
+    X = np.linalg.solve(T[width:, width:], T[width:, :width])
+    Z = T[:width, :width] - T[:width, width:] @ X
+    return 0.5 * (Z + Z.T), X
+
+
+@given(FORMS)
+@settings(max_examples=40, deadline=None)
+def test_schur_complement_equals_the_gathered_reduction(form):
+    # the block slices reduce S bit for bit like the reordered copy of S
+    kind, n, a, kappa1, gap = form
+    if isinstance(kind, str):
+        kind, kappa1 = ProblemKind(f"single-{kind.split('-')[1]}"), 0.0
+    S = trace_form(kind, n, a, kappa1, a + gap if kind.is_two_window else None)
+    width = 2 if kind.is_two_window else 1
+    Z, X = schur_complement(S, width)
+    Z_ref, X_ref = _gathered_reduction(S, width)
+    assert np.array_equal(Z, Z_ref) and np.array_equal(X, X_ref)
+
+
+_PI_DIGITS = "3.14159265358979323846264338327950288419716939937510"
+_LONGDOUBLE_IS_WIDER = np.finfo(np.longdouble).eps < np.finfo(float).eps
+
+
+def _gram_reference(rates):
+    """M^T diag(rates) M of the exact overlaps: in fractions up to N = 24,
+    else in long double."""
+    n = len(rates)
+    if n <= 24:
+        c2 = (2 / Fraction(_PI_DIGITS)) ** 2
+        h2 = [Fraction(2 * m - 1, 2) ** 2 for m in range(1, n + 1)]
+        cols = [[Fraction(j) / (j * j - h) for j in range(1, n + 1)] for h in h2]
+        w = [Fraction(float(r)) for r in rates]
+        G = [[c2 * sum(wj * x * y for wj, x, y in zip(w, cols[m], cols[k])) for k in range(n)]
+             for m in range(n)]
+        return lambda A: (max(abs(Fraction(float(A[m, k])) - G[m][k])
+                              for m in range(n) for k in range(n))
+                          / max(abs(g) for row in G for g in row))
+    j = np.arange(1, n + 1, dtype=np.longdouble)[:, None]
+    h = np.arange(1, n + 1, dtype=np.longdouble)[None, :] - np.longdouble(0.5)
+    M = (2 / np.longdouble(_PI_DIGITS)) * j / (j * j - h * h)
+    G = M.T @ (rates.astype(np.longdouble)[:, None] * M)
+    return lambda A: np.max(np.abs(A - G)) / np.max(np.abs(G))
+
+
+@given(st.integers(4, 320 if _LONGDOUBLE_IS_WIDER else 24), st.integers(0, 2 ** 32 - 1),
+       st.booleans())
+@settings(max_examples=30, deadline=None)
+def test_gram_by_the_cauchy_identity_is_as_accurate_as_the_rank_k_product(n, seed, threshold):
+    # rates >= 0 of the size of the decay rates j; the threshold system has
+    # a zero first rate.  Within one unit roundoff of max|G| both errors are
+    # noise of a few roundings, so the rank-k error is taken at least eps.
+    rates = np.random.default_rng(seed).uniform(0.0, 2.0, n) * np.arange(1, n + 1)
+    if threshold:
+        rates[0] = 0.0
+    M = overlap_matrix(n)
+    G = _gram(M, rates)
+    assert np.array_equal(G, G.T)
+    B = np.sqrt(rates)[:, None] * M
+    error = _gram_reference(rates)
+    assert float(error(G)) <= 2.0 * max(float(error(B.T @ B)), np.finfo(float).eps)
 
 
 def test_parity_swap_is_bit_exact():

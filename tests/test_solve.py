@@ -22,8 +22,9 @@ from modeguide import (
 from modeguide import matching, roots
 from modeguide.matching import _rates, assemble_threshold
 from modeguide.modes import window_profile_at_edge
-from modeguide.roots import count
+from modeguide.roots import count, sector_roots
 from modeguide.solve import (
+    A_MAX,
     NEAR_THRESHOLD_KAPPA,
     RESIDUAL_GATE,
     SEARCH_EPS,
@@ -33,6 +34,7 @@ from modeguide.solve import (
     _norm_sq,
     _polish_root,
     _roots,
+    _width_sector,
     refine_critical_width,
 )
 
@@ -335,6 +337,40 @@ def test_critical_scan_exhaustion_flag():
         find_critical_widths(0, Truncation(16))
 
 
+def _counted_forms(monkeypatch):
+    # every assembly of S, the one each kernel takes included
+    calls = []
+    real = matching.trace_form
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(matching, "trace_form", counted)
+    return calls
+
+
+def test_critical_widths_polish_only_the_roots_returned(monkeypatch):
+    # the full scan polishes every root of both parities below a_max and
+    # merges them; the first n of it are the widths find_critical_widths(n)
+    # returns, bit for bit, and exhausted is set when it holds fewer than n
+    tr = Truncation(40)
+    calls = _counted_forms(monkeypatch)
+    full = sorted((root, parity) for parity in ("even", "odd")
+                  for root in sector_roots(_width_sector(tr, parity, A_MAX, 1e-12)))
+    full_forms = len(calls) + 1   # and the resonance of the first width
+    assert len(full) == 4
+    scans = {}
+    for n in range(1, 6):
+        del calls[:]
+        scans[n] = find_critical_widths(n, tr)
+        assert [(w.a, w.parity) for w in scans[n].widths] == full[:n]
+        assert scans[n].exhausted == (len(full) < n)
+        if n == 1:
+            assert len(calls) < full_forms
+    assert all([(w.a, w.beta) for w in scans[n].widths] ==
+               [(w.a, w.beta) for w in scans[5].widths[:n]] for n in scans)
+
+
 def test_second_critical_width_is_even():
     scan = find_critical_widths(2, Truncation(24), a_max=5.0)
     assert [w.parity for w in scan.widths] == ["odd", "even"]
@@ -466,13 +502,7 @@ def test_count_evaluates_ten_times_fewer_matrices_per_root(monkeypatch):
     # width points per parity for critical widths) and then bisected each
     # root from the grid step to tol = 1e-12 (30 steps in lam, 35 in a);
     # every assembly of S counts, the one each kernel takes included
-    calls = []
-    real = matching.trace_form
-
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
-    monkeypatch.setattr(matching, "trace_form", counted)
+    calls = _counted_forms(monkeypatch)
     tr = Truncation(40)
     roots = sum(len(find_eigenvalues(cfg, tr)) for cfg in
                 (single_cfg(2.0), single_cfg(3.5, "odd"), two_cfg(1.0, 6.0, "even"),
