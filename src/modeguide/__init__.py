@@ -16,7 +16,6 @@ from .modes import (
     StripConfig,
     canonicalize,
     overlap_matrix,
-    stable_sinhc,
 )
 from .matching import (
     MatchingSystem,

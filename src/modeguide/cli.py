@@ -31,10 +31,11 @@ from pathlib import Path
 
 from . import __version__
 from .asymptotics import THRESHOLD_RATE, fit_exponential, predict_splitting, predict_threshold
-from .matching import Truncation, max_modes
+from .matching import Truncation
 from .modes import GeometryError, GridAlignmentError, ProblemKind, StripConfig, canonicalize
 from .records import RunRecord, cache_get, cache_put
 from .solve import (
+    REFINE_LEVELS,
     THRESHOLD_KAPPA,
     extract_tail,
     refine_eigenvalue,
@@ -220,7 +221,7 @@ def cmd_single(args) -> int:
             "residual": p.residual,
         }
         if args.refine:
-            refined = refine_eigenvalue(cfg, p.lam, trunc, tol=args.tol)
+            refined = refine_eigenvalue(cfg, p.lam, trunc, levels=REFINE_LEVELS, tol=args.tol)
             row["lambda_refined"] = refined.value
             row["refine_error"] = refined.error
         rows.append(row)
@@ -543,12 +544,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _check_modes(args) -> None:
-    """Reject a --modes whose widest dense form, 2N for two windows, 4N atop
-    the single --refine ladder and 8N atop verify's, exceeds the budget."""
-    width = 8 if args.command == "verify" else 4 if getattr(args, "refine", False) else 2
-    if getattr(args, "modes", 0) > max_modes(width):
-        raise ValueError(f"--modes {args.modes} exceeds the cap of {max_modes(width)} for this run, "
-                         f"whose widest dense form is {width}N")
+    """Reject, before any solve, a --modes whose top truncation (the last
+    rung of verify's ladder or of single --refine's, N otherwise) Truncation refuses."""
+    if not hasattr(args, "modes"):
+        return
+    if args.command == "verify":
+        from .acceptance import Workspace
+        top = Workspace.LADDER[-1] // Workspace.LADDER[0]
+    else:
+        top = 2 ** REFINE_LEVELS if getattr(args, "refine", False) else 1
+    try:
+        Truncation(top * args.modes)
+    except ValueError as exc:
+        ladder = f" (its ladder tops out at {top}N)" if top > 1 else ""
+        raise ValueError(f"--modes {args.modes}{ladder}: {exc}") from None
 
 
 def main(argv=None) -> int:

@@ -52,7 +52,7 @@ __all__ = [
     "pole_count",
     "det_sign",
     "MAX_FORM_BYTES",
-    "max_modes",
+    "MAX_MODES",
 ]
 
 #: largest dense trace form a run may build, in bytes (128 MiB, dimension
@@ -61,24 +61,21 @@ __all__ = [
 #: 1000-4096, the overlap matrix and the Gram's one n x n table included),
 #: so a form stays below about 0.5 GB (495 MiB at dimension 4096)
 MAX_FORM_BYTES = 2 ** 27
-
-
-def max_modes(width: int) -> int:
-    """Largest truncation N whose dense form of dimension width * N fits MAX_FORM_BYTES."""
-    return math.isqrt(MAX_FORM_BYTES // 8) // width
+#: largest truncation N whose two-window form, of dimension 2N, fits MAX_FORM_BYTES
+MAX_MODES = math.isqrt(MAX_FORM_BYTES // 8) // 2
 
 
 @dataclass(frozen=True)
 class Truncation:
-    """Number of transverse modes retained in every region (default 40, at most max_modes(2))."""
+    """Number of transverse modes retained in every region (default 40, at most MAX_MODES)."""
 
     n: int = 40
 
     def __post_init__(self) -> None:
         if self.n < 4:
             raise ValueError(f"truncation must retain at least 4 modes, got n={self.n}")
-        if self.n > max_modes(2):
-            raise ValueError(f"truncation n={self.n} exceeds the cap of {max_modes(2)} modes, "
+        if self.n > MAX_MODES:
+            raise ValueError(f"truncation n={self.n} exceeds the cap of {MAX_MODES} modes, "
                              f"where a two-window form reaches {MAX_FORM_BYTES >> 20} MiB")
 
 

@@ -13,10 +13,12 @@ canonical units where the strip width is pi, so that
   window mode oscillates).
 
 This module provides the geometry types, the canonical rescaling, the two
-mode families, the overlap coefficients between them, and branch-stable
-longitudinal evaluators that are smooth across the oscillatory/evanescent
-crossover (even power series in the rate, so no complex arithmetic is
-needed anywhere).
+mode families, the overlap coefficients between them, and the
+longitudinal window profiles.  These take the squared rates of
+:func:`~modeguide.matching._rates` at lam >= 1/4, where exactly the first
+window mode oscillates (t_1 <= 0) and every other is evanescent
+(t_m >= 5/4): each family is evaluated with its own real formula, so no
+complex arithmetic is needed anywhere.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ __all__ = [
     "StripConfig",
     "CanonicalConfig",
     "canonicalize",
-    "stable_sinhc",
     "overlap_matrix",
     "window_profile_at_edge",
     "window_profile_eval",
@@ -153,32 +154,6 @@ def canonicalize(cfg: StripConfig) -> CanonicalConfig:
 
 
 # ---------------------------------------------------------------------------
-# Branch-stable longitudinal evaluators
-# ---------------------------------------------------------------------------
-
-def stable_sinhc(t, x):
-    """sinh(sqrt(t)*x)/sqrt(t) for t > 0, x at t = 0, sin(sqrt(-t)*x)/sqrt(-t) for t < 0.
-
-    Entire in t (even power series in the rate), hence smooth across the
-    oscillatory/evanescent crossover at t = 0.  The removable point t = 0
-    is evaluated through a short series to keep full accuracy near the
-    crossover.
-    """
-    t = np.asarray(t, dtype=float)
-    x = np.asarray(x, dtype=float)
-    r = np.sqrt(np.abs(t))
-    u = r * x
-    small = np.abs(u) < 1e-4
-    # series sinh(u)/r = x*(1 + t*x^2/6 + t^2*x^4/120) covers both signs of t
-    series = x * (1.0 + t * x * x / 6.0 + t * t * x ** 4 / 120.0)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        hyp = np.sinh(u) / np.where(r == 0.0, 1.0, r)
-        osc = np.sin(u) / np.where(r == 0.0, 1.0, r)
-    out = np.where(small, series, np.where(t > 0.0, hyp, osc))
-    return out if out.ndim else float(out)
-
-
-# ---------------------------------------------------------------------------
 # Overlap coefficients between the two transverse bases
 # ---------------------------------------------------------------------------
 
@@ -201,32 +176,54 @@ def overlap_matrix(n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Interface-normalized window profiles
 #
-# The longitudinal factor of the m-th window mode is cosh-like (even parity
-# about the window center) or sinhc-like (odd parity).  Evanescent profiles
-# (t > 0) are normalized to unit value at the window edge x = a, which keeps
-# every matrix entry bounded no matter how large nu_m * a gets; oscillatory
-# profiles (t <= 0) are already bounded and keep scale one.
+# The longitudinal factor of the m-th window mode is even (cos/cosh-like
+# about the window center) or odd (sin/sinh-like).  The evaluators take the
+# squared rates t_m of :func:`~modeguide.matching._rates` along the last
+# axis, at lam >= 1/4: the first mode oscillates with w = sqrt(-t_1)
+# (t_1 <= 0) and keeps scale one, profile cos(w x) or sin(w x)/w; the rest
+# are evanescent with nu = sqrt(t_m) >= sqrt(5/4) and are normalized to
+# unit value at the window edge x = a, which keeps every matrix entry
+# bounded no matter how large nu*a gets.
 # ---------------------------------------------------------------------------
 
-def window_profile_scale_log(t, a: float, parity: str) -> np.ndarray:
-    """log of the normalization applied to each window profile (0 when none)."""
+def _families(t, parity: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Squared rates t with w = sqrt(-t_1) of the oscillatory first mode and
+    nu = sqrt(t_m) of the evanescent rest, for a profile of the given parity."""
+    if parity not in ("even", "odd"):
+        raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
     t = np.asarray(t, dtype=float)
-    r = np.sqrt(np.abs(t))
-    u = r * a
+    return t, np.sqrt(-t[..., 0]), np.sqrt(t[..., 1:])
+
+
+def _sinc(t, x):
+    """sin(w x)/w of the oscillatory rate w = sqrt(-t), by its series near w x = 0."""
+    w = np.sqrt(-t)
+    u = w * x
+    series = x * (1.0 + t * x * x / 6.0 + t * t * x ** 4 / 120.0)
+    return np.where(np.abs(u) < 1e-4, series, np.sin(u) / w)
+
+
+def window_profile_scale_log(t, a: float, parity: str) -> np.ndarray:
+    """log of the normalization applied to each window profile (0 for the oscillatory one).
+
+    ``t`` holds squared rates from :func:`~modeguide.matching._rates` at
+    lam > 1/4 along its last axis (entry 0 < 0 < entries 1:), 1-D or
+    stacked; entry 0 == 0 gives the w -> 0 limit but may warn, and other
+    rates give NaN.
+    """
+    t, _, nu = _families(t, parity)
+    u = nu * a
+    out = np.zeros_like(t)
     if parity == "even":
         # log cosh(u) = u + log1p(exp(-2u)) - log 2
-        log_scale = u + np.log1p(np.exp(-2.0 * u)) - math.log(2.0)
-    elif parity == "odd":
-        # log (sinh(u)/r); near u = 0 the profile tends to x, scale log(a)
-        with np.errstate(divide="ignore"):
-            log_scale = np.where(
-                u > 1e-6,
-                u + np.log1p(-np.exp(-2.0 * u)) - math.log(2.0) - np.log(np.where(r == 0, 1.0, r)),
-                math.log(a) + t * a * a / 6.0,
-            )
+        out[..., 1:] = u + np.log1p(np.exp(-2.0 * u)) - math.log(2.0)
     else:
-        raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
-    return np.where(t > 0.0, log_scale, 0.0)
+        # log (sinh(u)/nu); near u = 0 the profile tends to x, scale log(a);
+        # an a below about 5e-17 rounds exp(-2u) to 1 in the unused branch
+        with np.errstate(divide="ignore"):
+            out[..., 1:] = np.where(u > 1e-6, u + np.log1p(-np.exp(-2.0 * u)) - math.log(2.0) - np.log(nu),
+                                    math.log(a) + t[..., 1:] * a * a / 6.0)
+    return out
 
 
 def window_profile_at_edge(t, a: float, parity: str) -> tuple[np.ndarray, np.ndarray]:
@@ -235,100 +232,86 @@ def window_profile_at_edge(t, a: float, parity: str) -> tuple[np.ndarray, np.nda
     Returns arrays (value, derivative) over the rate entries ``t``.  For
     evanescent entries the value is exactly 1 and the derivative is
     nu*tanh(nu*a) (even) or nu/tanh(nu*a) (odd), both safely bounded.
+    ``t`` holds squared rates from :func:`~modeguide.matching._rates` at
+    lam > 1/4 along its last axis (entry 0 < 0 < entries 1:), 1-D or
+    stacked; entry 0 == 0 gives the w -> 0 limit but may warn, and other
+    rates give NaN.
     """
-    t = np.asarray(t, dtype=float)
-    r = np.sqrt(np.abs(t))
-    u = r * a
+    t, w, nu = _families(t, parity)
+    u = nu * a
+    val = np.ones_like(t)
+    der = np.empty_like(t)
     if parity == "even":
-        ev_val = np.ones_like(t)
-        ev_der = r * np.tanh(u)
-        os_val = np.cos(u)
-        os_der = -r * np.sin(u)
-    elif parity == "odd":
-        ev_val = np.ones_like(t)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ev_der = np.where(u > 1e-6, r / np.tanh(np.where(u == 0, 1.0, u)), 1.0 / a + t * a / 3.0)
-        os_val = stable_sinhc(np.minimum(t, 0.0), a)
-        os_der = np.cos(u)
+        val[..., 0] = np.cos(w * a)
+        der[..., 0] = -w * np.sin(w * a)
+        der[..., 1:] = nu * np.tanh(u)
     else:
-        raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
-    val = np.where(t > 0.0, ev_val, os_val)
-    der = np.where(t > 0.0, ev_der, os_der)
+        val[..., 0] = _sinc(t[..., 0], a)
+        der[..., 0] = np.cos(w * a)
+        der[..., 1:] = np.where(u > 1e-6, nu / np.tanh(u), 1.0 / a + t[..., 1:] * a / 3.0)
     return val, der
 
 
 def window_profile_eval(t, x, a: float, parity: str) -> np.ndarray:
-    """Normalized window profile at position x (broadcasts t against x).
+    """Normalized window profiles at positions x: one row per rate of ``t``, one column per x.
 
-    Evanescent entries use overflow-free ratios cosh(nu x)/cosh(nu a) and
-    sinh(nu x)/sinh(nu a); oscillatory entries evaluate the plain
-    trigonometric profile.
+    Evanescent rows use overflow-free ratios cosh(nu x)/cosh(nu a) and
+    sinh(nu x)/sinh(nu a); the oscillatory row is the plain trigonometric
+    profile.  ``t`` is a 1-D vector of squared rates from
+    :func:`~modeguide.matching._rates` at lam > 1/4 (entry 0 < 0 <
+    entries 1:) and ``x`` a 1-D array; entry 0 == 0 gives the w -> 0 limit
+    but may warn, and other rates give NaN.
     """
-    t = np.asarray(t, dtype=float)
+    t, w, nu = _families(t, parity)
     x = np.asarray(x, dtype=float)
-    t, x = np.broadcast_arrays(t, x)
-    r = np.sqrt(np.abs(t))
+    nu = nu[:, None]
     ax = np.abs(x)
     # ratio of exponentials, everything in [0, 1]
-    e_gap = np.exp(-r * (a - ax))
-    e_x = np.exp(-2.0 * r * ax)
-    e_a = np.exp(-2.0 * r * a)
+    e_gap = np.exp(-nu * (a - ax))
+    e_x = np.exp(-2.0 * nu * ax)
+    e_a = np.exp(-2.0 * nu * a)
+    out = np.empty((t.size, x.size))
     if parity == "even":
-        ev = e_gap * (1.0 + e_x) / (1.0 + e_a)
-        os = np.cos(r * x)
-        out = np.where(t > 0.0, ev, os)
-    elif parity == "odd":
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ev = np.sign(x) * e_gap * (1.0 - e_x) / np.where(e_a == 1.0, 1.0, 1.0 - e_a)
-            small = r * a < 1e-6
-            ev = np.where(small, x / a, ev)
-        os = stable_sinhc(np.minimum(t, 0.0), x)
-        out = np.where(t > 0.0, ev, os)
+        out[0] = np.cos(w * x)
+        out[1:] = e_gap * (1.0 + e_x) / (1.0 + e_a)
     else:
-        raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
+        out[0] = _sinc(t[0], x)
+        # an a below about 5e-17 rounds e_a to 1, where the series x/a serves
+        ratio = np.sign(x) * e_gap * (1.0 - e_x) / np.where(e_a == 1.0, 1.0, 1.0 - e_a)
+        out[1:] = np.where(nu * a < 1e-6, x / a, ratio)
     return out
 
 
 def window_profile_l2(t, a: float, parity: str) -> np.ndarray:
-    """Closed-form integral of the squared normalized profile over (-a, a)."""
-    t = np.asarray(t, dtype=float)
-    r = np.sqrt(np.abs(t))
-    u = r * a
+    """Closed-form integral of the squared normalized profile over (-a, a).
+
+    ``t`` holds squared rates from :func:`~modeguide.matching._rates` at
+    lam > 1/4 along its last axis (entry 0 < 0 < entries 1:), 1-D or
+    stacked; entry 0 == 0 gives the w -> 0 limit but may warn, and other
+    rates give NaN.
+    """
+    t, w, nu = _families(t, parity)
+    t1, tm = t[..., 0], t[..., 1:]
+    u1, u = w * a, nu * a
     sech = _sech(u)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if parity == "even":
-            # cosh(nu x)/cosh(nu a): a*sech^2 + tanh(u)/nu ; cos(w x): a + sin(2u)/(2w)
-            ev = a * sech * sech + np.where(u > 1e-6, np.tanh(u) / np.where(r == 0, 1.0, r), a * (1.0 - t * a * a / 3.0))
-            os = a + _half_sin(u, r, a)
-            out = np.where(t > 0.0, ev, os)
-        elif parity == "odd":
-            # sinh(nu x)/sinh(nu a): coth(u)/nu - a*csch^2(u); sin(w x)/w: (a - sin(2u)/(2w))/w^2
-            csch = np.where(u > 1e-3, sech / np.where(u == 0, 1.0, np.tanh(u)), 0.0)
-            ev = np.where(
-                u > 1e-3,
-                1.0 / (np.where(r == 0, 1.0, r) * np.where(u == 0, 1.0, np.tanh(u))) - a * csch * csch,
-                2.0 * a / 3.0 * (1.0 - 2.0 * t * a * a / 15.0 + 4.0 * (t * a * a) ** 2 / 315.0),
-            )
-            os = np.where(
-                u > 1e-3,
-                (a - _half_sin(u, r, a)) / np.where(t == 0, 1.0, -t),
-                2.0 * a ** 3 / 3.0 * (1.0 + t * a * a / 5.0),
-            )
-            out = np.where(t > 0.0, ev, os)
-        else:
-            raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
+    half_sin = 0.5 * _sinc(t1, 2.0 * a)
+    out = np.empty_like(t)
+    if parity == "even":
+        # cos(w x): a + sin(2u)/(2w); cosh(nu x)/cosh(nu a): a*sech^2 + tanh(u)/nu
+        out[..., 0] = a + half_sin
+        out[..., 1:] = a * sech * sech + np.where(u > 1e-6, np.tanh(u) / nu, a * (1.0 - tm * a * a / 3.0))
+    else:
+        # sin(w x)/w: (a - sin(2u)/(2w))/w^2; sinh(nu x)/sinh(nu a): coth(u)/nu - a*csch^2(u)
+        out[..., 0] = np.where(u1 > 1e-3, (a - half_sin) / -t1, 2.0 * a ** 3 / 3.0 * (1.0 + t1 * a * a / 5.0))
+        csch = sech / np.tanh(u)
+        out[..., 1:] = np.where(u > 1e-3, 1.0 / (nu * np.tanh(u)) - a * csch * csch,
+                                2.0 * a / 3.0 * (1.0 - 2.0 * tm * a * a / 15.0 + 4.0 * (tm * a * a) ** 2 / 315.0))
     return out
 
 
 def _sech(u: np.ndarray) -> np.ndarray:
     e = np.exp(-np.abs(u))
     return 2.0 * e / (1.0 + e * e)
-
-
-def _half_sin(u: np.ndarray, r: np.ndarray, a: float) -> np.ndarray:
-    """sin(2u)/(2 r) with the r -> 0 limit a; used by the L2 closed forms."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(u > 1e-6, np.sin(2.0 * u) / (2.0 * np.where(r == 0, 1.0, r)), a * (1.0 - 2.0 * u * u / 3.0))
 
 
 # ---------------------------------------------------------------------------

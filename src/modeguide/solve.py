@@ -87,6 +87,7 @@ __all__ = [
     "refine_critical_width",
     "extrapolate_truncation",
     "SEARCH_EPS",
+    "REFINE_LEVELS",
     "RESIDUAL_GATE",
     "THRESHOLD_KAPPA",
 ]
@@ -118,6 +119,8 @@ A_MIN = 1e-3
 A_MAX = 8.0
 #: half-width of a ladder rung's first search window, in the sector's variable
 LADDER_WIDTH = 1e-3
+#: doublings of a refinement ladder by default: rungs N, 2N, 4N
+REFINE_LEVELS = 2
 
 _ROOT2_PI = math.sqrt(2.0 / math.pi)
 
@@ -410,7 +413,7 @@ def _window_layout(pair: Eigenpair) -> tuple[float, list[tuple[str, np.ndarray]]
 def _window_sum(pair: Eigenpair, xi: np.ndarray, modes=1.0) -> np.ndarray:
     """sum over the window families of d @ (profile(xi) * modes), xi from the window center."""
     _, t = _rates(pair.n, pair.kappa1)
-    terms = [d @ (window_profile_eval(t[:, None], xi[None, :], pair.a, parity) * modes)
+    terms = [d @ (window_profile_eval(t, xi, pair.a, parity) * modes)
              for parity, d in _window_layout(pair)[1]]
     return sum(terms[1:], terms[0])
 
@@ -642,7 +645,7 @@ def _ladder(sector_at_n, x: float, trunc: Truncation, levels: int) -> RefinedVal
 
 
 def refine_eigenvalue(cfg: CanonicalConfig, lam0: float, trunc: Truncation = Truncation(),
-                      levels: int = 2, tol: float = 1e-12) -> RefinedValue:
+                      levels: int = REFINE_LEVELS, tol: float = 1e-12) -> RefinedValue:
     """Truncation-ladder refinement of one eigenvalue toward N -> infinity.
 
     Re-locates the root at truncations n, 2n, ..., then extrapolates the
@@ -654,7 +657,7 @@ def refine_eigenvalue(cfg: CanonicalConfig, lam0: float, trunc: Truncation = Tru
 
 
 def refine_critical_width(a0: float, parity: str, trunc: Truncation = Truncation(),
-                          levels: int = 2, tol: float = 1e-12) -> RefinedValue:
+                          levels: int = REFINE_LEVELS, tol: float = 1e-12) -> RefinedValue:
     """Truncation-ladder refinement of a critical width toward N -> infinity."""
     _check_tol(tol)
     a_max = max(A_MAX, 2.0 * a0)

@@ -573,8 +573,8 @@ def test_data_output_does_not_depend_on_blas_threads(argv):
 @pytest.mark.parametrize("argv, number, cap", [
     (("single", "--a", "2", "--modes", "100000"), "100000", "2048"),
     (("split", "--a", "1", "--l", "3", "--modes", "2049"), "2049", "2048"),
-    (("single", "--a", "2", "--modes", "1025", "--refine"), "1025", "1024"),
-    (("verify", "--modes", "513"), "513", "512"),
+    (("single", "--a", "2", "--modes", "513", "--refine"), "513", "2048"),
+    (("verify", "--modes", "257"), "257", "2048"),
     (("oracle", "--a", "1", "--h", "1e-300"), "inf", "2097152"),
     (("oracle", "--a", "1", "--h", "0.001"), "4.084e+07", "2097152"),
     (("oracle", "--a", "1", "--h", "0.125", "--L", "2", "--k", "100000"), "100000", "402"),
@@ -585,3 +585,27 @@ def test_sizing_flags_are_capped_before_any_solve(capsys, argv, number, cap):
         code, out, err = run(capsys, *argv)
     assert code == 2 and not out
     assert number in err and cap in err
+
+
+def test_modes_are_capped_at_the_top_rung_of_the_ladder(capsys, monkeypatch):
+    # the ladders of single --refine (N, 2N, 4N) and verify (up to 8N) end
+    # at a Truncation, capped at 2048 modes: a --modes past that is refused
+    # before the first solve, and the largest one allowed gets through
+    from modeguide import acceptance, cli
+    solves = []
+
+    def solver(name):
+        def solve(*args, **kwargs):
+            solves.append(name)
+            return []
+        return solve
+
+    monkeypatch.setattr(cli, "find_eigenvalues", solver("single"))
+    monkeypatch.setattr(acceptance, "run_acceptance", solver("verify"))
+    for argv in (("single", "--a", "2", "--refine", "--modes", "1024"), ("verify", "--modes", "300")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and not out and "exceeds the cap of 2048" in err
+    assert solves == []
+    assert run(capsys, "single", "--a", "2", "--refine", "--modes", "512")[0] == 0
+    assert run(capsys, "verify", "--modes", "256")[0] == 0
+    assert solves == ["single", "single", "verify"]

@@ -8,11 +8,11 @@ from hypothesis import assume, given, settings, strategies as st
 from modeguide import MatchingSystem, ProblemKind, Truncation, assemble_threshold
 from modeguide.matching import (
     MAX_FORM_BYTES,
+    MAX_MODES,
     _assemble_two_core,
     _gram,
     _rates,
     det_sign,
-    max_modes,
     pole_count,
     schur_complement,
     trace_form,
@@ -39,7 +39,7 @@ def test_truncation_floor():
         Truncation(3)
     assert Truncation().n == 40
     # the cap: a two-window form of 2N x 2N entries within MAX_FORM_BYTES
-    assert Truncation(max_modes(2)).n == 2048
+    assert Truncation(MAX_MODES).n == 2048
     assert (2 * 2048) ** 2 * 8 == MAX_FORM_BYTES
     with pytest.raises(ValueError, match="2049 exceeds the cap of 2048"):
         Truncation(2049)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.integrate import quad
+from scipy.integrate import quad, quad_vec
 
 from modeguide import (
     GeometryError,
@@ -11,7 +11,6 @@ from modeguide import (
     StripConfig,
     canonicalize,
     overlap_matrix,
-    stable_sinhc,
 )
 from modeguide.matching import _rates
 from modeguide.modes import (
@@ -21,6 +20,7 @@ from modeguide.modes import (
     window_profile_at_edge,
     window_profile_eval,
     window_profile_l2,
+    window_profile_scale_log,
 )
 
 PI = math.pi
@@ -117,23 +117,6 @@ def test_rate_monotonicity():
 
 
 # ---------------------------------------------------------------------------
-# branch-stable evaluators
-# ---------------------------------------------------------------------------
-
-def test_stable_sinhc_basics():
-    assert stable_sinhc(0.0, 2.5) == 2.5
-    assert stable_sinhc(4.0, 1.0) == pytest.approx(math.sinh(2.0) / 2.0, rel=1e-14)
-    assert stable_sinhc(-4.0, 1.0) == pytest.approx(math.sin(2.0) / 2.0, rel=1e-14)
-
-
-@given(st.floats(min_value=0.0, max_value=10.0))
-@settings(max_examples=40, deadline=None)
-def test_evaluator_smoothness_across_zero(x):
-    eps = 1e-8
-    assert abs(stable_sinhc(eps, x) - stable_sinhc(-eps, x)) <= 0.5 * eps * x ** 3 + 1e-15
-
-
-# ---------------------------------------------------------------------------
 # overlaps
 # ---------------------------------------------------------------------------
 
@@ -167,27 +150,69 @@ def test_overlap_sign_pattern():
 # normalized profiles against quadrature oracles
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("t", [25.0, 2.0, 1e-5, 0.0, -0.3, -0.74])
-@pytest.mark.parametrize("parity", ["even", "odd"])
-def test_window_profile_l2_matches_quadrature(t, parity):
-    a = 1.3
-    closed = float(window_profile_l2(np.array([t]), a, parity)[0])
-    val, _ = quad(lambda x: float(window_profile_eval(np.array([t]), np.array([x]), a, parity)[0]) ** 2,
-                  -a, a, limit=200, epsabs=1e-13, epsrel=1e-13)
-    assert closed == pytest.approx(val, rel=1e-10, abs=1e-12)
+# whole rate vectors of the solver: the oscillatory first mode (w = 1e-8 at
+# kappa1 = sqrt(3/4)) and 319 evanescent ones, from the series ranges of
+# nu*a (below 1e-3 at a = 1e-4, below 1e-6 at a = 1e-7) to nu*a = 2560
+PROFILE_CASES = pytest.mark.parametrize("kappa1, a", [
+    (0.0, 0.9), (0.3, 8.0), (0.3, 1e-4), (math.sqrt(0.75), 1.3), (math.sqrt(0.75), 1e-4), (0.6, 1e-7),
+])
+PARITIES = pytest.mark.parametrize("parity", ["even", "odd"])
 
 
-@pytest.mark.parametrize("t", [30.0, 1.0, -0.5])
-@pytest.mark.parametrize("parity", ["even", "odd"])
-def test_window_profile_edge_derivative(t, parity):
-    a = 0.9
-    val, der = window_profile_at_edge(np.array([t]), a, parity)
-    d = 1e-6
-    num = (window_profile_eval(np.array([t]), np.array([a]), a, parity)[0]
-           - window_profile_eval(np.array([t]), np.array([a - d]), a, parity)[0]) / d
-    assert der[0] == pytest.approx(num, rel=2e-5, abs=1e-8)
-    assert val[0] == pytest.approx(float(window_profile_eval(np.array([t]), np.array([a]), a, parity)[0]),
-                                   rel=1e-13)
+@PROFILE_CASES
+@PARITIES
+def test_window_profile_l2_matches_quadrature(kappa1, a, parity):
+    _, t = _rates(320, kappa1)
+    closed = window_profile_l2(t, a, parity)
+    val, _ = quad_vec(lambda x: window_profile_eval(t, np.array([x]), a, parity)[:, 0] ** 2,
+                      -a, a, epsabs=1e-15 * a, epsrel=1e-11, norm="max")
+    band = np.zeros(t.shape, dtype=bool)
+    if parity == "odd":
+        # a known defect: just above its series switch at u = nu*a = 1e-3 the
+        # odd closed form coth(u)/nu - a*csch^2(u) cancels to about 4e-10
+        u = np.sqrt(t[1:]) * a
+        band[1:] = (u > 1e-3) & (u < 1e-2)
+    np.testing.assert_allclose(closed[~band], val[~band], rtol=1e-10)
+    np.testing.assert_allclose(closed[band], val[band], rtol=1e-9)
+
+
+@PROFILE_CASES
+@PARITIES
+def test_window_profile_edge_derivative(kappa1, a, parity):
+    _, t = _rates(320, kappa1)
+    val, der = window_profile_at_edge(t, a, parity)
+    d = 1e-3 * min(a, 1.0 / math.sqrt(t[-1]))  # resolves the window and exp(nu x) for every nu
+    f = window_profile_eval(t, a + d * np.array([-2.0, -1.0, 0.0, 1.0, 2.0]), a, parity)
+    # fourth-order central difference, with its rounding error on profiles of size <= max(1, a)
+    num = (f[:, 0] - 8.0 * f[:, 1] + 8.0 * f[:, 3] - f[:, 4]) / (12.0 * d)
+    assert np.all(np.abs(der - num) <= 1e-7 * np.abs(der) + 1e-14 * max(1.0, a) / d)
+    # the value at the edge: exactly 1 for the evanescent rows
+    np.testing.assert_allclose(f[:, 2], val, rtol=1e-15, atol=0.0)
+    assert np.all(f[1:, 2] == 1.0)
+
+
+@PROFILE_CASES
+@PARITIES
+def test_window_profile_scale_log_is_the_center_value_or_slope(kappa1, a, parity):
+    # an even profile is 1/scale at the window center and an odd one has
+    # slope 1/scale there; the oscillatory profile keeps scale one
+    # (compared in logs: beyond nu*a = 708 the center values underflow)
+    _, t = _rates(320, kappa1)
+    scale_log = window_profile_scale_log(t, a, parity)
+    assert scale_log[0] == 0.0
+    if parity == "even":
+        center = window_profile_eval(t, np.zeros(1), a, parity)[:, 0]
+        tol = dict(rtol=1e-14, atol=1e-15)
+    else:
+        # Richardson on the quotients f(x)/x at x = d, 2d: error (nu d)^4/30,
+        # with the evanescent ratio's rounding eps/(nu d) below 1e-8
+        d = min(0.1 * a, 1e-3 / math.sqrt(t[-1]))
+        q = window_profile_eval(t, np.array([d, 2.0 * d]), a, parity) / np.array([d, 2.0 * d])
+        center = (4.0 * q[:, 0] - q[:, 1]) / 3.0
+        tol = dict(rtol=0.0, atol=1e-8)
+    normal = center > np.finfo(float).tiny
+    assert normal[:50].all()
+    np.testing.assert_allclose(-np.log(center[normal]), scale_log[normal], **tol)
 
 
 @pytest.mark.parametrize("kappa", [3.0, 0.4, 1e-5])
