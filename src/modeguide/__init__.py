@@ -47,15 +47,12 @@ from .asymptotics import (
     predict_threshold,
 )
 from .records import RunRecord
-
-# the oracle needs scipy, which the matching solver does not: its names load
-# on first use (PEP 562), so the matching path imports numpy only
-_FD_ORACLE_NAMES = ("OracleConfig", "critical_width_crossing", "discrete_threshold", "discretize",
-                    "lowest_eigenvalues", "oracle_eigenvalues", "refine_and_extrapolate")
-
-
-def __getattr__(name):
-    if name in _FD_ORACLE_NAMES:
-        from . import fd_oracle
-        return getattr(fd_oracle, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+from .fd_oracle import (
+    OracleConfig,
+    critical_width_crossing,
+    discrete_threshold,
+    discretize,
+    lowest_eigenvalues,
+    oracle_eigenvalues,
+    refine_and_extrapolate,
+)

@@ -30,7 +30,9 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import __version__
+from .acceptance import Workspace, run_acceptance
 from .asymptotics import THRESHOLD_RATE, fit_exponential, predict_splitting, predict_threshold
+from .fd_oracle import OracleConfig, oracle_eigenvalues, refine_and_extrapolate
 from .matching import Truncation
 from .modes import GeometryError, GridAlignmentError, ProblemKind, StripConfig, canonicalize
 from .records import RunRecord, cache_get, cache_put
@@ -55,18 +57,6 @@ EXIT_PRECONDITION = 4
 #: most points a start:stop:step range may hold; every point of a sweep is one
 #: or two eigenvalue searches, so a larger range is a typing error, not a run
 MAX_SWEEP_POINTS = 10_000
-
-#: the oracle subcommand's names from fd_oracle, which imports scipy; they are
-#: bound on first use (PEP 562), so the matching subcommands load no scipy
-_FD_ORACLE_NAMES = ("OracleConfig", "oracle_eigenvalues", "refine_and_extrapolate")
-
-
-def __getattr__(name: str):
-    if name not in _FD_ORACLE_NAMES:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import fd_oracle
-    return globals().setdefault(name, getattr(fd_oracle, name))
-
 
 def _fmt(x) -> str:
     if isinstance(x, float):
@@ -408,9 +398,6 @@ def cmd_threshold(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    # looked up on the module, so names rebound there (perfbench's tracer) are called
-    OracleConfig, oracle_eigenvalues, refine_and_extrapolate = (
-        getattr(sys.modules[__name__], name) for name in _FD_ORACLE_NAMES)
     if args.a is None:
         print("oracle: --a is required", file=sys.stderr)
         return EXIT_USAGE
@@ -456,7 +443,6 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from .acceptance import run_acceptance
     results = run_acceptance(quick=args.quick, trunc=Truncation(args.modes))
     for res in results:
         for line in res.lines():
@@ -549,7 +535,6 @@ def _check_modes(args) -> None:
     if not hasattr(args, "modes"):
         return
     if args.command == "verify":
-        from .acceptance import Workspace
         top = Workspace.LADDER[-1] // Workspace.LADDER[0]
     else:
         top = 2 ** REFINE_LEVELS if getattr(args, "refine", False) else 1

@@ -43,7 +43,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sparse
 
 from .modes import CanonicalConfig, GridAlignmentError, ProblemKind, StripConfig, canonicalize
 from .roots import Sector, ascending_roots, count, kernel
@@ -58,7 +57,6 @@ __all__ = [
     "discrete_threshold",
     "critical_width_crossing",
     "FDGrid",
-    "FDOperator",
     "WindowForm",
     "MAX_UNKNOWNS",
 ]
@@ -294,25 +292,17 @@ class WindowForm:
         return w[keep], v / np.linalg.norm(v, axis=0)
 
 
-class FDOperator(sparse.csr_matrix):
-    """The CSR operator of :func:`discretize`, carrying the grid it lives on.
+def discretize(grid: FDGrid):
+    """Symmetric 5-point operator on the grid's nodes, a ``scipy.sparse.csr_matrix``.
 
-    ``grid`` gives :func:`lowest_eigenvalues` its window form
-    (:class:`WindowForm`).  Matrices that scipy derives from it carry no grid.
+    Row and column p are node p of ``grid.index``.  Every neighbor pair
+    (p, q) gets the weight -c * sqrt(m_pq * m_qp), m the ghost multiplicity
+    of the coupling: the raw stencil's similarity transform by the square
+    root of the half-cell weights, equal to its transpose bit-exactly by
+    construction.
     """
+    import scipy.sparse
 
-    grid: FDGrid | None = None
-
-
-def discretize(cfg: CanonicalConfig, ocfg: OracleConfig) -> FDOperator:
-    """Symmetric sparse 5-point operator on the half strip [0, L] x [0, pi].
-
-    Every neighbor pair (p, q) gets the weight -c * sqrt(m_pq * m_qp), m the
-    ghost multiplicity of the coupling: the raw stencil's similarity
-    transform by the square root of the half-cell weights, equal to its
-    transpose bit-exactly by construction.
-    """
-    grid = FDGrid(cfg, ocfg)
     keep, index = grid.keep, grid.index
     # the five stencil slots of node (i, j) in ascending column order, since
     # nodes are numbered in row order: (i - 1, j), (i, j - 1), (i, j),
@@ -336,13 +326,11 @@ def discretize(cfg: CanonicalConfig, ocfg: OracleConfig) -> FDOperator:
     stencil = keep[..., None] & (cols >= 0)
     indptr = np.zeros(grid.size + 1, dtype=np.int64)
     np.cumsum(stencil.sum(axis=2)[keep], out=indptr[1:])
-    op = FDOperator((vals[stencil], cols[stencil], indptr), shape=(grid.size, grid.size))
-    op.grid = grid
-    return op
+    return scipy.sparse.csr_matrix((vals[stencil], cols[stencil], indptr), shape=(grid.size, grid.size))
 
 
-def lowest_eigenvalues(op: FDOperator, k: int) -> np.ndarray:
-    """The k smallest eigenvalues of an operator from :func:`discretize`, ascending.
+def lowest_eigenvalues(grid: FDGrid, k: int) -> np.ndarray:
+    """The k smallest eigenvalues of the grid's operator (:func:`discretize`), ascending.
 
     The roots of the grid's :class:`WindowForm` and its free values: their
     count is 0 at sigma = 0, below the positive definite spectrum, and the
@@ -351,15 +339,13 @@ def lowest_eigenvalues(op: FDOperator, k: int) -> np.ndarray:
     and the k lowest of these and the free values are kept.  A root no
     bracket separates from a pole raises ArithmeticError.  Every eigenpair
     (lam, v) is checked against the operator: ArithmeticError unless
-    ||op v - lam v|| <= EIGENPAIR_GATE * |lam|.  An operator without its
-    grid (scipy arithmetic drops it) raises ValueError.
+    ||op v - lam v|| <= EIGENPAIR_GATE * |lam|.  A k of at least
+    ``grid.size`` raises ValueError.
     """
-    n = op.shape[0]
-    if k >= n:
+    if k >= grid.size:
         raise ValueError("requested more eigenvalues than the operator has rows")
-    grid = getattr(op, "grid", None)
-    if grid is None:
-        raise ValueError("lowest_eigenvalues needs the grid of an operator from discretize")
+    # assembled first, so its temporaries are freed before the form's arrays exist
+    op = discretize(grid)
     form = WindowForm(grid)
     sec = Sector(form, 0.0, 1.0, 0.0)
     lo, hi = count(sec, sec.lo), count(sec, sec.hi)
@@ -374,8 +360,8 @@ def lowest_eigenvalues(op: FDOperator, k: int) -> np.ndarray:
 
 
 def oracle_eigenvalues(cfg: CanonicalConfig, ocfg: OracleConfig) -> np.ndarray:
-    """Convenience wrapper: discretize and return the k lowest eigenvalues."""
-    return lowest_eigenvalues(discretize(cfg, ocfg), ocfg.k)
+    """The ``ocfg.k`` lowest eigenvalues on the grid of ``cfg`` and ``ocfg``, ascending."""
+    return lowest_eigenvalues(FDGrid(cfg, ocfg), ocfg.k)
 
 
 def refine_and_extrapolate(values_h, values_h2, values_h4=None):

@@ -301,11 +301,15 @@ def window_profile_l2(t, a: float, parity: str) -> np.ndarray:
         out[..., 0] = a + half_sin
         out[..., 1:] = a * sech * sech + np.where(u > 1e-6, np.tanh(u) / nu, a * (1.0 - tm * a * a / 3.0))
     else:
-        # sin(w x)/w: (a - sin(2u)/(2w))/w^2; sinh(nu x)/sinh(nu a): coth(u)/nu - a*csch^2(u)
-        out[..., 0] = np.where(u1 > 1e-3, (a - half_sin) / -t1, 2.0 * a ** 3 / 3.0 * (1.0 + t1 * a * a / 5.0))
+        # sin(w x)/w: (a - sin(2u)/(2w))/w^2; sinh(nu x)/sinh(nu a): coth(u)/nu - a*csch^2(u);
+        # both cancel to about eps/u^2, so below u = 0.07 their series in s = t*a^2 serve,
+        # whose first omitted term is about 1e-16 relative there or less
+        s1, s = t1 * a * a, tm * a * a
+        out[..., 0] = np.where(u1 > 0.07, (a - half_sin) / -t1, 2.0 * a ** 3 / 3.0 * (
+            1.0 + s1 * (1.0 / 5.0 + s1 * (2.0 / 105.0 + s1 * (1.0 / 945.0 + s1 * (2.0 / 51975.0))))))
         csch = sech / np.tanh(u)
-        out[..., 1:] = np.where(u > 1e-3, 1.0 / (nu * np.tanh(u)) - a * csch * csch,
-                                2.0 * a / 3.0 * (1.0 - 2.0 * tm * a * a / 15.0 + 4.0 * (tm * a * a) ** 2 / 315.0))
+        out[..., 1:] = np.where(u > 0.07, 1.0 / (nu * np.tanh(u)) - a * csch * csch, 2.0 * a / 3.0 * (
+            1.0 + s * (-2.0 / 15.0 + s * (2.0 / 105.0 + s * (-4.0 / 1575.0 + s * (2.0 / 6237.0))))))
     return out
 
 

@@ -364,14 +364,14 @@ def test_threshold_honours_strip_width(capsys):
 
 
 def test_verify_runs_at_the_requested_truncation(capsys, monkeypatch):
-    from modeguide import Truncation, acceptance
+    from modeguide import Truncation, cli
     seen = []
 
     def fake_run_acceptance(quick=False, trunc=Truncation(40), cids=None):
         seen.append(trunc)
         return []
 
-    monkeypatch.setattr(acceptance, "run_acceptance", fake_run_acceptance)
+    monkeypatch.setattr(cli, "run_acceptance", fake_run_acceptance)
     assert run(capsys, "verify", "--modes", "8")[0] == 0
     assert run(capsys, "verify")[0] == 0
     assert seen == [Truncation(8), Truncation(40)]
@@ -521,13 +521,16 @@ def test_sweep_ranges_are_capped(capsys):
     assert code == 2 and "more than" in err and not out
 
 
-@pytest.mark.parametrize("module", ["scipy.optimize", "scipy.fft"])
-def test_cli_import_leaves_scipy_optimize_unloaded(module):
+@pytest.mark.parametrize("importer, module", [
+    ("modeguide.cli", "scipy.optimize"), ("modeguide.cli", "scipy.fft"),
+    ("modeguide.acceptance", "scipy.sparse"), ("modeguide.fd_oracle", "scipy.sparse"),
+])
+def test_cli_import_leaves_scipy_optimize_unloaded(importer, module):
     # importing scipy.optimize adds about half of the CLI's start-up time;
-    # scipy.fft (used only inside the FD solve) adds 55-86 ms
+    # scipy.fft and scipy.sparse load only inside the FD oracle's solve
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
-    code = f"import sys, modeguide.cli; sys.exit(int({module!r} in sys.modules))"
+    code = f"import sys, {importer}; sys.exit(int({module!r} in sys.modules))"
     assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
 
 
@@ -591,7 +594,7 @@ def test_modes_are_capped_at_the_top_rung_of_the_ladder(capsys, monkeypatch):
     # the ladders of single --refine (N, 2N, 4N) and verify (up to 8N) end
     # at a Truncation, capped at 2048 modes: a --modes past that is refused
     # before the first solve, and the largest one allowed gets through
-    from modeguide import acceptance, cli
+    from modeguide import cli
     solves = []
 
     def solver(name):
@@ -601,7 +604,7 @@ def test_modes_are_capped_at_the_top_rung_of_the_ladder(capsys, monkeypatch):
         return solve
 
     monkeypatch.setattr(cli, "find_eigenvalues", solver("single"))
-    monkeypatch.setattr(acceptance, "run_acceptance", solver("verify"))
+    monkeypatch.setattr(cli, "run_acceptance", solver("verify"))
     for argv in (("single", "--a", "2", "--refine", "--modes", "1024"), ("verify", "--modes", "300")):
         code, out, err = run(capsys, *argv)
         assert code == 2 and not out and "exceeds the cap of 2048" in err

@@ -15,6 +15,7 @@ from modeguide import (
     refine_and_extrapolate,
 )
 from modeguide import ProblemKind, StripConfig, canonicalize, fd_oracle
+from modeguide.fd_oracle import FDGrid
 from modeguide.roots import Sector, count
 
 from conftest import single_cfg, two_cfg
@@ -26,25 +27,26 @@ def test_windowless_grid_gives_the_closed_form_spectrum():
     # a = h: the odd kind keeps no window node, so the operator is the Dirichlet
     # T1 (x) I + I (x) T2 and its spectrum is (4/h^2) sin^2 + (4/h2^2) sin^2
     h, L = 1 / 16, 8.0
-    op = discretize(single_cfg(h, "odd"), OracleConfig(L=L, h=h, k=4))
+    grid = FDGrid(single_cfg(h, "odd"), OracleConfig(L=L, h=h, k=4))
     n1, n2 = round(L / h), round(PI / h)
     h2 = PI / n2
     lam = (4.0 / h ** 2) * np.sin(np.arange(1, n1) * PI / (2 * n1)) ** 2
     mu = (4.0 / h2 ** 2) * np.sin(np.arange(1, n2) * PI / (2 * n2)) ** 2
     expect = np.sort(np.add.outer(lam, mu), axis=None)[:4]
-    got = lowest_eigenvalues(op, 4)
+    got = lowest_eigenvalues(grid, 4)
     assert np.max(np.abs(got - expect) / expect) < 1e-12
     assert got[1] == pytest.approx(1.6164, abs=1e-4) and got[3] == pytest.approx(3.4651, abs=1e-4)
 
 
 def test_repeated_runs_agree():
-    op = discretize(single_cfg(1.0), OracleConfig(L=8.0, h=1 / 16, k=2))
-    w1 = lowest_eigenvalues(op, 2)
-    w2 = lowest_eigenvalues(op, 2)
+    grid = FDGrid(single_cfg(1.0), OracleConfig(L=8.0, h=1 / 16, k=2))
+    w1 = lowest_eigenvalues(grid, 2)
+    w2 = lowest_eigenvalues(grid, 2)
     assert np.max(np.abs(w1 - w2)) < 1e-10
     # and against an independently started Lanczos run
     import scipy.sparse.linalg as spla
     rng = np.random.default_rng(7)
+    op = discretize(grid)
     w3 = np.sort(spla.eigsh(op, k=2, sigma=0.2, which="LM", tol=1e-12,
                             return_eigenvectors=False,
                             v0=rng.standard_normal(op.shape[0])))
@@ -54,7 +56,7 @@ def test_repeated_runs_agree():
 def test_operator_is_bitwise_symmetric():
     for cfg, L in ((single_cfg(1.0), 8.0), (single_cfg(1.5, "odd"), 8.0),
                    (two_cfg(1.0, 4.0, "even"), 8.0), (two_cfg(1.0, 4.0, "odd"), 8.0)):
-        op = discretize(cfg, OracleConfig(L=L, h=1 / 16, k=2))
+        op = discretize(FDGrid(cfg, OracleConfig(L=L, h=1 / 16, k=2)))
         assert (op != op.T).nnz == 0
 
 
@@ -75,9 +77,9 @@ def test_any_window_binds():
 
 def test_grid_alignment_enforced():
     with pytest.raises(GridAlignmentError):
-        discretize(single_cfg(0.3), OracleConfig(L=8.0, h=1 / 64, k=2))
+        FDGrid(single_cfg(0.3), OracleConfig(L=8.0, h=1 / 64, k=2))
     with pytest.raises(GridAlignmentError):
-        discretize(single_cfg(1.0), OracleConfig(L=8.3, h=1 / 16, k=2))
+        FDGrid(single_cfg(1.0), OracleConfig(L=8.3, h=1 / 16, k=2))
 
 
 def test_refine_and_extrapolate_exact_quadratic():
@@ -153,8 +155,9 @@ def test_eigenvector_shape_matches_matching_eigenfunction():
     from modeguide import Truncation, eigenfunction_value, find_eigenvalues
 
     cfg = single_cfg(1.0)
-    op = discretize(cfg, OracleConfig(L=10.0, h=1 / 32, k=1))
-    x1, x2 = op.grid.nodes()
+    grid = FDGrid(cfg, OracleConfig(L=10.0, h=1 / 32, k=1))
+    op = discretize(grid)
+    x1, x2 = grid.nodes()
     w, v = spla.eigsh(op, k=1, sigma=0.2, which="LM",
                       v0=np.full(op.shape[0], op.shape[0] ** -0.5))
     vec = v[:, 0]
@@ -185,8 +188,13 @@ def test_oracle_config_validation():
             OracleConfig(L=L, h=h, k=2)
     with pytest.raises(ValueError, match="exceeds"):
         OracleConfig(L=2.0, h=0.5, k=26)  # 4 * 2 pi unknowns
-    with pytest.raises(ValueError):
-        lowest_eigenvalues(sparse.eye(3).tocsr(), 5)
+    # the config's estimate (L/h)(pi/h) = 25.1 admits k = 25, but the grid keeps
+    # 21 nodes: 4 rows of 5 plus the one window node
+    ocfg = OracleConfig(L=2.0, h=0.5, k=25)
+    grid = FDGrid(single_cfg(0.5), ocfg)
+    assert grid.size <= ocfg.k
+    with pytest.raises(ValueError, match="more eigenvalues"):
+        lowest_eigenvalues(grid, ocfg.k)
 
 
 def _dict_loop_discretize(cfg, ocfg):
@@ -250,8 +258,9 @@ def test_vectorized_assembly_equals_dict_loop_bitwise(kind, end, h):
     l = 3.0 if kind.is_two_window else None
     cfg = canonicalize(StripConfig(d=PI, a=1.0, l=l, kind=kind))
     ocfg = OracleConfig(L=8.0, h=h, k=2, end=end)
-    op = discretize(cfg, ocfg)
-    x1, x2 = op.grid.nodes()
+    grid = FDGrid(cfg, ocfg)
+    op = discretize(grid)
+    x1, x2 = grid.nodes()
     ref, r1, r2 = _dict_loop_discretize(cfg, ocfg)
     assert op.shape == ref.shape
     for name in ("indptr", "indices", "data"):
@@ -269,8 +278,9 @@ def test_vectorized_assembly_equals_dict_loop_bitwise(kind, end, h):
 def test_lowest_eigenvalues_match_plain_shift_invert(cfg, ocfg):
     import scipy.sparse.linalg as spla
 
-    op = discretize(cfg, ocfg)
-    got = lowest_eigenvalues(op, ocfg.k)
+    grid = FDGrid(cfg, ocfg)
+    op = discretize(grid)
+    got = lowest_eigenvalues(grid, ocfg.k)
     plain = np.sort(spla.eigsh(op, k=ocfg.k, sigma=0.2, which="LM", tol=1e-10,
                                return_eigenvectors=False,
                                v0=np.full(op.shape[0], op.shape[0] ** -0.5)))
@@ -359,9 +369,9 @@ def test_window_form_count_equals_the_dense_count(kind, a, l, end):
     # inertia additivity: poles below sigma plus negative eigenvalues of S(sigma),
     # plus the free values below sigma, among the poles above the threshold too
     cfg = canonicalize(StripConfig(d=PI, a=a, l=l, kind=kind))
-    op = discretize(cfg, OracleConfig(L=4.0, h=1 / 8, k=2, end=end))
-    spectrum = np.linalg.eigvalsh(op.toarray())
-    form = fd_oracle.WindowForm(op.grid)
+    grid = FDGrid(cfg, OracleConfig(L=4.0, h=1 / 8, k=2, end=end))
+    spectrum = np.linalg.eigvalsh(discretize(grid).toarray())
+    form = fd_oracle.WindowForm(grid)
     sec = Sector(form, 0.0, 6.0, 0.0)
     shifts = np.linspace(0.01, 5.99, 240)
     assert count(sec, 6.0).poles + np.count_nonzero(form.free_values < 6.0) >= 3
@@ -373,8 +383,8 @@ def test_window_form_count_equals_the_dense_count(kind, a, l, end):
 @pytest.mark.parametrize("end", ["dirichlet", "neumann"])
 def test_x1_transform_diagonalizes_the_x1_operator(parity, end):
     # the nodes of one x2 line (j = 1) couple only in x1: diagonal 2 c1 + 2 c2
-    op = discretize(single_cfg(1.0, parity), OracleConfig(L=4.0, h=1 / 16, k=2, end=end))
-    grid = op.grid
+    grid = FDGrid(single_cfg(1.0, parity), OracleConfig(L=4.0, h=1 / 16, k=2, end=end))
+    op = discretize(grid)
     _, x2 = grid.nodes()
     line = np.flatnonzero(np.isclose(x2, grid.h2))
     t1 = op[line][:, line].toarray() - 2.0 * grid.c2 * np.eye(len(line))
@@ -400,7 +410,7 @@ def test_an_eigensolve_transforms_at_most_k_plus_one_times(monkeypatch, cfg, ocf
                 lambda x: transforms.append(1) or inverse(x), lam)
 
     monkeypatch.setattr(fd_oracle.FDGrid, "x1_transform", counted_transform)
-    lowest_eigenvalues(discretize(cfg, ocfg), ocfg.k)
+    lowest_eigenvalues(FDGrid(cfg, ocfg), ocfg.k)
     assert 0 < len(transforms) <= ocfg.k + 1
 
 
@@ -417,19 +427,10 @@ def test_an_x1_mode_that_misses_the_window_gives_an_eigenvalue(parity, end):
     # a one-node window at x1 = L/2 = 4 misses the x1 modes with a node there:
     # times each x2 mode they are eigenvectors as they stand (1.6150 the first
     # for the odd kind), which a form of every mode would put on its poles
-    op = discretize(two_cfg(1 / 8, 4.0, parity), OracleConfig(L=8.0, h=1 / 8, k=3, end=end))
-    assert len(fd_oracle.WindowForm(op.grid).free) > 0
-    dense = np.linalg.eigvalsh(op.toarray())[:3]
-    assert np.max(np.abs(lowest_eigenvalues(op, 3) - dense) / dense) < 1e-10
-
-
-def test_an_operator_without_its_grid_raises():
-    with pytest.raises(ValueError, match="discretize"):
-        lowest_eigenvalues(sparse.identity(10, format="csr"), 2)
-    # scipy arithmetic returns a matrix without the grid
-    op = discretize(single_cfg(1.0), OracleConfig(L=8.0, h=1 / 16, k=2))
-    with pytest.raises(ValueError, match="discretize"):
-        lowest_eigenvalues(op * 1.0, 2)
+    grid = FDGrid(two_cfg(1 / 8, 4.0, parity), OracleConfig(L=8.0, h=1 / 8, k=3, end=end))
+    assert len(fd_oracle.WindowForm(grid).free) > 0
+    dense = np.linalg.eigvalsh(discretize(grid).toarray())[:3]
+    assert np.max(np.abs(lowest_eigenvalues(grid, 3) - dense) / dense) < 1e-10
 
 
 def test_fd_critical_crossing_searches_once(monkeypatch, solves):

@@ -151,10 +151,12 @@ def test_overlap_sign_pattern():
 # ---------------------------------------------------------------------------
 
 # whole rate vectors of the solver: the oscillatory first mode (w = 1e-8 at
-# kappa1 = sqrt(3/4)) and 319 evanescent ones, from the series ranges of
-# nu*a (below 1e-3 at a = 1e-4, below 1e-6 at a = 1e-7) to nu*a = 2560
+# kappa1 = sqrt(3/4), w*a = 4e-3 at kappa1 = sqrt(3/4 - 1e-5) and a = 1.3) and
+# 319 evanescent ones, from the series ranges of nu*a (below 0.07 at a = 1e-4,
+# below 1e-6 at a = 1e-7) to nu*a = 2560
 PROFILE_CASES = pytest.mark.parametrize("kappa1, a", [
-    (0.0, 0.9), (0.3, 8.0), (0.3, 1e-4), (math.sqrt(0.75), 1.3), (math.sqrt(0.75), 1e-4), (0.6, 1e-7),
+    (0.0, 0.9), (0.3, 8.0), (0.3, 1e-4), (math.sqrt(0.75), 1.3), (math.sqrt(0.75 - 1e-5), 1.3),
+    (math.sqrt(0.75), 1e-4), (0.6, 1e-7),
 ])
 PARITIES = pytest.mark.parametrize("parity", ["even", "odd"])
 
@@ -166,14 +168,20 @@ def test_window_profile_l2_matches_quadrature(kappa1, a, parity):
     closed = window_profile_l2(t, a, parity)
     val, _ = quad_vec(lambda x: window_profile_eval(t, np.array([x]), a, parity)[:, 0] ** 2,
                       -a, a, epsabs=1e-15 * a, epsrel=1e-11, norm="max")
-    band = np.zeros(t.shape, dtype=bool)
-    if parity == "odd":
-        # a known defect: just above its series switch at u = nu*a = 1e-3 the
-        # odd closed form coth(u)/nu - a*csch^2(u) cancels to about 4e-10
-        u = np.sqrt(t[1:]) * a
-        band[1:] = (u > 1e-3) & (u < 1e-2)
-    np.testing.assert_allclose(closed[~band], val[~band], rtol=1e-10)
-    np.testing.assert_allclose(closed[band], val[band], rtol=1e-9)
+    np.testing.assert_allclose(closed, val, rtol=1e-10)
+
+
+def test_window_profile_l2_odd_holds_across_its_series_switch():
+    # the odd closed forms (a - sin(2u)/(2w))/w^2 and coth(u)/nu - a*csch^2(u)
+    # cancel to about eps/u^2 as u = w*a or nu*a -> 0; with their series below
+    # u = 0.07 both stay within 2e-13 of a quadrature good to 1e-15
+    a = 1.3
+    for u in np.geomspace(1e-4, 1.0, 41):
+        w = nu = u / a
+        closed = window_profile_l2(np.array([-w * w, nu * nu]), a, "odd")
+        osc = quad(lambda x: (np.sin(w * x) / w) ** 2, -a, a, epsabs=0.0, epsrel=1e-13)[0]
+        eva = quad(lambda x: (np.sinh(nu * x) / np.sinh(nu * a)) ** 2, -a, a, epsabs=0.0, epsrel=1e-13)[0]
+        np.testing.assert_allclose(closed, [osc, eva], rtol=2e-13, err_msg=f"u = {u:.3g}")
 
 
 @PROFILE_CASES
