@@ -43,6 +43,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view as windows
 
 from .modes import CanonicalConfig, GridAlignmentError, ProblemKind, StripConfig, canonicalize
 from .roots import Sector, ascending_roots, count, kernel
@@ -154,6 +155,11 @@ class FDGrid:
         self.diagonal = 2.0 * self.c1 + 2.0 * self.c2
         self.plane_neumann = kind.parity == "even"
         self.end_neumann = ocfg.end == "neumann"
+        self.x1_basis = {(True, False): ("dct", 3, 0.5),   # Neumann plane, Dirichlet face
+                         (False, False): ("dst", 1, 1.0),  # Dirichlet at both
+                         (True, True): ("dct", 1, 0.0),    # Neumann at both
+                         (False, True): ("dst", 3, 0.5),   # Dirichlet plane, Neumann face
+                         }[(self.plane_neumann, self.end_neumann)]
         self.i_lo = 0 if self.plane_neumann else 1
         self.i_hi = n1 if self.end_neumann else n1 - 1  # inclusive
         eps = 1e-9
@@ -198,16 +204,31 @@ class FDGrid:
         """
         from scipy import fft
 
-        name, kind, s = {(True, False): ("dct", 3, 0.5),   # Neumann plane, Dirichlet face
-                         (False, False): ("dst", 1, 1.0),  # Dirichlet at both
-                         (True, True): ("dct", 1, 0.0),    # Neumann at both
-                         (False, True): ("dst", 3, 0.5),   # Dirichlet plane, Neumann face
-                         }[(self.plane_neumann, self.end_neumann)]
+        name, kind, s = self.x1_basis
         fwd, inv = getattr(fft, name), getattr(fft, "i" + name)
         theta = (np.arange(self.i_hi - self.i_lo + 1) + s) * (math.pi / self.n1)
         return (lambda x: fwd(x, type=kind, norm="ortho", axis=0),
                 lambda x: inv(x, type=kind, norm="ortho", axis=0),
                 4.0 * self.c1 * np.sin(theta / 2.0) ** 2)
+
+
+def _x2_line_schur(z: np.ndarray, c4: float, n2: int) -> np.ndarray:
+    """n2 / sum_k 1/(z + nu_k), nu_k = c4 sin^2((k + 1/2) pi/(2 n2)), in closed form, for ascending z.
+
+    The x2 line's eigenvectors weigh 1/n2 at j = 0 and its eigenvalues z + nu_k sit at the roots of
+    T_n2, so this is (c4/2) T_n2(x)/U_{n2-1}(x), x = 1 + 2 z/c4: c4 s r, s = sqrt(|z|/c4), r =
+    sqrt(|1 + z/c4|), over tanh(2 n2 asinh s) for z > 0, over tan(2 n2 asin s) = -tan(2 n2 acos s)
+    above -c4 (by atan2, at the angle below pi/4, which keeps its digits), over -tanh(2 n2 asinh r) below.
+    """
+    s, r = np.sqrt(np.abs(z)) / math.sqrt(c4), np.sqrt(np.abs(c4 + z)) / math.sqrt(c4)
+    below, mid, neg = np.searchsorted(z, (-c4, -0.5 * c4, 0.0))
+    above, pos = np.searchsorted(z, (-c4, 0.0), "right")
+    sr, e = c4 * s * r, np.where(z == -c4, -0.5, 0.5) * (c4 / n2)  # the limits at z = -c4 and 0
+    e[:below] = -sr[:below] / np.tanh(2 * n2 * np.arcsinh(r[:below]))
+    e[above:mid] = -sr[above:mid] / np.tan(2 * n2 * np.arctan2(r[above:mid], s[above:mid]))
+    e[mid:neg] = sr[mid:neg] / np.tan(2 * n2 * np.arctan2(s[mid:neg], r[mid:neg]))
+    e[pos:] = sr[pos:] / np.tanh(2 * n2 * np.arcsinh(s[pos:]))
+    return e
 
 
 class WindowForm:
@@ -219,17 +240,17 @@ class WindowForm:
     (``free_values``) for an x1 mode that vanishes on every window row (for
     every mode on a grid without one), the poles of S for the other modes.
     The window nodes (j = 0) couple only to j = 1, by -g = -sqrt(2)*c2, and
-
-        S = Q_w diag(e_m) Q_w^T,   e_m = n2 / sum_k 1/(lam_m + nu_k - sigma),
-
-    with Q_w the other modes on the window rows: e_m is the Schur complement
-    onto j = 0 of the x2 line in x1 mode m (T2 with the node j = 0, shifted
-    by lam_m - sigma), whose eigenvalues are lam_m - sigma + nu_k,
-    nu_k = 4 c2 sin^2((k + 1/2) pi/(2 n2)), and whose eigenvectors all weigh
-    1/n2 at j = 0.  Called, the form gives S(sigma) and the number of poles
-    below sigma, whose count (:mod:`modeguide.roots`) is by inertia
-    additivity (Haynsworth, Linear Algebra Appl. 1 (1968) 73-81) the
-    number of eigenvalues of A below sigma that are not free.
+    S = Q_w diag(e_m) Q_w^T, with Q_w the other modes on the window rows and e_m
+    the Schur complement onto j = 0 of the x2 line in mode m shifted by lam_m -
+    sigma (:func:`_x2_line_schur`).  Each x1 basis is sqrt(2/n1) w_i w_m cos or
+    sin((m + s) pi i/n1), w = 1/sqrt(2) at its ortho ends, so S is Toeplitz plus
+    (DCT) or minus (DST) Hankel, S_ii' = w_i w_i' [c(|i - i'|) +- c(i + i')] with
+    c(d) = sum_m w_m^2 e_m cos((m + s) pi d/n1)/n1, every c(d) from one FFT of
+    length 2 n1 (i + i' < 2 n1): O(n1 log n1 + n_w^2) per point.  Called, the
+    form gives S(sigma) and the number of poles below sigma, whose count
+    (:mod:`modeguide.roots`) is by inertia additivity (Haynsworth, Linear
+    Algebra Appl. 1 (1968) 73-81) the number of eigenvalues of A below
+    sigma that are not free.
     """
 
     def __init__(self, grid: FDGrid) -> None:
@@ -239,10 +260,9 @@ class WindowForm:
         dd = grid.diagonal - d1
         self.correction = (d1 - (grid.diagonal - dd)) + (d2 - dd)
         x1_fwd, self.x1_inv, lam = grid.x1_transform()
-        n2 = grid.n2
+        n1, n2 = grid.n1, grid.n2
         k = np.arange(1, n2)
         self.mu = 4.0 * grid.c2 * np.sin(k * (math.pi / (2 * n2))) ** 2
-        self.nu = 4.0 * grid.c2 * np.sin((np.arange(n2) + 0.5) * (math.pi / (2 * n2))) ** 2
         # the DST-I in x2 as a product with its sine matrix, 2-8 times faster than
         # scipy's at these lengths; j*k mod 2*n2 keeps every argument below 2*pi
         self.sines = math.sqrt(2.0 / n2) * np.sin(np.outer(k, k) % (2 * n2) * (math.pi / n2))
@@ -257,16 +277,32 @@ class WindowForm:
         self.free, self.modes = np.flatnonzero(free), np.flatnonzero(~free)
         self.free_values = lam[free][:, None] + self.mu - self.correction
         self.lam, self.q_w = lam[~free], q_w[~free]
-        self.n2 = n2
+        self.n2, self.c4 = n2, 4.0 * grid.c2
+        name, _, s = grid.x1_basis
+        # 2 w_m^2, 1 at the frequencies 0 and pi (DCT-I modes 0 and n1)
+        self.weights = np.where((self.modes + s) % n1 == 0, 1.0, 2.0)
+        self.twiddle = np.exp(1j * (math.pi / n1) * (s * np.arange(2 * n1) % (2 * n1)))
+        # the window rows run on from row i, and of them only a row x1 = 0 has w_i != 1
+        self.n_w, i = len(rows), rows[0] + grid.i_lo if len(rows) else 0
+        self.lags, self.sums = np.abs(np.arange(1 - self.n_w, self.n_w)), slice(2 * i, 2 * (i + self.n_w) - 1)
+        self.w_first, self.sign = math.sqrt(0.5) if i == 0 else 1.0, 1.0 if name == "dct" else -1.0
         self.size = grid.size
         self.u_nodes = grid.index[:, 1:].ravel()
         self.w_nodes = grid.index[rows, 0]
 
     def __call__(self, sigma: float) -> tuple[np.ndarray, int]:
+        from scipy import fft
+
         shift = sigma + self.correction
-        e = self.n2 / (1.0 / (self.lam[:, None] + (self.nu - shift))).sum(axis=1)
         poles = int(np.searchsorted(self.mu, shift - self.lam).sum())
-        return self.q_w.T @ (e[:, None] * self.q_w), poles
+        if not self.n_w:
+            return np.zeros((0, 0)), poles
+        coeffs = self.weights * _x2_line_schur(self.lam - shift, self.c4, self.n2)
+        c = (self.twiddle * fft.ifft(np.bincount(self.modes, coeffs, len(self.twiddle)))).real  # free modes: 0
+        S = windows(c[self.lags], self.n_w)[::-1] + windows(self.sign * c[self.sums], self.n_w)
+        S[0] *= self.w_first
+        S[:, 0] *= self.w_first
+        return S, poles
 
     def eigenpairs(self, roots: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         """The k lowest of the roots and the free values, roots first, and unit node

@@ -218,11 +218,8 @@ def window_profile_scale_log(t, a: float, parity: str) -> np.ndarray:
         # log cosh(u) = u + log1p(exp(-2u)) - log 2
         out[..., 1:] = u + np.log1p(np.exp(-2.0 * u)) - math.log(2.0)
     else:
-        # log (sinh(u)/nu); near u = 0 the profile tends to x, scale log(a);
-        # an a below about 5e-17 rounds exp(-2u) to 1 in the unused branch
-        with np.errstate(divide="ignore"):
-            out[..., 1:] = np.where(u > 1e-6, u + np.log1p(-np.exp(-2.0 * u)) - math.log(2.0) - np.log(nu),
-                                    math.log(a) + t[..., 1:] * a * a / 6.0)
+        # log (sinh(u)/nu) = u + log(-expm1(-2u)) - log 2 - log nu, exact to u -> 0
+        out[..., 1:] = u + np.log(-np.expm1(-2.0 * u)) - math.log(2.0) - np.log(nu)
     return out
 
 
@@ -268,17 +265,14 @@ def window_profile_eval(t, x, a: float, parity: str) -> np.ndarray:
     ax = np.abs(x)
     # ratio of exponentials, everything in [0, 1]
     e_gap = np.exp(-nu * (a - ax))
-    e_x = np.exp(-2.0 * nu * ax)
-    e_a = np.exp(-2.0 * nu * a)
     out = np.empty((t.size, x.size))
     if parity == "even":
         out[0] = np.cos(w * x)
-        out[1:] = e_gap * (1.0 + e_x) / (1.0 + e_a)
+        out[1:] = e_gap * (1.0 + np.exp(-2.0 * nu * ax)) / (1.0 + np.exp(-2.0 * nu * a))
     else:
         out[0] = _sinc(t[0], x)
-        # an a below about 5e-17 rounds e_a to 1, where the series x/a serves
-        ratio = np.sign(x) * e_gap * (1.0 - e_x) / np.where(e_a == 1.0, 1.0, 1.0 - e_a)
-        out[1:] = np.where(nu * a < 1e-6, x / a, ratio)
+        # expm1 keeps 1 - exp(-2 nu x) to full precision as nu x -> 0
+        out[1:] = np.sign(x) * e_gap * np.expm1(-2.0 * nu * ax) / np.expm1(-2.0 * nu * a)
     return out
 
 

@@ -1,8 +1,10 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.sparse as sparse
+from hypothesis import example, given, settings, strategies as st
 
 from modeguide import (
     GridAlignmentError,
@@ -332,7 +334,7 @@ def test_crossing_below_the_lattice_raises(solves):
 
 
 def test_crossing_solves_twice_on_its_own_grid(solves):
-    assert critical_width_crossing("odd", 1 / 32) == 2.281034742322099
+    assert critical_width_crossing("odd", 1 / 32) == 2.2810347423221065
     assert solves == [(1 / 32, 2.25), (1 / 32, 2.3125)]
 
 
@@ -377,6 +379,66 @@ def test_window_form_count_equals_the_dense_count(kind, a, l, end):
     assert count(sec, 6.0).poles + np.count_nonzero(form.free_values < 6.0) >= 3
     assert ([count(sec, s).roots + np.count_nonzero(form.free_values < s) for s in shifts]
             == [int(np.count_nonzero(spectrum < s)) for s in shifts])
+
+
+@st.composite
+def window_forms(draw):
+    """A small grid of any kind and far-face condition, and a shift sigma over
+    the three branches of the x2 line's Schur complement."""
+    kind = draw(st.sampled_from(list(ProblemKind)))
+    h = draw(st.sampled_from([1 / 8, 1 / 16]))
+    a = h * draw(st.integers(1, 6))   # a = h: one window row, or none for a single odd window
+    l = a + h * draw(st.integers(1, 8)) if kind.is_two_window else None
+    L = (l or 0.0) + a + h * draw(st.integers(1, 16))
+    end = draw(st.sampled_from(["dirichlet", "neumann"]))
+    grid = FDGrid(canonicalize(StripConfig(d=PI, a=a, l=l, kind=kind)), OracleConfig(L=L, h=h, k=1, end=end))
+    form = fd_oracle.WindowForm(grid)
+    return form, draw(st.floats(0.0, 1.0)) * (form.lam.max(initial=0.0) + 2.0 * form.c4)
+
+
+# one-row windows at x1 = L/2 miss every x1 mode with a node there (free modes)
+@example((fd_oracle.WindowForm(FDGrid(two_cfg(1 / 8, 2.0, "odd"), OracleConfig(L=4.0, h=1 / 8, k=1))), 3.0))
+@example((fd_oracle.WindowForm(FDGrid(two_cfg(1 / 8, 2.0, "even"),
+                                      OracleConfig(L=4.0, h=1 / 8, k=1, end="neumann"))), 300.0))
+@example((fd_oracle.WindowForm(FDGrid(single_cfg(1 / 8), OracleConfig(L=2.0, h=1 / 8, k=1))), 0.5))
+@given(window_forms())
+@settings(max_examples=60, deadline=None)
+def test_window_form_is_the_product_over_the_window_modes(case):
+    # the Toeplitz-plus-Hankel assembly equals Q_w^T diag(e) Q_w with the same e
+    form, sigma = case
+    shift = sigma + form.correction
+    S, poles = form(sigma)
+    e = fd_oracle._x2_line_schur(form.lam - shift, form.c4, form.n2)
+    product = form.q_w.T @ (e[:, None] * form.q_w)
+    assert S.shape == product.shape == (len(form.w_nodes),) * 2
+    assert np.max(np.abs(S - product), initial=0.0) <= 1e-14 * np.max(np.abs(product), initial=0.0)
+    assert poles == np.count_nonzero(form.lam[:, None] + form.mu < shift)
+
+
+def _line_schur_40_digits(z, c4, n2):
+    """n2 / sum_k 1/(z + nu_k) at 40 digits, and its condition (|z| + c4) |d log e/dz|."""
+    with mpmath.workdps(40):
+        g = [1 / (mpmath.mpf(z) + mpmath.mpf(c4) * mpmath.sin((k + mpmath.mpf(0.5)) * mpmath.pi / (2 * n2)) ** 2)
+             for k in range(n2)]
+        total = mpmath.fsum(g)
+        return float(n2 / total), float((abs(z) + c4) * mpmath.fsum(x * x for x in g) / abs(total))
+
+
+@pytest.mark.parametrize("h", [2.0, 1.0, 1 / 8, 1 / 64])
+def test_x2_line_schur_matches_a_40_digit_sum(h):
+    # z = 0 and z = -c4 exactly, their neighbours, both sides of the switch of angle
+    # at -c4/2 (a pole for even n2), and points on all three branches
+    n2 = round(PI / h)
+    c4 = 4.0 * (n2 / PI) ** 2
+    tiny = np.finfo(float).smallest_subnormal
+    special = [0.0, tiny, -tiny, 1e-300, -1e-300, 1e-12, -1e-12, -c4, -np.nextafter(c4, 0.0),
+               -np.nextafter(c4, np.inf), -0.999999 * c4, -0.5 * c4 * (1.0 + 1e-9), -0.5 * c4 * (1.0 - 1e-9)]
+    z = np.sort(np.concatenate([special, np.random.default_rng(n2).uniform(-2.0 * c4, 2.0 * c4, 40)]))
+    got = fd_oracle._x2_line_schur(z, c4, n2)
+    for zi, ei in zip(z, got):
+        want, cond = _line_schur_40_digits(zi, c4, n2)
+        assert abs(ei - want) <= 4e-16 * (1.0 + cond) * abs(want), f"z = {zi!r}"
+    assert got[z == 0.0] == 0.5 * c4 / n2 and got[z == -c4] == -0.5 * c4 / n2
 
 
 @pytest.mark.parametrize("parity", ["even", "odd"])

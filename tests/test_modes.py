@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -182,6 +183,25 @@ def test_window_profile_l2_odd_holds_across_its_series_switch():
         osc = quad(lambda x: (np.sin(w * x) / w) ** 2, -a, a, epsabs=0.0, epsrel=1e-13)[0]
         eva = quad(lambda x: (np.sinh(nu * x) / np.sinh(nu * a)) ** 2, -a, a, epsabs=0.0, epsrel=1e-13)[0]
         np.testing.assert_allclose(closed, [osc, eva], rtol=2e-13, err_msg=f"u = {u:.3g}")
+
+
+@pytest.mark.parametrize("a", [1e-4, 1.3, 7.0])
+def test_odd_evanescent_profile_holds_as_nu_a_goes_to_zero(a):
+    # sinh(nu x)/sinh(nu a) and log(sinh(nu a)/nu) for u = nu*a in [1e-9, 5]
+    # against 40 digits: expm1 keeps both near eps with no series switch
+    x = a * np.linspace(-1.0, 1.0, 9)
+    for u in np.geomspace(1e-9, 5.0, 60):
+        nu = u / a
+        t = np.array([-0.01, nu * nu])
+        nu = math.sqrt(t[1])  # the rate the evaluators take
+        with mpmath.workdps(40):
+            sinh_a = mpmath.sinh(mpmath.mpf(nu) * mpmath.mpf(a))
+            profile = [float(mpmath.sinh(mpmath.mpf(nu) * mpmath.mpf(xi)) / sinh_a) for xi in x]
+            scale = float(mpmath.log(sinh_a / mpmath.mpf(nu)))
+        np.testing.assert_allclose(window_profile_eval(t, x, a, "odd")[1], profile, rtol=2e-15, atol=0.0,
+                                   err_msg=f"u = {u:.3g}")
+        # the log is the sum of terms up to |log nu| ~ 21, so its rounding is absolute
+        assert abs(window_profile_scale_log(t, a, "odd")[1] - scale) <= 1e-14 * max(1.0, abs(scale)), f"u = {u:.3g}"
 
 
 @PROFILE_CASES
