@@ -59,6 +59,8 @@ EXIT_PRECONDITION = 4
 MAX_SWEEP_POINTS = 10_000
 
 def _fmt(x) -> str:
+    if x is None:  # an empty cell
+        return ""
     if isinstance(x, float):
         return format(x, ".17g")
     return str(x)
@@ -259,13 +261,16 @@ def cmd_split(args) -> int:
     rows = []
     for (l, lam_p, lam_m) in results:
         gap = pred.mu * math.exp(-pred.rate * scale * l)
+        # a sector without a bound state leaves its cells empty
         rows.append({
             "l": l, "lambda_plus": lam_p, "lambda_minus": lam_m,
-            "delta_plus": lam1 - lam_p, "delta_minus": lam_m - lam1,
+            "delta_plus": None if lam_p is None else lam1 - lam_p,
+            "delta_minus": None if lam_m is None else lam_m - lam1,
             "delta_predicted": gap,
         })
     deltas = [(scale * r["l"], math.sqrt(r["delta_plus"] * r["delta_minus"]))
-              for r in rows if r["delta_plus"] > 0 and r["delta_minus"] > 0]
+              for r in rows if None not in (r["lambda_plus"], r["lambda_minus"])
+              and r["delta_plus"] > 0 and r["delta_minus"] > 0]
     notes = [f"lambda_1 = {_fmt(lam1)}", f"predicted rate = {_fmt(pred.rate)}",
              f"predicted prefactor = {_fmt(pred.mu)}"]
     if scale != 1.0:
@@ -274,6 +279,10 @@ def cmd_split(args) -> int:
         fit = fit_exponential(deltas)
         notes += [f"fitted rate = {_fmt(fit.rate)}", f"fitted prefactor = {_fmt(fit.prefactor)}",
                   f"fit r2 = {_fmt(fit.r2)}", f"fit points = {fit.n_points}"]
+    for parity, column in (("even", "lambda_plus"), ("odd", "lambda_minus")):
+        empty = [_fmt(r["l"]) for r in rows if r[column] is None]
+        if empty:
+            notes.append(f"no {parity} bound state at l = {', '.join(empty)}")
     _emit(args, rows,
           ["l", "lambda_plus", "lambda_minus", "delta_plus", "delta_minus", "delta_predicted"],
           extra_lines=notes)
@@ -283,13 +292,15 @@ def cmd_split(args) -> int:
 
 
 def _split_point(task):
+    """(l, lambda_plus, lambda_minus), None for a sector without a bound state:
+    close windows may hold no odd one."""
     d, a, l, modes, tol = task
     trunc = Truncation(modes)
-    lam_p = find_eigenvalues(canonicalize(StripConfig(d=d, a=a, l=l, kind=ProblemKind.TWO_WINDOW_EVEN)),
-                             trunc, tol=tol)[0].lam
-    lam_m = find_eigenvalues(canonicalize(StripConfig(d=d, a=a, l=l, kind=ProblemKind.TWO_WINDOW_ODD)),
-                             trunc, tol=tol)[0].lam
-    return l, lam_p, lam_m
+    lams = []
+    for kind in (ProblemKind.TWO_WINDOW_EVEN, ProblemKind.TWO_WINDOW_ODD):
+        pairs = find_eigenvalues(canonicalize(StripConfig(d=d, a=a, l=l, kind=kind)), trunc, tol=tol)
+        lams.append(pairs[0].lam if pairs else None)
+    return (l, *lams)
 
 
 def _plot_script(rows: list[dict], pred, scale: float) -> str:
@@ -410,8 +421,15 @@ def cmd_oracle(args) -> int:
     scale = _length_scale(args.d)
     if args.L is None:
         args.L = math.ceil((l or 0.0) + args.a + 12.0 / scale)
-    # the finer grid is the larger: its size and --k are checked before any solve
+    units = "" if scale == 1.0 else ", lengths in canonical units (times pi/d)"
+    grids = f"--h {args.h} runs the grids h and 2h = {2 * args.h}"
+    # both grids are checked before any solve: the finer, the larger, for its size
+    # and --k, and the coarser for its cells across the strip
     OracleConfig(L=scale * args.L, h=scale * args.h, k=args.k, end=args.end)
+    try:
+        OracleConfig(L=scale * args.L, h=scale * 2 * args.h, k=args.k, end=args.end)
+    except ValueError as exc:
+        raise ValueError(f"{exc}{units}: {grids} across the strip width d = {args.d}") from exc
     rows = []
     for kind in kinds:
         cfg = canonicalize(StripConfig(d=args.d, a=args.a, l=l, kind=kind))
@@ -425,9 +443,7 @@ def cmd_oracle(args) -> int:
                 try:
                     vals = [float(v) for v in oracle_eigenvalues(cfg, ocfg)]
                 except GridAlignmentError as exc:
-                    units = "" if scale == 1.0 else ", lengths in canonical units (times pi/d)"
-                    raise GridAlignmentError(
-                        f"{exc}{units}: --h {args.h} runs the grids h and 2h = {2 * args.h}") from exc
+                    raise GridAlignmentError(f"{exc}{units}: {grids}") from exc
                 cache_put(key, vals)
             per_grid.append(vals)
         coarse, fine = per_grid

@@ -9,21 +9,25 @@ weights of the reflected nodes.  The mirror plane x1 = 0 (the window
 center, or the midpoint of two windows) is reflecting for even kinds and
 eliminated for odd ones.
 
-One node layout (:class:`FDGrid`) feeds both the CSR assembly and the
-eigensolve.  Away from the windows the operator is separable, and
-orthonormal DCT/DST transforms diagonalize it with eigenvalues
-lam_m + mu_k.  A mode that vanishes on every window node is an
-eigenvector as it stands (a free mode); eliminating every node but the
-few window nodes leaves the other modes the small dense window Schur
-complement S(sigma) of A - sigma I (:class:`WindowForm`).  By inertia
-additivity the eigenvalues below sigma that are not free number the
-poles of S below it, plus the negative eigenvalues of S(sigma), so the
-eigensolve is the matching solver's count, isolation and polish
-(:mod:`modeguide.roots`) plus the free values in closed form.
-The CSR operator stays the definition: every eigenpair is checked
-against it.  The oracle shares only the geometry types and that root
-finder with the matching solver; its independence rests on its own
-discretization, the completeness of the count and that check.
+One node layout (:class:`FDGrid`) carries the stencil's weights, which
+the eigensolve, the residual check and the CSR assembly all read.  Away
+from the windows the operator is separable, and orthonormal DCT/DST
+bases diagonalize it with eigenvalues lam_m + mu_k: the bases in closed
+form on the window rows, and from modes to nodes by one real FFT.  A
+mode that vanishes on every window node is an eigenvector as it stands
+(a free mode); eliminating every node but the few window nodes leaves
+the other modes the small dense window Schur complement S(sigma) of
+A - sigma I (:class:`WindowForm`).  By inertia additivity the
+eigenvalues below sigma that are not free number the poles of S below
+it, plus the negative eigenvalues of S(sigma), so the eigensolve is the
+matching solver's count, isolation and polish (:mod:`modeguide.roots`)
+plus the free values in closed form.  The stencil stays the definition: every eigenpair is checked against
+it, applied to the node array with no matrix (:meth:`FDGrid.apply`).
+The oracle shares only the geometry types and that root finder with
+the matching solver; its independence rests on its own discretization,
+the completeness of the count and that check.  It needs only numpy,
+but for the CSR assembly (:func:`discretize`), the tests' reference
+operator.
 
 The window-edge corners host a square-root field singularity, so the
 eigenvalue error is first-order dominated; accuracy comes from
@@ -98,6 +102,10 @@ class OracleConfig:
             raise ValueError("must request at least one eigenvalue")
         if self.end not in ("dirichlet", "neumann"):
             raise ValueError(f"end condition must be 'dirichlet' or 'neumann', got {self.end!r}")
+        cells = round(math.pi / self.h)
+        if cells < 2:
+            raise ValueError(f"the grid is too coarse: a step h={self.h} leaves n2 = {cells} cells across "
+                             f"the strip width d = pi, and the oracle needs 2 (h <= 2 pi/3)")
         unknowns = (self.L / self.h) * (math.pi / self.h)
         if not unknowns <= MAX_UNKNOWNS:
             raise ValueError(f"a grid of L={self.L}, h={self.h} holds {unknowns:.4g} unknowns, "
@@ -162,8 +170,9 @@ class FDGrid:
                          }[(self.plane_neumann, self.end_neumann)]
         self.i_lo = 0 if self.plane_neumann else 1
         self.i_hi = n1 if self.end_neumann else n1 - 1  # inclusive
+        self.rows = np.arange(self.i_lo, self.i_hi + 1)
         eps = 1e-9
-        x = np.arange(self.i_lo, self.i_hi + 1) * h
+        x = self.rows * h
         #: per row: the j = 0 node lies on a window
         self.window = (win_lo + eps < x) & (x < win_hi - eps)
         self.keep = np.ones((len(x), self.n2), dtype=bool)
@@ -193,23 +202,74 @@ class FDGrid:
         m_bwd = np.where(self.plane_neumann & (i == 0), 2.0, 1.0)
         return -self.c1 * np.sqrt(m_fwd * m_bwd)
 
-    def x1_transform(self):
-        """(forward, inverse, eigenvalues) of the x1 operator, Q^T x and Q x along axis 0.
+    def x2_couplings(self) -> np.ndarray:
+        """Weight of the x2 coupling between each column and the next: -c2,
+        sqrt(2) times that between a window node (j = 0) and j = 1 (ghost doubling)."""
+        w2 = np.full(self.n2 - 1, -self.c2)
+        w2[0] *= math.sqrt(2.0)
+        return w2
 
-        The 1-D operator on rows i_lo..i_hi (diagonal 2*c1, couplings of
-        :meth:`x1_couplings`) has eigenvalues 4*c1*sin^2(theta/2), theta =
-        (k + s)*pi/n1, and the orthonormal DCT or DST basis of the plane's
-        parity and the far face's condition (the sqrt(2) ghost weights are
-        the ``norm="ortho"`` end weights).
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        """The operator of :func:`discretize` times the node vectors ``v`` (size, k), from the stencil.
+
+        The same weights: the diagonal, :meth:`x1_couplings` and
+        :meth:`x2_couplings`, on node arrays (column, row, j) with the
+        columns of ``v`` outermost, where an eliminated node (``index`` -1)
+        reads the zero appended to its column.
         """
-        from scipy import fft
+        u = np.take(np.hstack([v.T, np.zeros((v.shape[1], 1))]), self.index, axis=1)
+        out = self.diagonal * u
+        w1, w2 = self.x1_couplings()[:, None], self.x2_couplings()
+        out[:, 1:] += w1 * u[:, :-1]
+        out[:, :-1] += w1 * u[:, 1:]
+        out[..., 1:] += w2 * u[..., :-1]
+        out[..., :-1] += w2 * u[..., 1:]
+        return np.take(out.reshape(v.shape[1], -1), np.flatnonzero(self.keep), axis=1).T
 
-        name, kind, s = self.x1_basis
-        fwd, inv = getattr(fft, name), getattr(fft, "i" + name)
-        theta = (np.arange(self.i_hi - self.i_lo + 1) + s) * (math.pi / self.n1)
-        return (lambda x: fwd(x, type=kind, norm="ortho", axis=0),
-                lambda x: inv(x, type=kind, norm="ortho", axis=0),
-                4.0 * self.c1 * np.sin(theta / 2.0) ** 2)
+    def x1_eigenvalues(self) -> np.ndarray:
+        """Eigenvalues 4*c1*sin^2(theta/2), theta = (m + s)*pi/n1, of the 1-D x1
+        operator on the rows (diagonal 2*c1, couplings of :meth:`x1_couplings`)."""
+        theta = (np.arange(len(self.rows)) + self.x1_basis[2]) * (math.pi / self.n1)
+        return 4.0 * self.c1 * np.sin(theta / 2.0) ** 2
+
+    def x1_modes(self, i: np.ndarray) -> np.ndarray:
+        """Q^T at the rows ``i``: the x1 eigenvectors in closed form, one per row of the result.
+
+        Q_im = sqrt(2/n1) w_i w_m f((m + s) pi i/n1), the orthonormal DCT
+        (f = cos) or DST (f = sin) of the plane's parity and the far face's
+        condition, w = 1/sqrt(2) where i or m + s is a multiple of n1 (the
+        ``norm="ortho"`` end weights, from the sqrt(2) ghost couplings).
+        The integer 2 (m + s) i is reduced mod 4 n1 and looks f up in a
+        table of its 4 n1 values, so every argument is below 2 pi.
+        """
+        name, _, s = self.x1_basis
+        two_ms = 2 * np.arange(len(self.rows)) + round(2 * s)
+        f = np.cos if name == "dct" else np.sin
+        q = (math.sqrt(2.0 / self.n1) * f(np.arange(4 * self.n1) * (math.pi / (2 * self.n1))))[
+            np.outer(two_ms, i) % (4 * self.n1)]
+        q[two_ms % (2 * self.n1) == 0] *= math.sqrt(0.5)
+        q[:, i % self.n1 == 0] *= math.sqrt(0.5)
+        return q
+
+    def x1_inverse(self, y: np.ndarray) -> np.ndarray:
+        """Q y along the last axis, from x1 mode coordinates to the rows, by one real FFT of length 2 n1.
+
+        sum_m w_m y_m f((m + s) pi i/n1) is the real part (cos) or minus the
+        imaginary part (sin) of the FFT of w_m y_m at i times :func:`_twiddle`.
+        """
+        name, _, s = self.x1_basis
+        n1, rows = self.n1, self.rows
+        w_m = np.where((2 * np.arange(y.shape[-1]) + round(2 * s)) % (2 * n1) == 0, math.sqrt(0.5), 1.0)
+        w_i = np.where(rows % n1 == 0, math.sqrt(0.5), 1.0)
+        z = np.fft.rfft(y * w_m, 2 * n1)[..., self.i_lo:self.i_hi + 1]
+        z *= (math.sqrt(2.0 / n1) if name == "dct" else -math.sqrt(2.0 / n1)) * w_i * _twiddle(s, n1, rows)
+        return z.real if name == "dct" else z.imag
+
+
+def _twiddle(s: float, n1: int, d: np.ndarray) -> np.ndarray:
+    """exp(-i s pi d/n1), s d reduced mod 2 n1: times the real FFT R(d) = sum_m x_m
+    exp(-i m pi d/n1) of length 2 n1, the sum of x_m exp(-i (m + s) pi d/n1)."""
+    return np.exp(-1j * (math.pi / n1) * (s * d % (2 * n1)))
 
 
 def _x2_line_schur(z: np.ndarray, c4: float, n2: int) -> np.ndarray:
@@ -234,19 +294,21 @@ def _x2_line_schur(z: np.ndarray, c4: float, n2: int) -> np.ndarray:
 class WindowForm:
     """The window Schur complement S(sigma) of A - sigma I, a form of sigma.
 
-    A is the operator of :func:`discretize` on ``grid``.  Its nodes j >= 1
+    A is the grid's 5-point operator (:meth:`FDGrid.apply`).  Its nodes j >= 1
     carry T1 (x) I + I (x) T2, diagonal in the x1 transform times the
     orthonormal DST-I in x2 with eigenvalues lam_m + mu_k: eigenvalues of A
     (``free_values``) for an x1 mode that vanishes on every window row (for
     every mode on a grid without one), the poles of S for the other modes.
     The window nodes (j = 0) couple only to j = 1, by -g = -sqrt(2)*c2, and
-    S = Q_w diag(e_m) Q_w^T, with Q_w the other modes on the window rows and e_m
-    the Schur complement onto j = 0 of the x2 line in mode m shifted by lam_m -
-    sigma (:func:`_x2_line_schur`).  Each x1 basis is sqrt(2/n1) w_i w_m cos or
-    sin((m + s) pi i/n1), w = 1/sqrt(2) at its ortho ends, so S is Toeplitz plus
-    (DCT) or minus (DST) Hankel, S_ii' = w_i w_i' [c(|i - i'|) +- c(i + i')] with
-    c(d) = sum_m w_m^2 e_m cos((m + s) pi d/n1)/n1, every c(d) from one FFT of
-    length 2 n1 (i + i' < 2 n1): O(n1 log n1 + n_w^2) per point.  Called, the
+    S = Q_w diag(e_m) Q_w^T, with Q_w the other modes on the window rows
+    (:meth:`FDGrid.x1_modes`) and e_m the Schur complement onto j = 0 of the
+    x2 line in mode m shifted by lam_m - sigma (:func:`_x2_line_schur`).
+    Each x1 basis is sqrt(2/n1) w_i w_m cos or sin((m + s) pi i/n1), w =
+    1/sqrt(2) at its ortho ends, so S is Toeplitz plus (DCT) or minus (DST)
+    Hankel, S_ii' = w_i w_i' [c(|i - i'|) +- c(i + i')] with c(d) = sum_m
+    w_m^2 e_m cos((m + s) pi d/n1)/n1 for d < 2 n1 (i + i' < 2 n1), every
+    c(d) from one real FFT of length 2 n1, at d or, past n1, conjugated at
+    2 n1 - d, times :func:`_twiddle`: O(n1 log n1 + n_w^2) per point.  Called, the
     form gives S(sigma) and the number of poles below sigma, whose count
     (:mod:`modeguide.roots`) is by inertia additivity (Haynsworth, Linear
     Algebra Appl. 1 (1968) 73-81) the number of eigenvalues of A below
@@ -259,20 +321,19 @@ class WindowForm:
         d1, d2 = 2.0 * grid.c1, 2.0 * grid.c2
         dd = grid.diagonal - d1
         self.correction = (d1 - (grid.diagonal - dd)) + (d2 - dd)
-        x1_fwd, self.x1_inv, lam = grid.x1_transform()
+        lam, self.x1_inverse = grid.x1_eigenvalues(), grid.x1_inverse
         n1, n2 = grid.n1, grid.n2
         k = np.arange(1, n2)
         self.mu = 4.0 * grid.c2 * np.sin(k * (math.pi / (2 * n2))) ** 2
-        # the DST-I in x2 as a product with its sine matrix, 2-8 times faster than
-        # scipy's at these lengths; j*k mod 2*n2 keeps every argument below 2*pi
+        # the DST-I in x2 as a product with its sine matrix (one BLAS call at
+        # these lengths); j*k mod 2*n2 keeps every argument below 2*pi
         self.sines = math.sqrt(2.0 / n2) * np.sin(np.outer(k, k) % (2 * n2) * (math.pi / n2))
         self.g = math.sqrt(2.0) * grid.c2
         rows = np.flatnonzero(grid.window)
-        unit = np.zeros((len(grid.window), len(rows)))
-        unit[rows, np.arange(len(rows))] = 1.0
-        q_w = x1_fwd(unit)  # Q_w^T: the x1 modes on the window rows
-        # the transform leaves a mode's zeros below eps, while a mode that does
-        # not vanish on a window row is about n1^-1.5 there at least
+        q_w = grid.x1_modes(grid.rows[rows])  # Q_w^T: the x1 modes on the window rows
+        # a mode's zeros, sines and cosines of multiples of pi/2 below 2 pi, are
+        # below eps, while a mode that does not vanish on a window row is about
+        # n1^-1.5 there at least
         free = np.abs(q_w).max(axis=1, initial=0.0) <= len(lam) * np.finfo(float).eps
         self.free, self.modes = np.flatnonzero(free), np.flatnonzero(~free)
         self.free_values = lam[free][:, None] + self.mu - self.correction
@@ -281,25 +342,28 @@ class WindowForm:
         name, _, s = grid.x1_basis
         # 2 w_m^2, 1 at the frequencies 0 and pi (DCT-I modes 0 and n1)
         self.weights = np.where((self.modes + s) % n1 == 0, 1.0, 2.0)
-        self.twiddle = np.exp(1j * (math.pi / n1) * (s * np.arange(2 * n1) % (2 * n1)))
         # the window rows run on from row i, and of them only a row x1 = 0 has w_i != 1
-        self.n_w, i = len(rows), rows[0] + grid.i_lo if len(rows) else 0
-        self.lags, self.sums = np.abs(np.arange(1 - self.n_w, self.n_w)), slice(2 * i, 2 * (i + self.n_w) - 1)
-        self.w_first, self.sign = math.sqrt(0.5) if i == 0 else 1.0, 1.0 if name == "dct" else -1.0
+        self.n1, self.n_w, i = n1, len(rows), grid.rows[rows[0]] if len(rows) else 0
+        self.w_first = math.sqrt(0.5) if i == 0 else 1.0
+        # c(d) at the Toeplitz lags |i - i'|, then the Hankel sums i + i' with the basis's sign:
+        # FFT entries R(d), and conj R(2 n1 - d) past n1, whose real part is that of their conjugates
+        d = np.concatenate([np.abs(np.arange(1 - self.n_w, self.n_w)), np.arange(2 * i, 2 * (i + self.n_w) - 1)])
+        self.folds, self.phases = np.minimum(d, 2 * n1 - d), _twiddle(s, n1, d)
+        self.phases[d > n1] = self.phases[d > n1].conj()
+        self.phases[len(d) // 2:] *= 1.0 if name == "dct" else -1.0
         self.size = grid.size
         self.u_nodes = grid.index[:, 1:].ravel()
         self.w_nodes = grid.index[rows, 0]
 
     def __call__(self, sigma: float) -> tuple[np.ndarray, int]:
-        from scipy import fft
-
         shift = sigma + self.correction
         poles = int(np.searchsorted(self.mu, shift - self.lam).sum())
         if not self.n_w:
             return np.zeros((0, 0)), poles
         coeffs = self.weights * _x2_line_schur(self.lam - shift, self.c4, self.n2)
-        c = (self.twiddle * fft.ifft(np.bincount(self.modes, coeffs, len(self.twiddle)))).real  # free modes: 0
-        S = windows(c[self.lags], self.n_w)[::-1] + windows(self.sign * c[self.sums], self.n_w)
+        r = np.fft.rfft(np.bincount(self.modes, coeffs, 2 * self.n1), norm="forward")  # free modes: 0
+        c = (self.phases * r[self.folds]).real
+        S = windows(c[:len(c) // 2], self.n_w)[::-1] + windows(c[len(c) // 2:], self.n_w)
         S[0] *= self.w_first
         S[:, 0] *= self.w_first
         return S, poles
@@ -315,17 +379,20 @@ class WindowForm:
         m, j = np.unravel_index(low[keep[n:] - len(roots)], self.free_values.shape)
         x_w = np.column_stack([kernel(self(root)[0]) for root in roots[:n]]
                               + [np.zeros((len(self.w_nodes), k - n))])
-        # y holds the mode coordinates of the nodes j >= 1 as (x1 mode, column, x2 mode)
-        y = np.zeros((len(self.free) + len(self.modes), k, len(self.mu)))
-        shifts = roots[:n, None] + self.correction
-        y[self.modes, :n] = ((self.g * (self.q_w @ x_w[:, :n]))[:, :, None]
-                             * self.sines[0]  # the x2 modes at j = 1
-                             / (self.lam[:, None, None] + (self.mu - shifts)))
-        y[self.free[m], np.arange(n, k), j] = 1.0
+        # y holds the mode coordinates of the nodes j >= 1 as (column, x2 mode, x1 mode),
+        # the x1 modes last for the transform
+        y = np.zeros((k, len(self.mu), len(self.free) + len(self.modes)))
+        shifts = roots[:n, None, None] + self.correction
+        y[:n, :, self.modes] = ((self.g * (self.q_w @ x_w[:, :n])).T[:, None]
+                                * self.sines[0][:, None]  # the x2 modes at j = 1
+                                / (self.lam + (self.mu[:, None] - shifts)))
+        y[np.arange(n, k), j, self.free[m]] = 1.0
+        y = self.sines @ y  # (column, j, x1 mode)
         v = np.empty((self.size, k))
-        v[self.u_nodes] = self.x1_inv(y @ self.sines).transpose(0, 2, 1).reshape(-1, k)
+        v[self.u_nodes] = self.x1_inverse(y).transpose(2, 1, 0).reshape(-1, k)
         v[self.w_nodes] = x_w
-        return w[keep], v / np.linalg.norm(v, axis=0)
+        v /= np.linalg.norm(v, axis=0)
+        return w[keep], v
 
 
 def discretize(grid: FDGrid):
@@ -336,6 +403,11 @@ def discretize(grid: FDGrid):
     of the coupling: the raw stencil's similarity transform by the square
     root of the half-cell weights, equal to its transpose bit-exactly by
     construction.
+
+    No solve uses it: :meth:`FDGrid.apply` applies the same stencil with no
+    matrix.  It is the tests' reference operator and a name the benchmark's
+    tracer binds, the one function of the package that needs scipy, and it
+    goes when the tracer's table is rebuilt (ROADMAP item 4).
     """
     import scipy.sparse
 
@@ -349,10 +421,7 @@ def discretize(grid: FDGrid):
     cols[:, :, 2] = index
     cols[:, :-1, 3] = index[:, 1:]
     cols[:-1, :, 4] = index[1:]
-    w1 = grid.x1_couplings()[:, None]
-    # x2 couplings, with ghost doubling at a window node (j = 0)
-    w2 = np.full(grid.n2 - 1, -grid.c2)
-    w2[0] = -grid.c2 * math.sqrt(2.0)
+    w1, w2 = grid.x1_couplings()[:, None], grid.x2_couplings()
     vals = np.empty(cols.shape)
     vals[1:, :, 0] = w1
     vals[:, 1:, 1] = w2
@@ -366,7 +435,7 @@ def discretize(grid: FDGrid):
 
 
 def lowest_eigenvalues(grid: FDGrid, k: int) -> np.ndarray:
-    """The k smallest eigenvalues of the grid's operator (:func:`discretize`), ascending.
+    """The k smallest eigenvalues of the grid's operator (:meth:`FDGrid.apply`), ascending.
 
     The roots of the grid's :class:`WindowForm` and its free values: their
     count is 0 at sigma = 0, below the positive definite spectrum, and the
@@ -374,14 +443,13 @@ def lowest_eigenvalues(grid: FDGrid, k: int) -> np.ndarray:
     the first k roots, Brent's method on det S polishes them to a few ulps,
     and the k lowest of these and the free values are kept.  A root no
     bracket separates from a pole raises ArithmeticError.  Every eigenpair
-    (lam, v) is checked against the operator: ArithmeticError unless
-    ||op v - lam v|| <= EIGENPAIR_GATE * |lam|.  A k of at least
+    (lam, v) is checked against the operator's stencil: ArithmeticError
+    unless ||A v - lam v|| <= EIGENPAIR_GATE * |lam|.  A k of at least
     ``grid.size`` raises ValueError.
     """
     if k >= grid.size:
-        raise ValueError("requested more eigenvalues than the operator has rows")
-    # assembled first, so its temporaries are freed before the form's arrays exist
-    op = discretize(grid)
+        raise ValueError(f"requested more eigenvalues than the operator has rows ({k} >= {grid.size}): "
+                         f"the grid is too coarse")
     form = WindowForm(grid)
     sec = Sector(form, 0.0, 1.0, 0.0)
     lo, hi = count(sec, sec.lo), count(sec, sec.hi)
@@ -389,7 +457,7 @@ def lowest_eigenvalues(grid: FDGrid, k: int) -> np.ndarray:
         hi = count(sec, 2.0 * hi.x)
     roots = list(itertools.islice(ascending_roots(sec, lo, hi), k))
     w, v = form.eigenpairs(np.array(roots), k)
-    residual = np.linalg.norm(op @ v - v * w, axis=0) / np.abs(w)
+    residual = np.linalg.norm(grid.apply(v) - v * w, axis=0) / np.abs(w)
     if not np.all(residual <= EIGENPAIR_GATE):
         raise ArithmeticError(f"eigenpair residual {residual.max():.3g} exceeds {EIGENPAIR_GATE:g}")
     return np.sort(w)

@@ -1,4 +1,5 @@
 import contextlib
+import io
 import json
 import math
 import os
@@ -8,6 +9,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from modeguide.cli import MAX_SWEEP_POINTS, _parse_range, _switch, main
 from modeguide.records import RunRecord
@@ -130,6 +132,22 @@ def test_split_outputs_are_deterministic(capsys, tmp_path):
     assert (tmp_path / "split.record.json").exists()
 
 
+def test_split_leaves_an_empty_odd_sector_blank(capsys):
+    # windows this close hold no odd bound state: its cells stay empty, a note
+    # names the l, and the other rows are as in a sweep of their own
+    code, out, _ = run(capsys, "split", "--a", "1", "--l", "1.2:1.3:0.1", "--modes", "20")
+    assert code == 0
+    empty, full = parse_csv(out)
+    assert empty["lambda_minus"] == empty["delta_minus"] == ""
+    assert float(empty["lambda_plus"]) < 1.0 and float(empty["delta_plus"]) > 0.0
+    assert "no odd bound state at l = 1.2" in notes(out)
+    _, alone, _ = run(capsys, "split", "--a", "1", "--l", "1.3", "--modes", "20")
+    assert parse_csv(alone) == [full] and "no odd" not in alone
+    code, out, _ = run(capsys, "split", "--a", "1", "--l", "1.2", "--modes", "20", "--format", "json")
+    row = json.loads(out)["rows"][0]
+    assert code == 0 and row["lambda_minus"] is None and row["delta_minus"] is None
+
+
 def test_critical_reports_resonance(capsys):
     code, out, _ = run(capsys, "critical", "--n", "1", "--modes", "24")
     assert code == 0
@@ -229,6 +247,17 @@ def test_oracle_alignment_error_names_the_given_step(capsys):
     code, out, err = run(capsys, "oracle", "--a", "1.0625", "--h", "0.0625", "--L", "8")
     assert code == 2 and not out
     assert "--h 0.0625" in err and "2h = 0.125" in err
+
+
+@pytest.mark.parametrize("argv, names", [
+    (("--h", "0.0625", "--k", "2", "--d", "0.14"), ("--h 0.0625", "2h = 0.125", "d = 0.14")),
+    (("--a", "2.5", "--h", "1.25", "--L", "10", "--k", "1"), ("--h 1.25", "2h = 2.5")),
+])
+def test_oracle_rejects_a_grid_too_coarse_for_the_strip(capsys, argv, names):
+    # the coarse grid 2h leaves one cell across the strip
+    code, out, err = run(capsys, "oracle", "--a", "1", *argv)
+    assert code == 2 and not out
+    assert "too coarse" in err and "n2 = 1" in err and all(name in err for name in names)
 
 
 def test_oracle_lengths_are_physical_when_rescaled(capsys):
@@ -526,29 +555,35 @@ def test_sweep_ranges_are_capped(capsys):
     ("modeguide.acceptance", "scipy.sparse"), ("modeguide.fd_oracle", "scipy.sparse"),
 ])
 def test_cli_import_leaves_scipy_optimize_unloaded(importer, module):
-    # importing scipy.optimize adds about half of the CLI's start-up time;
-    # scipy.fft and scipy.sparse load only inside the FD oracle's solve
+    # importing scipy.optimize adds about half of the CLI's start-up time
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
     code = f"import sys, {importer}; sys.exit(int({module!r} in sys.modules))"
     assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
 
 
-@pytest.mark.parametrize("argv", [
-    ["single", "--a", "1", "--modes", "8"],
-    ["split", "--a", "1", "--l", "3", "--modes", "8"],
-    ["critical", "--n", "1", "--modes", "8"],
-    ["threshold", "--n", "1", "--l", "4", "--modes", "8"],
+@pytest.mark.parametrize("argv, exit_code", [
+    (["single", "--a", "1", "--modes", "8"], 0),
+    (["split", "--a", "1", "--l", "3", "--modes", "8"], 0),
+    (["critical", "--n", "1", "--modes", "8"], 0),
+    (["threshold", "--n", "1", "--l", "4", "--modes", "8"], 0),
+    (["oracle", "--a", "1", "--h", "0.0625", "--k", "1"], 0),
+    (["verify", "--quick"], 1),   # criteria 7 and 8 fail (README, accuracy notes)
 ])
-def test_matching_subcommands_load_no_scipy(argv):
-    # only the finite-difference oracle (and verify, which runs it) needs scipy
+def test_subcommands_load_no_scipy(argv, exit_code):
+    # scipy is a test dependency: no subcommand loads any of it
     src = Path(__file__).resolve().parents[1] / "src"
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
-    code = ("import sys, modeguide.cli; code = modeguide.cli.main(sys.argv[1:]); "
-            "sys.exit(code or int(any(m.split('.')[0] == 'scipy' for m in sys.modules)))")
-    result = subprocess.run([sys.executable, "-c", code, *argv], env=env, timeout=60,
+    env = {k: v for k, v in os.environ.items() if k != "MODEGUIDE_CACHE"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    code = ("import contextlib, io, sys, modeguide.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = modeguide.cli.main(sys.argv[1:])\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+            "sys.exit(code)")
+    result = subprocess.run([sys.executable, "-c", code, *argv], env=env, timeout=120,
                             capture_output=True, text=True)
-    assert result.returncode == 0, result.stderr
+    assert result.returncode == exit_code, result.stderr
+    assert result.stdout == "[]\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -612,3 +647,42 @@ def test_modes_are_capped_at_the_top_rung_of_the_ladder(capsys, monkeypatch):
     assert run(capsys, "single", "--a", "2", "--refine", "--modes", "512")[0] == 0
     assert run(capsys, "verify", "--modes", "256")[0] == 0
     assert solves == ["single", "single", "verify"]
+
+
+@st.composite
+def solving_argv(draw):
+    """argv of a solving subcommand, drawn from its flags at small sizes."""
+    command = draw(st.sampled_from(["single", "split", "critical", "threshold", "oracle"]))
+    flag = lambda name, values: [f"--{name}", str(draw(values))]
+    optional = lambda name, values: flag(name, values) if draw(st.booleans()) else []
+    lengths = st.floats(0.05, 4.0).map(lambda x: round(x, 3))
+    d = optional("d", st.sampled_from([math.pi, 0.14, 1.0, 5.0]))
+    if command == "oracle":
+        h = draw(st.sampled_from([1 / 16, 1 / 8, 1 / 4, 0.5, 1.25, 3.0]))
+        a = h * draw(st.integers(1, 16))
+        argv = ["--a", str(a), "--h", str(h), *flag("k", st.integers(1, 4)), *d,
+                *optional("end", st.sampled_from(["dirichlet", "neumann"]))]
+        if draw(st.booleans()):
+            argv += ["--l", str(a + h * draw(st.integers(0, 24)))]
+        return ["oracle", *argv, *optional("L", st.integers(1, 12))]
+    modes = flag("modes", st.integers(4, 20))
+    if command == "single":
+        return ["single", *flag("a", lengths), *modes, *d]
+    if command == "critical":
+        return ["critical", *flag("n", st.integers(1, 2)), *modes, *d]
+    start = draw(lengths)
+    sweep = [f"{start}:{start + draw(st.floats(0.0, 2.0)):.3f}:1"] if draw(st.booleans()) else [str(start)]
+    if command == "split":
+        return ["split", *flag("a", lengths), "--l", *sweep, *modes, *d]
+    return ["threshold", *flag("n", st.integers(1, 2)), "--l", *sweep, *modes, *d]
+
+
+@example(["oracle", "--a", "1", "--h", "0.0625", "--k", "2", "--d", "0.14"])
+@example(["split", "--a", "1", "--l", "1.2"])
+@given(solving_argv())
+@settings(max_examples=25, deadline=None)
+def test_every_argv_exits_0_2_or_3(argv):
+    # bad input exits 2 and non-convergence 3; no exception escapes main
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 2, 3), argv

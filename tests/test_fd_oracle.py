@@ -190,6 +190,10 @@ def test_oracle_config_validation():
             OracleConfig(L=L, h=h, k=2)
     with pytest.raises(ValueError, match="exceeds"):
         OracleConfig(L=2.0, h=0.5, k=26)  # 4 * 2 pi unknowns
+    # one cell across the strip is too coarse for the window nodes' x2 line
+    with pytest.raises(ValueError, match="too coarse: a step h=2.2 leaves n2 = 1 cells"):
+        OracleConfig(L=8.0, h=2.2, k=1)
+    assert FDGrid(single_cfg(2.0), OracleConfig(L=8.0, h=2.0, k=1)).n2 == 2
     # the config's estimate (L/h)(pi/h) = 25.1 admits k = 25, but the grid keeps
     # 21 nodes: 4 rows of 5 plus the one window node
     ocfg = OracleConfig(L=2.0, h=0.5, k=25)
@@ -441,20 +445,59 @@ def test_x2_line_schur_matches_a_40_digit_sum(h):
     assert got[z == 0.0] == 0.5 * c4 / n2 and got[z == -c4] == -0.5 * c4 / n2
 
 
-@pytest.mark.parametrize("parity", ["even", "odd"])
-@pytest.mark.parametrize("end", ["dirichlet", "neumann"])
-def test_x1_transform_diagonalizes_the_x1_operator(parity, end):
+# one window a = 1 per x1 basis (plane parity, far face), and an odd window
+# a = h, which leaves the grid no window node
+BASES = [pytest.param(parity, end, 1.0, id=basis) for parity, end, basis in (
+    ("even", "dirichlet", "dct3"), ("even", "neumann", "dct1"),
+    ("odd", "dirichlet", "dst1"), ("odd", "neumann", "dst3"))]
+WINDOWLESS = pytest.param("odd", "dirichlet", None, id="windowless")
+
+
+def _basis_grid(parity, end, a, h, L):
+    grid = FDGrid(single_cfg(a or h, parity), OracleConfig(L=L, h=h, k=2, end=end))
+    assert grid.window.any() == (a is not None)
+    return grid
+
+
+@pytest.mark.parametrize("parity, end, a", BASES)
+def test_x1_transform_diagonalizes_the_x1_operator(parity, end, a):
     # the nodes of one x2 line (j = 1) couple only in x1: diagonal 2 c1 + 2 c2
-    grid = FDGrid(single_cfg(1.0, parity), OracleConfig(L=4.0, h=1 / 16, k=2, end=end))
+    grid = _basis_grid(parity, end, a, 1 / 16, 4.0)
     op = discretize(grid)
     _, x2 = grid.nodes()
     line = np.flatnonzero(np.isclose(x2, grid.h2))
     t1 = op[line][:, line].toarray() - 2.0 * grid.c2 * np.eye(len(line))
-    forward, inverse, lam = grid.x1_transform()
-    q = inverse(np.eye(len(line)))
-    assert np.allclose(forward(q), np.eye(len(line)), rtol=0.0, atol=1e-13)
+    q = grid.x1_modes(grid.rows).T
+    assert np.allclose(grid.x1_inverse(np.eye(len(line))), q.T, rtol=0.0, atol=1e-13)
     assert np.allclose(q.T @ q, np.eye(len(line)), rtol=0.0, atol=1e-13)
-    assert np.max(np.abs(q.T @ t1 @ q - np.diag(lam))) <= 1e-12 * 4.0 * grid.c1
+    assert np.max(np.abs(q.T @ t1 @ q - np.diag(grid.x1_eigenvalues()))) <= 1e-12 * 4.0 * grid.c1
+
+
+@pytest.mark.parametrize("parity, end, a", BASES + [WINDOWLESS])
+@pytest.mark.parametrize("h", [1 / 16, 1 / 32])
+def test_the_stencil_is_the_operator(parity, end, a, h):
+    grid = _basis_grid(parity, end, a, h, 4.0)
+    v = np.random.default_rng(grid.size).standard_normal((grid.size, 3))
+    want = discretize(grid) @ v
+    assert np.linalg.norm(grid.apply(v) - want) <= 1e-15 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("parity, end, a", BASES + [WINDOWLESS])
+@pytest.mark.parametrize("h", [1 / 16, 1 / 64])
+def test_x1_transforms_match_the_orthonormal_dct_and_dst(parity, end, a, h):
+    # the closed-form modes are the forward transform of the unit rows, the FFT
+    # inverse the inverse transform, of scipy's norm="ortho" DCT or DST
+    from scipy import fft
+
+    grid = _basis_grid(parity, end, a, h, 8.0)
+    name, kind, _ = grid.x1_basis
+    forward, inverse = getattr(fft, name), getattr(fft, "i" + name)
+    rows = len(grid.rows)
+    modes = grid.x1_modes(grid.rows)
+    assert np.max(np.abs(modes - forward(np.eye(rows), type=kind, norm="ortho", axis=0))) <= 1e-15
+    y = np.random.default_rng(rows).standard_normal((2, 3, rows))
+    want = inverse(y, type=kind, norm="ortho")
+    assert np.max(np.abs(grid.x1_inverse(y) - want)) <= 2e-15 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("cfg, ocfg", [
@@ -462,18 +505,16 @@ def test_x1_transform_diagonalizes_the_x1_operator(parity, end):
     (single_cfg(2.25, "odd"), OracleConfig(L=16.0, h=1 / 32, k=3, end="neumann")),
 ])
 def test_an_eigensolve_transforms_at_most_k_plus_one_times(monkeypatch, cfg, ocfg):
-    # the window basis once, and the eigenvectors back, whatever the count does
+    # the window basis once, in closed form, and the eigenvectors back in one
+    # batch, whatever the count does
     transforms = []
-    x1_transform = fd_oracle.FDGrid.x1_transform
-
-    def counted_transform(grid):
-        forward, inverse, lam = x1_transform(grid)
-        return (lambda x: transforms.append(1) or forward(x),
-                lambda x: transforms.append(1) or inverse(x), lam)
-
-    monkeypatch.setattr(fd_oracle.FDGrid, "x1_transform", counted_transform)
+    x1_modes, x1_inverse = fd_oracle.FDGrid.x1_modes, fd_oracle.FDGrid.x1_inverse
+    monkeypatch.setattr(fd_oracle.FDGrid, "x1_modes",
+                        lambda grid, i: transforms.append("modes") or x1_modes(grid, i))
+    monkeypatch.setattr(fd_oracle.FDGrid, "x1_inverse",
+                        lambda grid, y: transforms.append("inverse") or x1_inverse(grid, y))
     lowest_eigenvalues(FDGrid(cfg, ocfg), ocfg.k)
-    assert 0 < len(transforms) <= ocfg.k + 1
+    assert transforms == ["modes", "inverse"]
 
 
 def test_a_shifted_form_fails_the_eigenpair_gate(monkeypatch):
