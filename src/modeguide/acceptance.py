@@ -45,11 +45,10 @@ from .solve import (
     refine_critical_width,
     refine_eigenvalue,
     window_integral,
-    _solve_at,
-    _threshold_resonance,
 )
 # unused here: bound only because perfbench/tracing.py wraps these names on this module
-from .solve import _assemble_at, _polish_root, assemble_threshold, det_sign  # noqa: F401
+from .solve import _assemble_at, _polish_root, _solve_at, _threshold_resonance  # noqa: F401
+from .solve import assemble_threshold, det_sign  # noqa: F401
 
 __all__ = ["CriterionResult", "Workspace", "run_acceptance", "CRITERIA"]
 
@@ -106,20 +105,11 @@ class Workspace:
     def single_ladder(self, a: float) -> dict[int, dict[str, float]]:
         """lam, alpha, window integral and alpha*pi*kappa1 per ladder truncation."""
         def compute():
-            cfg = _single_cfg(a)
-            lams = refine_eigenvalue(cfg, self.single_pair(a).lam, self.trunc,
-                                     levels=len(self.LADDER) - 1, tol=1e-13).by_n
-            rows: dict[int, dict[str, float]] = {}
-            for n, lam in lams.items():
-                pair = _solve_at(cfg, Truncation(n), lam=lam)
-                alpha = extract_tail(pair)
-                rows[n] = {
-                    "lam": pair.lam,
-                    "alpha": alpha,
-                    "integral": window_integral(pair, pair.kappa1),
-                    "alpha_pi_kappa": alpha * PI * pair.kappa1,
-                }
-            return rows
+            pairs = refine_eigenvalue(_single_cfg(a), self.single_pair(a).lam, self.trunc,
+                                      levels=len(self.LADDER) - 1, tol=1e-13).solutions
+            alpha = {n: extract_tail(p) for n, p in pairs.items()}
+            return {n: {"lam": p.lam, "alpha": alpha[n], "integral": window_integral(p, p.kappa1),
+                        "alpha_pi_kappa": alpha[n] * PI * p.kappa1} for n, p in pairs.items()}
         return self._once(("ladder", a), compute)
 
     def refined_single(self, a: float) -> float:
@@ -154,18 +144,11 @@ class Workspace:
     def critical_ladder(self) -> dict[int, dict[str, float]]:
         def compute():
             w0 = self.critical()
-            widths = refine_critical_width(w0.a, w0.parity, self.trunc,
-                                           levels=len(self.LADDER) - 1, tol=1e-13).by_n
-            rows: dict[int, dict[str, float]] = {}
-            for n, a in widths.items():
-                w = _threshold_resonance(a, Truncation(n), w0.parity, w0.index)
-                rows[n] = {
-                    "a": a,
-                    "beta": w.beta,
-                    "integral": window_integral(w.resonance, math.sqrt(3.0)),
-                    "beta_rhs": math.sqrt(3.0) * PI / 2.0 * w.beta,
-                }
-            return rows
+            widths = refine_critical_width(w0.a, w0.parity, self.trunc, levels=len(self.LADDER) - 1,
+                                           tol=1e-13, index=w0.index).solutions
+            return {n: {"a": w.a, "beta": w.beta,
+                        "integral": window_integral(w.resonance, math.sqrt(3.0)),
+                        "beta_rhs": math.sqrt(3.0) * PI / 2.0 * w.beta} for n, w in widths.items()}
         return self._once("critical-ladder", compute)
 
     def t3_sweep(self, ls) -> list[tuple[float, float]]:

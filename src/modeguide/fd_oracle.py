@@ -50,7 +50,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view as windows
 
 from .modes import CanonicalConfig, GridAlignmentError, ProblemKind, StripConfig, canonicalize
-from .roots import Sector, ascending_roots, count, kernel
+from .roots import Root, Sector, ascending_roots, count, kernel
 
 __all__ = [
     "GridAlignmentError",
@@ -102,10 +102,7 @@ class OracleConfig:
             raise ValueError("must request at least one eigenvalue")
         if self.end not in ("dirichlet", "neumann"):
             raise ValueError(f"end condition must be 'dirichlet' or 'neumann', got {self.end!r}")
-        cells = round(math.pi / self.h)
-        if cells < 2:
-            raise ValueError(f"the grid is too coarse: a step h={self.h} leaves n2 = {cells} cells across "
-                             f"the strip width d = pi, and the oracle needs 2 (h <= 2 pi/3)")
+        _transverse_cells(self.h)
         unknowns = (self.L / self.h) * (math.pi / self.h)
         if not unknowns <= MAX_UNKNOWNS:
             raise ValueError(f"a grid of L={self.L}, h={self.h} holds {unknowns:.4g} unknowns, "
@@ -122,15 +119,22 @@ def _check_aligned(name: str, value: float, h: float) -> int:
     return n
 
 
+def _transverse_cells(h: float) -> int:
+    """n2 = round(pi/h), the cells across the strip width d = pi; ValueError below 2."""
+    if (cells := round(math.pi / h)) < 2:
+        raise ValueError(f"the grid is too coarse: a step h={h} leaves n2 = {cells} cells across "
+                         f"the strip width d = pi, and the oracle needs 2 (h <= 2 pi/3)")
+    return cells
+
+
 def discrete_threshold(h: float) -> float:
     """Bottom of the continuous band of the discretized Dirichlet strip.
 
     The transverse grid uses n2 = round(pi/h) cells, so the first discrete
     transverse eigenvalue is (4/h2^2) sin^2(h2/2) with h2 = pi/n2, just
-    below 1 by h2^2/12.
+    below 1 by h2^2/12.  A grid of fewer than 2 cells raises ValueError.
     """
-    n2 = round(math.pi / h)
-    h2 = math.pi / n2
+    h2 = math.pi / _transverse_cells(h)
     return (4.0 / h2 ** 2) * math.sin(h2 / 2.0) ** 2
 
 
@@ -156,7 +160,7 @@ class FDGrid:
 
         self.h = h
         self.n1 = n1
-        self.n2 = round(math.pi / h)
+        self.n2 = _transverse_cells(h)
         self.h2 = math.pi / self.n2
         self.c1 = 1.0 / (h * h)
         self.c2 = 1.0 / (self.h2 * self.h2)
@@ -368,21 +372,21 @@ class WindowForm:
         S[:, 0] *= self.w_first
         return S, poles
 
-    def eigenpairs(self, roots: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    def eigenpairs(self, roots: list[Root], k: int) -> tuple[np.ndarray, np.ndarray]:
         """The k lowest of the roots and the free values, roots first, and unit node
-        vectors: for a root x_w, the kernel vector of S(root), and in mode coordinates
+        vectors: for a root x_w, the kernel vector of its S, and in mode coordinates
         y = g (Q_w x_w) (x) phi / (lam_m + mu_k - root); for a free value its mode."""
         low = np.argsort(self.free_values, axis=None)[:k]
-        w = np.concatenate([roots, self.free_values.ravel()[low]])
+        w = np.concatenate([[root.x for root in roots], self.free_values.ravel()[low]])
         keep = np.sort(np.argsort(w, kind="stable")[:k])
         n = int(np.count_nonzero(keep < len(roots)))  # the kept roots are roots[:n]
         m, j = np.unravel_index(low[keep[n:] - len(roots)], self.free_values.shape)
-        x_w = np.column_stack([kernel(self(root)[0]) for root in roots[:n]]
+        x_w = np.column_stack([kernel(root.at) for root in roots[:n]]
                               + [np.zeros((len(self.w_nodes), k - n))])
         # y holds the mode coordinates of the nodes j >= 1 as (column, x2 mode, x1 mode),
         # the x1 modes last for the transform
         y = np.zeros((k, len(self.mu), len(self.free) + len(self.modes)))
-        shifts = roots[:n, None, None] + self.correction
+        shifts = w[:n, None, None] + self.correction
         y[:n, :, self.modes] = ((self.g * (self.q_w @ x_w[:, :n])).T[:, None]
                                 * self.sines[0][:, None]  # the x2 modes at j = 1
                                 / (self.lam + (self.mu[:, None] - shifts)))
@@ -391,7 +395,7 @@ class WindowForm:
         v = np.empty((self.size, k))
         v[self.u_nodes] = self.x1_inverse(y).transpose(2, 1, 0).reshape(-1, k)
         v[self.w_nodes] = x_w
-        v /= np.linalg.norm(v, axis=0)
+        v /= np.sqrt(np.einsum("ij,ij->j", v, v))
         return w[keep], v
 
 
@@ -452,12 +456,14 @@ def lowest_eigenvalues(grid: FDGrid, k: int) -> np.ndarray:
                          f"the grid is too coarse")
     form = WindowForm(grid)
     sec = Sector(form, 0.0, 1.0, 0.0)
-    lo, hi = count(sec, sec.lo), count(sec, sec.hi)
-    while hi.roots + np.count_nonzero(form.free_values < hi.x) < k:
-        hi = count(sec, 2.0 * hi.x)
-    roots = list(itertools.islice(ascending_roots(sec, lo, hi), k))
-    w, v = form.eigenpairs(np.array(roots), k)
-    residual = np.linalg.norm(grid.apply(v) - v * w, axis=0) / np.abs(w)
+    ends = [count(sec, sec.lo), count(sec, sec.hi)]
+    while ends[-1].roots + np.count_nonzero(form.free_values < ends[-1].x) < k:
+        ends.append(count(sec, 2.0 * ends[-1].x))
+    # the bisection of (0, 2^j] meets the upper ends it doubled from as midpoints
+    roots = ascending_roots(sec, ends[0], ends[-1], known=ends[1:-1])
+    w, v = form.eigenpairs(list(itertools.islice(roots, k)), k)
+    r = grid.apply(v) - v * w
+    residual = np.sqrt(np.einsum("ij,ij->j", r, r)) / np.abs(w)
     if not np.all(residual <= EIGENPAIR_GATE):
         raise ArithmeticError(f"eigenpair residual {residual.max():.3g} exceeds {EIGENPAIR_GATE:g}")
     return np.sort(w)

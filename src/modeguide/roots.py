@@ -4,7 +4,8 @@ A form maps x to a symmetric matrix S(x) and its number of poles below x.
 Negative eigenvalues of S plus poles (Wittrick and Williams, Q. J. Mech.
 Appl. Math. 24 (1971) 263-284) rise by one across each simple root, so
 count bisection isolates each root in a bracket of one root and no pole,
-where Brent's method on det S polishes it.  The mode-matching solver
+where Brent's method on det S polishes it into a :class:`Root`: x and what the
+sector keeps of its form there, the kernel's data.  The mode-matching solver
 (:mod:`modeguide.solve`) and the finite-difference oracle
 (:mod:`modeguide.fd_oracle`) both use it.  numpy only.
 """
@@ -13,11 +14,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Any, Callable, Iterator, NamedTuple
 
 import numpy as np
 
-__all__ = ["Sector", "Count", "count", "isolate", "brent", "polish", "ascending_roots",
+__all__ = ["Sector", "Count", "Root", "count", "isolate", "brent", "polish", "ascending_roots",
            "sector_roots", "kth_root", "kernel"]
 
 _EPS = float(np.finfo(float).eps)
@@ -27,20 +28,22 @@ _EPS = float(np.finfo(float).eps)
 class Sector:
     """One system's roots as a function of a scalar x on [lo, hi].
 
-    ``form(x)`` is the symmetric form S at x and its pole count.  ``sense`` is -1
-    when x runs against the form's own variable (x = kappa for lam), so that
-    ``sense * (negative eigenvalues + poles)`` is the number of roots below x up
-    to a constant.  Count bisection halves geometrically when ``geometric`` is
-    set; the polish stops at a bracket width of ``xtol + rtol * |x|``.
+    ``form(x)`` is the form's value at x, S = ``matrix(value)``, and its pole count; a
+    polished point keeps ``keep(value)`` (both by default the value).  ``sense`` is -1 when
+    x runs against the form's own variable (x = kappa for lam), so that ``sense * (negative
+    eigenvalues + poles)`` is the number of roots below x up to a constant.  Count bisection
+    halves geometrically if ``geometric``; the polish stops at ``xtol + rtol * |x|``.
     """
 
-    form: Callable[[float], tuple[np.ndarray, int]]
+    form: Callable[[float], tuple[Any, int]]
     lo: float
     hi: float
     xtol: float
     rtol: float = 4.0 * _EPS
     sense: int = 1
     geometric: bool = False
+    matrix: Callable[[Any], np.ndarray] = lambda value: value
+    keep: Callable[[Any], Any] = lambda value: value
 
 
 @dataclass(frozen=True)
@@ -54,9 +57,16 @@ class Count:
     logdet: float   # log |det S|
 
 
+class Root(NamedTuple):
+    """A root x of a sector and ``at`` it what the polish kept of the form (``Sector.keep``)."""
+
+    x: float
+    at: Any
+
+
 def count(sec: Sector, x: float) -> Count:
-    S, poles = sec.form(x)
-    mu = np.linalg.eigvalsh(S)
+    at, poles = sec.form(x)
+    mu = np.linalg.eigvalsh(sec.matrix(at))
     neg = int(np.count_nonzero(mu < 0.0))
     with np.errstate(divide="ignore"):
         logdet = float(np.sum(np.log(np.abs(mu))))
@@ -69,8 +79,9 @@ def kernel(S: np.ndarray) -> np.ndarray:
     return vecs[:, int(np.argmin(np.abs(mu)))]
 
 
-def isolate(sec: Sector, lo: Count, hi: Count):
+def isolate(sec: Sector, lo: Count, hi: Count, known=()):
     """Brackets of (lo, hi] holding one root and no pole each, ascending, by count bisection."""
+    known = {c.x: c for c in known}  # counts already taken, which a midpoint at their x reuses
     stack = [(lo, hi)]
     while stack:
         lo, hi = stack.pop()
@@ -81,30 +92,33 @@ def isolate(sec: Sector, lo: Count, hi: Count):
             continue
         if hi.x - lo.x <= sec.xtol + sec.rtol * abs(hi.x):
             raise ArithmeticError(f"roots or poles closer than the tolerance at x={hi.x!r}")
-        mid = count(sec, math.sqrt(lo.x * hi.x) if sec.geometric else 0.5 * (lo.x + hi.x))
+        x = math.sqrt(lo.x * hi.x) if sec.geometric else 0.5 * (lo.x + hi.x)
+        mid = known.get(x) or count(sec, x)
         stack += [(mid, hi), (lo, mid)]
 
 
-def brent(f, a: float, b: float, fa: float, fb: float, xtol: float, rtol: float) -> float:
+def brent(f, a: float, b: float, fa: float, fb: float, xtol: float,
+          rtol: float) -> tuple[float, Any]:
     """Root of f in the sign-change bracket [a, b] (Brent 1973, ch. 4, zeroin).
 
-    Secant and inverse quadratic steps, with bisection whenever they do not
-    shrink the bracket fast enough; returns the end of the final bracket,
-    of width at most ``xtol + rtol * |root|``, at which |f| is smaller.
+    ``f(x)`` is the value at x and a record of x.  Secant and inverse quadratic steps, with
+    bisection whenever they do not shrink the bracket fast enough; returns the end of the final
+    bracket, of width at most ``xtol + rtol * |root|``, at which |f| is smaller, and its record.
     """
-    c, fc = a, fa
+    c, fc, ga, gb, gc = a, fa, None, None, None
     d = e = b - a
     while True:
         if (fb > 0.0) == (fc > 0.0):
-            c, fc = a, fa
+            c, fc, gc = a, fa, ga
             d = e = b - a
         if abs(fc) < abs(fb):
             a, b, c = b, c, b
             fa, fb, fc = fb, fc, fb
+            ga, gb, gc = gb, gc, gb
         tol1 = 0.5 * (xtol + rtol * abs(b))
         m = 0.5 * (c - b)
         if fb == 0.0 or abs(m) <= tol1:
-            return float(b)
+            return float(b), f(b)[1] if gb is None else gb  # f again at a or b
         if abs(e) >= tol1 and abs(fa) > abs(fb):
             s = fb / fa
             if a == c:
@@ -122,13 +136,13 @@ def brent(f, a: float, b: float, fa: float, fb: float, xtol: float, rtol: float)
                 d = e = m
         else:
             d = e = m
-        a, fa = b, fb
+        a, fa, ga = b, fb, gb
         b += d if abs(d) > tol1 else math.copysign(tol1, m)
-        fb = f(b)
+        fb, gb = f(b)
 
 
-def polish(sec: Sector, lo: Count, hi: Count) -> float | None:
-    """The root of a one-root, pole-free bracket, by Brent's method on det S.
+def polish(sec: Sector, lo: Count, hi: Count) -> Root | None:
+    """The :class:`Root` of a one-root, pole-free bracket, by Brent's method on det S.
 
     Across such a bracket det S changes sign once, at the root.  The values
     are scaled by det S(lo) and clipped to e^+-700, so they stay finite.
@@ -136,26 +150,29 @@ def polish(sec: Sector, lo: Count, hi: Count) -> float | None:
     """
     if lo.sign == hi.sign:
         return None
+    # an end of the bracket is returned only where det S = 0 or within the tolerance
+    # of the root; its count kept no form, so the form is built again there
     for end in (lo, hi):
         if end.logdet == -math.inf:
-            return end.x
+            return Root(end.x, sec.keep(sec.form(end.x)[0]))
 
     def scaled(sign, logdet):
         return float(sign) * math.exp(min(max(logdet - lo.logdet, -700.0), 700.0))
 
     def f(x):
-        return scaled(*np.linalg.slogdet(sec.form(x)[0]))
-    return brent(f, lo.x, hi.x, scaled(lo.sign, lo.logdet), scaled(hi.sign, hi.logdet),
-                 sec.xtol, sec.rtol)
+        at = sec.form(x)[0]
+        return scaled(*np.linalg.slogdet(sec.matrix(at))), sec.keep(at)
+    return Root(*brent(f, lo.x, hi.x, scaled(lo.sign, lo.logdet), scaled(hi.sign, hi.logdet),
+                       sec.xtol, sec.rtol))
 
 
-def ascending_roots(sec: Sector, lo: Count, hi: Count) -> Iterator[float]:
+def ascending_roots(sec: Sector, lo: Count, hi: Count, known=()) -> Iterator[Root]:
     """The roots in (lo.x, hi.x], ascending, each polished only when it is reached.
 
     Raises ArithmeticError at a counted root across which det S keeps its
     sign, so that no root is lost silently.
     """
-    for k, bracket in enumerate(isolate(sec, lo, hi), start=1):
+    for k, bracket in enumerate(isolate(sec, lo, hi, known), start=1):
         root = polish(sec, *bracket)
         if root is None:
             raise ArithmeticError(f"the count gives {hi.roots - lo.roots} roots in "
@@ -164,12 +181,12 @@ def ascending_roots(sec: Sector, lo: Count, hi: Count) -> Iterator[float]:
         yield root
 
 
-def sector_roots(sec: Sector) -> list[float]:
+def sector_roots(sec: Sector) -> list[Root]:
     """Every root of the sector in (lo, hi], ascending (see :func:`ascending_roots`)."""
     return list(ascending_roots(sec, count(sec, sec.lo), count(sec, sec.hi)))
 
 
-def kth_root(sec: Sector, x0: float, width: float, k: int | None) -> tuple[float, int]:
+def kth_root(sec: Sector, x0: float, width: float, k: int | None) -> tuple[Root, int]:
     """Root k of the sector (1-based from ``sec.lo``), searched from x0 +- width.
 
     The window doubles until it brackets the root.  With k None, the root

@@ -3,23 +3,23 @@
 Roots are located by count (:mod:`modeguide.roots`) on the 1 x 1 or
 2 x 2 Schur complement Z (:func:`~modeguide.matching.schur_complement`)
 of the symmetric trace form S of :func:`~modeguide.matching.trace_form`,
-assembled only through :func:`_assemble_at` and
+assembled once per point, through :func:`_assemble_at` or
 :func:`~modeguide.matching.assemble_threshold`, with the closed-form
 poles of :func:`~modeguide.matching.pole_count`, and polished on det Z
 to a bracket of ``tol / 10``; one LU solve per point, no eigensolve of
 S.  The same count serves three variables: lam, kappa = sqrt(1 - lam)
 near the threshold, and the window half-length a of the threshold
 system.  The truncation ladder takes the root of the same index at each
-rung.
+rung and keeps each rung's solution.
 
-Each root's kernel vector of S comes from the same solve: the kernel of
-Z on the first window mode's traces, extended to the others.  It holds
-the window-edge traces, from which the window, region-1 and outside
-coefficients and the L2 normalization follow in closed form (the
-transverse bases are orthonormal, so the norm is a sum of
-one-dimensional longitudinal integrals); its residual in S gates the
-root.  Bound states and threshold resonances share this constructor,
-one window layout and one tail formula.
+Each root's kernel vector of S comes from the solve at the root, which each
+polished point keeps instead of S (:func:`_kernel_at`): the kernel of Z on
+the first window mode's traces, extended to the others by X.  It holds the
+window-edge traces, from which the window, region-1 and outside coefficients
+and the L2 normalization follow in closed form (the transverse bases are
+orthonormal, so the norm is a sum of one-dimensional longitudinal
+integrals); its residual in S gates the root.  Bound states and threshold
+resonances share this constructor, one window layout and one tail formula.
 
 Two solver extensions matter in practice:
 
@@ -41,7 +41,8 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from operator import itemgetter
 
 import numpy as np
 
@@ -54,7 +55,6 @@ from .matching import (
     assemble_threshold,
     pole_count,
     schur_complement,
-    trace_order,
 )
 # unused here: bound only because perfbench/tracing.py wraps it on this module
 from .matching import det_sign  # noqa: F401
@@ -69,7 +69,7 @@ from .modes import (
     window_profile_l2,
     window_profile_scale_log,
 )
-from .roots import Sector, ascending_roots, count, kernel, kth_root, sector_roots
+from .roots import Root, Sector, ascending_roots, count, kernel, kth_root, sector_roots
 
 __all__ = [
     "Eigenpair",
@@ -188,6 +188,8 @@ class RefinedValue:
     value: float
     error: float
     by_n: dict[int, float]
+    # each truncation's solution: its Eigenpair, or its CriticalWidth
+    solutions: dict[int, Eigenpair | CriticalWidth]
 
 
 # ---------------------------------------------------------------------------
@@ -200,9 +202,25 @@ def _check_tol(tol: float) -> None:
         raise ValueError(f"bracketing tolerance below 1e-14 is not resolvable, got {tol}")
 
 
-def _reduced(sys: MatchingSystem) -> np.ndarray:
-    """The system's Schur complement Z on the first window mode."""
-    return schur_complement(sys.matrix, sys.width)[0]
+def _reduced(sys: MatchingSystem) -> tuple[MatchingSystem, np.ndarray, np.ndarray]:
+    """A matching form's value: the system and its Schur complement ``(Z, X)``."""
+    return (sys, *schur_complement(sys.matrix, sys.width))
+
+
+def _kernel_at(value) -> tuple[MatchingSystem, np.ndarray, float]:
+    """What a polished point keeps of a :func:`_reduced` value: the system without S, its one
+    large part; S's unit kernel vector w, Z's eigenvector for its eigenvalue nearest 0 extended
+    by ``-X``; and w's residual ||S w|| / max_i |S_ii| >= |mu|/max|mu|, mu S's nearest 0."""
+    sys, Z, X = value
+    S = sys.matrix
+    v_w = kernel(Z)
+    w = np.empty(S.shape[0])
+    traces = w.reshape(sys.width, -1)  # one row per window: its first mode's trace, then the rest
+    traces[:, 0] = v_w
+    traces[:, 1:] = (-X @ v_w).reshape(sys.width, -1)
+    w /= np.linalg.norm(w)
+    residual = float(np.linalg.norm(S @ w) / np.abs(S.diagonal()).max())
+    return replace(sys, matrix=None), w, residual
 
 
 def _form_at_kappa(cfg: CanonicalConfig, trunc: Truncation):
@@ -213,13 +231,13 @@ def _form_at_kappa(cfg: CanonicalConfig, trunc: Truncation):
 def _lam_sector(cfg: CanonicalConfig, trunc: Truncation, tol: float) -> Sector:
     form = _form_at_kappa(cfg, trunc)
     return Sector(lambda lam: form(math.sqrt(1.0 - lam)), 0.25 + SEARCH_EPS, 1.0 - SEARCH_EPS,
-                  tol / 10.0)
+                  tol / 10.0, matrix=itemgetter(1), keep=_kernel_at)
 
 
 def _kappa_sector(cfg: CanonicalConfig, trunc: Truncation, kappa_lo: float,
                   kappa_hi: float) -> Sector:
     return Sector(_form_at_kappa(cfg, trunc), kappa_lo, kappa_hi, 0.0, KAPPA_RTOL / 10.0,
-                  sense=-1, geometric=True)
+                  sense=-1, geometric=True, matrix=itemgetter(1), keep=_kernel_at)
 
 
 def _width_sector(trunc: Truncation, parity: str, a_max: float, tol: float) -> Sector:
@@ -227,7 +245,7 @@ def _width_sector(trunc: Truncation, parity: str, a_max: float, tol: float) -> S
 
     def form(a):
         return _reduced(assemble_threshold(a, trunc, parity)), pole_count(kind, a, 0.0)
-    return Sector(form, A_MIN, a_max, tol / 10.0)
+    return Sector(form, A_MIN, a_max, tol / 10.0, matrix=itemgetter(1), keep=_kernel_at)
 
 
 def find_eigenvalues(cfg: CanonicalConfig, trunc: Truncation = Truncation(),
@@ -244,7 +262,7 @@ def find_eigenvalues(cfg: CanonicalConfig, trunc: Truncation = Truncation(),
     eigenvalue.
     """
     _check_tol(tol)
-    pairs = [_solve_at(cfg, trunc, lam=root) for root in sector_roots(_lam_sector(cfg, trunc, tol))]
+    pairs = [_solve_at(root) for root in sector_roots(_lam_sector(cfg, trunc, tol))]
     if cfg.base.kind is ProblemKind.TWO_WINDOW_EVEN:
         pairs += find_near_threshold(cfg, trunc, *NEAR_THRESHOLD_KAPPA)
     pairs.sort(key=lambda p: p.lam)
@@ -267,7 +285,7 @@ def find_near_threshold(cfg: CanonicalConfig, trunc: Truncation = Truncation(),
     if cfg.base.kind is not ProblemKind.TWO_WINDOW_EVEN:
         raise ValueError("near-threshold states live in the even two-window sector")
     roots = sector_roots(_kappa_sector(cfg, trunc, kappa_lo, kappa_hi))
-    return [_solve_at(cfg, trunc, kappa1=kap) for kap in reversed(roots)]
+    return [_solve_at(root) for root in reversed(roots)]
 
 
 # ---------------------------------------------------------------------------
@@ -336,32 +354,15 @@ def _assemble_at(cfg: CanonicalConfig, trunc: Truncation, kappa1: float) -> Matc
     return _assemble_single_core(b.kind, trunc.n, b.a, kappa1)
 
 
-def _solve_at(cfg: CanonicalConfig, trunc: Truncation, lam: float | None = None,
-              kappa1: float | None = None) -> Eigenpair:
-    if kappa1 is None:
-        kappa1 = math.sqrt(1.0 - lam)
-    pair = _build_pair(_assemble_at(cfg, trunc, kappa1))
+def _solve_at(root: Root) -> Eigenpair:
+    pair = _build_pair(*root.at)
     _scale_pair(pair, math.sqrt(_norm_sq(pair)))
     _fix_sign(pair)
     return pair
 
 
-def _build_pair(sys: MatchingSystem) -> Eigenpair:
-    """The pair whose window-edge traces are the unit kernel vector w of S.
-
-    w holds the eigenvector of Z for its eigenvalue smallest in modulus on
-    the first window mode's traces and ``-X`` times it on the others.  Its
-    residual ||S w|| / max_i |S_ii| bounds |mu|/max|mu| from above, mu the
-    eigenvalue of S smallest in modulus; above ``RESIDUAL_GATE`` the point
-    is not a root and ArithmeticError is raised.
-    """
-    S = sys.matrix
-    Z, X = schur_complement(S, sys.width)
-    v_w = kernel(Z)
-    w = np.empty(S.shape[0])
-    w[trace_order(S.shape[0], sys.width)] = np.concatenate([v_w, -X @ v_w])
-    w /= np.linalg.norm(w)
-    residual = float(np.linalg.norm(S @ w) / np.max(np.abs(np.diag(S))))
+def _build_pair(sys: MatchingSystem, w: np.ndarray, residual: float) -> Eigenpair:
+    """The pair whose window-edge traces are w (:func:`_kernel_at`), gated by ``RESIDUAL_GATE``."""
     if not residual <= RESIDUAL_GATE:
         at = f"a={sys.a!r}" if sys.kappa1 == 0.0 else f"lam={sys.lam!r}"
         raise ArithmeticError(f"kernel residual {residual:.3g} at {at} exceeds "
@@ -563,16 +564,16 @@ def _cos_modes(n: int, x2: np.ndarray) -> np.ndarray:
 # critical widths (threshold resonances)
 # ---------------------------------------------------------------------------
 
-def _threshold_resonance(a: float, trunc: Truncation, parity: str, index: int) -> CriticalWidth:
-    """The ``index``-th critical width a with its resonance, normalized to a
-    unit constant tail, and that resonance's second-mode tail ``beta``."""
-    pair = _build_pair(assemble_threshold(a, trunc, parity))
+def _threshold_resonance(root: Root, index: int) -> CriticalWidth:
+    """The ``index``-th critical width, a width sector's root, with its resonance,
+    normalized to a unit constant tail, and that resonance's second-mode tail ``beta``."""
+    pair = _build_pair(*root.at)
     b1 = float(pair.outside_coeffs[0])
     if b1 == 0.0:
-        raise ArithmeticError(f"degenerate threshold resonance at a={a}: no constant tail")
+        raise ArithmeticError(f"degenerate threshold resonance at a={root.x}: no constant tail")
     _scale_pair(pair, b1)
-    return CriticalWidth(index=index, a=a, beta=_tail(pair, 1, math.sqrt(3.0)), parity=parity,
-                         resonance=pair)
+    return CriticalWidth(index=index, a=root.x, beta=_tail(pair, 1, math.sqrt(3.0)),
+                         parity=pair.parity, resonance=pair)
 
 
 def find_critical_widths(n_max: int, trunc: Truncation = Truncation(),
@@ -597,9 +598,9 @@ def find_critical_widths(n_max: int, trunc: Truncation = Truncation(),
         sec = _width_sector(trunc, parity, a_max, tol)
         lo, hi = count(sec, sec.lo), count(sec, sec.hi)
         counted += hi.roots - lo.roots
-        found.append(zip(ascending_roots(sec, lo, hi), itertools.repeat(parity)))
-    widths = [_threshold_resonance(a_n, trunc, parity, i) for i, (a_n, parity)
-              in enumerate(itertools.islice(heapq.merge(*found), n_max), start=1)]
+        found.append(ascending_roots(sec, lo, hi))
+    widths = [_threshold_resonance(root, i) for i, root in
+              enumerate(itertools.islice(heapq.merge(*found, key=lambda r: r.x), n_max), start=1)]
     return CriticalWidthScan(widths=widths, exhausted=counted < n_max, a_max=a_max)
 
 
@@ -622,26 +623,27 @@ def extrapolate_truncation(ns, values, exponents=(1.0, 1.5, 2.0)) -> float:
     return float(sol[0])
 
 
-def _ladder(sector_at_n, x: float, trunc: Truncation, levels: int) -> RefinedValue:
+def _ladder(sector_at_n, solve, x: float, trunc: Truncation, levels: int) -> RefinedValue:
     """Re-locate a root at truncations n, 2n, ..., then fit the N -> infinity limit.
 
-    ``sector_at_n(tr)`` is the root's sector at truncation tr.  The first
-    rung takes the root nearest x; every later rung takes the root of the
-    same index in its sector, searched from the previous rung's root over
-    three times the last rung-to-rung step (the root drifts by about half
-    that), or ``LADDER_WIDTH`` before there is a step.
+    ``sector_at_n(tr)`` is the root's sector at truncation tr, and ``solve(root)``
+    a rung's solution.  The first rung takes the root nearest x; every later
+    rung takes the root of the same index in its sector, searched from the
+    previous rung's root over three times the last rung-to-rung step (the root
+    drifts by about half that), or ``LADDER_WIDTH`` before there is a step.
     """
     ns = [trunc.n * (2 ** k) for k in range(levels + 1)]
     vals: list[float] = []
-    k = None
+    solutions, k = {}, None
     for n in ns:
         width = 3.0 * abs(vals[-1] - vals[-2]) if len(vals) >= 2 else LADDER_WIDTH
-        x, k = kth_root(sector_at_n(Truncation(n)), x, width, k)
+        root, k = kth_root(sector_at_n(Truncation(n)), x, width, k)
+        x, solutions[n] = root.x, solve(root)
         vals.append(x)
     v_inf = extrapolate_truncation(ns[-3:], vals[-3:], exponents=(1.0, 1.5))
     two_point = 2.0 * vals[-1] - vals[-2]
     err = abs(v_inf - two_point) + 1e-15 * abs(v_inf)
-    return RefinedValue(value=v_inf, error=err, by_n=dict(zip(ns, vals)))
+    return RefinedValue(value=v_inf, error=err, by_n=dict(zip(ns, vals)), solutions=solutions)
 
 
 def refine_eigenvalue(cfg: CanonicalConfig, lam0: float, trunc: Truncation = Truncation(),
@@ -653,12 +655,14 @@ def refine_eigenvalue(cfg: CanonicalConfig, lam0: float, trunc: Truncation = Tru
     and polishes only around the previous rung's root.
     """
     _check_tol(tol)
-    return _ladder(lambda tr: _lam_sector(cfg, tr, tol), lam0, trunc, levels)
+    return _ladder(lambda tr: _lam_sector(cfg, tr, tol), _solve_at, lam0, trunc, levels)
 
 
 def refine_critical_width(a0: float, parity: str, trunc: Truncation = Truncation(),
-                          levels: int = REFINE_LEVELS, tol: float = 1e-12) -> RefinedValue:
-    """Truncation-ladder refinement of a critical width toward N -> infinity."""
+                          levels: int = REFINE_LEVELS, tol: float = 1e-12, *,
+                          index: int) -> RefinedValue:
+    """Truncation-ladder refinement of the critical width a_index near a0 toward N -> infinity."""
     _check_tol(tol)
     a_max = max(A_MAX, 2.0 * a0)
-    return _ladder(lambda tr: _width_sector(tr, parity, a_max, tol), a0, trunc, levels)
+    return _ladder(lambda tr: _width_sector(tr, parity, a_max, tol),
+                   lambda root: _threshold_resonance(root, index), a0, trunc, levels)

@@ -193,6 +193,10 @@ def test_oracle_config_validation():
     # one cell across the strip is too coarse for the window nodes' x2 line
     with pytest.raises(ValueError, match="too coarse: a step h=2.2 leaves n2 = 1 cells"):
         OracleConfig(L=8.0, h=2.2, k=1)
+    # and the discrete threshold of such a grid, by the same rule
+    for h, cells in ((7.0, 0), (2.5, 1)):
+        with pytest.raises(ValueError, match=f"too coarse: a step h={h} leaves n2 = {cells} cells"):
+            discrete_threshold(h)
     assert FDGrid(single_cfg(2.0), OracleConfig(L=8.0, h=2.0, k=1)).n2 == 2
     # the config's estimate (L/h)(pi/h) = 25.1 admits k = 25, but the grid keeps
     # 21 nodes: 4 rows of 5 plus the one window node
