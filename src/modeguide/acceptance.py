@@ -36,6 +36,7 @@ from .matching import Truncation
 from .modes import ProblemKind, StripConfig, canonicalize
 from .records import cache_get, cache_put
 from .solve import (
+    Eigenpair,
     RefinedValue,
     extract_tail,
     extrapolate_truncation,
@@ -105,7 +106,7 @@ class Workspace:
     def single_ladder(self, a: float) -> dict[int, dict[str, float]]:
         """lam, alpha, window integral and alpha*pi*kappa1 per ladder truncation."""
         def compute():
-            pairs = refine_eigenvalue(_single_cfg(a), self.single_pair(a).lam, self.trunc,
+            pairs = refine_eigenvalue(_single_cfg(a), self.single_pair(a),
                                       levels=len(self.LADDER) - 1, tol=1e-13).solutions
             alpha = {n: extract_tail(p) for n, p in pairs.items()}
             return {n: {"lam": p.lam, "alpha": alpha[n], "integral": window_integral(p, p.kappa1),
@@ -116,24 +117,21 @@ class Workspace:
         rows = self.single_ladder(a)
         return extrapolate_truncation(list(rows), [rows[n]["lam"] for n in rows])
 
-    def two_window_pair_values(self, a: float, l: float) -> tuple[float, float]:
-        """(even, odd) ground eigenvalues at the base truncation."""
-        def compute():
-            lam_p = find_eigenvalues(_two_cfg(a, l, "even"), self.trunc)[0].lam
-            lam_m = find_eigenvalues(_two_cfg(a, l, "odd"), self.trunc)[0].lam
-            return lam_p, lam_m
-        return self._once(("two", a, l), compute)
+    def two_window_pairs(self, a: float, l: float) -> dict[str, Eigenpair]:
+        """The even and odd ground pairs at the base truncation, by parity."""
+        return self._once(("two", a, l), lambda: {
+            parity: find_eigenvalues(_two_cfg(a, l, parity), self.trunc)[0] for parity in ("even", "odd")})
 
     def refined_two(self, a: float, l: float, parity: str) -> RefinedValue:
-        def compute():
-            lam0 = self.two_window_pair_values(a, l)[0 if parity == "even" else 1]
-            return refine_eigenvalue(_two_cfg(a, l, parity), lam0, self.trunc, levels=2)
-        return self._once(("two-refined", a, l, parity), compute)
+        return self._once(("two-refined", a, l, parity), lambda: refine_eigenvalue(
+            _two_cfg(a, l, parity), self.two_window_pairs(a, l)[parity], levels=2))
 
     def sweep(self) -> list[tuple[float, float, float]]:
         """(l, even, odd) ground eigenvalues of the pair at a = 1, l = 4, ..., 10."""
-        return self._once("sweep", lambda: [(float(l), *self.two_window_pair_values(1.0, float(l)))
-                                            for l in range(4, 11)])
+        def row(l):
+            pairs = self.two_window_pairs(1.0, l)
+            return l, pairs["even"].lam, pairs["odd"].lam
+        return self._once("sweep", lambda: [row(float(l)) for l in range(4, 11)])
 
     # -- threshold artifacts -----------------------------------------------
 
@@ -143,9 +141,8 @@ class Workspace:
 
     def critical_ladder(self) -> dict[int, dict[str, float]]:
         def compute():
-            w0 = self.critical()
-            widths = refine_critical_width(w0.a, w0.parity, self.trunc, levels=len(self.LADDER) - 1,
-                                           tol=1e-13, index=w0.index).solutions
+            widths = refine_critical_width(self.critical(), levels=len(self.LADDER) - 1,
+                                           tol=1e-13).solutions
             return {n: {"a": w.a, "beta": w.beta,
                         "integral": window_integral(w.resonance, math.sqrt(3.0)),
                         "beta_rhs": math.sqrt(3.0) * PI / 2.0 * w.beta} for n, w in widths.items()}

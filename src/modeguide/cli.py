@@ -213,7 +213,7 @@ def cmd_single(args) -> int:
             "residual": p.residual,
         }
         if args.refine:
-            refined = refine_eigenvalue(cfg, p.lam, trunc, levels=REFINE_LEVELS, tol=args.tol)
+            refined = refine_eigenvalue(cfg, p, levels=REFINE_LEVELS, tol=args.tol)
             row["lambda_refined"] = refined.value
             row["refine_error"] = refined.error
         rows.append(row)

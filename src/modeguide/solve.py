@@ -9,8 +9,8 @@ poles of :func:`~modeguide.matching.pole_count`, and polished on det Z
 to a bracket of ``tol / 10``; one LU solve per point, no eigensolve of
 S.  The same count serves three variables: lam, kappa = sqrt(1 - lam)
 near the threshold, and the window half-length a of the threshold
-system.  The truncation ladder takes the root of the same index at each
-rung and keeps each rung's solution.
+system.  The truncation ladder starts from a base solution and keeps the
+root of the same index, and its solution, at each later rung.
 
 Each root's kernel vector of S comes from the solve at the root, which each
 polished point keeps instead of S (:func:`_kernel_at`): the kernel of Z on
@@ -117,7 +117,7 @@ KAPPA_RTOL = 1e-12
 #: window half-lengths of the critical-width search: (A_MIN, a_max], A_MAX by default
 A_MIN = 1e-3
 A_MAX = 8.0
-#: half-width of a ladder rung's first search window, in the sector's variable
+#: half-width of a ladder's first search window (rung 2N, around the base root)
 LADDER_WIDTH = 1e-3
 #: doublings of a refinement ladder by default: rungs N, 2N, 4N
 REFINE_LEVELS = 2
@@ -623,46 +623,50 @@ def extrapolate_truncation(ns, values, exponents=(1.0, 1.5, 2.0)) -> float:
     return float(sol[0])
 
 
-def _ladder(sector_at_n, solve, x: float, trunc: Truncation, levels: int) -> RefinedValue:
-    """Re-locate a root at truncations n, 2n, ..., then fit the N -> infinity limit.
+def _ladder(sector_at_n, solve, first, x: float, n: int, levels: int) -> RefinedValue:
+    """Re-locate ``first``'s root x, found at truncation n, at 2n, 4n, ..., and fit N -> infinity.
 
-    ``sector_at_n(tr)`` is the root's sector at truncation tr, and ``solve(root)``
-    a rung's solution.  The first rung takes the root nearest x; every later
-    rung takes the root of the same index in its sector, searched from the
-    previous rung's root over three times the last rung-to-rung step (the root
-    drifts by about half that), or ``LADDER_WIDTH`` before there is a step.
+    ``first`` is the first rung as it stands.  ``sector_at_n(tr)`` is the root's sector at
+    truncation tr, and ``solve(root)`` a rung's solution.  Rung 2n takes the root nearest x;
+    every later rung the root of the same index in its sector, searched from the previous
+    rung's root over three times the last rung-to-rung step (the root drifts by about half
+    that), or ``LADDER_WIDTH`` before there is a step.
     """
-    ns = [trunc.n * (2 ** k) for k in range(levels + 1)]
-    vals: list[float] = []
-    solutions, k = {}, None
-    for n in ns:
+    if levels < 1:
+        raise ValueError(f"a ladder needs levels >= 1, got {levels}")
+    sec = sector_at_n(Truncation(n))
+    if not sec.lo < x <= sec.hi:
+        raise ValueError(f"{x!r} lies outside the sector ({sec.lo!r}, {sec.hi!r}] the ladder searches")
+    ns = [n * (2 ** k) for k in range(levels + 1)]
+    vals, solutions, k = [x], {n: first}, None
+    for rung in ns[1:]:
         width = 3.0 * abs(vals[-1] - vals[-2]) if len(vals) >= 2 else LADDER_WIDTH
-        root, k = kth_root(sector_at_n(Truncation(n)), x, width, k)
-        x, solutions[n] = root.x, solve(root)
-        vals.append(x)
+        root, k = kth_root(sector_at_n(Truncation(rung)), vals[-1], width, k)
+        solutions[rung] = solve(root)
+        vals.append(root.x)
     v_inf = extrapolate_truncation(ns[-3:], vals[-3:], exponents=(1.0, 1.5))
     two_point = 2.0 * vals[-1] - vals[-2]
     err = abs(v_inf - two_point) + 1e-15 * abs(v_inf)
     return RefinedValue(value=v_inf, error=err, by_n=dict(zip(ns, vals)), solutions=solutions)
 
 
-def refine_eigenvalue(cfg: CanonicalConfig, lam0: float, trunc: Truncation = Truncation(),
-                      levels: int = REFINE_LEVELS, tol: float = 1e-12) -> RefinedValue:
-    """Truncation-ladder refinement of one eigenvalue toward N -> infinity.
+def refine_eigenvalue(cfg: CanonicalConfig, pair: Eigenpair, levels: int = REFINE_LEVELS,
+                      tol: float = 1e-12) -> RefinedValue:
+    """Truncation-ladder refinement of a pair of :func:`find_eigenvalues` toward N -> infinity.
 
-    Re-locates the root at truncations n, 2n, ..., then extrapolates the
-    O(1/N) window-corner error with a two-exponent fit.  Each rung counts
-    and polishes only around the previous rung's root.
+    The pair is the first rung; later rungs count and polish only around the previous
+    rung's root.  The O(1/N) window-corner error is extrapolated with a two-exponent fit.
+    A pair above the lam sector (1 - lam < ``SEARCH_EPS``, found in kappa) raises ValueError.
     """
     _check_tol(tol)
-    return _ladder(lambda tr: _lam_sector(cfg, tr, tol), _solve_at, lam0, trunc, levels)
+    return _ladder(lambda tr: _lam_sector(cfg, tr, tol), _solve_at, pair, pair.lam, pair.n, levels)
 
 
-def refine_critical_width(a0: float, parity: str, trunc: Truncation = Truncation(),
-                          levels: int = REFINE_LEVELS, tol: float = 1e-12, *,
-                          index: int) -> RefinedValue:
-    """Truncation-ladder refinement of the critical width a_index near a0 toward N -> infinity."""
+def refine_critical_width(width: CriticalWidth, levels: int = REFINE_LEVELS,
+                          tol: float = 1e-12) -> RefinedValue:
+    """Truncation-ladder refinement of a width of :func:`find_critical_widths`, its first rung."""
     _check_tol(tol)
-    a_max = max(A_MAX, 2.0 * a0)
-    return _ladder(lambda tr: _width_sector(tr, parity, a_max, tol),
-                   lambda root: _threshold_resonance(root, index), a0, trunc, levels)
+    a_max = max(A_MAX, 2.0 * width.a)
+    return _ladder(lambda tr: _width_sector(tr, width.parity, a_max, tol),
+                   lambda root: _threshold_resonance(root, width.index),
+                   width, width.a, width.resonance.n, levels)

@@ -62,9 +62,8 @@ def test_single_window_always_binds():
 
 @pytest.mark.parametrize("a", [1.0, 2.0])
 def test_lambda1_matches_pinned_oracle_value(a):
-    refined = refine_eigenvalue(single_cfg(a),
-                                find_eigenvalues(single_cfg(a), Truncation(40))[0].lam,
-                                Truncation(40), levels=2)
+    refined = refine_eigenvalue(single_cfg(a), find_eigenvalues(single_cfg(a), Truncation(40))[0],
+                                levels=2)
     assert abs(refined.value - FD_LAMBDA1[a]) <= 1e-3
 
 
@@ -111,8 +110,9 @@ def test_rejects_unresolvable_tolerance():
 @pytest.mark.parametrize("entry", [
     lambda tol: find_eigenvalues(single_cfg(1.0), Truncation(8), tol=tol),
     lambda tol: find_critical_widths(1, Truncation(8), tol=tol),
-    lambda tol: refine_eigenvalue(single_cfg(1.0), 0.86, Truncation(8), tol=tol),
-    lambda tol: refine_critical_width(2.2, "odd", Truncation(8), tol=tol, index=1),
+    lambda tol: refine_eigenvalue(single_cfg(1.0), find_eigenvalues(single_cfg(1.0), Truncation(8))[0],
+                                  tol=tol),
+    lambda tol: refine_critical_width(find_critical_widths(1, Truncation(8)).widths[0], tol=tol),
 ], ids=["find_eigenvalues", "find_critical_widths", "refine_eigenvalue", "refine_critical_width"])
 def test_every_entry_point_applies_the_tol_rule(entry, tol):
     with pytest.raises(ValueError, match="not resolvable"):
@@ -374,11 +374,10 @@ def test_no_point_is_assembled_twice(monkeypatch, run):
     assert calls and len(set(calls)) == len(calls)
 
 
-@pytest.mark.xfail(strict=True, reason="a ladder's first rung searches the base truncation "
-                   "again from the base root's value, not from the base Root, and meets "
-                   "some of the base search's points")
 @pytest.mark.parametrize("ladder", ["single-ladder", "critical-ladder"])
 def test_a_whole_ladder_assembles_no_point_twice(monkeypatch, ladder):
+    # the ladder starts from the base search's solution, so it neither counts
+    # the base sector's end again nor rebuilds the base root's point
     calls = _counted_forms(monkeypatch)
     _SEARCHES[ladder](Workspace(Truncation(8)))
     assert calls and len(set(calls)) == len(calls)
@@ -500,25 +499,64 @@ def test_spectrum_above_first_critical_width():
 # ---------------------------------------------------------------------------
 
 def test_refine_eigenvalue_base_independence():
-    lam20 = find_eigenvalues(single_cfg(1.0), Truncation(20))[0].lam
-    lam40 = find_eigenvalues(single_cfg(1.0), Truncation(40))[0].lam
-    r20 = refine_eigenvalue(single_cfg(1.0), lam20, Truncation(20), levels=2)
-    r40 = refine_eigenvalue(single_cfg(1.0), lam40, Truncation(40), levels=2)
+    r20, r40 = (refine_eigenvalue(single_cfg(1.0), find_eigenvalues(single_cfg(1.0), Truncation(n))[0],
+                                  levels=2) for n in (20, 40))
     assert abs(r20.value - r40.value) < 3e-4
     assert r40.error > 0.0
     assert set(r40.by_n) == {40, 80, 160}
 
 
 def test_refine_critical_width_ladder(first_critical):
-    refined = refine_critical_width(first_critical.a, first_critical.parity, Truncation(40),
-                                    index=first_critical.index)
+    refined = refine_critical_width(first_critical)
     assert list(refined.by_n) == [40, 80, 160]
-    assert refined.by_n[40] == pytest.approx(first_critical.a, abs=1e-11)
+    assert refined.by_n[40] == first_critical.a
+    assert all(w.index == first_critical.index and w.parity == first_critical.parity
+               for w in refined.solutions.values())
     for n, a in refined.by_n.items():
         s = np.linalg.svd(assemble_threshold(a, Truncation(n), first_critical.parity).matrix,
                           compute_uv=False)
         assert s[-1] < 1e-10 * s[0]
     assert refined.value == pytest.approx(2.2730, abs=2e-3) and refined.error > 0.0
+
+
+_BASES = {
+    "eigenvalue": (lambda: find_eigenvalues(single_cfg(1.0), Truncation(8))[0],
+                   lambda pair, levels=2: refine_eigenvalue(single_cfg(1.0), pair, levels)),
+    "critical-width": (lambda: find_critical_widths(1, Truncation(8)).widths[0],
+                       lambda width, levels=2: refine_critical_width(width, levels)),
+}
+
+
+@pytest.mark.parametrize("base, refine", _BASES.values(), ids=_BASES.keys())
+def test_a_ladders_first_rung_is_the_solution_passed(monkeypatch, base, refine):
+    # the base search's solution is the first rung as it stands: no form is
+    # built at its truncation, and by_n holds its value
+    first = base()
+    calls = _counted_forms(monkeypatch)
+    refined = refine(first)
+    value = first.lam if isinstance(first, Eigenpair) else first.a
+    assert refined.solutions[8] is first and refined.by_n[8] == value
+    assert list(refined.by_n) == [8, 16, 32]
+    assert calls and 8 not in {args[1] for args in calls}
+
+
+@pytest.mark.parametrize("levels", [0, -1])
+@pytest.mark.parametrize("base, refine", _BASES.values(), ids=_BASES.keys())
+def test_a_ladder_needs_a_doubling(base, refine, levels):
+    with pytest.raises(ValueError, match="levels >= 1"):
+        refine(base(), levels)
+
+
+def test_a_near_threshold_pair_has_no_lam_ladder():
+    # at the first critical width the even pair state has kappa1 = 1.2e-4: its
+    # lam lies above the lam sector, whose window would grow to the ground state
+    tr = Truncation(40)
+    cfg = two_cfg(find_critical_widths(1, tr).widths[0].a, 4.0, "even")
+    ground, near = find_eigenvalues(cfg, tr)
+    assert near.lam > 1.0 - SEARCH_EPS and near.kappa1 < 1e-3
+    with pytest.raises(ValueError, match="outside the sector"):
+        refine_eigenvalue(cfg, near)
+    assert refine_eigenvalue(cfg, ground, levels=1).solutions[40] is ground
 
 
 def test_even_sector_threshold_scan_is_find_near_threshold(first_critical):
