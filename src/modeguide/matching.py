@@ -115,9 +115,10 @@ def _rates(n: int, kappa1: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 @functools.lru_cache(maxsize=16)
-def _gram_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The n-only tables of :func:`_gram`: ``j``, ``(2/pi) h_m^2`` and
-    ``E_mn = 1/(h_m^2 - h_n^2)`` (0 on the diagonal), h_m = m - 1/2.
+def _gram_tables(n: int) -> tuple[np.ndarray, ...]:
+    """The n-only tables of :func:`_gram`: ``j``, ``(2/pi) h_m^2``,
+    ``E_mn = 1/(h_m^2 - h_n^2)`` (0 on the diagonal), h_m = m - 1/2, and
+    the squared overlaps ``M_mm^2`` and ``M_{m-1,m}^2`` in long double.
 
     Memoised per n like :func:`~modeguide.modes.overlap_matrix`; the
     shared arrays are read-only.
@@ -127,7 +128,9 @@ def _gram_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     with np.errstate(divide="ignore"):
         E = 1.0 / np.subtract.outer(h2, h2)
     np.fill_diagonal(E, 0.0)
-    tables = (j, (2.0 / math.pi) * h2, E)
+    M = overlap_matrix(n)
+    tables = (j, (2.0 / math.pi) * h2, E, M.diagonal().astype(np.longdouble) ** 2,
+              M.diagonal(1).astype(np.longdouble) ** 2)
     for table in tables:
         table.setflags(write=False)
     return tables
@@ -141,20 +144,31 @@ def _gram(M: np.ndarray, rates: np.ndarray) -> np.ndarray:
     ``G_mn = (2/pi) (h_m^2 U_m - h_n^2 U_n)/(h_m^2 - h_n^2)`` from the one
     matvec ``U = (rates/j) @ M``; the diagonal is ``sum_j rates_j M_jm^2``.
     Rounding gives ``1/(h_n^2 - h_m^2) = -1/(h_m^2 - h_n^2)`` exactly, so G
-    is exactly symmetric.  Its largest error is 2.5-7e-16 of max|G| for
-    N = 40-320, against 3e-16 to 1.1e-15 for the O(N^3) product ``B^T B``,
-    B = sqrt(rates) M (decay rates of trace_form, long double reference).
+    is exactly symmetric.  Its largest error is 3.1-4.1e-16 of max|G| for
+    N = 40-320, against 4.9e-16 to 1.3e-15 for the O(N^3) product ``B^T B``,
+    B = sqrt(rates) M (decay rates of trace_form at twelve kappa1 in
+    [0, 0.999], long double reference).
     A point of a root search costs this assembly and one LU solve with the
     block C of :func:`schur_complement`.
     """
-    j, ch2, E = _gram_tables(M.shape[1])
+    n = M.shape[1]
+    j, ch2, E, on, below = _gram_tables(n)
     P = ch2 * ((rates / j) @ M)
     # G holds M^2 first: a table of it would keep another n x n array per n
-    G = np.multiply(M, M)
-    diagonal = rates @ G
+    G = np.multiply(M, M, order="C")
+    # the terms j = m and m - 1 (j - h_m = +-1/2) make about 80% of diagonal
+    # entry m, and summed in j order each term after them would round
+    # against the whole entry: BLAS sums the rest without them, and the
+    # entry is summed in long double and rounded once
+    flat = G.reshape(-1)
+    flat[::n + 1] = flat[1::n + 1] = 0.0
+    w = rates.astype(np.longdouble)
+    near = w * on
+    near[1:] += w[:-1] * below
+    near += rates @ G
     np.subtract.outer(P, P, out=G)
     G *= E
-    np.fill_diagonal(G, diagonal)
+    flat[::n + 1] = near
     return G
 
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from modeguide import MatchingSystem, ProblemKind, Truncation, assemble_threshold
 from modeguide.matching import (
@@ -189,10 +189,14 @@ def _gram_reference(rates):
 @given(st.integers(4, 320 if _LONGDOUBLE_IS_WIDER else 24), st.integers(0, 2 ** 32 - 1),
        st.booleans())
 @settings(max_examples=30, deadline=None)
+@example(n=17, seed=1749952535, threshold=True)
+@example(n=10, seed=2836879559, threshold=True)
 def test_gram_by_the_cauchy_identity_is_as_accurate_as_the_rank_k_product(n, seed, threshold):
     # rates >= 0 of the size of the decay rates j; the threshold system has
     # a zero first rate.  Within one unit roundoff of max|G| both errors are
     # noise of a few roundings, so the rank-k error is taken at least eps.
+    # With the diagonal summed in j order the examples were 2.3 and 2.4 eps
+    # of max|G| off, against 0.7 and 1.2 eps for B^T B.
     rates = np.random.default_rng(seed).uniform(0.0, 2.0, n) * np.arange(1, n + 1)
     if threshold:
         rates[0] = 0.0
