@@ -106,8 +106,8 @@ class Workspace:
     def single_ladder(self, a: float) -> dict[int, dict[str, float]]:
         """lam, alpha, window integral and alpha*pi*kappa1 per ladder truncation."""
         def compute():
-            pairs = refine_eigenvalue(_single_cfg(a), self.single_pair(a),
-                                      levels=len(self.LADDER) - 1, tol=1e-13).solutions
+            pairs = refine_eigenvalue(self.single_pair(a), levels=len(self.LADDER) - 1,
+                                      tol=1e-13).solutions
             alpha = {n: extract_tail(p) for n, p in pairs.items()}
             return {n: {"lam": p.lam, "alpha": alpha[n], "integral": window_integral(p, p.kappa1),
                         "alpha_pi_kappa": alpha[n] * PI * p.kappa1} for n, p in pairs.items()}
@@ -124,7 +124,7 @@ class Workspace:
 
     def refined_two(self, a: float, l: float, parity: str) -> RefinedValue:
         return self._once(("two-refined", a, l, parity), lambda: refine_eigenvalue(
-            _two_cfg(a, l, parity), self.two_window_pairs(a, l)[parity], levels=2))
+            self.two_window_pairs(a, l)[parity], levels=2))
 
     def sweep(self) -> list[tuple[float, float, float]]:
         """(l, even, odd) ground eigenvalues of the pair at a = 1, l = 4, ..., 10."""
@@ -413,12 +413,6 @@ def criterion_10(ws: Workspace) -> CriterionResult:
 CRITERIA = [criterion_1, criterion_2, criterion_3, criterion_4, criterion_5,
             criterion_6, criterion_7, criterion_8, criterion_9, criterion_10]
 
-def run_acceptance(quick: bool = False, trunc: Truncation = Truncation(40),
-                   cids: list[int] | None = None) -> list[CriterionResult]:
+def run_acceptance(quick: bool = False, trunc: Truncation = Truncation(40)) -> list[CriterionResult]:
     ws = Workspace(trunc=trunc, quick=quick)
-    results = []
-    for cid, fn in enumerate(CRITERIA, start=1):
-        if cids is not None and cid not in cids:
-            continue
-        results.append(fn(ws))
-    return results
+    return [fn(ws) for fn in CRITERIA]

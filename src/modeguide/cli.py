@@ -200,10 +200,10 @@ def cmd_single(args) -> int:
     pairs = []
     for kind in (ProblemKind.SINGLE_WINDOW_EVEN, ProblemKind.SINGLE_WINDOW_ODD):
         cfg = canonicalize(StripConfig(d=args.d, a=args.a, kind=kind))
-        pairs.extend((p, cfg) for p in find_eigenvalues(cfg, trunc, tol=args.tol))
-    pairs.sort(key=lambda pc: pc[0].lam)
+        pairs.extend(find_eigenvalues(cfg, trunc, tol=args.tol))
+    pairs.sort(key=lambda p: p.lam)
     columns = ["index", "parity", "lambda"]
-    for idx, (p, cfg) in enumerate(pairs, start=1):
+    for idx, p in enumerate(pairs, start=1):
         alpha = extract_tail(p)
         integral = window_integral(p, p.kappa1)
         pred = predict_splitting(p.lam, alpha=alpha, window_integral=integral)
@@ -213,7 +213,7 @@ def cmd_single(args) -> int:
             "residual": p.residual,
         }
         if args.refine:
-            refined = refine_eigenvalue(cfg, p, levels=REFINE_LEVELS, tol=args.tol)
+            refined = refine_eigenvalue(p, levels=REFINE_LEVELS, tol=args.tol)
             row["lambda_refined"] = refined.value
             row["refine_error"] = refined.error
         rows.append(row)
@@ -447,7 +447,7 @@ def cmd_oracle(args) -> int:
                 cache_put(key, vals)
             per_grid.append(vals)
         coarse, fine = per_grid
-        extrap, err, p = refine_and_extrapolate(coarse, fine)
+        extrap, err, _ = refine_and_extrapolate(coarse, fine)
         for i in range(args.k):
             rows.append({"parity": kind.parity, "index": i + 1,
                          "lambda_h": float(fine[i]), "lambda_extrapolated": float(extrap[i]),

@@ -61,6 +61,7 @@ from .matching import det_sign  # noqa: F401
 from .modes import (
     CanonicalConfig,
     ProblemKind,
+    StripConfig,
     axial_eval,
     axial_l2,
     overlap_matrix,
@@ -223,20 +224,21 @@ def _kernel_at(value) -> tuple[MatchingSystem, np.ndarray, float]:
     return replace(sys, matrix=None), w, residual
 
 
-def _form_at_kappa(cfg: CanonicalConfig, trunc: Truncation):
-    b = cfg.base
-    return lambda kappa1: (_reduced(_assemble_at(cfg, trunc, kappa1)), pole_count(b.kind, b.a, kappa1))
+def _form_at_kappa(system: StripConfig | Eigenpair, trunc: Truncation):
+    """The form of ``system``'s ``kind``, ``a`` and ``l``: a configuration's base, or a pair's."""
+    return lambda kappa1: (_reduced(_assemble_at(system, trunc, kappa1)),
+                           pole_count(system.kind, system.a, kappa1))
 
 
-def _lam_sector(cfg: CanonicalConfig, trunc: Truncation, tol: float) -> Sector:
-    form = _form_at_kappa(cfg, trunc)
+def _lam_sector(system: StripConfig | Eigenpair, trunc: Truncation, tol: float) -> Sector:
+    form = _form_at_kappa(system, trunc)
     return Sector(lambda lam: form(math.sqrt(1.0 - lam)), 0.25 + SEARCH_EPS, 1.0 - SEARCH_EPS,
                   tol / 10.0, matrix=itemgetter(1), keep=_kernel_at)
 
 
-def _kappa_sector(cfg: CanonicalConfig, trunc: Truncation, kappa_lo: float,
+def _kappa_sector(system: StripConfig | Eigenpair, trunc: Truncation, kappa_lo: float,
                   kappa_hi: float) -> Sector:
-    return Sector(_form_at_kappa(cfg, trunc), kappa_lo, kappa_hi, 0.0, KAPPA_RTOL / 10.0,
+    return Sector(_form_at_kappa(system, trunc), kappa_lo, kappa_hi, 0.0, KAPPA_RTOL / 10.0,
                   sense=-1, geometric=True, matrix=itemgetter(1), keep=_kernel_at)
 
 
@@ -262,7 +264,7 @@ def find_eigenvalues(cfg: CanonicalConfig, trunc: Truncation = Truncation(),
     eigenvalue.
     """
     _check_tol(tol)
-    pairs = [_solve_at(root) for root in sector_roots(_lam_sector(cfg, trunc, tol))]
+    pairs = [_solve_at(root) for root in sector_roots(_lam_sector(cfg.base, trunc, tol))]
     if cfg.base.kind is ProblemKind.TWO_WINDOW_EVEN:
         pairs += find_near_threshold(cfg, trunc, *NEAR_THRESHOLD_KAPPA)
     pairs.sort(key=lambda p: p.lam)
@@ -284,7 +286,7 @@ def find_near_threshold(cfg: CanonicalConfig, trunc: Truncation = Truncation(),
     """
     if cfg.base.kind is not ProblemKind.TWO_WINDOW_EVEN:
         raise ValueError("near-threshold states live in the even two-window sector")
-    roots = sector_roots(_kappa_sector(cfg, trunc, kappa_lo, kappa_hi))
+    roots = sector_roots(_kappa_sector(cfg.base, trunc, kappa_lo, kappa_hi))
     return [_solve_at(root) for root in reversed(roots)]
 
 
@@ -346,12 +348,12 @@ def _polish_root(sign, x0: float, width: float, tol: float, lo_cap: float,
 # kernel extraction and normalization
 # ---------------------------------------------------------------------------
 
-def _assemble_at(cfg: CanonicalConfig, trunc: Truncation, kappa1: float) -> MatchingSystem:
-    """The configuration's matching system at kappa1 = sqrt(1 - lam)."""
-    b = cfg.base
-    if b.kind.is_two_window:
-        return _assemble_two_core(b.kind, trunc.n, b.a, kappa1, b.l)
-    return _assemble_single_core(b.kind, trunc.n, b.a, kappa1)
+def _assemble_at(system: StripConfig | Eigenpair, trunc: Truncation,
+                 kappa1: float) -> MatchingSystem:
+    """The matching system of ``system``'s ``kind``, ``a`` and ``l`` at kappa1 = sqrt(1 - lam)."""
+    if system.kind.is_two_window:
+        return _assemble_two_core(system.kind, trunc.n, system.a, kappa1, system.l)
+    return _assemble_single_core(system.kind, trunc.n, system.a, kappa1)
 
 
 def _solve_at(root: Root) -> Eigenpair:
@@ -650,16 +652,17 @@ def _ladder(sector_at_n, solve, first, x: float, n: int, levels: int) -> Refined
     return RefinedValue(value=v_inf, error=err, by_n=dict(zip(ns, vals)), solutions=solutions)
 
 
-def refine_eigenvalue(cfg: CanonicalConfig, pair: Eigenpair, levels: int = REFINE_LEVELS,
+def refine_eigenvalue(pair: Eigenpair, levels: int = REFINE_LEVELS,
                       tol: float = 1e-12) -> RefinedValue:
     """Truncation-ladder refinement of a pair of :func:`find_eigenvalues` toward N -> infinity.
 
-    The pair is the first rung; later rungs count and polish only around the previous
-    rung's root.  The O(1/N) window-corner error is extrapolated with a two-exponent fit.
+    The pair is the first rung, and its ``kind``, ``a`` and ``l`` are every rung's system;
+    later rungs count and polish only around the previous rung's root.  The O(1/N)
+    window-corner error is extrapolated with a two-exponent fit.
     A pair above the lam sector (1 - lam < ``SEARCH_EPS``, found in kappa) raises ValueError.
     """
     _check_tol(tol)
-    return _ladder(lambda tr: _lam_sector(cfg, tr, tol), _solve_at, pair, pair.lam, pair.n, levels)
+    return _ladder(lambda tr: _lam_sector(pair, tr, tol), _solve_at, pair, pair.lam, pair.n, levels)
 
 
 def refine_critical_width(width: CriticalWidth, levels: int = REFINE_LEVELS,

@@ -25,7 +25,6 @@ from modeguide.acceptance import (
     criterion_8,
     criterion_9,
     criterion_10,
-    run_acceptance,
 )
 
 
@@ -91,20 +90,19 @@ def test_criterion_10_counts(ws):
     _run(criterion_10, ws)
 
 
-def test_runner_subset_and_quick_mode():
-    results = run_acceptance(quick=True, cids=[9])
-    assert len(results) == 1
-    assert results[0].cid == 9
-    assert results[0].passed
+def test_scaling_criterion_in_quick_mode():
+    result = criterion_9(Workspace(quick=True))
+    assert result.cid == 9
+    assert result.passed
 
 
 def test_ladders_start_at_the_base_truncation():
     # verify --modes N ladders from N: criteria 5 and 8 report at N = 8 instead of raising
-    results = run_acceptance(quick=True, trunc=Truncation(8), cids=[5, 8])
+    ws = Workspace(Truncation(8), quick=True)
+    results = [criterion_5(ws), criterion_8(ws)]
     assert [r.cid for r in results] == [5, 8]
     texts = [text for text, _ in results[1].checks]
     assert len(texts) == 4 and all("|lam(16) - lam(8)|" in t for t in texts)
-    ws = Workspace(Truncation(8), quick=True)
     assert list(ws.single_ladder(1.0)) == [8, 16, 32, 64]
     assert list(ws.critical_ladder()) == [8, 16, 32, 64]
     assert list(ws.refined_two(1.0, 6.0, "even").by_n) == [8, 16, 32]

@@ -396,7 +396,7 @@ def test_verify_runs_at_the_requested_truncation(capsys, monkeypatch):
     from modeguide import Truncation, cli
     seen = []
 
-    def fake_run_acceptance(quick=False, trunc=Truncation(40), cids=None):
+    def fake_run_acceptance(quick=False, trunc=Truncation(40)):
         seen.append(trunc)
         return []
 

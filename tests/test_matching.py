@@ -27,7 +27,7 @@ PI = math.pi
 
 
 def _system(cfg, lam, n):
-    return _assemble_at(cfg, Truncation(n), math.sqrt(1.0 - lam))
+    return _assemble_at(cfg.base, Truncation(n), math.sqrt(1.0 - lam))
 
 
 def _s_min(sys):

@@ -62,8 +62,7 @@ def test_single_window_always_binds():
 
 @pytest.mark.parametrize("a", [1.0, 2.0])
 def test_lambda1_matches_pinned_oracle_value(a):
-    refined = refine_eigenvalue(single_cfg(a), find_eigenvalues(single_cfg(a), Truncation(40))[0],
-                                levels=2)
+    refined = refine_eigenvalue(find_eigenvalues(single_cfg(a), Truncation(40))[0], levels=2)
     assert abs(refined.value - FD_LAMBDA1[a]) <= 1e-3
 
 
@@ -110,8 +109,7 @@ def test_rejects_unresolvable_tolerance():
 @pytest.mark.parametrize("entry", [
     lambda tol: find_eigenvalues(single_cfg(1.0), Truncation(8), tol=tol),
     lambda tol: find_critical_widths(1, Truncation(8), tol=tol),
-    lambda tol: refine_eigenvalue(single_cfg(1.0), find_eigenvalues(single_cfg(1.0), Truncation(8))[0],
-                                  tol=tol),
+    lambda tol: refine_eigenvalue(find_eigenvalues(single_cfg(1.0), Truncation(8))[0], tol=tol),
     lambda tol: refine_critical_width(find_critical_widths(1, Truncation(8)).widths[0], tol=tol),
 ], ids=["find_eigenvalues", "find_critical_widths", "refine_eigenvalue", "refine_critical_width"])
 def test_every_entry_point_applies_the_tol_rule(entry, tol):
@@ -190,7 +188,7 @@ def test_interface_continuity_in_retained_modes(ground_pair):
     # retained window modes is the kernel equation S w = 0 in the edge
     # traces w = val * d, so its residual is the converged eigenvalue of S
     # smallest in modulus, far below the 1e-6 contract
-    sys = _assemble_at(single_cfg(1.0), Truncation(40), ground_pair.kappa1)
+    sys = _assemble_at(single_cfg(1.0).base, Truncation(40), ground_pair.kappa1)
     val, _ = window_profile_at_edge(_rates(40, ground_pair.kappa1)[1], 1.0, "even")
     traces = val * ground_pair.window_coeffs
     resid = sys.matrix @ (traces / np.linalg.norm(traces))
@@ -499,8 +497,8 @@ def test_spectrum_above_first_critical_width():
 # ---------------------------------------------------------------------------
 
 def test_refine_eigenvalue_base_independence():
-    r20, r40 = (refine_eigenvalue(single_cfg(1.0), find_eigenvalues(single_cfg(1.0), Truncation(n))[0],
-                                  levels=2) for n in (20, 40))
+    r20, r40 = (refine_eigenvalue(find_eigenvalues(single_cfg(1.0), Truncation(n))[0], levels=2)
+                for n in (20, 40))
     assert abs(r20.value - r40.value) < 3e-4
     assert r40.error > 0.0
     assert set(r40.by_n) == {40, 80, 160}
@@ -521,7 +519,7 @@ def test_refine_critical_width_ladder(first_critical):
 
 _BASES = {
     "eigenvalue": (lambda: find_eigenvalues(single_cfg(1.0), Truncation(8))[0],
-                   lambda pair, levels=2: refine_eigenvalue(single_cfg(1.0), pair, levels)),
+                   lambda pair, levels=2: refine_eigenvalue(pair, levels)),
     "critical-width": (lambda: find_critical_widths(1, Truncation(8)).widths[0],
                        lambda width, levels=2: refine_critical_width(width, levels)),
 }
@@ -555,8 +553,19 @@ def test_a_near_threshold_pair_has_no_lam_ladder():
     ground, near = find_eigenvalues(cfg, tr)
     assert near.lam > 1.0 - SEARCH_EPS and near.kappa1 < 1e-3
     with pytest.raises(ValueError, match="outside the sector"):
-        refine_eigenvalue(cfg, near)
-    assert refine_eigenvalue(cfg, ground, levels=1).solutions[40] is ground
+        refine_eigenvalue(near)
+    assert refine_eigenvalue(ground, levels=1).solutions[40] is ground
+
+
+@pytest.mark.parametrize("cfg", [single_cfg(1.0), two_cfg(1.0, 6.0, "even"), two_cfg(1.0, 6.0, "odd")],
+                         ids=["single-even", "two-even", "two-odd"])
+def test_every_rung_is_the_pairs_own_system(cfg):
+    # the ladder reads its system from the pair: no rung can take another
+    # window, separation or parity, such as the even root next to an odd pair
+    pair = find_eigenvalues(cfg, Truncation(12))[0]
+    solutions = refine_eigenvalue(pair, levels=2).solutions
+    assert list(solutions) == [12, 24, 48] and solutions[pair.n] is pair
+    assert all((p.kind, p.a, p.l) == (pair.kind, pair.a, pair.l) for p in solutions.values())
 
 
 def test_even_sector_threshold_scan_is_find_near_threshold(first_critical):
@@ -597,9 +606,9 @@ def test_roots_found_equal_the_count_on_random_geometries(geometry):
     a, l = geometry
     tr = Truncation(12)
     for cfg in (single_cfg(a), single_cfg(a, "odd"), two_cfg(a, l, "even"), two_cfg(a, l, "odd")):
-        expected = _count_across(_lam_sector(cfg, tr, 1e-12))
+        expected = _count_across(_lam_sector(cfg.base, tr, 1e-12))
         if cfg.base.kind is ProblemKind.TWO_WINDOW_EVEN:
-            expected += _count_across(_kappa_sector(cfg, tr, *NEAR_THRESHOLD_KAPPA))
+            expected += _count_across(_kappa_sector(cfg.base, tr, *NEAR_THRESHOLD_KAPPA))
         found = len(find_eigenvalues(cfg, tr))
         assert found == expected == _old_grid_roots(cfg, tr)
 
