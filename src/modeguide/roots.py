@@ -45,6 +45,13 @@ class Sector:
     matrix: Callable[[Any], np.ndarray] = lambda value: value
     keep: Callable[[Any], Any] = lambda value: value
 
+    def __post_init__(self) -> None:
+        # bisection needs an interval to halve, and a geometric one a positive lower end
+        if not self.lo < self.hi:
+            raise ValueError(f"a sector needs lo < hi, got [{self.lo!r}, {self.hi!r}]")
+        if self.geometric and not self.lo > 0.0:
+            raise ValueError(f"a geometric sector needs lo > 0, got lo={self.lo!r}")
+
 
 @dataclass(frozen=True)
 class Count:
@@ -97,28 +104,26 @@ def isolate(sec: Sector, lo: Count, hi: Count, known=()):
         stack += [(mid, hi), (lo, mid)]
 
 
-def brent(f, a: float, b: float, fa: float, fb: float, xtol: float,
-          rtol: float) -> tuple[float, Any]:
+def brent(f, a: float, b: float, fa: float, fb: float, xtol: float, rtol: float) -> float:
     """Root of f in the sign-change bracket [a, b] (Brent 1973, ch. 4, zeroin).
 
-    ``f(x)`` is the value at x and a record of x.  Secant and inverse quadratic steps, with
-    bisection whenever they do not shrink the bracket fast enough; returns the end of the final
-    bracket, of width at most ``xtol + rtol * |root|``, at which |f| is smaller, and its record.
+    Secant and inverse quadratic steps, with bisection whenever they do not shrink the bracket
+    fast enough; returns the end of the final bracket, of width at most ``xtol + rtol * |root|``,
+    at which |f| is smaller.
     """
-    c, fc, ga, gb, gc = a, fa, None, None, None
+    c, fc = a, fa
     d = e = b - a
     while True:
         if (fb > 0.0) == (fc > 0.0):
-            c, fc, gc = a, fa, ga
+            c, fc = a, fa
             d = e = b - a
         if abs(fc) < abs(fb):
             a, b, c = b, c, b
             fa, fb, fc = fb, fc, fb
-            ga, gb, gc = gb, gc, gb
         tol1 = 0.5 * (xtol + rtol * abs(b))
         m = 0.5 * (c - b)
         if fb == 0.0 or abs(m) <= tol1:
-            return float(b), f(b)[1] if gb is None else gb  # f again at a or b
+            return float(b)
         if abs(e) >= tol1 and abs(fa) > abs(fb):
             s = fb / fa
             if a == c:
@@ -136,9 +141,9 @@ def brent(f, a: float, b: float, fa: float, fb: float, xtol: float,
                 d = e = m
         else:
             d = e = m
-        a, fa, ga = b, fb, gb
+        a, fa = b, fb
         b += d if abs(d) > tol1 else math.copysign(tol1, m)
-        fb, gb = f(b)
+        fb = f(b)
 
 
 def polish(sec: Sector, lo: Count, hi: Count) -> Root | None:
@@ -146,24 +151,27 @@ def polish(sec: Sector, lo: Count, hi: Count) -> Root | None:
 
     Across such a bracket det S changes sign once, at the root.  The values
     are scaled by det S(lo) and clipped to e^+-700, so they stay finite.
-    None when the determinant keeps its sign (the count was wrong).
+    Each point Brent evaluates keeps its ``Sector.keep``; the root it returns
+    takes what its point kept.  None when the determinant keeps its sign (the
+    count was wrong).
     """
     if lo.sign == hi.sign:
         return None
-    # an end of the bracket is returned only where det S = 0 or within the tolerance
-    # of the root; its count kept no form, so the form is built again there
-    for end in (lo, hi):
-        if end.logdet == -math.inf:
-            return Root(end.x, sec.keep(sec.form(end.x)[0]))
+    kept = {}
 
     def scaled(sign, logdet):
         return float(sign) * math.exp(min(max(logdet - lo.logdet, -700.0), 700.0))
 
     def f(x):
         at = sec.form(x)[0]
-        return scaled(*np.linalg.slogdet(sec.matrix(at))), sec.keep(at)
-    return Root(*brent(f, lo.x, hi.x, scaled(lo.sign, lo.logdet), scaled(hi.sign, hi.logdet),
-                       sec.xtol, sec.rtol))
+        kept[x] = sec.keep(at)
+        return scaled(*np.linalg.slogdet(sec.matrix(at)))
+    zero = [end.x for end in (lo, hi) if end.logdet == -math.inf]  # det S = 0 there
+    x = zero[0] if zero else brent(f, lo.x, hi.x, scaled(lo.sign, lo.logdet),
+                                   scaled(hi.sign, hi.logdet), sec.xtol, sec.rtol)
+    # a bracket end, returned only where det S = 0 or within the tolerance of the root:
+    # its count kept no form, so the form is built again there
+    return Root(x, kept[x] if x in kept else sec.keep(sec.form(x)[0]))
 
 
 def ascending_roots(sec: Sector, lo: Count, hi: Count, known=()) -> Iterator[Root]:

@@ -126,20 +126,20 @@ REFINE_LEVELS = 2
 _ROOT2_PI = math.sqrt(2.0 / math.pi)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Eigenpair:
     """A located eigenvalue with per-region mode coefficients.
 
     ``window_coeffs`` are the coefficients of the interface-normalized
     window profiles (single window: one family of length n; two windows:
     the even profile family followed by the odd one, length 2n).
-    ``kappa1`` duplicates sqrt(1 - lam) exactly; for near-threshold pairs
-    use it rather than 1 - lam, which may have no bits left.  Bound states
-    (kappa1 > 0) are L2-normalized; threshold resonances (kappa1 == 0) are
-    normalized to a unit constant tail instead.
+    ``kappa1`` = sqrt(1 - lam) is the pair's variable and ``lam`` follows
+    from it; for near-threshold pairs use kappa1 rather than 1 - lam, which
+    may have no bits left.  Bound states (kappa1 > 0) are L2-normalized;
+    threshold resonances (kappa1 == 0) are normalized to a unit constant
+    tail instead.
     """
 
-    lam: float
     kappa1: float
     kind: ProblemKind
     a: float
@@ -151,26 +151,37 @@ class Eigenpair:
     residual: float
 
     @property
+    def lam(self) -> float:
+        return 1.0 - self.kappa1 * self.kappa1
+
+    @property
     def parity(self) -> str:
         return self.kind.parity
 
 
-@dataclass
+@dataclass(frozen=True)
 class CriticalWidth:
     """Critical window half-length a_n with its threshold resonance data.
 
-    ``beta`` is the second-mode tail amplitude of the resonance normalized
-    so its constant tail is exactly sqrt(2/pi)*sin(x2).
+    ``a`` and ``parity`` are the resonance's.  ``beta`` is the second-mode
+    tail amplitude of the resonance normalized so its constant tail is
+    exactly sqrt(2/pi)*sin(x2).
     """
 
     index: int
-    a: float
     beta: float
-    parity: str
     resonance: Eigenpair
 
+    @property
+    def a(self) -> float:
+        return self.resonance.a
 
-@dataclass
+    @property
+    def parity(self) -> str:
+        return self.resonance.parity
+
+
+@dataclass(frozen=True)
 class CriticalWidthScan:
     widths: list[CriticalWidth]
     exhausted: bool
@@ -357,10 +368,9 @@ def _assemble_at(system: StripConfig | Eigenpair, trunc: Truncation,
 
 
 def _solve_at(root: Root) -> Eigenpair:
+    """The L2-normalized pair of a root, signed by :func:`_sign`."""
     pair = _build_pair(*root.at)
-    _scale_pair(pair, math.sqrt(_norm_sq(pair)))
-    _fix_sign(pair)
-    return pair
+    return _divided(pair, _sign(pair) * math.sqrt(_norm_sq(pair)))
 
 
 def _build_pair(sys: MatchingSystem, w: np.ndarray, residual: float) -> Eigenpair:
@@ -386,7 +396,6 @@ def _build_pair(sys: MatchingSystem, w: np.ndarray, residual: float) -> Eigenpai
         outside = M @ w
         region1 = None
     return Eigenpair(
-        lam=sys.lam,
         kappa1=sys.kappa1,
         kind=sys.kind,
         a=sys.a,
@@ -436,25 +445,21 @@ def _norm_sq(pair: Eigenpair) -> float:
     return 2.0 * float(half)
 
 
-def _scale_pair(pair: Eigenpair, divisor: float) -> None:
-    # a division leaves the coefficient divided by itself exactly 1
-    pair.window_coeffs = pair.window_coeffs / divisor
-    pair.outside_coeffs = pair.outside_coeffs / divisor
-    if pair.region1_coeffs is not None:
-        pair.region1_coeffs = pair.region1_coeffs / divisor
+def _divided(pair: Eigenpair, divisor: float) -> Eigenpair:
+    """The pair with every coefficient divided by ``divisor``: one divided by itself is exactly 1."""
+    region1 = pair.region1_coeffs
+    return replace(pair, window_coeffs=pair.window_coeffs / divisor,
+                   outside_coeffs=pair.outside_coeffs / divisor,
+                   region1_coeffs=None if region1 is None else region1 / divisor)
 
 
-def _fix_sign(pair: Eigenpair) -> None:
-    """Deterministic sign: nonnegative window-trace integral, falling back to
-    a nonnegative trace slope (odd) or trace value (even) at the window center."""
+def _sign(pair: Eigenpair) -> float:
+    """The deterministic sign, +-1: that of the window-trace integral, falling back to that
+    of the trace slope (odd) or trace value (even) at the window center.  The integral's test
+    scales with the coefficients, so any positive multiple of the pair has the same sign."""
     i0 = window_integral(pair, 0.0)
     scale = float(np.max(np.abs(pair.window_coeffs)))
-    if abs(i0) > 1e-10 * scale * pair.a:
-        s = math.copysign(1.0, i0)
-    else:
-        s = math.copysign(1.0, _center_slope(pair))
-    if s < 0:
-        _scale_pair(pair, -1.0)
+    return math.copysign(1.0, i0 if abs(i0) > 1e-10 * scale * pair.a else _center_slope(pair))
 
 
 def _center_slope(pair: Eigenpair) -> float:
@@ -573,9 +578,8 @@ def _threshold_resonance(root: Root, index: int) -> CriticalWidth:
     b1 = float(pair.outside_coeffs[0])
     if b1 == 0.0:
         raise ArithmeticError(f"degenerate threshold resonance at a={root.x}: no constant tail")
-    _scale_pair(pair, b1)
-    return CriticalWidth(index=index, a=root.x, beta=_tail(pair, 1, math.sqrt(3.0)),
-                         parity=pair.parity, resonance=pair)
+    pair = _divided(pair, b1)
+    return CriticalWidth(index=index, beta=_tail(pair, 1, math.sqrt(3.0)), resonance=pair)
 
 
 def find_critical_widths(n_max: int, trunc: Truncation = Truncation(),

@@ -242,7 +242,7 @@ def test_extract_tail_synthetic_pair():
     kappa1 = math.sqrt(1.0 - 0.75)
     outside = np.zeros(4)
     outside[0] = math.exp(-kappa1 * 1.0) * math.sqrt(PI / 2.0)
-    pair = Eigenpair(lam=0.75, kappa1=kappa1, kind=ProblemKind.SINGLE_WINDOW_EVEN,
+    pair = Eigenpair(kappa1=kappa1, kind=ProblemKind.SINGLE_WINDOW_EVEN,
                      a=1.0, l=None, n=4, window_coeffs=np.zeros(4),
                      outside_coeffs=outside, region1_coeffs=None,
                      residual=0.0)
@@ -278,7 +278,7 @@ def test_window_integral_odd_resonance_vanishes_at_zero_rate(first_critical):
 def test_window_integral_single_mode_against_quadrature():
     coeffs = np.zeros(6)
     coeffs[0] = 1.0
-    pair = Eigenpair(lam=0.75, kappa1=0.5, kind=ProblemKind.SINGLE_WINDOW_EVEN,
+    pair = Eigenpair(kappa1=0.5, kind=ProblemKind.SINGLE_WINDOW_EVEN,
                      a=1.0, l=None, n=6, window_coeffs=coeffs,
                      outside_coeffs=np.zeros(6), region1_coeffs=None,
                      residual=0.0)
