@@ -57,19 +57,6 @@ class RunRecord:
         data = json.loads(text)
         return cls(**data)
 
-    def replay_argv(self) -> list[str]:
-        """Reconstruct the command line that regenerates this run's outputs."""
-        argv = [self.command]
-        for key, value in sorted(self.config.items()):
-            if value is None or value is False:
-                continue
-            flag = "--" + key.replace("_", "-")
-            if value is True:
-                argv.append(flag)
-            else:
-                argv.extend([flag, str(value)])
-        return argv
-
 
 def cache_dir() -> Path | None:
     root = os.environ.get(CACHE_ENV)

@@ -47,10 +47,9 @@ class Sector:
 
     def __post_init__(self) -> None:
         # bisection needs an interval to halve, and a geometric one a positive lower end
-        if not self.lo < self.hi:
-            raise ValueError(f"a sector needs lo < hi, got [{self.lo!r}, {self.hi!r}]")
-        if self.geometric and not self.lo > 0.0:
-            raise ValueError(f"a geometric sector needs lo > 0, got lo={self.lo!r}")
+        if not (self.lo < self.hi and (self.lo > 0.0 or not self.geometric)):
+            raise ValueError(f"a sector needs lo < hi, and lo > 0 if geometric: got "
+                             f"[{self.lo!r}, {self.hi!r}], geometric={self.geometric}")
 
 
 @dataclass(frozen=True)
@@ -150,14 +149,13 @@ def polish(sec: Sector, lo: Count, hi: Count) -> Root | None:
     """The :class:`Root` of a one-root, pole-free bracket, by Brent's method on det S.
 
     Across such a bracket det S changes sign once, at the root.  The values
-    are scaled by det S(lo) and clipped to e^+-700, so they stay finite.
-    Each point Brent evaluates keeps its ``Sector.keep``; the root it returns
-    takes what its point kept.  None when the determinant keeps its sign (the
-    count was wrong).
+    are scaled by det S(lo) and clipped to e^+-700, so they stay finite.  The
+    root takes what its point kept (``Sector.keep``).  None when the
+    determinant keeps its sign (the count was wrong).
     """
     if lo.sign == hi.sign:
         return None
-    kept = {}
+    kept = {}  # what each point Brent evaluates keeps
 
     def scaled(sign, logdet):
         return float(sign) * math.exp(min(max(logdet - lo.logdet, -700.0), 700.0))
@@ -169,8 +167,7 @@ def polish(sec: Sector, lo: Count, hi: Count) -> Root | None:
     zero = [end.x for end in (lo, hi) if end.logdet == -math.inf]  # det S = 0 there
     x = zero[0] if zero else brent(f, lo.x, hi.x, scaled(lo.sign, lo.logdet),
                                    scaled(hi.sign, hi.logdet), sec.xtol, sec.rtol)
-    # a bracket end, returned only where det S = 0 or within the tolerance of the root:
-    # its count kept no form, so the form is built again there
+    # a bracket end, the root where det S = 0 or within the tolerance of it, kept no form
     return Root(x, kept[x] if x in kept else sec.keep(sec.form(x)[0]))
 
 

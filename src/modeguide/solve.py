@@ -133,11 +133,10 @@ class Eigenpair:
     ``window_coeffs`` are the coefficients of the interface-normalized
     window profiles (single window: one family of length n; two windows:
     the even profile family followed by the odd one, length 2n).
-    ``kappa1`` = sqrt(1 - lam) is the pair's variable and ``lam`` follows
-    from it; for near-threshold pairs use kappa1 rather than 1 - lam, which
-    may have no bits left.  Bound states (kappa1 > 0) are L2-normalized;
-    threshold resonances (kappa1 == 0) are normalized to a unit constant
-    tail instead.
+    ``kappa1`` = sqrt(1 - lam) gives ``lam``; for near-threshold pairs use
+    it rather than 1 - lam, which may have no bits left.  Bound states
+    (kappa1 > 0) are L2-normalized; threshold resonances (kappa1 == 0) are
+    normalized to a unit constant tail instead.
     """
 
     kappa1: float
@@ -163,9 +162,8 @@ class Eigenpair:
 class CriticalWidth:
     """Critical window half-length a_n with its threshold resonance data.
 
-    ``a`` and ``parity`` are the resonance's.  ``beta`` is the second-mode
-    tail amplitude of the resonance normalized so its constant tail is
-    exactly sqrt(2/pi)*sin(x2).
+    ``a`` and ``parity`` are the resonance's; ``beta`` is its second-mode tail
+    amplitude, normalized so its constant tail is exactly sqrt(2/pi)*sin(x2).
     """
 
     index: int
@@ -192,7 +190,7 @@ class CriticalWidthScan:
 class RefinedValue:
     """Truncation-ladder extrapolation of a solver output.
 
-    ``by_n`` maps each truncation of the ladder to its raw value; ``value``
+    ``by_n`` maps each truncation to its solution's ``lam`` or ``a``; ``value``
     is the two-exponent (N^-1, N^-3/2) fit at N -> infinity and ``error``
     a conservative estimate from the spread of extrapolation models.
     """
@@ -454,9 +452,8 @@ def _divided(pair: Eigenpair, divisor: float) -> Eigenpair:
 
 
 def _sign(pair: Eigenpair) -> float:
-    """The deterministic sign, +-1: that of the window-trace integral, falling back to that
-    of the trace slope (odd) or trace value (even) at the window center.  The integral's test
-    scales with the coefficients, so any positive multiple of the pair has the same sign."""
+    """Deterministic sign +-1: the window-trace integral's (a test that scales with the pair),
+    falling back to that of the trace slope (odd) or trace value (even) at the window center."""
     i0 = window_integral(pair, 0.0)
     scale = float(np.max(np.abs(pair.window_coeffs)))
     return math.copysign(1.0, i0 if abs(i0) > 1e-10 * scale * pair.a else _center_slope(pair))
@@ -629,17 +626,18 @@ def extrapolate_truncation(ns, values, exponents=(1.0, 1.5, 2.0)) -> float:
     return float(sol[0])
 
 
-def _ladder(sector_at_n, solve, first, x: float, n: int, levels: int) -> RefinedValue:
-    """Re-locate ``first``'s root x, found at truncation n, at 2n, 4n, ..., and fit N -> infinity.
+def _ladder(sector_at_n, solve, first, value, n: int, levels: int) -> RefinedValue:
+    """Re-locate ``first``, found at truncation n, at 2n, 4n, ..., and fit N -> infinity.
 
-    ``first`` is the first rung as it stands.  ``sector_at_n(tr)`` is the root's sector at
-    truncation tr, and ``solve(root)`` a rung's solution.  Rung 2n takes the root nearest x;
-    every later rung the root of the same index in its sector, searched from the previous
-    rung's root over three times the last rung-to-rung step (the root drifts by about half
-    that), or ``LADDER_WIDTH`` before there is a step.
+    ``first`` is the first rung as it stands.  ``sector_at_n(tr)`` is its root's sector at
+    truncation tr, ``solve(root)`` a rung's solution and ``value`` its x in that sector.  Rung
+    2n takes the root nearest x = ``value(first)``; every later rung the root of the same index
+    in its sector, searched from the previous rung's x over three times the last rung-to-rung
+    step (the root drifts by about half that), or ``LADDER_WIDTH`` before there is a step.
     """
     if levels < 1:
         raise ValueError(f"a ladder needs levels >= 1, got {levels}")
+    x = value(first)
     sec = sector_at_n(Truncation(n))
     if not sec.lo < x <= sec.hi:
         raise ValueError(f"{x!r} lies outside the sector ({sec.lo!r}, {sec.hi!r}] the ladder searches")
@@ -649,7 +647,7 @@ def _ladder(sector_at_n, solve, first, x: float, n: int, levels: int) -> Refined
         width = 3.0 * abs(vals[-1] - vals[-2]) if len(vals) >= 2 else LADDER_WIDTH
         root, k = kth_root(sector_at_n(Truncation(rung)), vals[-1], width, k)
         solutions[rung] = solve(root)
-        vals.append(root.x)
+        vals.append(value(solutions[rung]))
     v_inf = extrapolate_truncation(ns[-3:], vals[-3:], exponents=(1.0, 1.5))
     two_point = 2.0 * vals[-1] - vals[-2]
     err = abs(v_inf - two_point) + 1e-15 * abs(v_inf)
@@ -666,7 +664,8 @@ def refine_eigenvalue(pair: Eigenpair, levels: int = REFINE_LEVELS,
     A pair above the lam sector (1 - lam < ``SEARCH_EPS``, found in kappa) raises ValueError.
     """
     _check_tol(tol)
-    return _ladder(lambda tr: _lam_sector(pair, tr, tol), _solve_at, pair, pair.lam, pair.n, levels)
+    return _ladder(lambda tr: _lam_sector(pair, tr, tol), _solve_at, pair, lambda p: p.lam,
+                   pair.n, levels)
 
 
 def refine_critical_width(width: CriticalWidth, levels: int = REFINE_LEVELS,
@@ -676,4 +675,4 @@ def refine_critical_width(width: CriticalWidth, levels: int = REFINE_LEVELS,
     a_max = max(A_MAX, 2.0 * width.a)
     return _ladder(lambda tr: _width_sector(tr, width.parity, a_max, tol),
                    lambda root: _threshold_resonance(root, width.index),
-                   width, width.a, width.resonance.n, levels)
+                   width, lambda w: w.a, width.resonance.n, levels)

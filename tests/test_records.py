@@ -25,15 +25,6 @@ def test_run_record_roundtrip_preserves_timestamp():
     assert clone.created == rec.created
 
 
-def test_replay_argv_handles_flag_kinds():
-    rec = RunRecord("verify", {"quick": True, "modes": 40, "out": None}, {}, {})
-    argv = rec.replay_argv()
-    assert argv[0] == "verify"
-    assert "--quick" in argv
-    assert "--modes" in argv and "40" in argv
-    assert "--out" not in argv
-
-
 def test_half_written_cache_entry_is_a_miss(tmp_path, monkeypatch):
     monkeypatch.setenv("MODEGUIDE_CACHE", str(tmp_path))
     key = {"what": "unit", "a": 1.5}

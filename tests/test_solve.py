@@ -427,6 +427,47 @@ def test_polish_builds_the_form_of_a_bracket_end_it_returns():
     assert built.count(hi.x) == 2
 
 
+def test_polish_returns_a_bracket_end_where_det_s_vanishes():
+    # det S = 0 at a bracket end: that end is the root, with no Brent step,
+    # and polish builds its form there as at any end it returns
+    built = []
+
+    def form(x):
+        built.append(x)
+        return np.array([[x - 0.5]]), 0
+    sec = Sector(form, 0.0, 1.0, 1e-3)
+    lo, hi = count(sec, 0.0), count(sec, 0.5)
+    assert hi.logdet == -math.inf
+    root = polish(sec, lo, hi)
+    assert root.x == 0.5 and root.at == np.array([[0.0]])
+    assert built == [0.0, 0.5, 0.5]
+
+
+def test_brent_finds_the_root_of_a_plain_function():
+    xtol, rtol = 1e-12, 4.0 * np.finfo(float).eps
+    x = roots.brent(lambda x: x ** 3 - 2.0, 1.0, 2.0, -1.0, 6.0, xtol, rtol)
+    assert type(x) is float
+    assert abs(x - 2.0 ** (1.0 / 3.0)) <= xtol + rtol * abs(x)
+
+
+def test_a_sector_rejects_an_interval_it_cannot_search():
+    # geometric bisection of (0, hi] takes sqrt(0 * hi) = 0 as its midpoint
+    # again and again, and swapped bounds hold no root to find
+    def form(x):
+        return np.array([[x - 0.5]]), 0
+    with pytest.raises(ValueError, match="a sector needs"):
+        Sector(form, 0.0, 1.0, 0.0, geometric=True)
+    for lo, hi in ((1.0, 0.5), (0.5, 0.5), (math.nan, 1.0)):
+        with pytest.raises(ValueError, match="a sector needs"):
+            Sector(form, lo, hi, 0.0)
+    tr = Truncation(12)
+    cfg = two_cfg(find_critical_widths(1, tr).widths[0].a, 4.0, "even")
+    with pytest.raises(ValueError, match="a sector needs"):
+        find_near_threshold(cfg, tr, 0.0, 0.05)
+    with pytest.raises(ValueError, match="a sector needs"):
+        find_near_threshold(cfg, tr, 0.05, 1e-13)
+
+
 def test_critical_widths_polish_only_the_roots_returned(monkeypatch):
     # the full scan polishes every root of both parities below a_max and
     # merges them; the first n of it are the widths find_critical_widths(n)
@@ -469,6 +510,26 @@ def test_near_threshold_absent_off_critical():
         find_near_threshold(two_cfg(1.0, 8.0, "odd"), Truncation(40))
 
 
+def test_solver_results_are_frozen(ground_pair, first_critical):
+    scan = find_critical_widths(1, Truncation(12))
+    for result, derived in ((ground_pair, ["lam", "parity"]), (first_critical, ["a", "parity"]),
+                            (scan, [])):
+        for name in [f.name for f in dataclasses.fields(result)] + derived:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(result, name, getattr(result, name))
+
+
+def test_a_solution_stores_each_fact_once(first_critical):
+    # lam follows from kappa1, and a width's a and parity from its resonance
+    tr = Truncation(12)
+    pairs = find_eigenvalues(two_cfg(find_critical_widths(1, tr).widths[0].a, 4.0, "even"), tr)
+    pairs += refine_eigenvalue(find_eigenvalues(single_cfg(2.0), tr)[0]).solutions.values()
+    assert any(p.kappa1 < 1e-3 for p in pairs)
+    assert all(p.lam == 1.0 - p.kappa1 * p.kappa1 for p in pairs)
+    widths = find_critical_widths(3, tr).widths + [first_critical]
+    assert all(w.a == w.resonance.a and w.parity == w.resonance.parity for w in widths)
+
+
 def test_pair_eigenfunction_locally_matches_translated_single(ground_pair):
     # near one window the pair state is the translated single-window state
     # carrying half the norm, up to exponentially small leakage
@@ -508,6 +569,7 @@ def test_refine_critical_width_ladder(first_critical):
     refined = refine_critical_width(first_critical)
     assert list(refined.by_n) == [40, 80, 160]
     assert refined.by_n[40] == first_critical.a
+    assert all(refined.by_n[n] == w.a for n, w in refined.solutions.items())
     assert all(w.index == first_critical.index and w.parity == first_critical.parity
                for w in refined.solutions.values())
     for n, a in refined.by_n.items():
@@ -566,6 +628,16 @@ def test_every_rung_is_the_pairs_own_system(cfg):
     solutions = refine_eigenvalue(pair, levels=2).solutions
     assert list(solutions) == [12, 24, 48] and solutions[pair.n] is pair
     assert all((p.kind, p.a, p.l) == (pair.kind, pair.a, pair.l) for p in solutions.values())
+
+
+@pytest.mark.parametrize("cfg", [single_cfg(2.0), single_cfg(5.0), two_cfg(1.0, 6.0, "even")],
+                         ids=["single-2", "single-5", "two-even"])
+def test_every_rung_value_is_its_solutions_lam(cfg):
+    # one extrapolation fits one kind of number: every rung's lam as its
+    # pair holds it, never the polished root x beside it (a = 5 binds two)
+    for pair in find_eigenvalues(cfg, Truncation(12)):
+        refined = refine_eigenvalue(pair, levels=2)
+        assert all(refined.by_n[n] == p.lam for n, p in refined.solutions.items())
 
 
 def test_even_sector_threshold_scan_is_find_near_threshold(first_critical):
