@@ -20,8 +20,11 @@ S is the only matching system.  Only the first window mode oscillates, so
 every other trace sits in a positive definite block C of S, and
 :func:`schur_complement` reduces S by one solve with C to the 1 x 1
 (single window) or 2 x 2 (two windows) Schur complement Z on the first
-mode's traces.  Z has the negative eigenvalues of S (Haynsworth, Linear
-Algebra Appl. 1 (1968) 73-81) and det S = det C det Z with det C > 0, so
+mode's traces: by dense LU while C has dimension below ``PCG_MIN_DIM``
+= 200, the measured crossover, and by Jacobi-preconditioned conjugate
+gradients from there on, which are about twice as fast at N = 320.  Z has
+the negative eigenvalues of S (Haynsworth, Linear Algebra Appl. 1 (1968)
+73-81) and det S = det C det Z with det C > 0, so
 the inertia of Z counts roots (Wittrick-Williams: negative eigenvalues
 plus the poles of :func:`pole_count` rise by one across each root), its
 determinant polishes them, and its kernel, extended by the same solve,
@@ -56,13 +59,24 @@ __all__ = [
 ]
 
 #: largest dense trace form a run may build, in bytes (128 MiB, dimension
-#: 4096): the assembly, count, polish and kernel of one form raise the peak
-#: RSS by 3.6-4.4 times its size (single- and two-window forms of dimension
-#: 1000-4096, the overlap matrix and the Gram's one n x n table included),
-#: so a form stays below about 0.5 GB (495 MiB at dimension 4096)
+#: 4096): the assembly, Schur solve, count and kernel of one form raise the
+#: peak RSS by 1.8-1.9 times its size for two windows and 3.1-3.2 for one
+#: (dimension 1024-4096, the overlap matrix and the Gram's one n x n table
+#: included; CG copies no block of the form), so a form stays below about
+#: 0.25 GB (224 MiB at dimension 4096)
 MAX_FORM_BYTES = 2 ** 27
 #: largest truncation N whose two-window form, of dimension 2N, fits MAX_FORM_BYTES
 MAX_MODES = math.isqrt(MAX_FORM_BYTES // 8) // 2
+#: dimension r of the block C from which schur_complement solves by PCG: the
+#: LU and PCG solves tie at r = 198 (0.32 and 0.32 ms single-window, 0.38 and
+#: 0.39 ms two-window, one BLAS thread), and PCG wins from r = 218 on
+PCG_MIN_DIM = 200
+#: CG iterations after which schur_complement falls back to the LU solve:
+#: 8-19 for most forms, 60 for two windows a = 0.02 that are 0.05 apart, and
+#: about 160 for a = 1e-3 (those take the LU solve after 100 iterations)
+PCG_MAX_ITERATIONS = 100
+#: preconditioned residual at which CG stops, relative to the right-hand side's
+PCG_RTOL = 1e-15
 
 
 @dataclass(frozen=True)
@@ -148,8 +162,9 @@ def _gram(M: np.ndarray, rates: np.ndarray) -> np.ndarray:
     N = 40-320, against 4.9e-16 to 1.3e-15 for the O(N^3) product ``B^T B``,
     B = sqrt(rates) M (decay rates of trace_form at twelve kappa1 in
     [0, 0.999], long double reference).
-    A point of a root search costs this assembly and one LU solve with the
-    block C of :func:`schur_complement`.
+    A point of a root search costs this assembly and one solve with the
+    block C of :func:`schur_complement` (LU below dimension ``PCG_MIN_DIM``,
+    preconditioned CG from it).
     """
     n = M.shape[1]
     j, ch2, E, on, below = _gram_tables(n)
@@ -224,16 +239,73 @@ def schur_complement(S: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]
     eigenvalues as S, and ``det S = det C det Z`` with ``det C > 0``.  A
     kernel vector v_W of Z extends to the kernel vector ``(v_W, -X v_W)``
     of S, in the order of :func:`trace_order`.  The blocks are slices of S
-    seen as width x width blocks of n x n: C is one copy of the four
-    (n-1) x (n-1) blocks for two windows and a view of S for one, and no
-    reordered copy of S is made.  One LU solve with C, numpy only; a point
-    of a sector costs that and the O(N^2) assembly of :func:`trace_form`.
+    seen as width x width blocks of n x n, and no reordered copy of S is
+    made.  The solve with C is a hybrid on the dimension r of C, numpy only:
+
+    * r < ``PCG_MIN_DIM``: dense LU, with C one copy of the four
+      (n-1) x (n-1) blocks for two windows and a view of S for one;
+    * r >= ``PCG_MIN_DIM``: conjugate gradients preconditioned by diag(C)
+      (:func:`_schur_by_pcg`), which apply C through S and copy nothing.
+      Scaled by its diagonal, C is nearly the identity (condition 2.4 at
+      N = 40, 5.1-5.4 at N = 320), so CG takes 8-19 iterations (up to 60
+      for windows a = 0.02 that are 0.05 apart): 0.49 ms against 1.03 ms
+      for LU at single-window r = 318, 0.69 against 1.25 ms two-window.
+      Z then differs from the LU one by at most 0.06 eps max|S|.  CG that
+      does not converge within ``PCG_MAX_ITERATIONS`` gives way to LU.
+
+    A point of a sector costs this solve and the O(N^2) assembly of
+    :func:`trace_form`.
     """
     r = S.shape[0] - width
+    if r >= PCG_MIN_DIM:
+        reduced = _schur_by_pcg(S, width)
+        if reduced is not None:
+            return reduced
     blocks = S.reshape(width, S.shape[0] // width, width, S.shape[0] // width)
     X = np.linalg.solve(blocks[:, 1:, :, 1:].reshape(r, r), blocks[:, 1:, :, 0].reshape(r, width))
     Z = blocks[:, 0, :, 0] - blocks[:, 0, :, 1:].reshape(width, r) @ X
     return 0.5 * (Z + Z.T), X
+
+
+def _schur_by_pcg(S: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """:func:`schur_complement` by Jacobi-preconditioned CG, or None if CG does not
+    converge within ``PCG_MAX_ITERATIONS``.
+
+    The iterates are rows over all traces of S with their W entries held at
+    0, so ``P @ S`` applies C (S is symmetric) with no copy of C; the W
+    entries of the residual are never read.  CG runs on the width
+    right-hand sides together until each has a preconditioned residual of
+    at most ``PCG_RTOL`` of its own (a NaN never passes), and Z is taken in
+    the Galerkin form ``S_WW - (2 B^T X - X^T C X)``, B = S_RW, whose error
+    is quadratic in X's.
+    """
+    dim = S.shape[0]
+    w = np.arange(width) * (dim // width)
+    d_inv = S.diagonal().copy()
+    d_inv[w] = math.inf  # no W entry enters P
+    d_inv = 1.0 / d_inv
+    B = S[w]
+    X = np.zeros((width, dim))
+    R = B.copy()
+    P = d_inv * R
+    rz = np.einsum("ij,ij->i", R, P)
+    stop = PCG_RTOL * PCG_RTOL * rz
+    for _ in range(PCG_MAX_ITERATIONS):
+        if (rz <= stop).all():
+            break
+        Q = P @ S
+        alpha = (rz / np.einsum("ij,ij->i", P, Q))[:, None]
+        X += alpha * P
+        R -= alpha * Q
+        Zp = d_inv * R
+        rz, rz_old = np.einsum("ij,ij->i", R, Zp), rz
+        P *= (rz / rz_old)[:, None]
+        P += Zp
+    else:
+        if not (rz <= stop).all():
+            return None
+    Z = S[np.ix_(w, w)] - (2.0 * (X @ B.T) - X @ (X @ S).T)
+    return 0.5 * (Z + Z.T), X.reshape(width, width, -1)[:, :, 1:].reshape(width, -1).T
 
 
 def pole_count(kind: ProblemKind, a: float, kappa1: float) -> int:

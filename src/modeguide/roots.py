@@ -81,6 +81,8 @@ def count(sec: Sector, x: float) -> Count:
 
 def kernel(S: np.ndarray) -> np.ndarray:
     """Unit eigenvector of the symmetric S for its eigenvalue smallest in modulus."""
+    if S.shape[0] == 1:
+        return np.ones(1)  # what eigh gives for every 1 x 1 S, without its call
     mu, vecs = np.linalg.eigh(S)
     return vecs[:, int(np.argmin(np.abs(mu)))]
 

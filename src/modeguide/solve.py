@@ -126,7 +126,7 @@ REFINE_LEVELS = 2
 _ROOT2_PI = math.sqrt(2.0 / math.pi)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Eigenpair:
     """A located eigenvalue with per-region mode coefficients.
 
@@ -136,7 +136,9 @@ class Eigenpair:
     ``kappa1`` = sqrt(1 - lam) gives ``lam``; for near-threshold pairs use
     it rather than 1 - lam, which may have no bits left.  Bound states
     (kappa1 > 0) are L2-normalized; threshold resonances (kappa1 == 0) are
-    normalized to a unit constant tail instead.
+    normalized to a unit constant tail instead.  Solutions (this class,
+    CriticalWidth and RefinedValue) compare and hash by identity: array
+    fields have no single truth value.
     """
 
     kappa1: float
@@ -158,7 +160,7 @@ class Eigenpair:
         return self.kind.parity
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CriticalWidth:
     """Critical window half-length a_n with its threshold resonance data.
 
@@ -186,7 +188,7 @@ class CriticalWidthScan:
     a_max: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RefinedValue:
     """Truncation-ladder extrapolation of a solver output.
 

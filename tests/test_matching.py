@@ -6,12 +6,15 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from modeguide import MatchingSystem, ProblemKind, Truncation, assemble_threshold
+from modeguide import matching
 from modeguide.matching import (
     MAX_FORM_BYTES,
     MAX_MODES,
+    PCG_MIN_DIM,
     _assemble_two_core,
     _gram,
     _rates,
+    _schur_by_pcg,
     det_sign,
     pole_count,
     schur_complement,
@@ -159,6 +162,82 @@ def test_schur_complement_equals_the_gathered_reduction(form):
     Z, X = schur_complement(S, width)
     Z_ref, X_ref = _gathered_reduction(S, width)
     assert np.array_equal(Z, Z_ref) and np.array_equal(X, X_ref)
+
+
+def _reduction_in_long_double(S, width):
+    # the gathered reduction with X refined against long double residuals of C X = B:
+    # the Schur complement of this S, the float S taken as exact
+    _, X = _gathered_reduction(S, width)
+    order = trace_order(S.shape[0], width)
+    T = S[np.ix_(order, order)].astype(np.longdouble)
+    C, B = T[width:, width:], T[width:, :width]
+    X = X.astype(np.longdouble)
+    for _ in range(3):
+        X += np.linalg.solve(C.astype(float), (B - C @ X).astype(float))
+    Z = T[:width, :width] - B.T @ X
+    return 0.5 * (Z + Z.T)
+
+
+# forms whose block C has dimension r >= PCG_MIN_DIM: every kind and the
+# threshold system, with windows down to a = 0.02 that are 0.05 apart, where
+# CG takes 60 iterations instead of 8-19
+LARGE_FORMS = st.tuples(
+    st.sampled_from([*ProblemKind, "threshold-even", "threshold-odd"]),
+    st.integers(PCG_MIN_DIM, PCG_MIN_DIM + 160),
+    st.one_of(st.floats(0.05, 8.0), st.floats(0.02, 0.05)),
+    st.one_of(st.just(0.0), st.floats(1e-13, 0.05), st.floats(0.05, math.sqrt(0.75))),
+    st.one_of(st.floats(0.05, 10.0), st.just(0.05)),
+)
+
+
+@given(LARGE_FORMS)
+@settings(max_examples=30, deadline=None)
+@example(form=(ProblemKind.TWO_WINDOW_EVEN, PCG_MIN_DIM, 0.02, 0.3, 0.05))
+@example(form=(ProblemKind.TWO_WINDOW_ODD, PCG_MIN_DIM + 160, 0.02, 0.0, 0.05))
+def test_schur_complement_by_cg_matches_the_lu_solve_and_the_dense_count(form):
+    # above the crossover the reduction is CG's; its Z and X are the LU
+    # solve's, and Z the long double one's, within eps max|S| (at most
+    # 0.06 eps max|S| over 150 draws), and Z keeps the inertia of S
+    kind, r, a, kappa1, gap = form
+    if isinstance(kind, str):
+        parity = kind.split("-")[1]
+        kind, kappa1 = ProblemKind(f"single-{parity}"), 0.0
+    width = 2 if kind.is_two_window else 1
+    S = trace_form(kind, -(-(r + width) // width), a, kappa1, a + gap if width == 2 else None)
+    reduced = _schur_by_pcg(S, width)
+    assert reduced is not None
+    Z, X = schur_complement(S, width)
+    assert np.array_equal(Z, reduced[0]) and np.array_equal(X, reduced[1])
+    Z_lu, X_lu = _gathered_reduction(S, width)
+    scale = np.finfo(float).eps * np.max(np.abs(S))
+    assert np.max(np.abs(Z - Z_lu)) <= scale and np.max(np.abs(X - X_lu)) <= scale
+    if _LONGDOUBLE_IS_WIDER:
+        assert np.max(np.abs(Z - _reduction_in_long_double(S, width))) <= scale
+    t1 = np.array([kappa1 * kappa1 - 0.75])
+    parities = ("even", "odd") if width == 2 else (kind.parity,)
+    assume(all(abs(window_profile_at_edge(t1, a, p)[0][0]) > 1e-6 for p in parities))
+    mu = np.linalg.eigvalsh(S)
+    assume(np.min(np.abs(mu)) > 1e-10 * np.max(np.abs(mu)))
+    assert np.count_nonzero(np.linalg.eigvalsh(Z) < 0) == np.count_nonzero(mu < 0)
+
+
+@pytest.mark.parametrize("kind, n, a, l, bound", [
+    (ProblemKind.TWO_WINDOW_EVEN, 160, 1e-3, 1.001, None),
+    (ProblemKind.SINGLE_WINDOW_EVEN, PCG_MIN_DIM + 1, 1.0, None, 1),
+], ids=["narrow-windows", "bound-1"])
+def test_schur_complement_falls_back_to_lu_when_cg_does_not_converge(monkeypatch, kind, n, a, l,
+                                                                      bound):
+    # a form that CG does not solve within the bound gets the LU solve's
+    # reduction, never an unconverged X: two windows a = 1e-3 that are 1
+    # apart need about 160 iterations, and every form needs more than 1
+    if bound is not None:
+        monkeypatch.setattr(matching, "PCG_MAX_ITERATIONS", bound)
+    width = 2 if kind.is_two_window else 1
+    S = trace_form(kind, n, a, 0.3, l)
+    assert S.shape[0] - width >= PCG_MIN_DIM and _schur_by_pcg(S, width) is None
+    Z, X = schur_complement(S, width)
+    Z_lu, X_lu = _gathered_reduction(S, width)
+    assert np.array_equal(Z, Z_lu) and np.array_equal(X, X_lu)
 
 
 _PI_DIGITS = "3.14159265358979323846264338327950288419716939937510"

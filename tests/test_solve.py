@@ -450,6 +450,15 @@ def test_brent_finds_the_root_of_a_plain_function():
     assert abs(x - 2.0 ** (1.0 / 3.0)) <= xtol + rtol * abs(x)
 
 
+@pytest.mark.parametrize("z", [-3.0, 2.5, 1e-300, -0.0, 7e10, 1.0, -1e-300])
+def test_the_kernel_of_a_1x1_form_is_what_eigh_gives(z):
+    # a single-window point's Z is 1 x 1; its kernel skips eigh, bit for bit
+    S = np.array([[z]])
+    v = roots.kernel(S)
+    assert v.shape == (1,) and v.dtype == float
+    assert np.array_equal(v, np.linalg.eigh(S)[1][:, 0]) and np.array_equal(v, [1.0])
+
+
 def test_a_sector_rejects_an_interval_it_cannot_search():
     # geometric bisection of (0, hi] takes sqrt(0 * hi) = 0 as its midpoint
     # again and again, and swapped bounds hold no root to find
@@ -517,6 +526,16 @@ def test_solver_results_are_frozen(ground_pair, first_critical):
         for name in [f.name for f in dataclasses.fields(result)] + derived:
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(result, name, getattr(result, name))
+
+
+def test_solutions_compare_and_hash_by_identity(ground_pair, first_critical):
+    # dataclass equality would compare the array fields and raise
+    p, q = (find_eigenvalues(single_cfg(1.0), Truncation(12))[0] for _ in range(2))
+    width = find_critical_widths(1, Truncation(12)).widths[0]
+    for x, y in ((p, q), (ground_pair, p), (first_critical, width),
+                 (refine_eigenvalue(p), refine_eigenvalue(q))):
+        assert x == x and x != y and len({x, y, x}) == 2
+        assert hash(x) == hash(x)
 
 
 def test_a_solution_stores_each_fact_once(first_critical):
