@@ -6,8 +6,8 @@ of the symmetric trace form S of :func:`~modeguide.matching.trace_form`,
 assembled once per point, through :func:`_assemble_at` or
 :func:`~modeguide.matching.assemble_threshold`, with the closed-form
 poles of :func:`~modeguide.matching.pole_count`, and polished on det Z
-to a bracket of ``tol / 10``; one LU solve per point, no eigensolve of
-S.  The same count serves three variables: lam, kappa = sqrt(1 - lam)
+to a bracket of ``tol / 10``; one solve with the block C per point (LU,
+or preconditioned CG for large forms), no eigensolve of S.  The same count serves three variables: lam, kappa = sqrt(1 - lam)
 near the threshold, and the window half-length a of the threshold
 system.  The truncation ladder starts from a base solution and keeps the
 root of the same index, and its solution, at each later rung.
