@@ -21,8 +21,10 @@ A - sigma I (:class:`WindowForm`).  By inertia additivity the
 eigenvalues below sigma that are not free number the poles of S below
 it, plus the negative eigenvalues of S(sigma), so the eigensolve is the
 matching solver's count, isolation and polish (:mod:`modeguide.roots`)
-plus the free values in closed form.  The stencil stays the definition: every eigenpair is checked against
-it, applied to the node array with no matrix (:meth:`FDGrid.apply`).
+plus the free values in closed form.  The eigenvectors stay grid arrays,
+0 at the eliminated nodes, from the transforms to the check.  The stencil
+stays the definition: every eigenpair is checked against it, applied to
+those arrays with no matrix (:meth:`FDGrid.apply`).
 The oracle shares only the geometry types and that root finder with
 the matching solver; its independence rests on its own discretization,
 the completeness of the count and that check.  It needs only numpy,
@@ -70,8 +72,9 @@ __all__ = [
 #: largest relative eigenpair residual ||op v - lam v|| / |lam| accepted
 EIGENPAIR_GATE = 1e-8
 #: most grid nodes (L/h) * (pi/h) of a discretization: ten times the h = 1/64,
-#: L = 16 grid; an eigensolve for k = 4 peaks at 230-270 bytes per node
-#: (measured at h = 1/64 and 1/128, L = 16), so a run stays below about 0.6 GB
+#: L = 16 grid; an eigensolve for k = 4 peaks at 100-110 bytes per node of
+#: numpy allocations (measured at h = 1/64 and 1/128, L = 16, one and two
+#: windows), so a run stays below about 0.3 GB
 MAX_UNKNOWNS = 2 ** 21
 #: the crossing's cutoff sits this far below discrete_threshold(h), so an
 #: eigenvalue on the threshold up to rounding does not count as bound
@@ -145,7 +148,9 @@ class FDGrid:
     j in [0, n2).  Row i_lo = 0 exists only with a reflecting mirror plane
     (even kinds) and row i_hi = n1 only with a Neumann far face.  Node
     (i, j) exists for every j >= 1 and, on the window rows, for j = 0; it
-    is numbered ``index[i - i_lo, j]`` in row order (-1 where eliminated).
+    is numbered ``index[i - i_lo, j]`` in row order (-1 where eliminated),
+    the numbering of :func:`discretize`.  The eigensolve numbers no node: its
+    vectors are grid arrays (k, rows, n2), ``keep`` their node mask.
     """
 
     def __init__(self, cfg: CanonicalConfig, ocfg: OracleConfig) -> None:
@@ -213,22 +218,22 @@ class FDGrid:
         w2[0] *= math.sqrt(2.0)
         return w2
 
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        """The operator of :func:`discretize` times the node vectors ``v`` (size, k), from the stencil.
+    def apply(self, u: np.ndarray) -> np.ndarray:
+        """The stencil of :func:`discretize` on grid arrays ``u`` (k, rows, n2), a new such array.
 
         The same weights: the diagonal, :meth:`x1_couplings` and
-        :meth:`x2_couplings`, on node arrays (column, row, j) with the
-        columns of ``v`` outermost, where an eliminated node (``index`` -1)
-        reads the zero appended to its column.
+        :meth:`x2_couplings`, with the arrays' eliminated nodes (``keep``
+        False) read as they stand, so they must hold 0.  At the kept nodes the
+        result is the operator times the node vectors; at the eliminated ones
+        it is not the operator's and is left to the caller.
         """
-        u = np.take(np.hstack([v.T, np.zeros((v.shape[1], 1))]), self.index, axis=1)
-        out = self.diagonal * u
         w1, w2 = self.x1_couplings()[:, None], self.x2_couplings()
+        out = self.diagonal * u
         out[:, 1:] += w1 * u[:, :-1]
         out[:, :-1] += w1 * u[:, 1:]
         out[..., 1:] += w2 * u[..., :-1]
         out[..., :-1] += w2 * u[..., 1:]
-        return np.take(out.reshape(v.shape[1], -1), np.flatnonzero(self.keep), axis=1).T
+        return out
 
     def x1_eigenvalues(self) -> np.ndarray:
         """Eigenvalues 4*c1*sin^2(theta/2), theta = (m + s)*pi/n1, of the 1-D x1
@@ -263,9 +268,11 @@ class FDGrid:
         """
         name, _, s = self.x1_basis
         n1, rows = self.n1, self.rows
-        w_m = np.where((2 * np.arange(y.shape[-1]) + round(2 * s)) % (2 * n1) == 0, math.sqrt(0.5), 1.0)
+        ends = (2 * np.arange(y.shape[-1]) + round(2 * s)) % (2 * n1) == 0
+        if ends.any():  # the DCT-I's modes 0 and n1; every other w_m is 1
+            y = y * np.where(ends, math.sqrt(0.5), 1.0)
         w_i = np.where(rows % n1 == 0, math.sqrt(0.5), 1.0)
-        z = np.fft.rfft(y * w_m, 2 * n1)[..., self.i_lo:self.i_hi + 1]
+        z = np.fft.rfft(y, 2 * n1)[..., self.i_lo:self.i_hi + 1]
         z *= (math.sqrt(2.0 / n1) if name == "dct" else -math.sqrt(2.0 / n1)) * w_i * _twiddle(s, n1, rows)
         return z.real if name == "dct" else z.imag
 
@@ -355,9 +362,14 @@ class WindowForm:
         self.folds, self.phases = np.minimum(d, 2 * n1 - d), _twiddle(s, n1, d)
         self.phases[d > n1] = self.phases[d > n1].conj()
         self.phases[len(d) // 2:] *= 1.0 if name == "dct" else -1.0
-        self.size = grid.size
-        self.u_nodes = grid.index[:, 1:].ravel()
-        self.w_nodes = grid.index[rows, 0]
+        # c(d) is written into one buffer per call, and S read through fixed read-only
+        # views of its real part: the Toeplitz half with rows reversed, the Hankel half
+        self.c = np.empty(len(d), dtype=complex)
+        if self.n_w:
+            half = len(d) // 2
+            self.toeplitz = windows(self.c.real[:half], self.n_w)[::-1]
+            self.hankel = windows(self.c.real[half:], self.n_w)
+        self.shape, self.window_rows = grid.keep.shape, rows
 
     def __call__(self, sigma: float) -> tuple[np.ndarray, int]:
         shift = sigma + self.correction
@@ -366,36 +378,43 @@ class WindowForm:
             return np.zeros((0, 0)), poles
         coeffs = self.weights * _x2_line_schur(self.lam - shift, self.c4, self.n2)
         r = np.fft.rfft(np.bincount(self.modes, coeffs, 2 * self.n1), norm="forward")  # free modes: 0
-        c = (self.phases * r[self.folds]).real
-        S = windows(c[:len(c) // 2], self.n_w)[::-1] + windows(c[len(c) // 2:], self.n_w)
+        np.multiply(self.phases, r[self.folds], out=self.c)
+        S = self.toeplitz + self.hankel
         S[0] *= self.w_first
         S[:, 0] *= self.w_first
         return S, poles
 
     def eigenpairs(self, roots: list[Root], k: int) -> tuple[np.ndarray, np.ndarray]:
-        """The k lowest of the roots and the free values, roots first, and unit node
-        vectors: for a root x_w, the kernel vector of its S, and in mode coordinates
-        y = g (Q_w x_w) (x) phi / (lam_m + mu_k - root); for a free value its mode."""
+        """The k lowest of the roots and the free values, roots first, and unit eigenvectors.
+
+        The vectors are grid arrays (k, rows, n2) of :attr:`FDGrid.keep`'s layout,
+        exactly 0 at every eliminated node.  For a root, the kernel vector x_w of its S
+        on the window nodes and, on the nodes j >= 1, the mode coordinates
+        y = g (Q_w x_w) (x) phi / (lam_m + mu_k - root); for a free value its mode.
+        """
         low = np.argsort(self.free_values, axis=None)[:k]
         w = np.concatenate([[root.x for root in roots], self.free_values.ravel()[low]])
         keep = np.sort(np.argsort(w, kind="stable")[:k])
         n = int(np.count_nonzero(keep < len(roots)))  # the kept roots are roots[:n]
         m, j = np.unravel_index(low[keep[n:] - len(roots)], self.free_values.shape)
-        x_w = np.column_stack([kernel(root.at) for root in roots[:n]]
-                              + [np.zeros((len(self.w_nodes), k - n))])
         # y holds the mode coordinates of the nodes j >= 1 as (column, x2 mode, x1 mode),
         # the x1 modes last for the transform
         y = np.zeros((k, len(self.mu), len(self.free) + len(self.modes)))
         shifts = w[:n, None, None] + self.correction
-        y[:n, :, self.modes] = ((self.g * (self.q_w @ x_w[:, :n])).T[:, None]
-                                * self.sines[0][:, None]  # the x2 modes at j = 1
-                                / (self.lam + (self.mu[:, None] - shifts)))
+        x_w = np.array([kernel(root.at) for root in roots[:n]]).reshape(n, self.n_w)
+        u = self.lam + (self.mu[:, None] - shifts)
+        np.divide((self.g * (x_w @ self.q_w.T))[:, None], u, out=u)
+        u *= self.sines[0][:, None]  # the x2 modes at j = 1
+        y[:n, :, self.modes] = u
         y[np.arange(n, k), j, self.free[m]] = 1.0
+        del u  # freed before the transforms, which need three times y's memory
         y = self.sines @ y  # (column, j, x1 mode)
-        v = np.empty((self.size, k))
-        v[self.u_nodes] = self.x1_inverse(y).transpose(2, 1, 0).reshape(-1, k)
-        v[self.w_nodes] = x_w
-        v /= np.sqrt(np.einsum("ij,ij->j", v, v))
+        y = self.x1_inverse(y)  # (column, j, row)
+        v = np.empty((k,) + self.shape)
+        v[:, :, 1:] = y.transpose(0, 2, 1)
+        v[:, :, 0] = 0.0
+        v[:n, self.window_rows, 0] = x_w
+        v /= np.sqrt(np.einsum("kij,kij->k", v, v))[:, None, None]
         return w[keep], v
 
 
@@ -411,7 +430,7 @@ def discretize(grid: FDGrid):
     No solve uses it: :meth:`FDGrid.apply` applies the same stencil with no
     matrix.  It is the tests' reference operator and a name the benchmark's
     tracer binds, the one function of the package that needs scipy, and it
-    goes when the tracer's table is rebuilt (ROADMAP item 4).
+    goes when the tracer's table is rebuilt (ROADMAP item 2).
     """
     import scipy.sparse
 
@@ -462,8 +481,11 @@ def lowest_eigenvalues(grid: FDGrid, k: int) -> np.ndarray:
     # the bisection of (0, 2^j] meets the upper ends it doubled from as midpoints
     roots = ascending_roots(sec, ends[0], ends[-1], known=ends[1:-1])
     w, v = form.eigenpairs(list(itertools.islice(roots, k)), k)
-    r = grid.apply(v) - v * w
-    residual = np.sqrt(np.einsum("ij,ij->j", r, r)) / np.abs(w)
+    r = grid.apply(v)
+    v *= w[:, None, None]
+    r -= v
+    r[:, ~grid.window, 0] = 0.0  # the eliminated nodes: no row of the operator
+    residual = np.sqrt(np.einsum("kij,kij->k", r, r)) / np.abs(w)
     if not np.all(residual <= EIGENPAIR_GATE):
         raise ArithmeticError(f"eigenpair residual {residual.max():.3g} exceeds {EIGENPAIR_GATE:g}")
     return np.sort(w)

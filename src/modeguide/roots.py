@@ -19,7 +19,7 @@ from typing import Any, Callable, Iterator, NamedTuple
 import numpy as np
 
 __all__ = ["Sector", "Count", "Root", "count", "isolate", "brent", "polish", "ascending_roots",
-           "sector_roots", "kth_root", "kernel"]
+           "merged_roots", "sector_roots", "kth_root", "kernel"]
 
 _EPS = float(np.finfo(float).eps)
 
@@ -173,6 +173,16 @@ def polish(sec: Sector, lo: Count, hi: Count) -> Root | None:
     return Root(x, kept[x] if x in kept else sec.keep(sec.form(x)[0]))
 
 
+def _polished(sec: Sector, lo: Count, hi: Count, k: int, bracket: tuple[Count, Count]) -> Root:
+    """The root of bracket k of (lo, hi]; ArithmeticError where det S keeps its sign across it."""
+    root = polish(sec, *bracket)
+    if root is None:
+        raise ArithmeticError(f"the count gives {hi.roots - lo.roots} roots in "
+                              f"[{lo.x!r}, {hi.x!r}], but det S keeps its sign "
+                              f"across root {k}")
+    return root
+
+
 def ascending_roots(sec: Sector, lo: Count, hi: Count, known=()) -> Iterator[Root]:
     """The roots in (lo.x, hi.x], ascending, each polished only when it is reached.
 
@@ -180,12 +190,60 @@ def ascending_roots(sec: Sector, lo: Count, hi: Count, known=()) -> Iterator[Roo
     sign, so that no root is lost silently.
     """
     for k, bracket in enumerate(isolate(sec, lo, hi, known), start=1):
-        root = polish(sec, *bracket)
-        if root is None:
-            raise ArithmeticError(f"the count gives {hi.roots - lo.roots} roots in "
-                                  f"[{lo.x!r}, {hi.x!r}], but det S keeps its sign "
-                                  f"across root {k}")
-        yield root
+        yield _polished(sec, lo, hi, k, bracket)
+
+
+@dataclass
+class _Next:
+    """A range's next root: bracket k of the range, an interval known to hold the root
+    (the bracket's ends, narrowed by counts), and the root once polished."""
+
+    k: int
+    bracket: tuple[Count, Count]
+    lower: float
+    upper: float
+    root: Root | None = None
+
+
+def merged_roots(ranges: list[tuple[Sector, Count, Count]]) -> Iterator[Root]:
+    """The roots of several sectors of one x, each over its (lo.x, hi.x], ascending.
+
+    The sectors' brackets (:func:`isolate`) are merged, not their roots.  Of
+    the next bracket of each sector, the one with the lowest upper end is
+    polished; another that reaches below that root is counted there, and
+    polished only if its root lies below.  So a root past the last one taken
+    is polished only where another sector's root lay in its bracket, below
+    it.  Each root is polished from the bracket :func:`ascending_roots`
+    polishes it from.  Raises ArithmeticError as :func:`ascending_roots` does.
+    """
+    brackets = [enumerate(isolate(sec, lo, hi), start=1) for sec, lo, hi in ranges]
+
+    def advance(i: int) -> _Next | None:
+        k, bracket = next(brackets[i], (0, None))
+        return _Next(k, bracket, bracket[0].x, bracket[1].x) if k else None
+
+    def settle(i: int) -> None:
+        head = heads[i]
+        head.root = _polished(*ranges[i], head.k, head.bracket)
+        head.lower = head.upper = head.root.x
+
+    heads = [advance(i) for i in range(len(ranges))]
+    while live := [i for i, head in enumerate(heads) if head is not None]:
+        first = min(live, key=lambda i: heads[i].upper)
+        if heads[first].root is None:
+            settle(first)
+            continue
+        x, undercut = heads[first].root.x, False
+        for i in live:
+            if heads[i].lower < x:  # an unpolished bracket reaching below first's root
+                if count(ranges[i][0], x).roots > heads[i].bracket[0].roots:
+                    settle(i)
+                    undercut = True
+                else:
+                    heads[i].lower = x
+        if not undercut:
+            yield heads[first].root
+            heads[first] = advance(first)
 
 
 def sector_roots(sec: Sector) -> list[Root]:

@@ -38,7 +38,6 @@ Two solver extensions matter in practice:
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -70,7 +69,7 @@ from .modes import (
     window_profile_l2,
     window_profile_scale_log,
 )
-from .roots import Root, Sector, ascending_roots, count, kernel, kth_root, sector_roots
+from .roots import Root, Sector, count, kernel, kth_root, merged_roots, sector_roots
 
 __all__ = [
     "Eigenpair",
@@ -591,21 +590,21 @@ def find_critical_widths(n_max: int, trunc: Truncation = Truncation(),
     and their roots merged.  Each resonance is normalized to a unit
     constant tail; ``beta`` is then sqrt(2/pi) * B_2 * e^(sqrt(3) a).  If
     fewer than ``n_max`` roots exist below ``a_max`` (by the counts at the
-    sector ends) the scan is flagged exhausted.  Roots are polished in
-    ascending order until ``n_max`` are found, so none past the last one
-    returned is.
+    sector ends) the scan is flagged exhausted.  The two parities' brackets
+    are merged (:func:`modeguide.roots.merged_roots`), and a bracket is
+    polished only when it holds the next width or overlaps the one that
+    does, so no root past the last one returned is.
     """
     _check_tol(tol)
     if n_max < 1:
         raise ValueError(f"need n_max >= 1, got {n_max}")
-    counted, found = 0, []
+    ranges = []
     for parity in ("even", "odd"):
         sec = _width_sector(trunc, parity, a_max, tol)
-        lo, hi = count(sec, sec.lo), count(sec, sec.hi)
-        counted += hi.roots - lo.roots
-        found.append(ascending_roots(sec, lo, hi))
+        ranges.append((sec, count(sec, sec.lo), count(sec, sec.hi)))
+    counted = sum(hi.roots - lo.roots for _, lo, hi in ranges)
     widths = [_threshold_resonance(root, i) for i, root in
-              enumerate(itertools.islice(heapq.merge(*found, key=lambda r: r.x), n_max), start=1)]
+              enumerate(itertools.islice(merged_roots(ranges), n_max), start=1)]
     return CriticalWidthScan(widths=widths, exhausted=counted < n_max, a_max=a_max)
 
 

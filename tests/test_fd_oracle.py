@@ -430,7 +430,7 @@ def test_window_form_is_the_product_over_the_window_modes(case):
     q_w = form.q_w.astype(np.longdouble)
     product = q_w.T @ (e[:, None] * q_w)
     scale = np.sum(np.abs(form.weights * e)) / form.n1
-    assert S.shape == product.shape == (len(form.w_nodes),) * 2
+    assert S.shape == product.shape == (form.n_w,) * 2
     assert np.max(np.abs(S - product), initial=0.0) <= 16 * np.finfo(float).eps * scale
     assert poles == np.count_nonzero(form.lam[:, None] + form.mu < shift)
 
@@ -492,10 +492,13 @@ def test_x1_transform_diagonalizes_the_x1_operator(parity, end, a):
 @pytest.mark.parametrize("parity, end, a", BASES + [WINDOWLESS])
 @pytest.mark.parametrize("h", [1 / 16, 1 / 32])
 def test_the_stencil_is_the_operator(parity, end, a, h):
+    # node vectors go into grid arrays through the node mask, 0 at every eliminated node
     grid = _basis_grid(parity, end, a, h, 4.0)
     v = np.random.default_rng(grid.size).standard_normal((grid.size, 3))
     want = discretize(grid) @ v
-    assert np.linalg.norm(grid.apply(v) - want) <= 1e-15 * np.linalg.norm(want)
+    u = np.zeros((3,) + grid.keep.shape)
+    u[:, grid.keep] = v.T
+    assert np.linalg.norm(grid.apply(u)[:, grid.keep].T - want) <= 1e-15 * np.linalg.norm(want)
 
 
 @pytest.mark.parametrize("parity, end, a", BASES + [WINDOWLESS])
@@ -531,6 +534,38 @@ def test_an_eigensolve_transforms_at_most_k_plus_one_times(monkeypatch, cfg, ocf
                         lambda grid, y: transforms.append("inverse") or x1_inverse(grid, y))
     lowest_eigenvalues(FDGrid(cfg, ocfg), ocfg.k)
     assert transforms == ["modes", "inverse"]
+
+
+@pytest.mark.parametrize("grid, k", [
+    *((pytest.param(_basis_grid(*case.values, 1 / 16, 4.0), 2, id=case.id)) for case in BASES + [WINDOWLESS]),
+    pytest.param(FDGrid(two_cfg(1.0, 4.0, "even"), OracleConfig(L=10.0, h=1 / 16, k=2)), 2, id="two-even"),
+    pytest.param(FDGrid(two_cfg(1.0, 4.0, "odd"), OracleConfig(L=10.0, h=1 / 16, k=2, end="neumann")), 2,
+                 id="two-odd"),
+    # one-node windows at x1 = L/2: the modes with a node there are free, and
+    # their values are among the lowest 6
+    pytest.param(FDGrid(two_cfg(1 / 8, 4.0, "odd"), OracleConfig(L=8.0, h=1 / 8, k=6)), 6, id="free-modes"),
+])
+def test_eigenvectors_vanish_at_the_eliminated_nodes(monkeypatch, grid, k):
+    # each vector is a grid array, exactly 0 off the operator's nodes, and at them a unit
+    # eigenvector of the CSR operator to the eigenpair gate
+    pairs = []
+    eigenpairs = fd_oracle.WindowForm.eigenpairs
+
+    def kept(form, roots, k):  # a copy: the gate reuses the vectors' buffer
+        w, v = eigenpairs(form, roots, k)
+        pairs.append((w, v.copy()))
+        return w, v
+    monkeypatch.setattr(fd_oracle.WindowForm, "eigenpairs", kept)
+    lowest_eigenvalues(grid, k)
+    (w, v), = pairs
+    form = fd_oracle.WindowForm(grid)
+    assert (len(form.free) > 0) == np.isin(w, form.free_values).any()
+    assert v.shape == (k,) + grid.keep.shape
+    assert np.all(v[:, ~grid.keep] == 0.0)
+    nodes = v[:, grid.keep].T
+    assert np.allclose(np.linalg.norm(nodes, axis=0), 1.0, rtol=0.0, atol=1e-14)
+    residual = np.linalg.norm(discretize(grid) @ nodes - nodes * w, axis=0)
+    assert np.all(residual <= fd_oracle.EIGENPAIR_GATE * np.abs(w))
 
 
 def test_a_shifted_form_fails_the_eigenpair_gate(monkeypatch):

@@ -499,6 +499,46 @@ def test_critical_widths_polish_only_the_roots_returned(monkeypatch):
                [(w.a, w.beta) for w in scans[5].widths[:n]] for n in scans)
 
 
+@pytest.mark.parametrize("n_max, widths", [
+    (1, [(2.199859133433907, 4.742743488298164)]),
+    (2, [(2.199859133433907, 4.742743488298164), (4.010914790393572, 107.70882997153458)]),
+])
+def test_critical_widths_polish_one_root_per_width(monkeypatch, n_max, widths):
+    # the second parity's first bracket, and at n_max = 2 the odd bracket that reaches
+    # below the even root, are merged unpolished; (a, beta) as a heapq.merge of the two
+    # parities' polished roots gave them
+    polished = []
+    real = roots.polish
+
+    def counted(sec, lo, hi):
+        polished.append((lo.x, hi.x))
+        return real(sec, lo, hi)
+    monkeypatch.setattr(roots, "polish", counted)
+    scan = find_critical_widths(n_max, Truncation(12))
+    assert len(polished) == n_max
+    assert [(w.a, w.beta) for w in scan.widths] == widths
+
+
+def test_merged_roots_polish_a_root_only_to_order_it(monkeypatch):
+    # diagonal forms with roots 1, 3 and 1.5, 2.9 on (0, 4]: both sectors bisect to the
+    # brackets (0, 2] and (2, 4]; 1.5 is counted past 1, and 2.9 undercuts 3 in its bracket
+    def sector(*where):
+        return Sector(lambda x: (np.diag(np.array(where) - x), 0), 0.0, 4.0, 1e-14)
+    polished = []
+    real = roots.polish
+
+    def counted(sec, lo, hi):
+        polished.append((lo.x, hi.x))
+        return real(sec, lo, hi)
+    monkeypatch.setattr(roots, "polish", counted)
+    merged = roots.merged_roots([(sec, count(sec, sec.lo), count(sec, sec.hi))
+                                 for sec in (sector(1.0, 3.0), sector(1.5, 2.9))])
+    assert [next(merged).x for _ in range(2)] == pytest.approx([1.0, 1.5], abs=1e-13)
+    assert polished == [(0.0, 2.0), (0.0, 2.0)]
+    assert [root.x for root in merged] == pytest.approx([2.9, 3.0], abs=1e-13)
+    assert polished[2:] == [(2.0, 4.0), (2.0, 4.0)]
+
+
 def test_second_critical_width_is_even():
     scan = find_critical_widths(2, Truncation(24), a_max=5.0)
     assert [w.parity for w in scan.widths] == ["odd", "even"]
