@@ -362,8 +362,8 @@ class WindowForm:
         self.folds, self.phases = np.minimum(d, 2 * n1 - d), _twiddle(s, n1, d)
         self.phases[d > n1] = self.phases[d > n1].conj()
         self.phases[len(d) // 2:] *= 1.0 if name == "dct" else -1.0
-        # c(d) is written into one buffer per call, and S read through fixed read-only
-        # views of its real part: the Toeplitz half with rows reversed, the Hankel half
+        # each call writes c(d) into one buffer and reads S through fixed read-only views
+        # of its real part: the Toeplitz half with rows reversed, then the Hankel half
         self.c = np.empty(len(d), dtype=complex)
         if self.n_w:
             half = len(d) // 2
