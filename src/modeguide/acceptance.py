@@ -173,7 +173,7 @@ class Workspace:
             if cached is not None:
                 return cached
             cfg = _two_cfg(a, l, parity) if l is not None else _single_cfg(a, parity)
-            per_grid = [oracle_eigenvalues(cfg, OracleConfig(L=L, h=h, k=2))[0]
+            per_grid = [oracle_eigenvalues(cfg, OracleConfig(L=L, h=h, k=1))[0]
                         for h in self.fd_grids()]
             value, _, _ = refine_and_extrapolate(*per_grid)
             result = float(value[0])

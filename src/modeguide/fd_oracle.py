@@ -44,6 +44,7 @@ width where a new state crosses below the discrete threshold.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -228,11 +229,11 @@ class FDGrid:
         it is not the operator's and is left to the caller.
         """
         w1, w2 = self.x1_couplings()[:, None], self.x2_couplings()
-        out = self.diagonal * u
-        out[:, 1:] += w1 * u[:, :-1]
-        out[:, :-1] += w1 * u[:, 1:]
-        out[..., 1:] += w2 * u[..., :-1]
-        out[..., :-1] += w2 * u[..., 1:]
+        out, t = self.diagonal * u, np.empty_like(u)  # t holds each shifted product in turn
+        out[:, 1:] += np.multiply(w1, u[:, :-1], out=t[:, 1:])
+        out[:, :-1] += np.multiply(w1, u[:, 1:], out=t[:, :-1])
+        out[..., 1:] += np.multiply(w2, u[..., :-1], out=t[..., 1:])
+        out[..., :-1] += np.multiply(w2, u[..., 1:], out=t[..., :-1])
         return out
 
     def x1_eigenvalues(self) -> np.ndarray:
@@ -302,6 +303,41 @@ def _x2_line_schur(z: np.ndarray, c4: float, n2: int) -> np.ndarray:
     return e
 
 
+@functools.lru_cache(maxsize=16)
+def _dst_sines(n2: int) -> np.ndarray:
+    """The orthonormal DST-I of length n2 - 1 as its sine matrix, sqrt(2/n2) sin(j k pi/n2).
+
+    j k is reduced mod 2 n2, so every argument is below 2 pi.  Memoised per
+    n2; the shared array is read-only.
+    """
+    k = np.arange(1, n2)
+    sines = math.sqrt(2.0 / n2) * np.sin(np.outer(k, k) % (2 * n2) * (math.pi / n2))
+    sines.setflags(write=False)
+    return sines
+
+
+def _inverse_iteration(S: np.ndarray) -> np.ndarray:
+    """Unit kernel vector of a symmetric S singular to rounding, by two solves.
+
+    Inverse iteration (Peters and Wilkinson, SIAM Rev. 21 (1979) 339-360)
+    from cos(phi j), phi the golden angle: a start with no symmetry, since a
+    kernel can be orthogonal to a symmetric one (to the all-ones vector on the
+    three window nodes of the odd two-window grid a = 1/16, l = 4, h = 1/32).
+    A 1 x 1 S gives [1]; an exactly singular S, on which a solve raises,
+    gives :func:`~modeguide.roots.kernel`'s eigenvector.
+    """
+    if S.shape[0] == 1:
+        return np.ones(1)
+    x = np.cos((math.pi * (3.0 - math.sqrt(5.0))) * np.arange(S.shape[0]))
+    try:
+        for _ in range(2):
+            x = np.linalg.solve(S, x)
+            x /= np.linalg.norm(x)
+    except np.linalg.LinAlgError:
+        return kernel(S)
+    return x
+
+
 class WindowForm:
     """The window Schur complement S(sigma) of A - sigma I, a form of sigma.
 
@@ -334,11 +370,9 @@ class WindowForm:
         self.correction = (d1 - (grid.diagonal - dd)) + (d2 - dd)
         lam, self.x1_inverse = grid.x1_eigenvalues(), grid.x1_inverse
         n1, n2 = grid.n1, grid.n2
-        k = np.arange(1, n2)
-        self.mu = 4.0 * grid.c2 * np.sin(k * (math.pi / (2 * n2))) ** 2
-        # the DST-I in x2 as a product with its sine matrix (one BLAS call at
-        # these lengths); j*k mod 2*n2 keeps every argument below 2*pi
-        self.sines = math.sqrt(2.0 / n2) * np.sin(np.outer(k, k) % (2 * n2) * (math.pi / n2))
+        self.mu = 4.0 * grid.c2 * np.sin(np.arange(1, n2) * (math.pi / (2 * n2))) ** 2
+        # the DST-I in x2 as a product with its sine matrix (one BLAS call at these lengths)
+        self.sines = _dst_sines(n2)
         self.g = math.sqrt(2.0) * grid.c2
         rows = np.flatnonzero(grid.window)
         q_w = grid.x1_modes(grid.rows[rows])  # Q_w^T: the x1 modes on the window rows
@@ -389,7 +423,8 @@ class WindowForm:
 
         The vectors are grid arrays (k, rows, n2) of :attr:`FDGrid.keep`'s layout,
         exactly 0 at every eliminated node.  For a root, the kernel vector x_w of its S
-        on the window nodes and, on the nodes j >= 1, the mode coordinates
+        on the window nodes, by inverse iteration on that S (two solves, no eigendecomposition),
+        and, on the nodes j >= 1, the mode coordinates
         y = g (Q_w x_w) (x) phi / (lam_m + mu_k - root); for a free value its mode.
         """
         low = np.argsort(self.free_values, axis=None)[:k]
@@ -401,11 +436,14 @@ class WindowForm:
         # the x1 modes last for the transform
         y = np.zeros((k, len(self.mu), len(self.free) + len(self.modes)))
         shifts = w[:n, None, None] + self.correction
-        x_w = np.array([kernel(root.at) for root in roots[:n]]).reshape(n, self.n_w)
-        u = self.lam + (self.mu[:, None] - shifts)
+        x_w = np.array([_inverse_iteration(root.at) for root in roots[:n]]).reshape(n, self.n_w)
+        # the roots' coordinates, written in place into y when no x1 mode is free
+        u = np.empty((n, len(self.mu), len(self.modes))) if len(self.free) else y[:n]
+        np.add(self.lam, self.mu[:, None] - shifts, out=u)
         np.divide((self.g * (x_w @ self.q_w.T))[:, None], u, out=u)
         u *= self.sines[0][:, None]  # the x2 modes at j = 1
-        y[:n, :, self.modes] = u
+        if len(self.free):
+            y[:n, :, self.modes] = u
         y[np.arange(n, k), j, self.free[m]] = 1.0
         del u  # freed before the transforms, which need three times y's memory
         y = self.sines @ y  # (column, j, x1 mode)
@@ -464,7 +502,10 @@ def lowest_eigenvalues(grid: FDGrid, k: int) -> np.ndarray:
     count is 0 at sigma = 0, below the positive definite spectrum, and the
     upper end doubles from 1 until it reaches k; count bisection isolates
     the first k roots, Brent's method on det S polishes them to a few ulps,
-    and the k lowest of these and the free values are kept.  A root no
+    and the k lowest of these and the free values are kept.  Each root is
+    polished only when it is reached, from a bracket that does not depend on
+    k, so the lowest values of a smaller k are those of a larger one bit for
+    bit: a caller that reads only the first asks for k = 1.  A root no
     bracket separates from a pole raises ArithmeticError.  Every eigenpair
     (lam, v) is checked against the operator's stencil: ArithmeticError
     unless ||A v - lam v|| <= EIGENPAIR_GATE * |lam|.  A k of at least
@@ -540,15 +581,21 @@ def critical_width_crossing(parity: str, h: float, L: float = 16.0,
     eigenvalue decreases in a by min-max, so the number of eigenvalues below
     the cutoff, read from the count of the grid's :class:`WindowForm`, goes
     from 0 to 1 or more in one cell, which bisection over the lattice finds.
-    Only that cell's two ends are eigensolved, for the secant: a result
-    equal bit for bit to a scan from a_lo.  Raises ArithmeticError when the
-    lattice holds no crossing, with no eigensolve, or when the two ends do
-    not bracket the cutoff, and ValueError for any other parity.
+    Only that cell's two ends are eigensolved, for the secant, and for their
+    lowest eigenvalue alone (k = 1), the one it reads: a result equal bit
+    for bit to a scan from a_lo.  Raises ArithmeticError when the lattice
+    holds no crossing, with no eigensolve, or when the two ends do not
+    bracket the cutoff; ValueError, with no count, for any other parity and
+    unless 0 < a_lo < a_hi < inf, a_lo rounding to a width of at least h
+    and a_hi to one below L, the windows the grid can hold.
     """
     if parity not in ("even", "odd"):
         raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
     kind = ProblemKind.SINGLE_WINDOW_EVEN if parity == "even" else ProblemKind.SINGLE_WINDOW_ODD
-    ocfg = OracleConfig(L=L, h=h, k=2, end="neumann")
+    ocfg = OracleConfig(L=L, h=h, k=1, end="neumann")
+    if not (0.0 < a_lo < a_hi < math.inf and round(a_lo / h) > 0 and round(a_hi / h) * h < L):
+        raise ValueError(f"the widths searched need 0 < a_lo < a_hi < inf, on the grid from h to below "
+                         f"L={L!r}: got a_lo={a_lo!r}, a_hi={a_hi!r} at h={h!r}")
     cut = discrete_threshold(h) - CROSSING_MARGIN
     lattice = [round(a_lo / h) * h]
     end = round(a_hi / h) * h

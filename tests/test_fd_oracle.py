@@ -18,7 +18,7 @@ from modeguide import (
 )
 from modeguide import ProblemKind, StripConfig, canonicalize, fd_oracle
 from modeguide.fd_oracle import FDGrid
-from modeguide.roots import Sector, count
+from modeguide.roots import Sector, count, kernel
 
 from conftest import single_cfg, two_cfg
 
@@ -299,12 +299,12 @@ def test_lowest_eigenvalues_match_plain_shift_invert(cfg, ocfg):
 
 @pytest.fixture
 def solves(monkeypatch):
-    """(h, a) of each eigensolve the crossing search makes, capped at 40."""
+    """(h, a, k) of each eigensolve the crossing search makes, capped at 40."""
     seen = []
     solve = fd_oracle.oracle_eigenvalues
 
     def counted(cfg, ocfg):
-        seen.append((ocfg.h, cfg.base.a))
+        seen.append((ocfg.h, cfg.base.a, ocfg.k))
         assert len(seen) <= 40, "the crossing search does not end"
         return solve(cfg, ocfg)
 
@@ -342,8 +342,25 @@ def test_crossing_below_the_lattice_raises(solves):
 
 
 def test_crossing_solves_twice_on_its_own_grid(solves):
+    # each cell end is solved for its lowest eigenvalue alone, the one the secant reads
     assert critical_width_crossing("odd", 1 / 32) == 2.2810347423221065
-    assert solves == [(1 / 32, 2.25), (1 / 32, 2.3125)]
+    assert solves == [(1 / 32, 2.25, 1), (1 / 32, 2.3125, 1)]
+
+
+@pytest.mark.parametrize("a_lo, a_hi", [
+    (-1.0, 2.6),    # a lattice from a = -1 that the bisection happens never to probe below a = 0
+    (-6.0, 2.6),    # a lattice whose probe at a = -1.625 is no geometry
+    (-0.2, 0.1), (2.6, 2.0),   # reported as "no threshold crossing", not as bad input
+    (2.0, math.inf), (math.nan, 2.6),
+    (0.01, 2.6),    # a_lo rounds to the width 0 on the grid
+    (2.0, 16.0),    # a_hi rounds to a window that reaches the far face
+    (2.0, 1e9),     # the same, and a lattice of 8e9 widths to build
+])
+def test_crossing_rejects_widths_the_grid_cannot_hold(monkeypatch, solves, a_lo, a_hi):
+    monkeypatch.setattr(fd_oracle, "count", lambda *args: pytest.fail("the search counted"))
+    with pytest.raises(ValueError, match="0 < a_lo < a_hi < inf, on the grid from h to below L=16.0"):
+        critical_width_crossing("odd", 1 / 16, a_lo=a_lo, a_hi=a_hi)
+    assert solves == []
 
 
 def test_crossing_raises_where_the_solves_contradict_the_count(monkeypatch):
@@ -576,6 +593,53 @@ def test_a_shifted_form_fails_the_eigenpair_gate(monkeypatch):
         oracle_eigenvalues(single_cfg(1.0), OracleConfig(L=8.0, h=1 / 16, k=2))
 
 
+# the crossing's cell ends at h = 1/32
+CROSSING_ENDS = [pytest.param(FDGrid(single_cfg(a, "odd"), OracleConfig(L=16.0, h=1 / 32, k=1, end="neumann")),
+                              id=f"crossing-a={a}") for a in (2.25, 2.3125)]
+
+
+@pytest.mark.parametrize("grid", [
+    *(pytest.param(FDGrid(canonicalize(StripConfig(d=PI, a=1.0, l=3.0 if kind.is_two_window else None, kind=kind)),
+                          OracleConfig(L=8.0, h=1 / 16, k=2, end=end)), id=f"{kind.value}-{end}")
+      for kind in ProblemKind for end in ("dirichlet", "neumann")),
+    *CROSSING_ENDS,
+])
+def test_the_lowest_eigenvalue_does_not_depend_on_k(grid):
+    # the roots are polished lazily and the first one's bracket is the same for every k,
+    # so a solve for one eigenvalue is the first of a solve for two, bit for bit
+    assert lowest_eigenvalues(grid, 1)[0] == lowest_eigenvalues(grid, 2)[0]
+
+
+@pytest.mark.parametrize("grid, k", [
+    *(pytest.param(_basis_grid(*case.values, 1 / 16, 4.0), 2, id=case.id) for case in BASES),
+    pytest.param(FDGrid(two_cfg(1.0, 4.0, "even"), OracleConfig(L=10.0, h=1 / 16, k=2)), 2, id="two-even"),
+    # a kernel on 3 window nodes orthogonal to the all-ones vector
+    pytest.param(FDGrid(two_cfg(1 / 16, 4.0, "odd"), OracleConfig(L=8.0, h=1 / 32, k=4)), 4, id="two-odd-a=1/16"),
+    *(pytest.param(param.values[0], 2, id=param.id) for param in CROSSING_ENDS),
+])
+def test_inverse_iteration_gives_the_kernel_of_eigh(monkeypatch, grid, k):
+    # at every root the eigensolve keeps, two solves give eigh's unit kernel vector up to sign
+    seen = []
+    eigenpairs = fd_oracle.WindowForm.eigenpairs
+    monkeypatch.setattr(fd_oracle.WindowForm, "eigenpairs",
+                        lambda form, roots, k: seen.extend(roots) or eigenpairs(form, roots, k))
+    lowest_eigenvalues(grid, k)
+    assert seen
+    for root in seen:
+        assert 1.0 - abs(fd_oracle._inverse_iteration(root.at) @ kernel(root.at)) <= 1e-12
+
+
+def test_inverse_iteration_of_an_exactly_singular_form_is_eigh(monkeypatch):
+    # a solve on det S = 0 raises, and the kernel comes from eigh; a 1 x 1 S needs neither
+    calls = []
+    monkeypatch.setattr(fd_oracle, "kernel", lambda S: calls.append(S) or kernel(S))
+    S = np.diag([0.0, 1.0, 2.0])
+    assert np.array_equal(np.abs(fd_oracle._inverse_iteration(S)), [1.0, 0.0, 0.0])
+    assert len(calls) == 1 and calls[0] is S
+    assert np.array_equal(fd_oracle._inverse_iteration(np.array([[1e-300]])), [1.0])
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("parity, end", [("odd", "dirichlet"), ("even", "neumann")])
 def test_an_x1_mode_that_misses_the_window_gives_an_eigenvalue(parity, end):
     # a one-node window at x1 = L/2 = 4 misses the x1 modes with a node there:
@@ -597,5 +661,5 @@ def test_fd_critical_crossing_searches_once(monkeypatch, solves):
     ws = Workspace(quick=True)
     parity = ws.critical().parity
     value = ws.fd_critical_crossing()
-    assert Counter(h for h, _ in solves) == {1 / 16: 2, 1 / 32: 2}
+    assert Counter(h for h, _, _ in solves) == {1 / 16: 2, 1 / 32: 2}
     assert value == 2.0 * critical_width_crossing(parity, 1 / 32) - critical_width_crossing(parity, 1 / 16)
