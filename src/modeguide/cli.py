@@ -23,6 +23,7 @@ precondition (e.g. threshold sweep at a non-critical width).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -480,7 +481,16 @@ def cmd_verify(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process.
+
+    ``parse_args`` leaves the parser as it found it, and no flag has a mutable
+    default, so every call can share one.  ``set_defaults(func=cmd_*)`` binds the
+    subcommand functions when the parser is first built; each looks up the solvers
+    (``find_eigenvalues``, ``run_acceptance``, ...) among this module's globals when
+    it runs, so patching those still takes effect.
+    """
     parser = argparse.ArgumentParser(prog="modeguide",
                                      description="Bound states of a Dirichlet strip with Neumann windows")
     parser.add_argument("--version", action="version", version=__version__)

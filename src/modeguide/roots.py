@@ -252,25 +252,36 @@ def sector_roots(sec: Sector) -> list[Root]:
 
 
 def kth_root(sec: Sector, x0: float, width: float, k: int | None) -> tuple[Root, int]:
-    """Root k of the sector (1-based from ``sec.lo``), searched from x0 +- width.
+    """Root k of the sector (1-based from ``sec.lo``), searched from the window x0 +- width.
 
-    The window doubles until it brackets the root.  With k None, the root
-    is the first one the doubling window meets.  Returns the root and k.
+    With k None the window doubles about x0 until it holds a root, and the
+    root is the first one it meets.  With k given, the counts at the window's
+    ends tell on which side of it root k lies, and the search moves to that
+    side only: the end nearer the root becomes the far end of the next
+    window, each twice as long as the last, so the bracket polished is one
+    window long.  Every count lies in [lo, hi] of the sector.  Returns the
+    root and k.
     """
     base = count(sec, sec.lo).roots
+    where = f"in [{sec.lo!r}, {sec.hi!r}] near {x0!r}"
 
     def at(x):
         return count(sec, min(max(x, sec.lo), sec.hi))
     width = max(width, sec.xtol + sec.rtol * abs(x0))
     lo, hi = at(x0 - width), at(x0 + width)
-    while (hi.roots == lo.roots if k is None else not lo.roots < base + k <= hi.roots):
-        if lo.x == sec.lo and hi.x == sec.hi:
-            which = "no root" if k is None else f"no root {k}"
-            raise ArithmeticError(f"{which} in [{sec.lo!r}, {sec.hi!r}] near {x0!r}")
-        width *= 2.0
-        lo, hi = at(x0 - width), at(x0 + width)
     if k is None:
+        while hi.roots == lo.roots:
+            if lo.x == sec.lo and hi.x == sec.hi:
+                raise ArithmeticError(f"no root {where}")
+            width *= 2.0
+            lo, hi = at(x0 - width), at(x0 + width)
         k = lo.roots - base + 1
+    while not lo.roots < base + k <= hi.roots:
+        below = base + k <= lo.roots
+        if (lo.x == sec.lo) if below else (hi.x == sec.hi):
+            raise ArithmeticError(f"no root {k} {where}")
+        width *= 2.0
+        lo, hi = (at(lo.x - width), lo) if below else (hi, at(hi.x + width))
     bracket = next((b for b in isolate(sec, lo, hi) if b[1].roots == base + k), None)
     root = None if bracket is None else polish(sec, *bracket)
     if root is None:

@@ -7,10 +7,12 @@ assembled once per point, through :func:`_assemble_at` or
 :func:`~modeguide.matching.assemble_threshold`, with the closed-form
 poles of :func:`~modeguide.matching.pole_count`, and polished on det Z
 to a bracket of ``tol / 10``; one solve with the block C per point (LU,
-or preconditioned CG for large forms), no eigensolve of S.  The same count serves three variables: lam, kappa = sqrt(1 - lam)
-near the threshold, and the window half-length a of the threshold
-system.  The truncation ladder starts from a base solution and keeps the
-root of the same index, and its solution, at each later rung.
+or preconditioned CG for large forms), no eigensolve of S.  The same
+count serves three variables: lam, kappa = sqrt(1 - lam) near the
+threshold, and the window half-length a of the threshold system.  The
+truncation ladder starts from a base solution and keeps the root of the
+same index, and its solution, at each later rung, counting from where
+the root's O(1/N) drift predicts it.
 
 Each root's kernel vector of S comes from the solve at the root, which each
 polished point keeps instead of S (:func:`_kernel_at`): the kernel of Z on
@@ -117,12 +119,13 @@ KAPPA_RTOL = 1e-12
 #: window half-lengths of the critical-width search: (A_MIN, a_max], A_MAX by default
 A_MIN = 1e-3
 A_MAX = 8.0
-#: half-width of a ladder's first search window (rung 2N, around the base root)
-LADDER_WIDTH = 1e-3
 #: doublings of a refinement ladder by default: rungs N, 2N, 4N
 REFINE_LEVELS = 2
 
 _ROOT2_PI = math.sqrt(2.0 / math.pi)
+# relative floor of a ladder rung's search window: a rung-to-rung step of 0
+# does not shrink the window to the polish tolerance
+_SQRT_EPS = math.sqrt(float(np.finfo(float).eps))
 
 
 @dataclass(frozen=True, eq=False)
@@ -631,10 +634,13 @@ def _ladder(sector_at_n, solve, first, value, n: int, levels: int) -> RefinedVal
     """Re-locate ``first``, found at truncation n, at 2n, 4n, ..., and fit N -> infinity.
 
     ``first`` is the first rung as it stands.  ``sector_at_n(tr)`` is its root's sector at
-    truncation tr, ``solve(root)`` a rung's solution and ``value`` its x in that sector.  Rung
-    2n takes the root nearest x = ``value(first)``; every later rung the root of the same index
-    in its sector, searched from the previous rung's x over three times the last rung-to-rung
-    step (the root drifts by about half that), or ``LADDER_WIDTH`` before there is a step.
+    truncation tr, ``solve(root)`` a rung's solution and ``value`` its x in that sector.  Each
+    rung's search window is predicted from the O(1/N) drift of the root, and
+    :func:`~modeguide.roots.kth_root` counts from it to the root.  Rung 2n takes the first root
+    that a window about x = ``value(first)`` meets, of half-width |x| / 2n, the drift's scale.
+    Every later rung takes the root of the same index in its sector, from a window centred at
+    the previous x plus half the last rung-to-rung step (the step halves with each doubling of
+    N), of half-width an eighth of that step, but at least ``sqrt(eps) |x|``.
     """
     if levels < 1:
         raise ValueError(f"a ladder needs levels >= 1, got {levels}")
@@ -645,8 +651,12 @@ def _ladder(sector_at_n, solve, first, value, n: int, levels: int) -> RefinedVal
     ns = [n * (2 ** k) for k in range(levels + 1)]
     vals, solutions, k = [x], {n: first}, None
     for rung in ns[1:]:
-        width = 3.0 * abs(vals[-1] - vals[-2]) if len(vals) >= 2 else LADDER_WIDTH
-        root, k = kth_root(sector_at_n(Truncation(rung)), vals[-1], width, k)
+        if k is None:
+            x0, width = vals[-1], abs(vals[-1]) / rung
+        else:
+            step = vals[-1] - vals[-2]
+            x0, width = vals[-1] + 0.5 * step, max(abs(step) / 8.0, _SQRT_EPS * abs(vals[-1]))
+        root, k = kth_root(sector_at_n(Truncation(rung)), x0, width, k)
         solutions[rung] = solve(root)
         vals.append(value(solutions[rung]))
     v_inf = extrapolate_truncation(ns[-3:], vals[-3:], exponents=(1.0, 1.5))
@@ -660,8 +670,9 @@ def refine_eigenvalue(pair: Eigenpair, levels: int = REFINE_LEVELS,
     """Truncation-ladder refinement of a pair of :func:`find_eigenvalues` toward N -> infinity.
 
     The pair is the first rung, and its ``kind``, ``a`` and ``l`` are every rung's system;
-    later rungs count and polish only around the previous rung's root.  The O(1/N)
-    window-corner error is extrapolated with a two-exponent fit.
+    later rungs count and polish only in a window about the root that the O(1/N) drift
+    from the previous rungs predicts (see :func:`_ladder`).  The O(1/N) window-corner error
+    is extrapolated with a two-exponent fit.
     A pair above the lam sector (1 - lam < ``SEARCH_EPS``, found in kappa) raises ValueError.
     """
     _check_tol(tol)

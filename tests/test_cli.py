@@ -490,6 +490,22 @@ def test_config_file_values_go_through_the_parser(capsys, tmp_path):
     assert code == 2 and "missing.cfg" in err and not out
 
 
+def test_one_parser_serves_every_call_alike(capsys):
+    # the parser is built once per process; a call leaves nothing in it for
+    # the next, so subcommands run back to back print what each prints alone
+    from modeguide.cli import _build_parser
+    assert _build_parser() is _build_parser()
+    argvs = [("single", "--a", "2", "--modes", "8", "--format", "json"),
+             ("critical", "--n", "1", "--modes", "8"),
+             ("single", "--a", "1", "--modes", "8")]
+    in_turn = [run(capsys, *argv) for argv in argvs]
+    alone = []
+    for argv in argvs:
+        _build_parser.cache_clear()
+        alone.append(run(capsys, *argv))
+    assert in_turn == alone and all(code == 0 for code, _, _ in alone)
+
+
 @contextlib.contextmanager
 def deadline(seconds):
     # SIGALRM interrupts a Python-level loop that never returns

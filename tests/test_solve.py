@@ -539,6 +539,50 @@ def test_merged_roots_polish_a_root_only_to_order_it(monkeypatch):
     assert polished[2:] == [(2.0, 4.0), (2.0, 4.0)]
 
 
+def _diagonal_sector(*where, counted=None):
+    # a root at each entry of ``where`` on (0, 4]; ``counted`` collects every x the form is built at
+    def form(x):
+        if counted is not None:
+            counted.append(x)
+        return np.diag(np.array(where) - x), 0
+    return Sector(form, 0.0, 4.0, 1e-14)
+
+
+@pytest.mark.parametrize("x0, k, root, bracket", [(2.9, 1, 1.0, (0.35, 1.63)),
+                                                  (0.2, 2, 2.0, (1.47, 2.75))],
+                         ids=["centre-above", "centre-below"])
+def test_kth_root_grows_its_window_towards_the_root_only(monkeypatch, x0, k, root, bracket):
+    # the window 0.01 about x0 misses root k; the counts at its ends put the
+    # root on one side, and each next window (0.02, 0.04, ... long) starts at
+    # the end nearer the root, so the bracket polished is the last window alone
+    polished, counted = [], []
+    real = roots.polish
+
+    def spy(sec, lo, hi):
+        polished.append((lo.x, hi.x))
+        return real(sec, lo, hi)
+    monkeypatch.setattr(roots, "polish", spy)
+    found, index = roots.kth_root(_diagonal_sector(1.0, 2.0, 3.0, counted=counted), x0, 0.01, k)
+    assert index == k and found.x == pytest.approx(root, abs=1e-13)
+    assert polished == [pytest.approx(bracket, abs=1e-12)]
+    assert all(0.0 <= x <= 4.0 for x in counted)
+
+
+def test_kth_root_without_an_index_takes_the_first_root_its_window_meets():
+    found, index = roots.kth_root(_diagonal_sector(1.0, 2.0, 3.0), 1.7, 0.01, None)
+    assert index == 2 and found.x == pytest.approx(2.0, abs=1e-13)
+
+
+@pytest.mark.parametrize("x0, k", [(3.5, 4), (0.5, 4), (3.5, None)])
+def test_kth_root_past_the_sector_raises_without_counting_outside_it(x0, k):
+    counted = []
+    where = (1.0, 2.0, 3.0) if k else ()
+    with pytest.raises(ArithmeticError, match="no root"):
+        roots.kth_root(_diagonal_sector(*where, counted=counted), x0, 0.01, k)
+    assert counted and min(counted) == 0.0 and max(counted) == 4.0
+    assert all(0.0 <= x <= 4.0 for x in counted)
+
+
 def test_second_critical_width_is_even():
     scan = find_critical_widths(2, Truncation(24), a_max=5.0)
     assert [w.parity for w in scan.widths] == ["odd", "even"]
@@ -697,6 +741,59 @@ def test_every_rung_value_is_its_solutions_lam(cfg):
     for pair in find_eigenvalues(cfg, Truncation(12)):
         refined = refine_eigenvalue(pair, levels=2)
         assert all(refined.by_n[n] == p.lam for n, p in refined.solutions.items())
+
+
+@pytest.mark.parametrize("ladder", ["single-ladder", "critical-ladder"])
+def test_every_later_rung_starts_at_its_predicted_root(monkeypatch, ladder):
+    # each rung counts at its sector's lower end and at the two ends of the
+    # predicted window, which brackets the root, and polishes in that window:
+    # at most 8 forms a rung
+    ws = Workspace(Truncation(8))
+    ws.single_pair(1.0), ws.critical()
+    calls = _counted_forms(monkeypatch)
+    _SEARCHES[ladder](ws)
+    per_rung = {n: sum(args[1] == n for args in calls) for n in (16, 32, 64)}
+    assert len(calls) == sum(per_rung.values())
+    assert all(1 <= forms <= 8 for forms in per_rung.values()), per_rung
+
+
+@st.composite
+def _ladder_bases(draw):
+    """Base solutions at N = 8-16, each with its sector at a truncation: the roots of a
+    random single window (both parities), of a random pair of windows in one parity, or
+    the first two critical widths.  A state within 0.1 of the threshold is left out: its
+    lam rises with N, and it can leave the lam sector before the top rung."""
+    tr, tol = Truncation(draw(st.integers(8, 16))), 1e-12
+    what = draw(st.sampled_from(["single", "two", "critical"]))
+    if what == "critical":
+        return [(width, lambda t, w=width: _width_sector(t, w.parity, max(A_MAX, 2.0 * w.a), tol))
+                for width in find_critical_widths(2, tr).widths]
+    if what == "single":
+        a = draw(st.floats(0.8, 5.0))
+        pairs = find_eigenvalues(single_cfg(a), tr) + find_eigenvalues(single_cfg(a, "odd"), tr)
+    else:
+        a = draw(st.floats(0.8, 2.0))
+        cfg = two_cfg(a, draw(st.floats(a + 0.5, a + 5.0)), draw(st.sampled_from(["even", "odd"])))
+        pairs = find_eigenvalues(cfg, tr)
+    return [(pair, lambda t, p=pair: _lam_sector(p, t, tol)) for pair in pairs if pair.lam < 0.9]
+
+
+@given(_ladder_bases())
+@settings(max_examples=20, deadline=None)
+def test_every_rung_is_the_root_of_the_base_roots_index(bases):
+    # each rung's value is the root of the base root's index in its own sector,
+    # as a count of the whole sector finds it, polished alike to tol / 10
+    tol = 1e-12
+    for first, sector_at in bases:
+        if isinstance(first, Eigenpair):
+            by_n = refine_eigenvalue(first, levels=2, tol=tol).by_n
+        else:
+            by_n = refine_critical_width(first, levels=2, tol=tol).by_n
+        full = {n: [root.x for root in sector_roots(sector_at(Truncation(n)))] for n in by_n}
+        n = min(by_n)
+        index = int(np.argmin(np.abs(np.array(full[n]) - by_n[n])))
+        for n, x in by_n.items():
+            assert abs(full[n][index] - x) <= tol / 10.0, (n, full[n], x)
 
 
 def test_even_sector_threshold_scan_is_find_near_threshold(first_critical):
