@@ -26,6 +26,7 @@ from .solve import (
     CriticalWidth,
     CriticalWidthScan,
     Eigenpair,
+    NotBoundError,
     RefinedValue,
     eigenfunction_value,
     extract_tail,

@@ -39,6 +39,7 @@ from .modes import GeometryError, GridAlignmentError, ProblemKind, StripConfig, 
 from .records import RunRecord, cache_get, cache_put
 from .solve import (
     REFINE_LEVELS,
+    NotBoundError,
     THRESHOLD_KAPPA,
     extract_tail,
     refine_eigenvalue,
@@ -197,8 +198,7 @@ def cmd_single(args) -> int:
         print("single: --a is required", file=sys.stderr)
         return EXIT_USAGE
     trunc = Truncation(args.modes)
-    rows = []
-    pairs = []
+    rows, pairs, notes = [], [], []
     for kind in (ProblemKind.SINGLE_WINDOW_EVEN, ProblemKind.SINGLE_WINDOW_ODD):
         cfg = canonicalize(StripConfig(d=args.d, a=args.a, kind=kind))
         pairs.extend(find_eigenvalues(cfg, trunc, tol=args.tol))
@@ -214,16 +214,18 @@ def cmd_single(args) -> int:
             "residual": p.residual,
         }
         if args.refine:
-            refined = refine_eigenvalue(p, levels=REFINE_LEVELS, tol=args.tol)
-            row["lambda_refined"] = refined.value
-            row["refine_error"] = refined.error
+            try:
+                refined = refine_eigenvalue(p, levels=REFINE_LEVELS, tol=args.tol)
+                row["lambda_refined"], row["refine_error"] = refined.value, refined.error
+            except NotBoundError as exc:  # the state has left its sector at a later rung
+                row["lambda_refined"] = row["refine_error"] = None
+                notes.append(f"no bound state at N = {exc.n} for index {idx}")
         rows.append(row)
-    cfg0 = canonicalize(StripConfig(d=args.d, a=args.a, kind=ProblemKind.SINGLE_WINDOW_EVEN))
-    columns += _physical_columns(cfg0, rows)
+    columns += _physical_columns(cfg, rows)  # both kinds share the strip's scale
     if args.refine:
         columns += ["lambda_refined", "refine_error"]
     columns += ["alpha", "mu_alpha", "mu_integral", "residual"]
-    _emit(args, rows, columns, outputs={"eigenvalues": [r["lambda"] for r in rows]})
+    _emit(args, rows, columns, extra_lines=notes, outputs={"eigenvalues": [r["lambda"] for r in rows]})
     return EXIT_OK
 
 

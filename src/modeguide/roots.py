@@ -32,7 +32,7 @@ class Sector:
     polished point keeps ``keep(value)`` (both by default the value).  ``sense`` is -1 when
     x runs against the form's own variable (x = kappa for lam), so that ``sense * (negative
     eigenvalues + poles)`` is the number of roots below x up to a constant.  Count bisection
-    halves geometrically if ``geometric``; the polish stops at ``xtol + rtol * |x|``.
+    halves geometrically if ``geometric``; the polish stops at a bracket of :meth:`tol`.
     """
 
     form: Callable[[float], tuple[Any, int]]
@@ -40,6 +40,7 @@ class Sector:
     hi: float
     xtol: float
     rtol: float = 4.0 * _EPS
+    xcap: float = math.inf
     sense: int = 1
     geometric: bool = False
     matrix: Callable[[Any], np.ndarray] = lambda value: value
@@ -50,6 +51,10 @@ class Sector:
         if not (self.lo < self.hi and (self.lo > 0.0 or not self.geometric)):
             raise ValueError(f"a sector needs lo < hi, and lo > 0 if geometric: got "
                              f"[{self.lo!r}, {self.hi!r}], geometric={self.geometric}")
+
+    def tol(self, x: float) -> float:
+        """Bracket width at x: ``xtol + rtol |x|``, xtol capped at ``xcap |x|`` towards x = 0."""
+        return min(self.xtol, self.xcap * abs(x)) + self.rtol * abs(x)  # min keeps xtol over inf * 0
 
 
 @dataclass(frozen=True)
@@ -98,19 +103,19 @@ def isolate(sec: Sector, lo: Count, hi: Count, known=()):
         if hi.roots == lo.roots + 1 and hi.poles == lo.poles:
             yield lo, hi
             continue
-        if hi.x - lo.x <= sec.xtol + sec.rtol * abs(hi.x):
+        if hi.x - lo.x <= sec.tol(hi.x):
             raise ArithmeticError(f"roots or poles closer than the tolerance at x={hi.x!r}")
         x = math.sqrt(lo.x * hi.x) if sec.geometric else 0.5 * (lo.x + hi.x)
         mid = known.get(x) or count(sec, x)
         stack += [(mid, hi), (lo, mid)]
 
 
-def brent(f, a: float, b: float, fa: float, fb: float, xtol: float, rtol: float) -> float:
+def brent(f, a: float, b: float, fa: float, fb: float, tol: Callable[[float], float]) -> float:
     """Root of f in the sign-change bracket [a, b] (Brent 1973, ch. 4, zeroin).
 
     Secant and inverse quadratic steps, with bisection whenever they do not shrink the bracket
-    fast enough; returns the end of the final bracket, of width at most ``xtol + rtol * |root|``,
-    at which |f| is smaller.
+    fast enough; returns the end of the final bracket, of width at most ``tol(root)``, at which
+    |f| is smaller.
     """
     c, fc = a, fa
     d = e = b - a
@@ -121,7 +126,7 @@ def brent(f, a: float, b: float, fa: float, fb: float, xtol: float, rtol: float)
         if abs(fc) < abs(fb):
             a, b, c = b, c, b
             fa, fb, fc = fb, fc, fb
-        tol1 = 0.5 * (xtol + rtol * abs(b))
+        tol1 = 0.5 * tol(b)
         m = 0.5 * (c - b)
         if fb == 0.0 or abs(m) <= tol1:
             return float(b)
@@ -168,7 +173,7 @@ def polish(sec: Sector, lo: Count, hi: Count) -> Root | None:
         return scaled(*np.linalg.slogdet(sec.matrix(at)))
     zero = [end.x for end in (lo, hi) if end.logdet == -math.inf]  # det S = 0 there
     x = zero[0] if zero else brent(f, lo.x, hi.x, scaled(lo.sign, lo.logdet),
-                                   scaled(hi.sign, hi.logdet), sec.xtol, sec.rtol)
+                                   scaled(hi.sign, hi.logdet), sec.tol)
     # a bracket end, the root where det S = 0 or within the tolerance of it, kept no form
     return Root(x, kept[x] if x in kept else sec.keep(sec.form(x)[0]))
 
@@ -251,39 +256,29 @@ def sector_roots(sec: Sector) -> list[Root]:
     return list(ascending_roots(sec, count(sec, sec.lo), count(sec, sec.hi)))
 
 
-def kth_root(sec: Sector, x0: float, width: float, k: int | None) -> tuple[Root, int]:
-    """Root k of the sector (1-based from ``sec.lo``), searched from the window x0 +- width.
+def kth_root(sec: Sector, x0: float, width: float, k: int) -> Root | None:
+    """Root k of the sector, searched from the window x0 +- width; None if the sector has none.
 
-    With k None the window doubles about x0 until it holds a root, and the
-    root is the first one it meets.  With k given, the counts at the window's
-    ends tell on which side of it root k lies, and the search moves to that
-    side only: the end nearer the root becomes the far end of the next
-    window, each twice as long as the last, so the bracket polished is one
-    window long.  Every count lies in [lo, hi] of the sector.  Returns the
-    root and k.
+    Root k counts from ``sec.lo`` (k = 1 the lowest) or, for k < 0, from ``sec.hi`` (k = -1
+    the highest), as a list's index does.  The counts at the window's ends tell on which side
+    of it root k lies, and the search moves to that side only: the end nearer the root
+    becomes the far end of the next window, each twice as long as the last, so the bracket
+    polished is one window long.  Every count lies in [lo, hi] of the sector.
     """
-    base = count(sec, sec.lo).roots
-    where = f"in [{sec.lo!r}, {sec.hi!r}] near {x0!r}"
-
     def at(x):
         return count(sec, min(max(x, sec.lo), sec.hi))
-    width = max(width, sec.xtol + sec.rtol * abs(x0))
+    # the count at the upper end of root k's bracket
+    target = count(sec, sec.hi).roots + k + 1 if k < 0 else count(sec, sec.lo).roots + k
+    width = max(width, sec.tol(x0))
     lo, hi = at(x0 - width), at(x0 + width)
-    if k is None:
-        while hi.roots == lo.roots:
-            if lo.x == sec.lo and hi.x == sec.hi:
-                raise ArithmeticError(f"no root {where}")
-            width *= 2.0
-            lo, hi = at(x0 - width), at(x0 + width)
-        k = lo.roots - base + 1
-    while not lo.roots < base + k <= hi.roots:
-        below = base + k <= lo.roots
+    while not lo.roots < target <= hi.roots:
+        below = target <= lo.roots
         if (lo.x == sec.lo) if below else (hi.x == sec.hi):
-            raise ArithmeticError(f"no root {k} {where}")
+            return None
         width *= 2.0
         lo, hi = (at(lo.x - width), lo) if below else (hi, at(hi.x + width))
-    bracket = next((b for b in isolate(sec, lo, hi) if b[1].roots == base + k), None)
+    bracket = next((b for b in isolate(sec, lo, hi) if b[1].roots == target), None)
     root = None if bracket is None else polish(sec, *bracket)
     if root is None:
         raise ArithmeticError(f"root {k} near {x0!r} does not change the sign of det S")
-    return root, k
+    return root

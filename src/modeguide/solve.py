@@ -8,8 +8,8 @@ assembled once per point, through :func:`_assemble_at` or
 poles of :func:`~modeguide.matching.pole_count`, and polished on det Z
 to a bracket of ``tol / 10``; one solve with the block C per point (LU,
 or preconditioned CG for large forms), no eigensolve of S.  The same
-count serves three variables: lam, kappa = sqrt(1 - lam) near the
-threshold, and the window half-length a of the threshold system.  The
+count serves two variables: u = kappa1^2 = 1 - lam, one sector per
+system, and the window half-length a of the threshold system.  The
 truncation ladder starts from a base solution and keeps the root of the
 same index, and its solution, at each later rung, counting from where
 the root's O(1/N) drift predicts it.
@@ -26,10 +26,9 @@ resonances share this constructor, one window layout and one tail formula.
 Two solver extensions matter in practice:
 
 * Near the continuum threshold the natural variable is the decay rate
-  kappa = sqrt(1 - lam), not lam itself: eigenvalues exponentially close
-  to 1 are counted and polished in kappa, down to 1e-13, where 1 - lam
-  would underflow.  The even two-window sector always gets this extra
-  search.
+  kappa1 = sqrt(1 - lam), not lam itself, where 1 - lam would underflow:
+  counted and polished in u, eigenvalues exponentially close to 1 are
+  located down to kappa1 = 1e-13, kappa1 to a relative ``tol``.
 * Window-edge corners limit the truncated systems to O(1/N) absolute
   accuracy.  Within a fixed truncation all derived quantities are mutually
   consistent (the shared bias cancels from differences), but comparisons
@@ -78,6 +77,7 @@ __all__ = [
     "CriticalWidth",
     "CriticalWidthScan",
     "RefinedValue",
+    "NotBoundError",
     "find_eigenvalues",
     "find_near_threshold",
     "eigenfunction_value",
@@ -94,7 +94,7 @@ __all__ = [
     "THRESHOLD_KAPPA",
 ]
 
-#: clip of the search interval away from 1/4 and 1
+#: clip of the search interval away from lam = 1/4
 SEARCH_EPS = 1e-6
 #: largest kernel residual ||S v|| / (||v|| max_i |S_ii|) of an accepted root,
 #: v its kernel vector (an upper bound on |mu|/max|mu|, mu the eigenvalue of
@@ -107,8 +107,6 @@ RESIDUAL_GATE = 1e-8
 #: kappa window (lo, hi] that find_near_threshold searches by default; a root
 #: with kappa below the floor lo (1 - lam below 1e-26) is not resolved
 THRESHOLD_KAPPA = (1e-13, 0.05)
-#: kappa window of the near-threshold search of the even two-window sector
-NEAR_THRESHOLD_KAPPA = (THRESHOLD_KAPPA[0], 1e-3)
 #: relative tolerance of near-threshold kappa roots (polished to a tenth of it);
 #: at large separations rounding in S limits the root itself to about 1e-8
 #: relative (a = a_1, N = 40, l = 6: kappa = 1.17e-7, the smallest eigenvalue
@@ -138,7 +136,8 @@ class Eigenpair:
     ``kappa1`` = sqrt(1 - lam) gives ``lam``; for near-threshold pairs use
     it rather than 1 - lam, which may have no bits left.  Bound states
     (kappa1 > 0) are L2-normalized; threshold resonances (kappa1 == 0) are
-    normalized to a unit constant tail instead.  Solutions (this class,
+    normalized to a unit constant tail instead.  ``index`` counts the pair's sector from its
+    deepest state (1); None where a search did not count the whole sector.  Solutions (this class,
     CriticalWidth and RefinedValue) compare and hash by identity: array
     fields have no single truth value.
     """
@@ -152,6 +151,7 @@ class Eigenpair:
     outside_coeffs: np.ndarray
     region1_coeffs: np.ndarray | None
     residual: float
+    index: int | None = None
 
     @property
     def lam(self) -> float:
@@ -181,6 +181,13 @@ class CriticalWidth:
     @property
     def parity(self) -> str:
         return self.resonance.parity
+
+
+class NotBoundError(ArithmeticError):
+    """A ladder's state has no root at the truncation ``n``: it is not bound there."""
+    def __init__(self, message: str, n: int):
+        super().__init__(message)
+        self.n = n
 
 
 @dataclass(frozen=True)
@@ -243,10 +250,10 @@ def _form_at_kappa(system: StripConfig | Eigenpair, trunc: Truncation):
                            pole_count(system.kind, system.a, kappa1))
 
 
-def _lam_sector(system: StripConfig | Eigenpair, trunc: Truncation, tol: float) -> Sector:
+def _u_sector(system: StripConfig | Eigenpair, trunc: Truncation, tol: float) -> Sector:
     form = _form_at_kappa(system, trunc)
-    return Sector(lambda lam: form(math.sqrt(1.0 - lam)), 0.25 + SEARCH_EPS, 1.0 - SEARCH_EPS,
-                  tol / 10.0, matrix=itemgetter(1), keep=_kernel_at)
+    return Sector(lambda u: form(math.sqrt(u)), THRESHOLD_KAPPA[0] ** 2, 0.75 - SEARCH_EPS,
+                  tol / 10.0, xcap=2.0 * tol, sense=-1, matrix=itemgetter(1), keep=_kernel_at)
 
 
 def _kappa_sector(system: StripConfig | Eigenpair, trunc: Truncation, kappa_lo: float,
@@ -267,27 +274,22 @@ def find_eigenvalues(cfg: CanonicalConfig, trunc: Truncation = Truncation(),
                      tol: float = 1e-12) -> list[Eigenpair]:
     """All simple matching-determinant roots in (1/4, 1), as normalized pairs.
 
-    The search interval is clipped by ``SEARCH_EPS`` at both ends; the even
-    two-window sector is additionally searched in kappa = sqrt(1 - lam) down
-    to 1e-13 (:func:`find_near_threshold`), which locates eigenvalues whose
-    distance to the threshold is below double resolution of lam itself.
-    Each root is bracketed by the count and polished to ``tol / 10``.  An
-    empty list is a legitimate outcome (e.g. the odd single-window sector
-    below the first critical width).  Results are sorted by ascending
-    eigenvalue.
+    One sector per system, counted and polished in u = kappa1^2 = 1 - lam from
+    lam = 1/4 + ``SEARCH_EPS`` up to kappa1 = 1e-13 (``THRESHOLD_KAPPA[0]``), so
+    eigenvalues whose distance to the threshold is below double resolution of
+    lam are located too.  Each root is bracketed by the count and polished to
+    ``tol / 10`` in lam, and below kappa1 = 0.22 to ``tol`` relative in kappa1.
+    The list, maybe empty, ascends in lam, each pair's ``index`` its place in it.
     """
     _check_tol(tol)
-    pairs = [_solve_at(root) for root in sector_roots(_lam_sector(cfg.base, trunc, tol))]
-    if cfg.base.kind is ProblemKind.TWO_WINDOW_EVEN:
-        pairs += find_near_threshold(cfg, trunc, *NEAR_THRESHOLD_KAPPA)
-    pairs.sort(key=lambda p: p.lam)
-    return pairs
+    roots = sector_roots(_u_sector(cfg.base, trunc, tol))
+    return [_solve_at(root, index) for index, root in enumerate(reversed(roots), start=1)]
 
 
 def find_near_threshold(cfg: CanonicalConfig, trunc: Truncation = Truncation(),
                         kappa_lo: float = THRESHOLD_KAPPA[0],
                         kappa_hi: float = THRESHOLD_KAPPA[1]) -> list[Eigenpair]:
-    """Even two-window eigenvalues with kappa = sqrt(1 - lam) in (kappa_lo, kappa_hi].
+    """Eigenvalues with kappa = sqrt(1 - lam) in (kappa_lo, kappa_hi], as at a critical width.
 
     Counts and polishes in kappa itself (relative tolerance ``KAPPA_RTOL``),
     so roots are located even when 1 - lam is below double-precision
@@ -297,8 +299,6 @@ def find_near_threshold(cfg: CanonicalConfig, trunc: Truncation = Truncation(),
     kappa (deepest first); usually there is exactly one at a critical
     window width.
     """
-    if cfg.base.kind is not ProblemKind.TWO_WINDOW_EVEN:
-        raise ValueError("near-threshold states live in the even two-window sector")
     roots = sector_roots(_kappa_sector(cfg.base, trunc, kappa_lo, kappa_hi))
     return [_solve_at(root) for root in reversed(roots)]
 
@@ -369,9 +369,9 @@ def _assemble_at(system: StripConfig | Eigenpair, trunc: Truncation,
     return _assemble_single_core(system.kind, trunc.n, system.a, kappa1)
 
 
-def _solve_at(root: Root) -> Eigenpair:
-    """The L2-normalized pair of a root, signed by :func:`_sign`."""
-    pair = _build_pair(*root.at)
+def _solve_at(root: Root, index: int | None = None) -> Eigenpair:
+    """The L2-normalized pair of a root, signed by :func:`_sign`, of ``index`` in its sector."""
+    pair = replace(_build_pair(*root.at), index=index)
     return _divided(pair, _sign(pair) * math.sqrt(_norm_sq(pair)))
 
 
@@ -630,33 +630,32 @@ def extrapolate_truncation(ns, values, exponents=(1.0, 1.5, 2.0)) -> float:
     return float(sol[0])
 
 
-def _ladder(sector_at_n, solve, first, value, n: int, levels: int) -> RefinedValue:
-    """Re-locate ``first``, found at truncation n, at 2n, 4n, ..., and fit N -> infinity.
+def _ladder(sector_at_n, solve, first, value, n: int, levels: int, k: int,
+            x_of=lambda v: v) -> RefinedValue:
+    """Re-locate ``first``, root k of its sector at truncation n, at 2n, 4n, ..., and fit N -> oo.
 
     ``first`` is the first rung as it stands.  ``sector_at_n(tr)`` is its root's sector at
-    truncation tr, ``solve(root)`` a rung's solution and ``value`` its x in that sector.  Each
-    rung's search window is predicted from the O(1/N) drift of the root, and
-    :func:`~modeguide.roots.kth_root` counts from it to the root.  Rung 2n takes the first root
-    that a window about x = ``value(first)`` meets, of half-width |x| / 2n, the drift's scale.
-    Every later rung takes the root of the same index in its sector, from a window centred at
-    the previous x plus half the last rung-to-rung step (the step halves with each doubling of
-    N), of half-width an eighth of that step, but at least ``sqrt(eps) |x|``.
+    truncation tr, ``solve(root)`` a rung's solution, ``value`` the number fitted and
+    ``x_of(v)`` = v or 1 - v its x in that sector.  Each rung takes root k of its sector
+    (:func:`~modeguide.roots.kth_root`), counting from a window in v that the O(1/N) drift
+    predicts: for rung 2n centred at ``value(first)``, of half-width |v| / 2n, the drift's
+    scale; for every later one at the previous v plus half the last rung-to-rung step (the
+    step halves with each doubling of N), of half-width an eighth of that step, but at least
+    ``sqrt(eps) |v|``.  A rung without root k raises :class:`NotBoundError`.
     """
     if levels < 1:
         raise ValueError(f"a ladder needs levels >= 1, got {levels}")
-    x = value(first)
-    sec = sector_at_n(Truncation(n))
-    if not sec.lo < x <= sec.hi:
-        raise ValueError(f"{x!r} lies outside the sector ({sec.lo!r}, {sec.hi!r}] the ladder searches")
-    ns = [n * (2 ** k) for k in range(levels + 1)]
-    vals, solutions, k = [x], {n: first}, None
+    ns = [n * (2 ** j) for j in range(levels + 1)]
+    vals, solutions = [value(first)], {n: first}
     for rung in ns[1:]:
-        if k is None:
-            x0, width = vals[-1], abs(vals[-1]) / rung
+        if len(vals) == 1:
+            v0, width = vals[-1], abs(vals[-1]) / rung
         else:
             step = vals[-1] - vals[-2]
-            x0, width = vals[-1] + 0.5 * step, max(abs(step) / 8.0, _SQRT_EPS * abs(vals[-1]))
-        root, k = kth_root(sector_at_n(Truncation(rung)), x0, width, k)
+            v0, width = vals[-1] + 0.5 * step, max(abs(step) / 8.0, _SQRT_EPS * abs(vals[-1]))
+        root = kth_root(sector_at_n(Truncation(rung)), x_of(v0), width, k)
+        if root is None:
+            raise NotBoundError(f"no bound state at N = {rung} of root {k} at {vals[0]!r} (N = {n})", rung)
         solutions[rung] = solve(root)
         vals.append(value(solutions[rung]))
     v_inf = extrapolate_truncation(ns[-3:], vals[-3:], exponents=(1.0, 1.5))
@@ -669,22 +668,25 @@ def refine_eigenvalue(pair: Eigenpair, levels: int = REFINE_LEVELS,
                       tol: float = 1e-12) -> RefinedValue:
     """Truncation-ladder refinement of a pair of :func:`find_eigenvalues` toward N -> infinity.
 
-    The pair is the first rung, and its ``kind``, ``a`` and ``l`` are every rung's system;
-    later rungs count and polish only in a window about the root that the O(1/N) drift
-    from the previous rungs predicts (see :func:`_ladder`).  The O(1/N) window-corner error
-    is extrapolated with a two-exponent fit.
-    A pair above the lam sector (1 - lam < ``SEARCH_EPS``, found in kappa) raises ValueError.
+    The pair is the first rung, and its ``kind``, ``a`` and ``l`` are every rung's system.
+    Each later rung takes the root of the pair's ``index`` from the deepest state, as states
+    leave a sector only through the threshold, and raises :class:`NotBoundError` if it has
+    none; it searches a window that the O(1/N) drift predicts (see :func:`_ladder`).  The
+    O(1/N) window-corner error is extrapolated with a two-exponent fit.
     """
     _check_tol(tol)
-    return _ladder(lambda tr: _lam_sector(pair, tr, tol), _solve_at, pair, lambda p: p.lam,
-                   pair.n, levels)
+    if pair.index is None:
+        raise ValueError("the pair has no index in its sector: refine a pair of find_eigenvalues")
+    return _ladder(lambda tr: _u_sector(pair, tr, tol), lambda root: _solve_at(root, pair.index),
+                   pair, lambda p: p.lam, pair.n, levels, -pair.index, lambda lam: 1.0 - lam)
 
 
 def refine_critical_width(width: CriticalWidth, levels: int = REFINE_LEVELS,
                           tol: float = 1e-12) -> RefinedValue:
-    """Truncation-ladder refinement of a width of :func:`find_critical_widths`, its first rung."""
+    """Truncation-ladder refinement of a width of :func:`find_critical_widths`, its first rung:
+    widths alternate in parity from a_1 odd, so width n is root (n + 1) // 2 of its sector."""
     _check_tol(tol)
     a_max = max(A_MAX, 2.0 * width.a)
     return _ladder(lambda tr: _width_sector(tr, width.parity, a_max, tol),
                    lambda root: _threshold_resonance(root, width.index),
-                   width, lambda w: w.a, width.resonance.n, levels)
+                   width, lambda w: w.a, width.resonance.n, levels, (width.index + 1) // 2)

@@ -95,6 +95,33 @@ def test_single_refine_column(capsys):
     assert float(row["refine_error"]) > 0.0
 
 
+@pytest.mark.parametrize("a, index, parity", [("2.255", 2, "odd"), ("4.065", 3, "even")])
+def test_single_refine_leaves_a_state_unbound_at_a_later_rung_blank(capsys, a, index, parity):
+    # the top state is bound at N = 40 but not at N = 80: its refined cells stay
+    # empty, a note names it, and every other row keeps its refined value
+    code, out, err = run(capsys, "single", "--a", a, "--refine")
+    assert code == 0 and not err
+    rows = parse_csv(out)
+    top = rows[index - 1]
+    assert (top["index"], top["parity"]) == (str(index), parity) and float(top["lambda"]) > 0.9999
+    assert top["lambda_refined"] == top["refine_error"] == ""
+    assert notes(out) == [f"no bound state at N = 80 for index {index}"]
+    assert all(float(r["lambda_refined"]) < 0.7 for r in rows if r is not top)
+    _, plain, _ = run(capsys, "single", "--a", a)
+    assert [r["lambda"] for r in parse_csv(plain)] == [r["lambda"] for r in rows]
+    code, out, _ = run(capsys, "single", "--a", a, "--refine", "--format", "json")
+    row = json.loads(out)["rows"][index - 1]
+    assert code == 0 and row["lambda_refined"] is None and row["refine_error"] is None
+
+
+def test_single_lists_a_state_within_1e_6_of_the_threshold(capsys):
+    # a = 2.2497 is above a_1 = 2.24939 of N = 40: the odd state has kappa1 = 2.4e-4
+    code, out, _ = run(capsys, "single", "--a", "2.2497")
+    rows = parse_csv(out)
+    assert code == 0 and [r["parity"] for r in rows] == ["even", "odd"]
+    assert 1.0 - 1e-6 < float(rows[1]["lambda"]) < 1.0
+
+
 def test_split_fits_against_canonical_separation(capsys):
     _, canon, _ = run(capsys, "split", "--a", "1", "--l", "4:7:1", "--modes", "12")
     code, out, _ = run(capsys, "split", "--a", "2", "--l", "8:14:2", "--modes", "12",

@@ -9,6 +9,7 @@ from scipy.integrate import quad
 
 from modeguide import (
     Eigenpair,
+    NotBoundError,
     ProblemKind,
     Truncation,
     eigenfunction_value,
@@ -28,15 +29,15 @@ from modeguide.modes import window_profile_at_edge
 from modeguide.roots import Sector, count, polish, sector_roots
 from modeguide.solve import (
     A_MAX,
-    NEAR_THRESHOLD_KAPPA,
+    KAPPA_RTOL,
     RESIDUAL_GATE,
     SEARCH_EPS,
+    THRESHOLD_KAPPA,
     _assemble_at,
-    _kappa_sector,
-    _lam_sector,
     _norm_sq,
     _polish_root,
     _roots,
+    _u_sector,
     _width_sector,
     refine_critical_width,
 )
@@ -445,7 +446,7 @@ def test_polish_returns_a_bracket_end_where_det_s_vanishes():
 
 def test_brent_finds_the_root_of_a_plain_function():
     xtol, rtol = 1e-12, 4.0 * np.finfo(float).eps
-    x = roots.brent(lambda x: x ** 3 - 2.0, 1.0, 2.0, -1.0, 6.0, xtol, rtol)
+    x = roots.brent(lambda x: x ** 3 - 2.0, 1.0, 2.0, -1.0, 6.0, lambda x: xtol + rtol * abs(x))
     assert type(x) is float
     assert abs(x - 2.0 ** (1.0 / 3.0)) <= xtol + rtol * abs(x)
 
@@ -475,6 +476,20 @@ def test_a_sector_rejects_an_interval_it_cannot_search():
         find_near_threshold(cfg, tr, 0.0, 0.05)
     with pytest.raises(ValueError, match="a sector needs"):
         find_near_threshold(cfg, tr, 0.05, 1e-13)
+
+
+def test_a_capped_bracket_shrinks_towards_zero():
+    # a kappa-like form, root at x = kappa^2 = 1e-20: an absolute tolerance alone stops
+    # at the sector's end, 1e-26; capped at xcap |x| the root keeps its relative accuracy
+    def form(x):
+        return np.array([[1e-10 - math.sqrt(x)]]), 0
+    sec = Sector(form, 1e-26, 1.0, 1e-13, xcap=2e-12)
+    assert sec.tol(0.5) == pytest.approx(1e-13) and sec.tol(1e-6) == pytest.approx(2e-18)
+    assert sec.tol(0.0) == 0.0 and dataclasses.replace(sec, xcap=math.inf).tol(0.0) == 1e-13
+    (root,) = sector_roots(sec)
+    assert root.x == pytest.approx(1e-20, rel=1e-11)
+    (loose,) = sector_roots(dataclasses.replace(sec, xcap=math.inf))
+    assert loose.x == 1e-26
 
 
 def test_critical_widths_polish_only_the_roots_returned(monkeypatch):
@@ -562,25 +577,26 @@ def test_kth_root_grows_its_window_towards_the_root_only(monkeypatch, x0, k, roo
         polished.append((lo.x, hi.x))
         return real(sec, lo, hi)
     monkeypatch.setattr(roots, "polish", spy)
-    found, index = roots.kth_root(_diagonal_sector(1.0, 2.0, 3.0, counted=counted), x0, 0.01, k)
-    assert index == k and found.x == pytest.approx(root, abs=1e-13)
+    found = roots.kth_root(_diagonal_sector(1.0, 2.0, 3.0, counted=counted), x0, 0.01, k)
+    assert found.x == pytest.approx(root, abs=1e-13)
     assert polished == [pytest.approx(bracket, abs=1e-12)]
     assert all(0.0 <= x <= 4.0 for x in counted)
 
 
-def test_kth_root_without_an_index_takes_the_first_root_its_window_meets():
-    found, index = roots.kth_root(_diagonal_sector(1.0, 2.0, 3.0), 1.7, 0.01, None)
-    assert index == 2 and found.x == pytest.approx(2.0, abs=1e-13)
-
-
-@pytest.mark.parametrize("x0, k", [(3.5, 4), (0.5, 4), (3.5, None)])
-def test_kth_root_past_the_sector_raises_without_counting_outside_it(x0, k):
+@pytest.mark.parametrize("x0, k", [(3.5, 4), (0.5, 4), (3.5, -4), (0.5, -4)])
+def test_kth_root_past_the_sector_finds_none_without_counting_outside_it(x0, k):
     counted = []
-    where = (1.0, 2.0, 3.0) if k else ()
-    with pytest.raises(ArithmeticError, match="no root"):
-        roots.kth_root(_diagonal_sector(*where, counted=counted), x0, 0.01, k)
+    assert roots.kth_root(_diagonal_sector(1.0, 2.0, 3.0, counted=counted), x0, 0.01, k) is None
     assert counted and min(counted) == 0.0 and max(counted) == 4.0
     assert all(0.0 <= x <= 4.0 for x in counted)
+
+
+@pytest.mark.parametrize("x0", [0.2, 1.7, 2.9])
+@pytest.mark.parametrize("k, root", [(-1, 3.0), (-2, 2.0), (-3, 1.0)])
+def test_kth_root_counts_a_negative_index_from_the_upper_end(x0, k, root):
+    # root -1 is the one nearest hi, as a list's index counts, wherever the window starts
+    found = roots.kth_root(_diagonal_sector(1.0, 2.0, 3.0), x0, 0.01, k)
+    assert found.x == pytest.approx(root, abs=1e-13)
 
 
 def test_second_critical_width_is_even():
@@ -599,8 +615,18 @@ def test_near_threshold_root(first_critical):
 
 def test_near_threshold_absent_off_critical():
     assert find_near_threshold(two_cfg(1.0, 8.0, "even"), Truncation(40)) == []
-    with pytest.raises(ValueError):
-        find_near_threshold(two_cfg(1.0, 8.0, "odd"), Truncation(40))
+    assert find_near_threshold(two_cfg(1.0, 8.0, "odd"), Truncation(40)) == []
+
+
+def test_near_threshold_search_serves_every_kind():
+    # no sector is special: just above a_1 the odd single window binds kappa1 = 7.6e-6,
+    # which the kappa window finds as the one sector does
+    tr = Truncation(40)
+    cfg = single_cfg(find_critical_widths(1, tr).widths[0].a + 1e-5, "odd")
+    (near,) = find_near_threshold(cfg, tr)
+    (pair,) = find_eigenvalues(cfg, tr)
+    assert near.kappa1 == pytest.approx(7.58e-6, rel=1e-3)
+    assert pair.kappa1 == pytest.approx(near.kappa1, rel=1e-9)
 
 
 def test_solver_results_are_frozen(ground_pair, first_critical):
@@ -710,16 +736,35 @@ def test_a_ladder_needs_a_doubling(base, refine, levels):
         refine(base(), levels)
 
 
-def test_a_near_threshold_pair_has_no_lam_ladder():
-    # at the first critical width the even pair state has kappa1 = 1.2e-4: its
-    # lam lies above the lam sector, whose window would grow to the ground state
+def test_a_ladder_stops_where_its_state_is_not_bound():
+    # at the first critical width of N = 40 the even pair state has kappa1 = 1.2e-4; at
+    # N = 80 the critical width is larger and the state is gone, so the ladder names it
+    # instead of growing its window to the ground state
     tr = Truncation(40)
     cfg = two_cfg(find_critical_widths(1, tr).widths[0].a, 4.0, "even")
     ground, near = find_eigenvalues(cfg, tr)
-    assert near.lam > 1.0 - SEARCH_EPS and near.kappa1 < 1e-3
-    with pytest.raises(ValueError, match="outside the sector"):
+    assert (ground.index, near.index) == (1, 2) and near.kappa1 < 1e-3
+    with pytest.raises(NotBoundError, match="no bound state at N = 80") as info:
         refine_eigenvalue(near)
+    assert info.value.n == 80
     assert refine_eigenvalue(ground, levels=1).solutions[40] is ground
+    # find_near_threshold counts only a window of the sector: its pairs have no index
+    (windowed,) = find_near_threshold(cfg, tr)
+    assert windowed.index is None
+    with pytest.raises(ValueError, match="no index"):
+        refine_eigenvalue(windowed)
+
+
+def test_a_ladder_never_takes_a_deeper_state():
+    # a = 4.065 binds a second even state at N = 40 (lam = 0.99999) but not at N = 80:
+    # the window about it would grow to the ground state at lam = 0.355 and refine that
+    tr = Truncation(40)
+    ground, top = find_eigenvalues(single_cfg(4.065), tr)
+    assert top.lam > 0.9999 and ground.lam < 0.36
+    with pytest.raises(NotBoundError) as info:
+        refine_eigenvalue(top)
+    assert info.value.n == 80
+    assert all(p.index == 1 for p in refine_eigenvalue(ground).solutions.values())
 
 
 @pytest.mark.parametrize("cfg", [single_cfg(1.0), two_cfg(1.0, 6.0, "even"), two_cfg(1.0, 6.0, "odd")],
@@ -759,15 +804,16 @@ def test_every_later_rung_starts_at_its_predicted_root(monkeypatch, ladder):
 
 @st.composite
 def _ladder_bases(draw):
-    """Base solutions at N = 8-16, each with its sector at a truncation: the roots of a
-    random single window (both parities), of a random pair of windows in one parity, or
-    the first two critical widths.  A state within 0.1 of the threshold is left out: its
-    lam rises with N, and it can leave the lam sector before the top rung."""
+    """Base solutions at N = 8-16, each with its sector at a truncation and the map from
+    that sector's x to the ladder's value: the roots of a random single window (both
+    parities), of a random pair of windows in one parity, or the first two critical
+    widths.  A state within 0.1 of the threshold is left out: its lam rises with N, and it
+    can leave the sector through the threshold before the top rung."""
     tr, tol = Truncation(draw(st.integers(8, 16))), 1e-12
     what = draw(st.sampled_from(["single", "two", "critical"]))
     if what == "critical":
-        return [(width, lambda t, w=width: _width_sector(t, w.parity, max(A_MAX, 2.0 * w.a), tol))
-                for width in find_critical_widths(2, tr).widths]
+        return [(width, lambda t, w=width: _width_sector(t, w.parity, max(A_MAX, 2.0 * w.a), tol),
+                 lambda a: a) for width in find_critical_widths(2, tr).widths]
     if what == "single":
         a = draw(st.floats(0.8, 5.0))
         pairs = find_eigenvalues(single_cfg(a), tr) + find_eigenvalues(single_cfg(a, "odd"), tr)
@@ -775,32 +821,41 @@ def _ladder_bases(draw):
         a = draw(st.floats(0.8, 2.0))
         cfg = two_cfg(a, draw(st.floats(a + 0.5, a + 5.0)), draw(st.sampled_from(["even", "odd"])))
         pairs = find_eigenvalues(cfg, tr)
-    return [(pair, lambda t, p=pair: _lam_sector(p, t, tol)) for pair in pairs if pair.lam < 0.9]
+    return [(pair, lambda t, p=pair: _u_sector(p, t, tol), lambda u: 1.0 - u)
+            for pair in pairs if pair.lam < 0.9]
 
 
 @given(_ladder_bases())
 @settings(max_examples=20, deadline=None)
 def test_every_rung_is_the_root_of_the_base_roots_index(bases):
-    # each rung's value is the root of the base root's index in its own sector,
-    # as a count of the whole sector finds it, polished alike to tol / 10
+    # each rung's value is the root of the base root's index in its own sector, counted
+    # from the deep end for eigenvalues, as a count of the whole sector finds it,
+    # polished alike to tol / 10
     tol = 1e-12
-    for first, sector_at in bases:
+    for first, sector_at, value_of in bases:
         if isinstance(first, Eigenpair):
             by_n = refine_eigenvalue(first, levels=2, tol=tol).by_n
         else:
             by_n = refine_critical_width(first, levels=2, tol=tol).by_n
-        full = {n: [root.x for root in sector_roots(sector_at(Truncation(n)))] for n in by_n}
+        full = {n: [value_of(root.x) for root in sector_roots(sector_at(Truncation(n)))]
+                for n in by_n}
         n = min(by_n)
         index = int(np.argmin(np.abs(np.array(full[n]) - by_n[n])))
+        if isinstance(first, Eigenpair):
+            index -= len(full[n])
+            assert -index == first.index
         for n, x in by_n.items():
             assert abs(full[n][index] - x) <= tol / 10.0, (n, full[n], x)
 
 
-def test_even_sector_threshold_scan_is_find_near_threshold(first_critical):
+def test_one_sector_holds_the_near_threshold_root(first_critical):
+    # the even pair state at the first critical width, kappa1 = 1.2e-4, is the sector's
+    # top root, as find_near_threshold's kappa window finds it, to the kappa tolerance
     cfg, tr = two_cfg(first_critical.a, 4.0, "even"), Truncation(40)
     near = [p.kappa1 for p in find_eigenvalues(cfg, tr) if p.kappa1 < 1e-3]
-    assert near == [p.kappa1 for p in find_near_threshold(cfg, tr, 1e-13, 1e-3)]
-    assert len(near) == 1
+    windowed = [p.kappa1 for p in find_near_threshold(cfg, tr, 1e-13, 1e-3)]
+    assert len(near) == len(windowed) == 1
+    assert near[0] == pytest.approx(windowed[0], rel=10.0 * KAPPA_RTOL)
 
 
 # ---------------------------------------------------------------------------
@@ -809,14 +864,14 @@ def test_even_sector_threshold_scan_is_find_near_threshold(first_critical):
 
 def _old_grid_roots(cfg, tr):
     # sign changes on the grids of the determinant-sign scanner this count
-    # replaced: 750 lam points, plus 240 log-kappa points in the even
-    # two-window sector, each signed by slogdet of the matching matrix K
+    # replaced, each signed by slogdet of the matching matrix K: 750 lam points
+    # up to kappa = 1e-3, and 240 log-kappa points from there down to 1e-13,
+    # which that scanner gave the even two-window sector only
     b = cfg.base
-    grid = np.arange(0.25 + SEARCH_EPS, 1.0 - SEARCH_EPS + 0.5e-3, 1e-3)
-    grid[-1] = min(grid[-1], 1.0 - SEARCH_EPS)
-    kappas = [np.sqrt(1.0 - grid)]
-    if b.kind is ProblemKind.TWO_WINDOW_EVEN:
-        kappas.append(np.geomspace(*NEAR_THRESHOLD_KAPPA, 240))
+    top = 1.0 - 1e-6
+    grid = np.arange(0.25 + SEARCH_EPS, top + 0.5e-3, 1e-3)
+    grid[-1] = min(grid[-1], top)
+    kappas = [np.sqrt(1.0 - grid), np.geomspace(THRESHOLD_KAPPA[0], 1e-3, 240)]
     changes = 0
     for k in kappas:
         s = np.linalg.slogdet(reference_matrix(b.kind, tr.n, b.a, k, b.l))[0]
@@ -834,11 +889,51 @@ def test_roots_found_equal_the_count_on_random_geometries(geometry):
     a, l = geometry
     tr = Truncation(12)
     for cfg in (single_cfg(a), single_cfg(a, "odd"), two_cfg(a, l, "even"), two_cfg(a, l, "odd")):
-        expected = _count_across(_lam_sector(cfg.base, tr, 1e-12))
-        if cfg.base.kind is ProblemKind.TWO_WINDOW_EVEN:
-            expected += _count_across(_kappa_sector(cfg.base, tr, *NEAR_THRESHOLD_KAPPA))
+        expected = _count_across(_u_sector(cfg.base, tr, 1e-12))
         found = len(find_eigenvalues(cfg, tr))
         assert found == expected == _old_grid_roots(cfg, tr)
+
+
+def _binding_width(make, lo: float, hi: float, tr) -> float:
+    """The a in (lo, hi] at which the sector of make(a) holds one more root than at lo,
+    by bisection on the count at the sector's ends, to 1e-13 relative."""
+    held = _count_across(_u_sector(make(lo).base, tr, 1e-12))
+    while hi - lo > 1e-13 * hi:
+        mid = 0.5 * (lo + hi)
+        if _count_across(_u_sector(make(mid).base, tr, 1e-12)) > held:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+@st.composite
+def _just_bound(draw):
+    """A system at N = 12-40 a little above the width at which its sector binds one more
+    state, so that state lies near the threshold (kappa1 from about 1e-11 to 1e-3): a single
+    window of either parity above a critical width of its own truncation (a_1 odd, a_2
+    even), or a pair of windows in the odd sector above the width of its next state."""
+    tr = Truncation(draw(st.integers(12, 40)))
+    lo, parity = draw(st.sampled_from([(2.1, "odd"), (3.9, "even")]))  # just below a_1, a_2
+    if draw(st.booleans()):
+        make, hi = (lambda a: single_cfg(a, parity)), lo + 0.4
+    else:
+        gap = draw(st.floats(2.0, 5.0))
+        make, hi = (lambda a: two_cfg(a, a + gap, "odd")), lo + 1.0
+    a = _binding_width(make, lo, hi, tr) + 10.0 ** draw(st.floats(-11.0, -3.0))
+    return make(a), tr
+
+
+@given(_just_bound())
+@settings(max_examples=15, deadline=None)
+def test_every_state_near_the_threshold_is_found(system):
+    # the state just bound lies above lam = 1 - 1e-6 for most draws, where a search in
+    # lam alone stops: the roots returned are every root the sector's ends count
+    cfg, tr = system
+    pairs = find_eigenvalues(cfg, tr)
+    assert len(pairs) == _count_across(_u_sector(cfg.base, tr, 1e-12))
+    assert [p.index for p in pairs] == list(range(1, len(pairs) + 1))
+    assert pairs[-1].kappa1 < 2e-3
 
 
 def test_forced_count_mismatch_raises(monkeypatch):
@@ -847,7 +942,7 @@ def test_forced_count_mismatch_raises(monkeypatch):
 
     def phantom(sec, x):
         c = real(sec, x)
-        return dataclasses.replace(c, roots=c.roots + (x > 0.95))
+        return dataclasses.replace(c, roots=c.roots + (x > 0.7))  # u = 1 - lam
     monkeypatch.setattr(roots, "count", phantom)
     with pytest.raises(ArithmeticError, match="count gives 2"):
         find_eigenvalues(single_cfg(1.0), Truncation(12))
