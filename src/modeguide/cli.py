@@ -38,6 +38,7 @@ from .matching import Truncation
 from .modes import GeometryError, GridAlignmentError, ProblemKind, StripConfig, canonicalize
 from .records import RunRecord, cache_get, cache_put
 from .solve import (
+    KAPPA_RTOL,
     REFINE_LEVELS,
     NotBoundError,
     THRESHOLD_KAPPA,
@@ -504,10 +505,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "l": dict(type=_range_text, help="half-separation or range start:stop:step"),
         "modes": dict(type=int, default=40, help="transverse modes per region (default %(default)s)"),
         "tol": dict(type=_finite, default=1e-12,
-                    help="root tolerance >= 1e-14: each root is polished to a bracket of "
-                         "width tol/10, and a root whose kernel residual "
-                         "|S v|/(|v| max|S_ii|) exceeds 1e-8 is rejected, which any tol "
-                         "up to about 1e-6 passes (default %(default)s)"),
+                    help="root tolerance in [1e-14, 1e-6]: each root is polished to a "
+                         "bracket of width tol/10, and a root whose kernel residual "
+                         "|S v|/(|v| max|S_ii|) exceeds 1e-8 is rejected (default %(default)s)"),
         "jobs": dict(type=int, default=1,
                      help="parallel sweep workers >= 1, capped at the sweep points (default %(default)s)"),
         "format": dict(choices=("csv", "json"), default="csv", help="output format (default %(default)s)"),
@@ -534,7 +534,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=1, help="number of critical widths (default %(default)s)")
     p.set_defaults(func=cmd_critical)
 
-    p = sub.add_parser("threshold", help="near-threshold sweep at a critical width")
+    p = sub.add_parser("threshold", help="near-threshold sweep at a critical width",
+                       description=f"--tol governs the critical width; each near-threshold kappa "
+                                   f"is located to {KAPPA_RTOL:g} relative, whatever --tol")
     flags(p, "d", "a", "l", "modes", "tol", "format")
     p.add_argument("--n", type=int, default=1, help="critical-width index (default %(default)s)")
     p.set_defaults(func=cmd_threshold)

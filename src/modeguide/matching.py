@@ -51,7 +51,6 @@ __all__ = [
     "assemble_threshold",
     "trace_form",
     "schur_complement",
-    "trace_order",
     "pole_count",
     "det_sign",
     "MAX_FORM_BYTES",
@@ -222,12 +221,6 @@ def trace_form(kind: ProblemKind, n: int, a: float, kappa1: float,
     return S
 
 
-def trace_order(dim: int, width: int) -> np.ndarray:
-    """Trace indices of a form, the first window mode's (0, and n for two windows) first."""
-    w = np.arange(width) * (dim // width)
-    return np.concatenate([w, np.delete(np.arange(dim), w)])
-
-
 def schur_complement(S: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
     """Reduce a trace form S to its first window mode: ``(Z, X)``.
 
@@ -238,9 +231,9 @@ def schur_complement(S: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]
     complement ``Z = S_WW - S_WR X`` (width x width) has as many negative
     eigenvalues as S, and ``det S = det C det Z`` with ``det C > 0``.  A
     kernel vector v_W of Z extends to the kernel vector ``(v_W, -X v_W)``
-    of S, in the order of :func:`trace_order`.  The blocks are slices of S
-    seen as width x width blocks of n x n, and no reordered copy of S is
-    made.  The solve with C is a hybrid on the dimension r of C, numpy only:
+    of S, its first-mode traces W first and then R in S's order.  The
+    blocks are slices of S seen as width x width blocks of n x n, and no
+    reordered copy of S is made.  The solve with C is a hybrid on the dimension r of C, numpy only:
 
     * r < ``PCG_MIN_DIM``: dense LU, with C one copy of the four
       (n-1) x (n-1) blocks for two windows and a view of S for one;

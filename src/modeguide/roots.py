@@ -30,9 +30,9 @@ class Sector:
 
     ``form(x)`` is the form's value at x, S = ``matrix(value)``, and its pole count; a
     polished point keeps ``keep(value)`` (both by default the value).  ``sense`` is -1 when
-    x runs against the form's own variable (x = kappa for lam), so that ``sense * (negative
-    eigenvalues + poles)`` is the number of roots below x up to a constant.  Count bisection
-    halves geometrically if ``geometric``; the polish stops at a bracket of :meth:`tol`.
+    x runs against the form's own variable (x = 1 - lam for lam), so that ``sense * (negative
+    eigenvalues + poles)`` is the number of roots below x up to a constant.  The polish stops
+    at a bracket of :meth:`tol`, in s = sqrt(x) if the bracket tops out at ``sqrt_upto``.
     """
 
     form: Callable[[float], tuple[Any, int]]
@@ -42,15 +42,15 @@ class Sector:
     rtol: float = 4.0 * _EPS
     xcap: float = math.inf
     sense: int = 1
-    geometric: bool = False
+    sqrt_upto: float = -math.inf
     matrix: Callable[[Any], np.ndarray] = lambda value: value
     keep: Callable[[Any], Any] = lambda value: value
 
     def __post_init__(self) -> None:
-        # bisection needs an interval to halve, and a geometric one a positive lower end
-        if not (self.lo < self.hi and (self.lo > 0.0 or not self.geometric)):
-            raise ValueError(f"a sector needs lo < hi, and lo > 0 if geometric: got "
-                             f"[{self.lo!r}, {self.hi!r}], geometric={self.geometric}")
+        # bisection needs an interval to halve, and a polish in sqrt(x) a positive lower end
+        if not (self.lo < self.hi and (self.lo > 0.0 or self.sqrt_upto <= self.lo)):
+            raise ValueError(f"a sector needs lo < hi, and lo > 0 if it polishes in sqrt(x): got "
+                             f"[{self.lo!r}, {self.hi!r}], sqrt_upto={self.sqrt_upto!r}")
 
     def tol(self, x: float) -> float:
         """Bracket width at x: ``xtol + rtol |x|``, xtol capped at ``xcap |x|`` towards x = 0."""
@@ -105,7 +105,7 @@ def isolate(sec: Sector, lo: Count, hi: Count, known=()):
             continue
         if hi.x - lo.x <= sec.tol(hi.x):
             raise ArithmeticError(f"roots or poles closer than the tolerance at x={hi.x!r}")
-        x = math.sqrt(lo.x * hi.x) if sec.geometric else 0.5 * (lo.x + hi.x)
+        x = 0.5 * (lo.x + hi.x)
         mid = known.get(x) or count(sec, x)
         stack += [(mid, hi), (lo, mid)]
 
@@ -155,10 +155,10 @@ def brent(f, a: float, b: float, fa: float, fb: float, tol: Callable[[float], fl
 def polish(sec: Sector, lo: Count, hi: Count) -> Root | None:
     """The :class:`Root` of a one-root, pole-free bracket, by Brent's method on det S.
 
-    Across such a bracket det S changes sign once, at the root.  The values
-    are scaled by det S(lo) and clipped to e^+-700, so they stay finite.  The
-    root takes what its point kept (``Sector.keep``).  None when the
-    determinant keeps its sign (the count was wrong).
+    Across such a bracket det S changes sign once, at the root.  The values are scaled by
+    det S(lo) and clipped to e^+-700, so they stay finite, and taken in s = sqrt(x) up to
+    ``Sector.sqrt_upto`` (det S ~ s - s0 near a threshold).  The root takes what its point
+    kept (``Sector.keep``).  None when the determinant keeps its sign (the count was wrong).
     """
     if lo.sign == hi.sign:
         return None
@@ -172,8 +172,14 @@ def polish(sec: Sector, lo: Count, hi: Count) -> Root | None:
         kept[x] = sec.keep(at)
         return scaled(*np.linalg.slogdet(sec.matrix(at)))
     zero = [end.x for end in (lo, hi) if end.logdet == -math.inf]  # det S = 0 there
-    x = zero[0] if zero else brent(f, lo.x, hi.x, scaled(lo.sign, lo.logdet),
-                                   scaled(hi.sign, hi.logdet), sec.tol)
+    fa, fb = scaled(lo.sign, lo.logdet), scaled(hi.sign, hi.logdet)
+    if zero:
+        x = zero[0]
+    elif hi.x <= sec.sqrt_upto:  # to the bracket that sec.tol maps to s
+        x = brent(lambda s: f(s * s), math.sqrt(lo.x), math.sqrt(hi.x), fa, fb,
+                  lambda s: sec.tol(s * s) / (2.0 * s)) ** 2
+    else:
+        x = brent(f, lo.x, hi.x, fa, fb, sec.tol)
     # a bracket end, the root where det S = 0 or within the tolerance of it, kept no form
     return Root(x, kept[x] if x in kept else sec.keep(sec.form(x)[0]))
 

@@ -8,11 +8,11 @@ assembled once per point, through :func:`_assemble_at` or
 poles of :func:`~modeguide.matching.pole_count`, and polished on det Z
 to a bracket of ``tol / 10``; one solve with the block C per point (LU,
 or preconditioned CG for large forms), no eigensolve of S.  The same
-count serves two variables: u = kappa1^2 = 1 - lam, one sector per
-system, and the window half-length a of the threshold system.  The
-truncation ladder starts from a base solution and keeps the root of the
-same index, and its solution, at each later rung, counting from where
-the root's O(1/N) drift predicts it.
+count serves two variables: u = kappa1^2 = 1 - lam, one sector per system
+(the near-threshold search counts a window of it), and the window half-length
+a of the threshold system.  The truncation ladder starts from a base solution
+and keeps the root of the same index, and its solution, at each later rung,
+counting from where the root's O(1/N) drift predicts it.
 
 Each root's kernel vector of S comes from the solve at the root, which each
 polished point keeps instead of S (:func:`_kernel_at`): the kernel of Z on
@@ -27,8 +27,8 @@ Two solver extensions matter in practice:
 
 * Near the continuum threshold the natural variable is the decay rate
   kappa1 = sqrt(1 - lam), not lam itself, where 1 - lam would underflow:
-  counted and polished in u, eigenvalues exponentially close to 1 are
-  located down to kappa1 = 1e-13, kappa1 to a relative ``tol``.
+  counted in u, polished in kappa1 below ``THRESHOLD_KAPPA[1]``, eigenvalues
+  exponentially close to 1 are located down to kappa1 = 1e-13, to a relative ``tol``.
 * Window-edge corners limit the truncated systems to O(1/N) absolute
   accuracy.  Within a fixed truncation all derived quantities are mutually
   consistent (the shared bias cancels from differences), but comparisons
@@ -102,7 +102,7 @@ SEARCH_EPS = 1e-6
 #: residuals below tol/130 (at most 7.6e-3 tol over single-window sectors at
 #: a = 1, 2, 3.5 and two-window sectors at (a, l) = (1, 6), (2, 4), N = 12 and
 #: 40, tol from 1e-12 to 1e-3), so every tol up to about 1.3e-6 passes (1e-6
-#: did; 3.2e-6 failed)
+#: did; 3.2e-6 failed), and the solvers reject a tol above 1e-6
 RESIDUAL_GATE = 1e-8
 #: kappa window (lo, hi] that find_near_threshold searches by default; a root
 #: with kappa below the floor lo (1 - lam below 1e-26) is not resolved
@@ -218,9 +218,11 @@ class RefinedValue:
 # ---------------------------------------------------------------------------
 
 def _check_tol(tol: float) -> None:
-    """The tolerance rule of every solver entry point (NaN fails it too)."""
+    """The tolerance rule of every solver entry point (NaN fails it too): 1e-14 <= tol <= 1e-6."""
     if not tol >= 1e-14:
         raise ValueError(f"bracketing tolerance below 1e-14 is not resolvable, got {tol}")
+    if tol > 1e-6:
+        raise ValueError(f"tolerance above 1e-6 may give roots the residual gate rejects, got {tol}")
 
 
 def _reduced(sys: MatchingSystem) -> tuple[MatchingSystem, np.ndarray, np.ndarray]:
@@ -244,22 +246,15 @@ def _kernel_at(value) -> tuple[MatchingSystem, np.ndarray, float]:
     return replace(sys, matrix=None), w, residual
 
 
-def _form_at_kappa(system: StripConfig | Eigenpair, trunc: Truncation):
-    """The form of ``system``'s ``kind``, ``a`` and ``l``: a configuration's base, or a pair's."""
-    return lambda kappa1: (_reduced(_assemble_at(system, trunc, kappa1)),
-                           pole_count(system.kind, system.a, kappa1))
-
-
-def _u_sector(system: StripConfig | Eigenpair, trunc: Truncation, tol: float) -> Sector:
-    form = _form_at_kappa(system, trunc)
-    return Sector(lambda u: form(math.sqrt(u)), THRESHOLD_KAPPA[0] ** 2, 0.75 - SEARCH_EPS,
-                  tol / 10.0, xcap=2.0 * tol, sense=-1, matrix=itemgetter(1), keep=_kernel_at)
-
-
-def _kappa_sector(system: StripConfig | Eigenpair, trunc: Truncation, kappa_lo: float,
-                  kappa_hi: float) -> Sector:
-    return Sector(_form_at_kappa(system, trunc), kappa_lo, kappa_hi, 0.0, KAPPA_RTOL / 10.0,
-                  sense=-1, geometric=True, matrix=itemgetter(1), keep=_kernel_at)
+def _u_sector(system: StripConfig | Eigenpair, trunc: Truncation, tol: float,
+              lo: float = THRESHOLD_KAPPA[0] ** 2, hi: float = 0.75 - SEARCH_EPS) -> Sector:
+    """The sector in u = kappa1^2 on (lo, hi] of ``system``'s ``kind``, ``a`` and ``l``, polished
+    in kappa1 where a bracket tops out at kappa1 = ``THRESHOLD_KAPPA[1]`` or below."""
+    def form(u):
+        kappa1 = math.sqrt(u)
+        return _reduced(_assemble_at(system, trunc, kappa1)), pole_count(system.kind, system.a, kappa1)
+    return Sector(form, lo, hi, tol / 10.0, xcap=2.0 * tol, sense=-1,
+                  sqrt_upto=THRESHOLD_KAPPA[1] ** 2, matrix=itemgetter(1), keep=_kernel_at)
 
 
 def _width_sector(trunc: Truncation, parity: str, a_max: float, tol: float) -> Sector:
@@ -291,15 +286,14 @@ def find_near_threshold(cfg: CanonicalConfig, trunc: Truncation = Truncation(),
                         kappa_hi: float = THRESHOLD_KAPPA[1]) -> list[Eigenpair]:
     """Eigenvalues with kappa = sqrt(1 - lam) in (kappa_lo, kappa_hi], as at a critical width.
 
-    Counts and polishes in kappa itself (relative tolerance ``KAPPA_RTOL``),
-    so roots are located even when 1 - lam is below double-precision
-    resolution of lam; at large separations the root carries about 8
-    correct digits (about 1e-8 relative at l = 6, see ``KAPPA_RTOL``), the
-    rest being rounding noise of S.  Returns pairs sorted by descending
-    kappa (deepest first); usually there is exactly one at a critical
-    window width.
+    Counts the window (kappa_lo^2, kappa_hi^2] of the system's one sector in u = kappa^2
+    and polishes in kappa itself below ``THRESHOLD_KAPPA[1]``, to ``KAPPA_RTOL`` relative,
+    so roots are located even when 1 - lam is below double-precision resolution of lam; at
+    large separations the root carries about 8 correct digits (see ``KAPPA_RTOL``), the rest
+    rounding noise of S.  Returns pairs sorted by descending kappa (deepest first), without
+    an ``index``; usually there is exactly one at a critical window width.
     """
-    roots = sector_roots(_kappa_sector(cfg.base, trunc, kappa_lo, kappa_hi))
+    roots = sector_roots(_u_sector(cfg.base, trunc, KAPPA_RTOL / 10.0, kappa_lo ** 2, kappa_hi ** 2))
     return [_solve_at(root) for root in reversed(roots)]
 
 

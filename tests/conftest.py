@@ -2,12 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from modeguide import ProblemKind, StripConfig, Truncation, canonicalize
 from modeguide.modes import axial_logderiv, overlap_matrix, window_profile_at_edge
 from modeguide.solve import find_critical_widths, find_eigenvalues
 
 PI = math.pi
+
+
+# a in [0.5, 2] stays below the first critical width (2.20 at N = 12); l >= a + 3
+# because the odd pair state at a = 0.5 binds only from l ~ 3.25
+GEOMETRIES = st.floats(0.5, 2.0).flatmap(lambda a: st.tuples(st.just(a), st.floats(a + 3.0, 8.0)))
 
 
 def single_cfg(a, parity="even", d=PI):

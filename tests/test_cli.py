@@ -14,6 +14,8 @@ from hypothesis import example, given, settings, strategies as st
 from modeguide.cli import MAX_SWEEP_POINTS, _parse_range, _switch, main
 from modeguide.records import RunRecord
 
+from conftest import GEOMETRIES
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -367,11 +369,11 @@ def test_oracle_record_holds_only_oracle_flags(capsys, tmp_path):
     ("critical", "--n", "1", "--modes", "12", "--tol", "1e-3"),
 ])
 def test_single_and_critical_reject_root_failing_the_residual_gate(capsys, argv):
-    # a coarse bracketing tolerance stops far from the root: the kernel
-    # residual fails the gate and the run reports non-convergence
+    # a coarse bracketing tolerance stops far from the root, where the kernel residual
+    # fails the gate (test_solve.py); the run rejects such a tol before any solve
     code, out, err = run(capsys, *argv)
-    assert code == 3
-    assert "residual" in err and not out
+    assert code == 2
+    assert "residual gate" in err and not out
 
 
 TWO_PI = repr(2 * math.pi)
@@ -559,6 +561,37 @@ def test_unresolvable_tolerances_exit_2_promptly(capsys, argv):
         code, out, err = run(capsys, *argv)
     assert code == 2 and not out
     assert "tol" in err or "tolerance" in err
+
+
+def _quiet(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
+        return main(list(argv)), err.getvalue()
+
+
+_TOL_COMMANDS = [("single", "--a", "1"), ("split", "--a", "1", "--l", "4:6:1"),
+                 ("critical", "--n", "3"), ("threshold", "--n", "1", "--l", "3:4")]
+
+
+@given(tol=st.floats(1e-14, 1e-6), geometry=GEOMETRIES, modes=st.sampled_from(["12", "40"]))
+@example(tol=1e-6, geometry=(2.0, 5.0), modes="40")
+@settings(max_examples=30, deadline=None)
+def test_every_tolerance_up_to_the_bound_passes_the_residual_gate(tol, geometry, modes):
+    # 1e-6 is the largest tol whose roots the kernel residual gate (1e-8) admits on every
+    # geometry: each root is polished to tol / 10, and its residual stays below tol / 130
+    a, l = geometry
+    for argv in (("single", "--a", repr(a)), ("split", "--a", repr(a), "--l", f"{l!r}:{l!r}:1"),
+                 ("critical", "--n", "3")):
+        code, err = _quiet([*argv, "--modes", modes, "--tol", repr(tol)])
+        assert code == 0, (argv, err)
+
+
+@given(command=st.sampled_from(_TOL_COMMANDS), tol=st.floats(1e-6, 1e300, exclude_min=True))
+@example(command=_TOL_COMMANDS[0], tol=math.nextafter(1e-6, 1.0))
+@settings(max_examples=40, deadline=None)
+def test_every_tolerance_above_the_bound_exits_2_before_any_solve(command, tol):
+    with deadline(5):
+        code, err = _quiet([*command, "--modes", "8", "--tol", repr(tol)])
+    assert code == 2 and "tolerance above 1e-6" in err
 
 
 @pytest.mark.parametrize("argv", [

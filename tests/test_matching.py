@@ -19,7 +19,6 @@ from modeguide.matching import (
     pole_count,
     schur_complement,
     trace_form,
-    trace_order,
 )
 from modeguide.modes import overlap_matrix, window_profile_at_edge
 from modeguide.solve import _assemble_at, find_critical_widths, find_eigenvalues
@@ -27,6 +26,12 @@ from modeguide.solve import _assemble_at, find_critical_widths, find_eigenvalues
 from conftest import reference_matrix, single_cfg, two_cfg
 
 PI = math.pi
+
+
+def _trace_order(dim, width):
+    # trace indices of a form, the first window mode's (0, and n for two windows) first
+    w = np.arange(width) * (dim // width)
+    return np.concatenate([w, np.delete(np.arange(dim), w)])
 
 
 def _system(cfg, lam, n):
@@ -132,7 +137,7 @@ def test_schur_count_equals_the_dense_count(form):
     parities = ("even", "odd") if kind.is_two_window else (kind.parity,)
     assume(all(abs(window_profile_at_edge(t1, a, p)[0][0]) > 1e-6 for p in parities))
     width = 2 if kind.is_two_window else 1
-    order = trace_order(S.shape[0], width)
+    order = _trace_order(S.shape[0], width)
     np.linalg.cholesky(S[np.ix_(order, order)][width:, width:])
     Z, _ = schur_complement(S, width)
     mu = np.linalg.eigvalsh(S)
@@ -143,7 +148,7 @@ def test_schur_count_equals_the_dense_count(form):
 
 def _gathered_reduction(S, width):
     # the reduction of S reordered as a whole, first-mode traces first
-    order = trace_order(S.shape[0], width)
+    order = _trace_order(S.shape[0], width)
     T = S[np.ix_(order, order)]
     X = np.linalg.solve(T[width:, width:], T[width:, :width])
     Z = T[:width, :width] - T[:width, width:] @ X
@@ -168,7 +173,7 @@ def _reduction_in_long_double(S, width):
     # the gathered reduction with X refined against long double residuals of C X = B:
     # the Schur complement of this S, the float S taken as exact
     _, X = _gathered_reduction(S, width)
-    order = trace_order(S.shape[0], width)
+    order = _trace_order(S.shape[0], width)
     T = S[np.ix_(order, order)].astype(np.longdouble)
     C, B = T[width:, width:], T[width:, :width]
     X = X.astype(np.longdouble)

@@ -37,12 +37,14 @@ from modeguide.solve import (
     _norm_sq,
     _polish_root,
     _roots,
+    _solve_at,
+    _threshold_resonance,
     _u_sector,
     _width_sector,
     refine_critical_width,
 )
 
-from conftest import reference_matrix, single_cfg, two_cfg
+from conftest import GEOMETRIES, reference_matrix, single_cfg, two_cfg
 
 PI = math.pi
 
@@ -120,11 +122,6 @@ def test_every_entry_point_applies_the_tol_rule(entry, tol):
 
 def test_residual_quality(ground_pair):
     assert ground_pair.residual <= 1e-9
-
-
-# a in [0.5, 2] stays below the first critical width (2.20 at N = 12); l >= a + 3
-# because the odd pair state at a = 0.5 binds only from l ~ 3.25
-GEOMETRIES = st.floats(0.5, 2.0).flatmap(lambda a: st.tuples(st.just(a), st.floats(a + 3.0, 8.0)))
 
 
 @given(GEOMETRIES)
@@ -461,12 +458,12 @@ def test_the_kernel_of_a_1x1_form_is_what_eigh_gives(z):
 
 
 def test_a_sector_rejects_an_interval_it_cannot_search():
-    # geometric bisection of (0, hi] takes sqrt(0 * hi) = 0 as its midpoint
-    # again and again, and swapped bounds hold no root to find
+    # a polish in s = sqrt(x) from lo = 0 maps the tolerance to s by dividing by s = 0,
+    # and swapped bounds hold no root to find
     def form(x):
         return np.array([[x - 0.5]]), 0
     with pytest.raises(ValueError, match="a sector needs"):
-        Sector(form, 0.0, 1.0, 0.0, geometric=True)
+        Sector(form, 0.0, 1.0, 0.0, sqrt_upto=0.5)
     for lo, hi in ((1.0, 0.5), (0.5, 0.5), (math.nan, 1.0)):
         with pytest.raises(ValueError, match="a sector needs"):
             Sector(form, lo, hi, 0.0)
@@ -490,6 +487,34 @@ def test_a_capped_bracket_shrinks_towards_zero():
     assert root.x == pytest.approx(1e-20, rel=1e-11)
     (loose,) = sector_roots(dataclasses.replace(sec, xcap=math.inf))
     assert loose.x == 1e-26
+
+
+def test_a_bracket_below_the_crossover_is_polished_in_its_square_root():
+    # det S = 1e-10 - sqrt(x) is linear in s = sqrt(x): Brent in s reaches the root, to the
+    # same bracket, in fewer evaluations than Brent in x, across which det S is far from linear
+    def polished(sqrt_upto):
+        built = []
+
+        def form(x):
+            built.append(x)
+            return np.array([[1e-10 - math.sqrt(x)]]), 0
+        (root,) = sector_roots(Sector(form, 1e-26, 1.0, 1e-13, xcap=2e-12, sqrt_upto=sqrt_upto))
+        return root.x, len(built)
+    in_x, in_s = polished(-math.inf), polished(1.0)
+    assert in_x[0] == pytest.approx(1e-20, rel=1e-11) and in_s[0] == pytest.approx(1e-20, rel=1e-11)
+    assert in_s[1] < in_x[1]
+
+
+def test_a_root_polished_to_a_coarse_tolerance_fails_the_residual_gate():
+    # tol = 1e-3, above what the solvers accept, stops the polish far enough from the
+    # root for its kernel residual to exceed the gate: the gate, not the count, rejects it
+    tr = Truncation(12)
+    (root,) = sector_roots(_u_sector(single_cfg(1.0).base, tr, 1e-3))
+    with pytest.raises(ArithmeticError, match="kernel residual .* exceeds 1e-08"):
+        _solve_at(root)
+    first = sector_roots(_width_sector(tr, "odd", A_MAX, 1e-3))[0]
+    with pytest.raises(ArithmeticError, match="kernel residual .* exceeds 1e-08"):
+        _threshold_resonance(first, 1)
 
 
 def test_critical_widths_polish_only_the_roots_returned(monkeypatch):
@@ -611,6 +636,15 @@ def test_near_threshold_root(first_critical):
     assert len(roots) == 1
     assert roots[0].kappa1 == pytest.approx(3.744875e-06, rel=1e-4)
     assert roots[0].lam < 1.0
+
+
+@pytest.mark.parametrize("l, most", [(4.0, 7), (5.0, 5), (6.0, 22), (7.0, 4), (8.0, 6)])
+def test_the_near_threshold_root_is_polished_in_kappa(monkeypatch, first_critical, l, most):
+    # the window of the u sector holds one root, where det Z behaves like kappa1 - kappa1_0:
+    # Brent in kappa1 takes a few forms where Brent in u takes more
+    calls = _counted_forms(monkeypatch)
+    (near,) = find_near_threshold(two_cfg(first_critical.a, l, "even"), Truncation(40))
+    assert near.kappa1 < 2e-4 and len(calls) <= most
 
 
 def test_near_threshold_absent_off_critical():
