@@ -536,7 +536,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("threshold", help="near-threshold sweep at a critical width",
                        description=f"--tol governs the critical width; each near-threshold kappa "
-                                   f"is located to {KAPPA_RTOL:g} relative, whatever --tol")
+                                   f"is located to {KAPPA_RTOL:g} relative, whatever --tol, or, "
+                                   f"from l = 3 at N = 40, at the first point where det Z is "
+                                   f"rounding: digits past that floor are noise (1e-3 relative "
+                                   f"at l = 9)")
     flags(p, "d", "a", "l", "modes", "tol", "format")
     p.add_argument("--n", type=int, default=1, help="critical-width index (default %(default)s)")
     p.set_defaults(func=cmd_threshold)

@@ -41,6 +41,7 @@ __all__ = [
     "window_profile_at_edge",
     "window_profile_eval",
     "window_profile_l2",
+    "window_profile_integral",
     "window_profile_scale_log",
     "axial_logderiv",
     "axial_eval",
@@ -304,6 +305,22 @@ def window_profile_l2(t, a: float, parity: str) -> np.ndarray:
         csch = sech / np.tanh(u)
         out[..., 1:] = np.where(u > 0.07, 1.0 / (nu * np.tanh(u)) - a * csch * csch, 2.0 * a / 3.0 * (
             1.0 + s * (-2.0 / 15.0 + s * (2.0 / 105.0 + s * (-4.0 / 1575.0 + s * (2.0 / 6237.0))))))
+    return out
+
+
+def window_profile_integral(t, a: float, parity: str) -> np.ndarray:
+    """Closed-form integral of each normalized profile over (-a, a).
+
+    Odd profiles integrate to 0; the even ones to 2 sin(w a)/w (oscillatory) and
+    2 tanh(nu a)/nu (evanescent, nu >= sqrt(5)/2 for every rate of
+    :func:`~modeguide.matching._rates`).  ``t`` is a 1-D vector of squared rates
+    from :func:`~modeguide.matching._rates` at lam > 1/4.
+    """
+    t, _, nu = _families(t, parity)
+    out = np.zeros_like(t)
+    if parity == "even":
+        out[0] = 2.0 * _sinc(t[0], a)
+        out[1:] = 2.0 * np.tanh(nu * a) / nu
     return out
 
 

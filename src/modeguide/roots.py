@@ -5,8 +5,11 @@ Negative eigenvalues of S plus poles (Wittrick and Williams, Q. J. Mech.
 Appl. Math. 24 (1971) 263-284) rise by one across each simple root, so
 count bisection isolates each root in a bracket of one root and no pole,
 where Brent's method on det S polishes it into a :class:`Root`: x and what the
-sector keeps of its form there, the kernel's data.  The mode-matching solver
-(:mod:`modeguide.solve`) and the finite-difference oracle
+sector keeps of its form there, the kernel's data.  The count has shown the
+bracket to hold one root, so the polish builds no form to certify the last
+digits: it stops once Brent's step is within the tolerance, or at the first
+point where det S is within the rounding floor the sector supplies.  The
+mode-matching solver (:mod:`modeguide.solve`) and the finite-difference oracle
 (:mod:`modeguide.fd_oracle`) both use it.  numpy only.
 """
 
@@ -22,6 +25,7 @@ __all__ = ["Sector", "Count", "Root", "count", "isolate", "brent", "polish", "as
            "merged_roots", "sector_roots", "kth_root", "kernel"]
 
 _EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True)
@@ -31,8 +35,10 @@ class Sector:
     ``form(x)`` is the form's value at x, S = ``matrix(value)``, and its pole count; a
     polished point keeps ``keep(value)`` (both by default the value).  ``sense`` is -1 when
     x runs against the form's own variable (x = 1 - lam for lam), so that ``sense * (negative
-    eigenvalues + poles)`` is the number of roots below x up to a constant.  The polish stops
-    at a bracket of :meth:`tol`, in s = sqrt(x) if the bracket tops out at ``sqrt_upto``.
+    eigenvalues + poles)`` is the number of roots below x up to a constant.  The polish works
+    to :meth:`tol`, in s = sqrt(x) if the bracket tops out at ``sqrt_upto``.  ``floor(value)``
+    is an entrywise rounding floor of a 1 x 1 or 2 x 2 ``matrix(value)``, or None (the
+    default) where the sector has none; the polish stops at a point whose det S it reaches.
     """
 
     form: Callable[[float], tuple[Any, int]]
@@ -45,6 +51,7 @@ class Sector:
     sqrt_upto: float = -math.inf
     matrix: Callable[[Any], np.ndarray] = lambda value: value
     keep: Callable[[Any], Any] = lambda value: value
+    floor: Callable[[Any], np.ndarray | None] = lambda value: None
 
     def __post_init__(self) -> None:
         # bisection needs an interval to halve, and a polish in sqrt(x) a positive lower end
@@ -84,6 +91,14 @@ def count(sec: Sector, x: float) -> Count:
     return Count(x, sec.sense * (neg + poles), poles, -1.0 if neg % 2 else 1.0, logdet)
 
 
+def _det_floor(Z: np.ndarray, F: np.ndarray) -> float:
+    """First-order bound on the rounding of det Z, Z 1 x 1 or 2 x 2, from the entrywise floor F."""
+    if Z.shape[0] == 1:
+        return float(F[0, 0])
+    (z00, z01), (_, z11) = np.abs(Z)
+    return float(F[0, 0] * z11 + F[1, 1] * z00 + 2.0 * F[0, 1] * z01)
+
+
 def kernel(S: np.ndarray) -> np.ndarray:
     """Unit eigenvector of the symmetric S for its eigenvalue smallest in modulus."""
     if S.shape[0] == 1:
@@ -114,8 +129,10 @@ def brent(f, a: float, b: float, fa: float, fb: float, tol: Callable[[float], fl
     """Root of f in the sign-change bracket [a, b] (Brent 1973, ch. 4, zeroin).
 
     Secant and inverse quadratic steps, with bisection whenever they do not shrink the bracket
-    fast enough; returns the end of the final bracket, of width at most ``tol(root)``, at which
-    |f| is smaller.
+    fast enough.  Returns the end b of the bracket at which |f| is smaller, once the bracket
+    is at most ``tol(b)`` wide, f(b) is 0, or an accepted interpolation step from b is at
+    most ``tol(b) / 4``: b is then that close to the root the step predicts, which is the
+    root only where the bracket holds one, as a count shows.
     """
     c, fc = a, fa
     d = e = b - a
@@ -143,6 +160,8 @@ def brent(f, a: float, b: float, fa: float, fb: float, tol: Callable[[float], fl
             p = abs(p)
             if 2.0 * p < min(3.0 * m * q - abs(tol1 * q), abs(e * q)):
                 e, d = d, p / q
+                if abs(d) <= 0.5 * tol1:  # the interpolated root is within tol(b) / 4 of b
+                    return float(b)
             else:
                 d = e = m
         else:
@@ -157,8 +176,12 @@ def polish(sec: Sector, lo: Count, hi: Count) -> Root | None:
 
     Across such a bracket det S changes sign once, at the root.  The values are scaled by
     det S(lo) and clipped to e^+-700, so they stay finite, and taken in s = sqrt(x) up to
-    ``Sector.sqrt_upto`` (det S ~ s - s0 near a threshold).  The root takes what its point
-    kept (``Sector.keep``).  None when the determinant keeps its sign (the count was wrong).
+    ``Sector.sqrt_upto`` (det S ~ s - s0 near a threshold).  A point where |det S| is within
+    the first-order bound of ``Sector.floor`` (F_00 for 1 x 1; F_00 |z_11| + F_11 |z_00| +
+    2 F_01 |z_01| for 2 x 2) reads 0, and is the root: past it det S is rounding.  No form is
+    built on the root's far side to certify a bracket (see :func:`brent`).  The root takes
+    what its point kept (``Sector.keep``).  None when the determinant keeps its sign (the
+    count was wrong).
     """
     if lo.sign == hi.sign:
         return None
@@ -170,7 +193,11 @@ def polish(sec: Sector, lo: Count, hi: Count) -> Root | None:
     def f(x):
         at = sec.form(x)[0]
         kept[x] = sec.keep(at)
-        return scaled(*np.linalg.slogdet(sec.matrix(at)))
+        Z, F = sec.matrix(at), sec.floor(at)
+        sign, logdet = np.linalg.slogdet(Z)
+        if F is not None and logdet <= math.log(max(_det_floor(Z, F), _TINY)):
+            return 0.0  # det S is rounding there: the point is as good a root as any nearer one
+        return scaled(sign, logdet)
     zero = [end.x for end in (lo, hi) if end.logdet == -math.inf]  # det S = 0 there
     fa, fb = scaled(lo.sign, lo.logdet), scaled(hi.sign, hi.logdet)
     if zero:

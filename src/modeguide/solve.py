@@ -6,7 +6,8 @@ of the symmetric trace form S of :func:`~modeguide.matching.trace_form`,
 assembled once per point, through :func:`_assemble_at` or
 :func:`~modeguide.matching.assemble_threshold`, with the closed-form
 poles of :func:`~modeguide.matching.pole_count`, and polished on det Z
-to a bracket of ``tol / 10``; one solve with the block C per point (LU,
+to ``tol / 10``, or to the first point where det Z is within the rounding floor
+that the reduction gives; one solve with the block C per point (LU,
 or preconditioned CG for large forms), no eigensolve of S.  The same
 count serves two variables: u = kappa1^2 = 1 - lam, one sector per system
 (the near-threshold search counts a window of it), and the window half-length
@@ -67,6 +68,7 @@ from .modes import (
     overlap_matrix,
     window_profile_at_edge,
     window_profile_eval,
+    window_profile_integral,
     window_profile_l2,
     window_profile_scale_log,
 )
@@ -108,11 +110,10 @@ RESIDUAL_GATE = 1e-8
 #: with kappa below the floor lo (1 - lam below 1e-26) is not resolved
 THRESHOLD_KAPPA = (1e-13, 0.05)
 #: relative tolerance of near-threshold kappa roots (polished to a tenth of it);
-#: at large separations rounding in S limits the root itself to about 1e-8
-#: relative (a = a_1, N = 40, l = 6: kappa = 1.17e-7, the smallest eigenvalue
-#: of S stays at rounding level across a relative 3e-8 of it, that of Z moves
-#: by one rounding step per relative 2e-9; at l = 7 and 8, det Z changes sign
-#: twice within a relative 1e-7 and 1.4e-6 of the root)
+#: from l = 3 on at a = a_1 (N = 40) det Z reaches its rounding floor first, and
+#: the root is the first point the polish evaluates there: within the floor over
+#: |d det Z / d kappa| of the sign change, 5e-12 relative at l = 3.5, 3e-8 at
+#: l = 6, 3e-5 at l = 8 and 1e-3 at l = 9, and its digits past that are noise
 KAPPA_RTOL = 1e-12
 #: window half-lengths of the critical-width search: (A_MIN, a_max], A_MAX by default
 A_MIN = 1e-3
@@ -225,8 +226,8 @@ def _check_tol(tol: float) -> None:
         raise ValueError(f"tolerance above 1e-6 may give roots the residual gate rejects, got {tol}")
 
 
-def _reduced(sys: MatchingSystem) -> tuple[MatchingSystem, np.ndarray, np.ndarray]:
-    """A matching form's value: the system and its Schur complement ``(Z, X)``."""
+def _reduced(sys: MatchingSystem) -> tuple[MatchingSystem, np.ndarray, np.ndarray, np.ndarray]:
+    """A matching form's value: the system and its Schur complement ``(Z, X, floor of Z)``."""
     return (sys, *schur_complement(sys.matrix, sys.width))
 
 
@@ -234,7 +235,7 @@ def _kernel_at(value) -> tuple[MatchingSystem, np.ndarray, float]:
     """What a polished point keeps of a :func:`_reduced` value: the system without S, its one
     large part; S's unit kernel vector w, Z's eigenvector for its eigenvalue nearest 0 extended
     by ``-X``; and w's residual ||S w|| / max_i |S_ii| >= |mu|/max|mu|, mu S's nearest 0."""
-    sys, Z, X = value
+    sys, Z, X, _ = value
     S = sys.matrix
     v_w = kernel(Z)
     w = np.empty(S.shape[0])
@@ -254,7 +255,8 @@ def _u_sector(system: StripConfig | Eigenpair, trunc: Truncation, tol: float,
         kappa1 = math.sqrt(u)
         return _reduced(_assemble_at(system, trunc, kappa1)), pole_count(system.kind, system.a, kappa1)
     return Sector(form, lo, hi, tol / 10.0, xcap=2.0 * tol, sense=-1,
-                  sqrt_upto=THRESHOLD_KAPPA[1] ** 2, matrix=itemgetter(1), keep=_kernel_at)
+                  sqrt_upto=THRESHOLD_KAPPA[1] ** 2, matrix=itemgetter(1), keep=_kernel_at,
+                  floor=itemgetter(3))
 
 
 def _width_sector(trunc: Truncation, parity: str, a_max: float, tol: float) -> Sector:
@@ -262,7 +264,8 @@ def _width_sector(trunc: Truncation, parity: str, a_max: float, tol: float) -> S
 
     def form(a):
         return _reduced(assemble_threshold(a, trunc, parity)), pole_count(kind, a, 0.0)
-    return Sector(form, A_MIN, a_max, tol / 10.0, matrix=itemgetter(1), keep=_kernel_at)
+    return Sector(form, A_MIN, a_max, tol / 10.0, matrix=itemgetter(1), keep=_kernel_at,
+                  floor=itemgetter(3))
 
 
 def find_eigenvalues(cfg: CanonicalConfig, trunc: Truncation = Truncation(),
@@ -289,9 +292,10 @@ def find_near_threshold(cfg: CanonicalConfig, trunc: Truncation = Truncation(),
     Counts the window (kappa_lo^2, kappa_hi^2] of the system's one sector in u = kappa^2
     and polishes in kappa itself below ``THRESHOLD_KAPPA[1]``, to ``KAPPA_RTOL`` relative,
     so roots are located even when 1 - lam is below double-precision resolution of lam; at
-    large separations the root carries about 8 correct digits (see ``KAPPA_RTOL``), the rest
-    rounding noise of S.  Returns pairs sorted by descending kappa (deepest first), without
-    an ``index``; usually there is exactly one at a critical window width.
+    large separations det Z reaches its rounding floor first, and the root is the first
+    point there, with about 8 correct digits at l = 6 (see ``KAPPA_RTOL``).  Returns pairs
+    sorted by descending kappa (deepest first), without an ``index``; usually there is
+    exactly one at a critical window width.
     """
     roots = sector_roots(_u_sector(cfg.base, trunc, KAPPA_RTOL / 10.0, kappa_lo ** 2, kappa_hi ** 2))
     return [_solve_at(root) for root in reversed(roots)]
@@ -450,9 +454,12 @@ def _divided(pair: Eigenpair, divisor: float) -> Eigenpair:
 
 
 def _sign(pair: Eigenpair) -> float:
-    """Deterministic sign +-1: the window-trace integral's (a test that scales with the pair),
-    falling back to that of the trace slope (odd) or trace value (even) at the window center."""
-    i0 = window_integral(pair, 0.0)
+    """Deterministic sign +-1: the window-trace integral's, in closed form (a test that scales
+    with the pair), falling back to that of the trace slope (odd) or trace value (even) at the
+    window center."""
+    _, t = _rates(pair.n, pair.kappa1)
+    i0 = _ROOT2_PI * sum(float(d @ window_profile_integral(t, pair.a, parity))
+                         for parity, d in _window_layout(pair)[1])
     scale = float(np.max(np.abs(pair.window_coeffs)))
     return math.copysign(1.0, i0 if abs(i0) > 1e-10 * scale * pair.a else _center_slope(pair))
 
@@ -487,8 +494,11 @@ def window_trace(pair: Eigenpair, x_local) -> np.ndarray:
 def window_integral(pair: Eigenpair, rate: float) -> float:
     """Weighted window-trace integral int_{-a}^{a} psi(x,0) e^(rate*x) dx.
 
-    64-node Gauss-Legendre quadrature; the integrand is smooth, so that is
-    exact to machine precision at these sizes.
+    64-node Gauss-Legendre quadrature.  The evanescent profiles peak at the window
+    edges over a width 1/nu_N, which 64 nodes resolve while N a is a few hundred:
+    at rate 0 it meets the closed form to 6e-15 relative up to N = 80 at a <= 3.5
+    (7e-13 at a = 5), but only to 3.1e-11 at N = 160 and 1.9e-8 at N = 320
+    (two-odd, a = 3.5, l = 6).
     """
     x = pair.a * _GL_NODES
     vals = window_trace(pair, x) * np.exp(rate * x)

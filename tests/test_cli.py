@@ -234,6 +234,23 @@ def test_threshold_deterministic(capsys):
     assert out1 == out2
 
 
+@pytest.mark.parametrize("argv, most", [
+    (("threshold", "--n", "1", "--l", "3:6:0.5"), 55),
+    (("split", "--a", "1", "--l", "4:10:2"), 66),
+], ids=["threshold", "split"])
+def test_a_sweep_builds_at_most_its_pinned_forms(capsys, monkeypatch, argv, most):
+    # trace forms of a whole sweep at N = 40, counts and polish: a polish stops at the first
+    # point where det Z is rounding or once Brent's step is inside the tolerance, and these
+    # counts pin that work (95 and 73 forms where every polish ended on a certified bracket)
+    from modeguide import matching
+    monkeypatch.delenv("MODEGUIDE_CACHE", raising=False)
+    forms = []
+    real = matching.trace_form
+    monkeypatch.setattr(matching, "trace_form", lambda *args: forms.append(args) or real(*args))
+    assert run(capsys, *argv)[0] == 0
+    assert 0 < len(forms) <= most
+
+
 def test_oracle_command(capsys):
     code, out, _ = run(capsys, "oracle", "--a", "1", "--h", "0.125", "--L", "8", "--k", "2")
     assert code == 0

@@ -8,6 +8,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from modeguide import MatchingSystem, ProblemKind, Truncation, assemble_threshold
 from modeguide import matching
 from modeguide.matching import (
+    FLOOR_ULPS,
     MAX_FORM_BYTES,
     MAX_MODES,
     PCG_MIN_DIM,
@@ -139,7 +140,7 @@ def test_schur_count_equals_the_dense_count(form):
     width = 2 if kind.is_two_window else 1
     order = _trace_order(S.shape[0], width)
     np.linalg.cholesky(S[np.ix_(order, order)][width:, width:])
-    Z, _ = schur_complement(S, width)
+    Z, _, _ = schur_complement(S, width)
     mu = np.linalg.eigvalsh(S)
     # a point at rounding distance from a root has no well-defined count
     assume(np.min(np.abs(mu)) > 1e-10 * np.max(np.abs(mu)))
@@ -164,7 +165,7 @@ def test_schur_complement_equals_the_gathered_reduction(form):
         kind, kappa1 = ProblemKind(f"single-{kind.split('-')[1]}"), 0.0
     S = trace_form(kind, n, a, kappa1, a + gap if kind.is_two_window else None)
     width = 2 if kind.is_two_window else 1
-    Z, X = schur_complement(S, width)
+    Z, X, _ = schur_complement(S, width)
     Z_ref, X_ref = _gathered_reduction(S, width)
     assert np.array_equal(Z, Z_ref) and np.array_equal(X, X_ref)
 
@@ -211,7 +212,7 @@ def test_schur_complement_by_cg_matches_the_lu_solve_and_the_dense_count(form):
     S = trace_form(kind, -(-(r + width) // width), a, kappa1, a + gap if width == 2 else None)
     reduced = _schur_by_pcg(S, width)
     assert reduced is not None
-    Z, X = schur_complement(S, width)
+    Z, X, _ = schur_complement(S, width)
     assert np.array_equal(Z, reduced[0]) and np.array_equal(X, reduced[1])
     Z_lu, X_lu = _gathered_reduction(S, width)
     scale = np.finfo(float).eps * np.max(np.abs(S))
@@ -240,9 +241,26 @@ def test_schur_complement_falls_back_to_lu_when_cg_does_not_converge(monkeypatch
     width = 2 if kind.is_two_window else 1
     S = trace_form(kind, n, a, 0.3, l)
     assert S.shape[0] - width >= PCG_MIN_DIM and _schur_by_pcg(S, width) is None
-    Z, X = schur_complement(S, width)
+    Z, X, _ = schur_complement(S, width)
     Z_lu, X_lu = _gathered_reduction(S, width)
     assert np.array_equal(Z, Z_lu) and np.array_equal(X, X_lu)
+
+
+@pytest.mark.parametrize("kind, n", [
+    (ProblemKind.SINGLE_WINDOW_EVEN, 40), (ProblemKind.TWO_WINDOW_ODD, 40),
+    (ProblemKind.SINGLE_WINDOW_ODD, PCG_MIN_DIM + 1), (ProblemKind.TWO_WINDOW_EVEN, 120),
+], ids=["single-lu", "two-lu", "single-cg", "two-cg"])
+def test_the_rounding_floor_of_z_comes_from_its_pieces(kind, n):
+    # F = FLOOR_ULPS eps (|S_WW| + |S_WR| |X|), symmetric as Z is, from the X of either solve
+    width = 2 if kind.is_two_window else 1
+    S = trace_form(kind, n, 1.0, 0.3, 4.0 if width == 2 else None)
+    assert (S.shape[0] - width >= PCG_MIN_DIM) == (n > 100)
+    _, X, F = schur_complement(S, width)
+    order = _trace_order(S.shape[0], width)
+    T = np.abs(S[np.ix_(order, order)])
+    ref = FLOOR_ULPS * np.finfo(float).eps * (T[:width, :width] + T[:width, width:] @ np.abs(X))
+    np.testing.assert_allclose(F, 0.5 * (ref + ref.T), rtol=1e-12)
+    assert np.array_equal(F, F.T) and (F > 0.0).all()
 
 
 _PI_DIGITS = "3.14159265358979323846264338327950288419716939937510"

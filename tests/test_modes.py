@@ -20,6 +20,7 @@ from modeguide.modes import (
     axial_logderiv,
     window_profile_at_edge,
     window_profile_eval,
+    window_profile_integral,
     window_profile_l2,
     window_profile_scale_log,
 )
@@ -170,6 +171,20 @@ def test_window_profile_l2_matches_quadrature(kappa1, a, parity):
     val, _ = quad_vec(lambda x: window_profile_eval(t, np.array([x]), a, parity)[:, 0] ** 2,
                       -a, a, epsabs=1e-15 * a, epsrel=1e-11, norm="max")
     np.testing.assert_allclose(closed, val, rtol=1e-10)
+
+
+@PROFILE_CASES
+@PARITIES
+def test_window_profile_integral_matches_quadrature(kappa1, a, parity):
+    # odd profiles integrate to exactly 0, even ones to 2 sin(w a)/w and 2 tanh(nu a)/nu
+    _, t = _rates(320, kappa1)
+    closed = window_profile_integral(t, a, parity)
+    val, _ = quad_vec(lambda x: window_profile_eval(t, np.array([x]), a, parity)[:, 0],
+                      -a, a, epsabs=1e-15 * a, epsrel=1e-11, norm="max")
+    if parity == "odd":
+        assert not closed.any() and np.max(np.abs(val)) <= 1e-14 * a
+    else:
+        np.testing.assert_allclose(closed, val, rtol=1e-10)
 
 
 def test_window_profile_l2_odd_holds_across_its_series_switch():

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import weakref
+from operator import itemgetter
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from modeguide.solve import (
     _assemble_at,
     _norm_sq,
     _polish_root,
+    _reduced,
     _roots,
     _solve_at,
     _threshold_resonance,
@@ -286,6 +288,22 @@ def test_window_integral_single_mode_against_quadrature():
     assert got == pytest.approx(ref, abs=1e-12)
 
 
+@pytest.mark.parametrize("n", [12, 40, 80])
+@pytest.mark.parametrize("cfg", [single_cfg(2.0), two_cfg(1.0, 5.0, "even"), two_cfg(3.5, 6.0, "odd")],
+                         ids=["single", "two-even", "two-odd"])
+def test_window_integral_at_zero_rate_is_the_closed_form_up_to_n_80(cfg, n):
+    # sqrt(2/pi) times the even profiles' integrals 2 sin(w a)/w and 2 tanh(nu a)/nu (the odd
+    # ones integrate to 0): the 64-node quadrature meets them to 1e-13 relative up to N = 80
+    # (at most 4.4e-15 here), not beyond: 3.1e-11 at N = 160 and 1.9e-8 at N = 320 (two-odd)
+    for pair in find_eigenvalues(cfg, Truncation(n)):
+        _, t = _rates(n, pair.kappa1)
+        w, nu = math.sqrt(-t[0]), np.sqrt(t[1:])
+        d = pair.window_coeffs[:n]  # the even family, first for two windows
+        closed = math.sqrt(2.0 / PI) * (2.0 * d[0] * math.sin(w * pair.a) / w
+                                        + float(d[1:] @ (2.0 * np.tanh(nu * pair.a) / nu)))
+        assert window_integral(pair, 0.0) == pytest.approx(closed, rel=1e-13, abs=0.0)
+
+
 def test_window_integral_quadrature_order_stability(first_critical):
     res = first_critical.resonance
     i64 = window_integral(res, math.sqrt(3.0))
@@ -439,6 +457,67 @@ def test_polish_returns_a_bracket_end_where_det_s_vanishes():
     root = polish(sec, lo, hi)
     assert root.x == 0.5 and root.at == np.array([[0.0]])
     assert built == [0.0, 0.5, 0.5]
+
+
+def _polish_spied(sec, lo, hi):
+    """polish(sec, lo, hi) and every point it builds the form of, in order."""
+    seen = []
+
+    def spy(x):
+        seen.append(x)
+        return sec.form(x)
+    return polish(dataclasses.replace(sec, form=spy), lo, hi), seen
+
+
+def test_a_polish_stops_at_the_first_point_where_det_s_is_rounding():
+    # det S = expm1(3 (x - 0.3)), but within 1e-9 of the root only its rounding is left: +-1e-9
+    # of a sign that does not follow x.  Without a floor Brent bisects that noise down to its
+    # tolerance; with one it returns the first point it evaluates inside the floor, and
+    # evaluates no other
+    root, quantum = 0.3, 1e-9
+
+    def form(x):
+        z = math.expm1(3.0 * (x - root))
+        if abs(x - root) <= quantum:
+            z = math.copysign(quantum, math.sin(1e12 * x))
+        return (np.array([[z]]), np.array([[quantum]])), 0
+    floored = Sector(form, 0.0, 1.0, 1e-15, matrix=itemgetter(0), floor=itemgetter(1))
+    lo, hi = count(floored, 0.0), count(floored, 1.0)
+    root_at, seen = _polish_spied(floored, lo, hi)
+    inside = [x for x in seen if abs(x - root) <= quantum]
+    assert inside and root_at.x == inside[0] == seen[-1]
+    assert root_at.at[0][0, 0] in (quantum, -quantum)
+    bare, seen_bare = _polish_spied(dataclasses.replace(floored, floor=lambda value: None), lo, hi)
+    assert seen_bare[:len(seen)] == seen and len(seen_bare) > len(seen)
+    assert abs(bare.x - root) <= quantum
+
+
+@given(GEOMETRIES)
+@settings(max_examples=8, deadline=None)
+def test_a_polished_root_is_the_bisection_root_without_a_far_side_form(geometry):
+    # each root of a smooth sector lies within the polish tolerance tol / 10 of the root that
+    # plain bisection of det Z's sign finds; and at least one root of the geometry ends with
+    # no sign change of det Z within that tolerance among the points built, so a polish that
+    # certified its bracket, Brent's stop at a bracket of tol / 10, builds at least one more form
+    a, l = geometry
+    tr, tol = Truncation(12), 1e-12
+    uncertified = 0
+    for cfg in (single_cfg(a), two_cfg(a, l, "even"), two_cfg(a, l, "odd")):
+        sec = _u_sector(cfg.base, tr, tol)
+
+        def sign(x):
+            return np.linalg.slogdet(sec.form(x)[0][1])[0]
+        for lo, hi in roots.isolate(sec, count(sec, sec.lo), count(sec, sec.hi)):
+            root, seen = _polish_spied(sec, lo, hi)
+            below, above = lo.x, hi.x
+            while above - below > sec.tol(root.x) / 100.0:
+                mid = 0.5 * (below + above)
+                below, above = (mid, above) if sign(mid) == lo.sign else (below, mid)
+            assert abs(root.x - 0.5 * (below + above)) <= sec.tol(root.x)
+            points = [(lo.x, lo.sign), (hi.x, hi.sign), *((x, sign(x)) for x in seen)]
+            uncertified += not any(p <= root.x <= q and sp != sq and q - p <= sec.tol(root.x)
+                                   for p, sp in points for q, sq in points)
+    assert uncertified >= 1
 
 
 def test_brent_finds_the_root_of_a_plain_function():
@@ -638,13 +717,40 @@ def test_near_threshold_root(first_critical):
     assert roots[0].lam < 1.0
 
 
-@pytest.mark.parametrize("l, most", [(4.0, 7), (5.0, 5), (6.0, 22), (7.0, 4), (8.0, 6)])
+@pytest.mark.parametrize("l, most", [(4.0, 6), (5.0, 5), (6.0, 5), (7.0, 4), (8.0, 4)])
 def test_the_near_threshold_root_is_polished_in_kappa(monkeypatch, first_critical, l, most):
     # the window of the u sector holds one root, where det Z behaves like kappa1 - kappa1_0:
-    # Brent in kappa1 takes a few forms where Brent in u takes more
+    # Brent in kappa1 takes a few forms where Brent in u takes more, and stops at the first
+    # point where det Z is rounding (at l = 6 it took 22 forms bisecting that noise)
     calls = _counted_forms(monkeypatch)
     (near,) = find_near_threshold(two_cfg(first_critical.a, l, "even"), Truncation(40))
     assert near.kappa1 < 2e-4 and len(calls) <= most
+
+
+@pytest.mark.parametrize("l", [4.0, 6.0, 8.0])
+def test_a_near_threshold_root_is_the_bisection_root_within_its_rounding_bar(first_critical, l):
+    # from l = 3 on det Z reaches its rounding floor F before the polish tolerance, and the
+    # polish stops at the first point inside it: the root then lies within F / |d det Z / d kappa|
+    # of the root that bisection of det Z's sign finds (2.9e-11, 3.0e-8 and 3.0e-5 relative here,
+    # 10 to 18 times the distance), the slope taken by central differences
+    tr = Truncation(40)
+    cfg = two_cfg(first_critical.a, l, "even")
+    (near,) = find_near_threshold(cfg, tr)
+    kappa = near.kappa1
+
+    def z(k):
+        return _reduced(_assemble_at(cfg.base, tr, k))[1:4:2]
+    Z, F = z(kappa)
+    h = 1e-2 * kappa
+    slope = (np.linalg.det(z(kappa + h)[0]) - np.linalg.det(z(kappa - h)[0])) / (2.0 * h)
+    bar = roots._det_floor(Z, F) / abs(slope)
+    below, above = 0.5 * kappa, 2.0 * kappa
+    outside = np.sign(np.linalg.det(z(below)[0]))
+    while above - below > 1e-15 * above:
+        mid = 0.5 * (below + above)
+        below, above = (mid, above) if np.sign(np.linalg.det(z(mid)[0])) == outside else (below, mid)
+    assert KAPPA_RTOL * kappa < bar < 1e-4 * kappa
+    assert abs(kappa - 0.5 * (below + above)) <= bar
 
 
 def test_near_threshold_absent_off_critical():
