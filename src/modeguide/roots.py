@@ -5,12 +5,14 @@ Negative eigenvalues of S plus poles (Wittrick and Williams, Q. J. Mech.
 Appl. Math. 24 (1971) 263-284) rise by one across each simple root, so
 count bisection isolates each root in a bracket of one root and no pole,
 where Brent's method on det S polishes it into a :class:`Root`: x and what the
-sector keeps of its form there, the kernel's data.  The count has shown the
-bracket to hold one root, so the polish builds no form to certify the last
-digits: it stops once Brent's step is within the tolerance, or at the first
-point where det S is within the rounding floor the sector supplies.  The
-mode-matching solver (:mod:`modeguide.solve`) and the finite-difference oracle
-(:mod:`modeguide.fd_oracle`) both use it.  numpy only.
+sector keeps of its form there, the kernel's data, taken once a root.  The
+count has shown the bracket to hold one root, so the polish builds no form to
+certify the last digits: it stops once Brent's step is within the tolerance, or
+at the first point where det S is within the rounding floor the sector
+supplies.  Root k of a sector, searched from a window (:func:`kth_root`),
+counts the sector end it is indexed from only where the window's count cannot
+stand for it.  The mode-matching solver (:mod:`modeguide.solve`) and the
+finite-difference oracle (:mod:`modeguide.fd_oracle`) both use it.  numpy only.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ class Sector:
     """One system's roots as a function of a scalar x on [lo, hi].
 
     ``form(x)`` is the form's value at x, S = ``matrix(value)``, and its pole count; a
-    polished point keeps ``keep(value)`` (both by default the value).  ``sense`` is -1 when
+    polished root keeps ``keep(value)`` (both by default the value).  ``sense`` is -1 when
     x runs against the form's own variable (x = 1 - lam for lam), so that ``sense * (negative
     eigenvalues + poles)`` is the number of roots below x up to a constant.  The polish works
     to :meth:`tol`, in s = sqrt(x) if the bracket tops out at ``sqrt_upto``.  ``floor(value)``
@@ -76,7 +78,7 @@ class Count:
 
 
 class Root(NamedTuple):
-    """A root x of a sector and ``at`` it what the polish kept of the form (``Sector.keep``)."""
+    """A root x of a sector and ``at`` it what the root keeps of the form (``Sector.keep``)."""
 
     x: float
     at: Any
@@ -179,20 +181,26 @@ def polish(sec: Sector, lo: Count, hi: Count) -> Root | None:
     ``Sector.sqrt_upto`` (det S ~ s - s0 near a threshold).  A point where |det S| is within
     the first-order bound of ``Sector.floor`` (F_00 for 1 x 1; F_00 |z_11| + F_11 |z_00| +
     2 F_01 |z_01| for 2 x 2) reads 0, and is the root: past it det S is rounding.  No form is
-    built on the root's far side to certify a bracket (see :func:`brent`).  The root takes
-    what its point kept (``Sector.keep``).  None when the determinant keeps its sign (the
+    built on the root's far side to certify a bracket (see :func:`brent`).  Only the latest
+    point's form is held, and ``Sector.keep`` runs once, on the form of the point Brent
+    returns; that form is built again where the point is a bracket end, whose count held
+    none, or a point before the latest.  None when the determinant keeps its sign (the
     count was wrong).
     """
     if lo.sign == hi.sign:
         return None
-    kept = {}  # what each point Brent evaluates keeps
+    latest = {}  # the latest point Brent evaluated and its form's value, no other
 
     def scaled(sign, logdet):
         return float(sign) * math.exp(min(max(logdet - lo.logdet, -700.0), 700.0))
 
+    def value(x):
+        latest.clear()  # dropped before the next form is built
+        latest[x] = sec.form(x)[0]
+        return latest[x]
+
     def f(x):
-        at = sec.form(x)[0]
-        kept[x] = sec.keep(at)
+        at = value(x)
         Z, F = sec.matrix(at), sec.floor(at)
         sign, logdet = np.linalg.slogdet(Z)
         if F is not None and logdet <= math.log(max(_det_floor(Z, F), _TINY)):
@@ -207,8 +215,9 @@ def polish(sec: Sector, lo: Count, hi: Count) -> Root | None:
                   lambda s: sec.tol(s * s) / (2.0 * s)) ** 2
     else:
         x = brent(f, lo.x, hi.x, fa, fb, sec.tol)
-    # a bracket end, the root where det S = 0 or within the tolerance of it, kept no form
-    return Root(x, kept[x] if x in kept else sec.keep(sec.form(x)[0]))
+    # the root keeps its form once: a bracket end, or a point Brent evaluated before the latest,
+    # is built again
+    return Root(x, sec.keep(latest.pop(x) if x in latest else value(x)))
 
 
 def _polished(sec: Sector, lo: Count, hi: Count, k: int, bracket: tuple[Count, Count]) -> Root:
@@ -293,17 +302,25 @@ def kth_root(sec: Sector, x0: float, width: float, k: int) -> Root | None:
     """Root k of the sector, searched from the window x0 +- width; None if the sector has none.
 
     Root k counts from ``sec.lo`` (k = 1 the lowest) or, for k < 0, from ``sec.hi`` (k = -1
-    the highest), as a list's index does.  The counts at the window's ends tell on which side
-    of it root k lies, and the search moves to that side only: the end nearer the root
-    becomes the far end of the next window, each twice as long as the last, so the bracket
-    polished is one window long.  Every count lies in [lo, hi] of the sector.
+    the highest), as a list's index does.  The window is counted first; the end k counts
+    from is counted only where the window's count on its side does not give it: a count
+    never falls in x and is <= 0 for ``sense`` -1 and >= 0 for +1, so where the window end
+    on ``hi``'s side reads 0 in a sector of sense -1, or on ``lo``'s side in one of sense +1,
+    that sector end reads 0 too.  The counts at the window's ends tell on which side of it
+    root k lies, and the search moves to that side only: the end nearer the root becomes the
+    far end of the next window, each twice as long as the last, so the bracket polished is
+    one window long.  Every count lies in [lo, hi] of the sector.
     """
     def at(x):
         return count(sec, min(max(x, sec.lo), sec.hi))
-    # the count at the upper end of root k's bracket
-    target = count(sec, sec.hi).roots + k + 1 if k < 0 else count(sec, sec.lo).roots + k
     width = max(width, sec.tol(x0))
     lo, hi = at(x0 - width), at(x0 + width)
+    # the count at the upper end of root k's bracket, from the end k counts from or the
+    # window's 0 on that end's side
+    if k < 0:
+        target = (0 if sec.sense < 0 and hi.roots == 0 else count(sec, sec.hi).roots) + k + 1
+    else:
+        target = (0 if sec.sense > 0 and lo.roots == 0 else count(sec, sec.lo).roots) + k
     while not lo.roots < target <= hi.roots:
         below = target <= lo.roots
         if (lo.x == sec.lo) if below else (hi.x == sec.hi):

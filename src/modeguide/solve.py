@@ -15,8 +15,8 @@ a of the threshold system.  The truncation ladder starts from a base solution
 and keeps the root of the same index, and its solution, at each later rung,
 counting from where the root's O(1/N) drift predicts it.
 
-Each root's kernel vector of S comes from the solve at the root, which each
-polished point keeps instead of S (:func:`_kernel_at`): the kernel of Z on
+Each root's kernel vector of S comes from the solve at the root, which the
+root keeps instead of S (:func:`_kernel_at`, once a root): the kernel of Z on
 the first window mode's traces, extended to the others by X.  It holds the
 window-edge traces, from which the window, region-1 and outside coefficients
 and the L2 normalization follow in closed form (the transverse bases are
@@ -232,7 +232,7 @@ def _reduced(sys: MatchingSystem) -> tuple[MatchingSystem, np.ndarray, np.ndarra
 
 
 def _kernel_at(value) -> tuple[MatchingSystem, np.ndarray, float]:
-    """What a polished point keeps of a :func:`_reduced` value: the system without S, its one
+    """What a polished root keeps of a :func:`_reduced` value: the system without S, its one
     large part; S's unit kernel vector w, Z's eigenvector for its eigenvalue nearest 0 extended
     by ``-X``; and w's residual ||S w|| / max_i |S_ii| >= |mu|/max|mu|, mu S's nearest 0."""
     sys, Z, X, _ = value

@@ -237,11 +237,15 @@ def test_threshold_deterministic(capsys):
 @pytest.mark.parametrize("argv, most", [
     (("threshold", "--n", "1", "--l", "3:6:0.5"), 55),
     (("split", "--a", "1", "--l", "4:10:2"), 66),
-], ids=["threshold", "split"])
+    (("single", "--a", "1", "--refine"), 22),
+], ids=["threshold", "split", "single-refine"])
 def test_a_sweep_builds_at_most_its_pinned_forms(capsys, monkeypatch, argv, most):
     # trace forms of a whole sweep at N = 40, counts and polish: a polish stops at the first
     # point where det Z is rounding or once Brent's step is inside the tolerance, and these
-    # counts pin that work (95 and 73 forms where every polish ended on a certified bracket)
+    # counts pin that work (95 and 73 forms where every polish ended on a certified bracket).
+    # --refine adds the ladders' rungs at N = 80 and 160, which count the sector end that
+    # their root is indexed from only where their window does not fix its count (24 forms
+    # where every rung counted it)
     from modeguide import matching
     monkeypatch.delenv("MODEGUIDE_CACHE", raising=False)
     forms = []

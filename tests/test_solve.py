@@ -22,7 +22,7 @@ from modeguide import (
     window_integral,
     window_trace,
 )
-from modeguide import fd_oracle, matching, roots
+from modeguide import fd_oracle, matching, roots, solve
 from modeguide.acceptance import Workspace
 from modeguide.fd_oracle import FDGrid, OracleConfig, lowest_eigenvalues
 from modeguide.matching import _rates, assemble_threshold
@@ -30,6 +30,7 @@ from modeguide.modes import window_profile_at_edge
 from modeguide.roots import Sector, count, polish, sector_roots
 from modeguide.solve import (
     A_MAX,
+    A_MIN,
     KAPPA_RTOL,
     RESIDUAL_GATE,
     SEARCH_EPS,
@@ -397,11 +398,20 @@ def test_a_whole_ladder_assembles_no_point_twice(monkeypatch, ladder):
     assert calls and len(set(calls)) == len(calls)
 
 
+def test_the_critical_ladder_builds_at_most_its_pinned_forms(monkeypatch):
+    # a_1 at N = 40 and its rungs at N = 80, 160 and 320: 34 forms where every rung counted
+    # the sector end its root is indexed from
+    calls = _counted_forms(monkeypatch)
+    Workspace().critical_ladder()
+    assert 0 < len(calls) <= 31
+
+
 @pytest.mark.parametrize("run", _SEARCHES.values(), ids=_SEARCHES.keys())
 def test_no_form_outlives_its_point(monkeypatch, run):
-    # a polished point keeps its kernel vector and residual, not S, which is
-    # the only large part of a form: when a form is assembled, no earlier one
-    # is alive, so a search holds one form at a time however many roots it has
+    # a root keeps its kernel vector and residual, not S, which is the only
+    # large part of a form, and the polish drops the latest point's form before
+    # it builds the next: when a form is assembled, no earlier one is alive, so
+    # a search holds one form at a time however many roots it has
     alive, forms = [], []
     real = matching.trace_form
 
@@ -457,6 +467,40 @@ def test_polish_returns_a_bracket_end_where_det_s_vanishes():
     root = polish(sec, lo, hi)
     assert root.x == 0.5 and root.at == np.array([[0.0]])
     assert built == [0.0, 0.5, 0.5]
+
+
+@pytest.mark.parametrize("r, rebuilt", [(0.5, True), (0.3, False)])
+def test_a_polish_keeps_the_form_of_its_root_once(r, rebuilt):
+    # det S = x - r, with a rounding noise of 1e-15 that does not follow x.  For r = 0.5 the
+    # first point Brent evaluates lies within the noise of r, the next one across r reads a
+    # larger |det S|, and Brent returns the first, its contrapoint: polish builds its form
+    # again, to the same value.  For r = 0.3 Brent returns its latest point.  Either way the
+    # root's point is kept once, and no other
+    built, kept = [], []
+
+    def form(x):
+        z = np.array([[x - r + 1e-15 * math.sin(1e17 * x)]])
+        built.append((x, z))
+        return z, 0
+    sec = Sector(form, 0.0, 1.0, 0.0, keep=lambda value: kept.append(value) or value)
+    lo, hi = count(sec, 0.0), count(sec, 1.0)
+    built.clear()
+    root = polish(sec, lo, hi)
+    assert len(kept) == 1 and root.at is kept[0]
+    at_root = [z for x, z in built if x == root.x]
+    assert len(at_root) == 1 + rebuilt and built[-1][0] == root.x
+    assert all(np.array_equal(z, root.at) for z in at_root)
+
+
+def test_find_eigenvalues_keeps_one_kernel_per_pair(monkeypatch):
+    # each polish evaluates several points but builds the kernel of the root's alone
+    calls = []
+    real = solve._kernel_at
+    monkeypatch.setattr(solve, "_kernel_at", lambda value: calls.append(value) or real(value))
+    for cfg in (single_cfg(5.0), two_cfg(1.0, 4.0, "even")):
+        calls.clear()
+        pairs = find_eigenvalues(cfg, Truncation(40))
+        assert pairs and len(calls) == len(pairs)
 
 
 def _polish_spied(sec, lo, hi):
@@ -689,9 +733,11 @@ def test_kth_root_grows_its_window_towards_the_root_only(monkeypatch, x0, k, roo
 
 @pytest.mark.parametrize("x0, k", [(3.5, 4), (0.5, 4), (3.5, -4), (0.5, -4)])
 def test_kth_root_past_the_sector_finds_none_without_counting_outside_it(x0, k):
+    # the search gives up at the sector end on the side it moves to, k's own end for k < 0;
+    # the end that k > 0 counts from is read off the window where it reads 0 there (x0 = 0.5)
     counted = []
     assert roots.kth_root(_diagonal_sector(1.0, 2.0, 3.0, counted=counted), x0, 0.01, k) is None
-    assert counted and min(counted) == 0.0 and max(counted) == 4.0
+    assert counted and max(counted) == 4.0 and (min(counted) == 0.0) == (x0 > 1.0 or k < 0)
     assert all(0.0 <= x <= 4.0 for x in counted)
 
 
@@ -701,6 +747,70 @@ def test_kth_root_counts_a_negative_index_from_the_upper_end(x0, k, root):
     # root -1 is the one nearest hi, as a list's index counts, wherever the window starts
     found = roots.kth_root(_diagonal_sector(1.0, 2.0, 3.0), x0, 0.01, k)
     assert found.x == pytest.approx(root, abs=1e-13)
+
+
+def _rung_forms(monkeypatch, sector):
+    """Every x at which a sector that ``solve.<sector>`` makes from now on builds its form."""
+    built = []
+    real = getattr(solve, sector)
+
+    def spied(*args):
+        sec = real(*args)
+        return dataclasses.replace(sec, form=lambda x: built.append(x) or sec.form(x))
+    monkeypatch.setattr(solve, sector, spied)
+    return built
+
+
+_FAR_ENDS = {
+    # root 1 from the deep end, whose window's upper end counts 0 as the sector's end does
+    "single-1": (lambda: find_eigenvalues(single_cfg(1.0), Truncation(40))[0], refine_eigenvalue,
+                 "_u_sector", 0.75 - SEARCH_EPS, False),
+    # a_1, odd: root 1, whose window's lower end counts 0 as A_MIN does
+    "critical-1": (lambda: find_critical_widths(1, Truncation(40)).widths[0], refine_critical_width,
+                   "_width_sector", A_MIN, False),
+    # the second even state at a = 5 has the first above its window: the window counts -1 there
+    "single-5-index-2": (lambda: find_eigenvalues(single_cfg(5.0), Truncation(40))[1],
+                         refine_eigenvalue, "_u_sector", 0.75 - SEARCH_EPS, True),
+    # a_2, even: its sector counts 1 at A_MIN already, which no window count of 1 tells apart
+    "critical-2": (lambda: find_critical_widths(2, Truncation(40)).widths[1], refine_critical_width,
+                   "_width_sector", A_MIN, True),
+}
+
+
+@pytest.mark.parametrize("base, refine, sector, end, counted", _FAR_ENDS.values(), ids=_FAR_ENDS.keys())
+def test_a_rung_counts_the_end_its_root_is_indexed_from_only_where_its_window_cannot(
+        monkeypatch, base, refine, sector, end, counted):
+    # a count never falls in x and is <= 0 in u (sense -1), >= 0 in a: a window end on the
+    # side of the sector end that counts 0 gives the sector end's count, 0, without its form
+    first = base()
+    built = _rung_forms(monkeypatch, sector)
+    refined = refine(first)
+    assert len(refined.solutions) == 3 and built
+    assert (end in built) == counted
+
+
+@given(GEOMETRIES, st.floats(-0.5, 0.5))
+@settings(max_examples=8, deadline=None)
+def test_kth_root_is_bit_identical_to_a_search_that_counts_the_far_end(geometry, shift):
+    # a pole more at every x moves every count of a u sector (sense -1) down by one, so no window
+    # end counts 0 and kth_root counts the sector end that root k is indexed from, as it did
+    # for every window before; the brackets and det S stay those of the sector, so root k
+    # is the same, bit for bit
+    a, l = geometry
+    tr, skipped = Truncation(12), 0
+    for cfg in (single_cfg(a), two_cfg(a, l, "even"), two_cfg(a, l, "odd")):
+        sec = _u_sector(cfg.base, tr, 1e-12)
+        built = []
+        plain = dataclasses.replace(sec, form=lambda x, sec=sec: built.append(x) or sec.form(x))
+        poled = dataclasses.replace(
+            sec, form=lambda x, sec=sec: (lambda at, poles: (at, poles + 1))(*sec.form(x)))
+        found = sector_roots(sec)
+        for k in range(-len(found), 0):
+            x0, width = found[k].x * (1.0 + shift / 12.0), found[k].x / 24.0
+            built.clear()
+            assert roots.kth_root(plain, x0, width, k).x == roots.kth_root(poled, x0, width, k).x
+            skipped += sec.hi not in built
+    assert skipped >= 1
 
 
 def test_second_critical_width_is_even():
@@ -930,8 +1040,9 @@ def test_every_rung_value_is_its_solutions_lam(cfg):
 
 @pytest.mark.parametrize("ladder", ["single-ladder", "critical-ladder"])
 def test_every_later_rung_starts_at_its_predicted_root(monkeypatch, ladder):
-    # each rung counts at its sector's lower end and at the two ends of the
-    # predicted window, which brackets the root, and polishes in that window:
+    # each rung counts at the two ends of the predicted window, which brackets
+    # the root, and at the sector end its root is indexed from only where the
+    # window does not fix that end's count; it polishes in that window:
     # at most 8 forms a rung
     ws = Workspace(Truncation(8))
     ws.single_pair(1.0), ws.critical()
