@@ -32,19 +32,30 @@ gives with Z, and its kernel, extended by the same solve, is the kernel
 of S.  Evanescent window profiles are normalized to unit
 edge value, which keeps every entry bounded for arbitrarily large mode
 counts and separations.
+
+A point costs a fixed part, the O(N^2) assembly and the solve with C
+(README, "What a point costs").  The fixed part is a few dozen numpy
+calls on arrays of length N, half to two thirds of a point at N = 40: the
+tables that depend on N alone are built once per N (:func:`_tables`,
+read-only), the edge terms of both window parities come from one pass over
+the rates (:func:`~modeguide.modes._edge_logderivs`), the diagonals of S
+are written through strided views of it, and a 1 x 1 Z is counted and
+polished in closed form (:mod:`modeguide.roots`).
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .modes import ProblemKind, axial_logderiv, overlap_matrix, window_profile_at_edge
-# unused here: bound only because perfbench/tracing.py wraps it on this module
-from .modes import window_profile_scale_log  # noqa: F401
+from .modes import ProblemKind, _edge_logderivs, axial_logderiv, overlap_matrix
+# unused here: bound only because perfbench/tracing.py wraps them on this module
+from .modes import window_profile_at_edge, window_profile_scale_log  # noqa: F401
 
 __all__ = [
     "Truncation",
@@ -60,10 +71,11 @@ __all__ = [
 
 #: largest dense trace form a run may build, in bytes (128 MiB, dimension
 #: 4096): the assembly, Schur solve, count and kernel of one form raise the
-#: peak RSS by 1.8-1.9 times its size for two windows and 3.1-3.2 for one
-#: (dimension 1024-4096, the overlap matrix and the Gram's one n x n table
-#: included; CG copies no block of the form), so a form stays below about
-#: 0.25 GB (224 MiB at dimension 4096)
+#: peak RSS of a fresh process by 3.0-3.1 times its size for two windows and
+#: 5.1-5.2 for one (dimension 1024-4096, with the per-n tables: the overlap
+#: matrix M and the Gram's E and M∘M, n x n each, 0.75 of a two-window form
+#: and 3 of a one-window one; CG copies no block of the form), so a form
+#: stays below about 0.4 GB (384 MiB at dimension 4096)
 MAX_FORM_BYTES = 2 ** 27
 #: largest truncation N whose two-window form, of dimension 2N, fits MAX_FORM_BYTES
 MAX_MODES = math.isqrt(MAX_FORM_BYTES // 8) // 2
@@ -84,6 +96,7 @@ PCG_RTOL = 1e-15
 FLOOR_ULPS = 2.0
 
 _EPS = float(np.finfo(float).eps)
+_FLOOR = FLOOR_ULPS * _EPS
 
 
 @dataclass(frozen=True)
@@ -93,6 +106,10 @@ class Truncation:
     n: int = 40
 
     def __post_init__(self) -> None:
+        try:
+            object.__setattr__(self, "n", operator.index(self.n))
+        except TypeError:
+            raise TypeError(f"truncation n must be an integer, got {self.n!r}") from None
         if self.n < 4:
             raise ValueError(f"truncation must retain at least 4 modes, got n={self.n}")
         if self.n > MAX_MODES:
@@ -122,75 +139,82 @@ class MatchingSystem:
         return 2 if self.kind.is_two_window else 1
 
 
+class _Tables(NamedTuple):
+    """The read-only n-only tables of one point (:func:`_tables`)."""
+
+    j: np.ndarray       # j = 1..n
+    jj1: np.ndarray     # j^2 - 1
+    hh1: np.ndarray     # h_m^2 - 1, h_m = m - 1/2
+    ch2: np.ndarray     # (2/pi) h_m^2
+    E: np.ndarray       # 1/(h_m^2 - h_n^2), 0 on the diagonal
+    M: np.ndarray       # the overlap matrix
+    MM: np.ndarray      # M_jm^2, 0 at j = m and j = m - 1
+    on: np.ndarray      # M_mm^2 in long double
+    below: np.ndarray   # M_{m-1,m}^2 in long double
+
+
+@functools.lru_cache(maxsize=16)
+def _tables(n: int) -> _Tables:
+    """The tables of :func:`_rates` and :func:`_gram` at truncation n, memoised per n like
+    :func:`~modeguide.modes.overlap_matrix` and shared read-only: n^2 doubles each for E and
+    MM, 1.1 MB each over n = 4, 12, 40, 80, 160 and 320."""
+    j = np.arange(1, n + 1, dtype=float)
+    half = j - 0.5
+    h2 = half * half
+    with np.errstate(divide="ignore"):
+        E = 1.0 / np.subtract.outer(h2, h2)
+    np.fill_diagonal(E, 0.0)
+    M = overlap_matrix(n)
+    MM = np.multiply(M, M)
+    # the terms j = m and m - 1 (j - h_m = +-1/2) make about 80% of diagonal entry m of
+    # the Gram, and summed in j order each term after them would round against the whole
+    # entry: BLAS sums the rest without them, and the entry is summed in long double
+    MM.reshape(-1)[::n + 1] = MM.reshape(-1)[1::n + 1] = 0.0
+    tables = _Tables(j, j * j - 1.0, h2 - 1.0, (2.0 / math.pi) * h2, E, M, MM,
+                     M.diagonal().astype(np.longdouble) ** 2,
+                     M.diagonal(1).astype(np.longdouble) ** 2)
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
 def _rates(n: int, kappa1: float) -> tuple[np.ndarray, np.ndarray]:
     """Outside rates kappa_j and window squared rates t_m at sqrt(1-lam) = kappa1.
 
     Parametrizing by kappa1 keeps the first outside rate exact arbitrarily
     close to the threshold (kappa_1 = kappa1 with no cancellation).
     """
-    j = np.arange(1, n + 1, dtype=float)
-    kap = np.sqrt(j * j - 1.0 + kappa1 * kappa1)
-    half = np.arange(1, n + 1, dtype=float) - 0.5
-    t = half * half - 1.0 + kappa1 * kappa1
-    return kap, t
+    tables = _tables(n)
+    k2 = kappa1 * kappa1
+    return np.sqrt(tables.jj1 + k2), tables.hh1 + k2
 
 
-@functools.lru_cache(maxsize=16)
-def _gram_tables(n: int) -> tuple[np.ndarray, ...]:
-    """The n-only tables of :func:`_gram`: ``j``, ``(2/pi) h_m^2``,
-    ``E_mn = 1/(h_m^2 - h_n^2)`` (0 on the diagonal), h_m = m - 1/2, and
-    the squared overlaps ``M_mm^2`` and ``M_{m-1,m}^2`` in long double.
-
-    Memoised per n like :func:`~modeguide.modes.overlap_matrix`; the
-    shared arrays are read-only.
-    """
-    j = np.arange(1, n + 1, dtype=float)
-    h2 = (j - 0.5) ** 2
-    with np.errstate(divide="ignore"):
-        E = 1.0 / np.subtract.outer(h2, h2)
-    np.fill_diagonal(E, 0.0)
-    M = overlap_matrix(n)
-    tables = (j, (2.0 / math.pi) * h2, E, M.diagonal().astype(np.longdouble) ** 2,
-              M.diagonal(1).astype(np.longdouble) ** 2)
-    for table in tables:
-        table.setflags(write=False)
-    return tables
-
-
-def _gram(M: np.ndarray, rates: np.ndarray) -> np.ndarray:
+def _gram(rates: np.ndarray) -> np.ndarray:
     """``M^T diag(rates) M`` of the overlap matrix M in O(N^2), by its Cauchy structure.
 
     ``M_jm = (2/pi) j/(j^2 - h_m^2)`` with h_m = m - 1/2, so partial
     fractions in j^2 give, for m != n,
     ``G_mn = (2/pi) (h_m^2 U_m - h_n^2 U_n)/(h_m^2 - h_n^2)`` from the one
-    matvec ``U = (rates/j) @ M``; the diagonal is ``sum_j rates_j M_jm^2``.
+    matvec ``U = (rates/j) @ M``; the diagonal is ``sum_j rates_j M_jm^2``,
+    its two largest terms summed in long double and the entry rounded once.
     Rounding gives ``1/(h_n^2 - h_m^2) = -1/(h_m^2 - h_n^2)`` exactly, so G
     is exactly symmetric.  Its largest error is 3.1-4.1e-16 of max|G| for
     N = 40-320, against 4.9e-16 to 1.3e-15 for the O(N^3) product ``B^T B``,
     B = sqrt(rates) M (decay rates of trace_form at twelve kappa1 in
-    [0, 0.999], long double reference).
-    A point of a root search costs this assembly and one solve with the
-    block C of :func:`schur_complement` (LU below dimension ``PCG_MIN_DIM``,
-    preconditioned CG from it).
+    [0, 0.999], long double reference).  G is a new C-contiguous array: numpy
+    writes an N x N block of a 2N x 2N form 3-4 times slower than its own array,
+    which it then copies in once.
     """
-    n = M.shape[1]
-    j, ch2, E, on, below = _gram_tables(n)
-    P = ch2 * ((rates / j) @ M)
-    # G holds M^2 first: a table of it would keep another n x n array per n
-    G = np.multiply(M, M, order="C")
-    # the terms j = m and m - 1 (j - h_m = +-1/2) make about 80% of diagonal
-    # entry m, and summed in j order each term after them would round
-    # against the whole entry: BLAS sums the rest without them, and the
-    # entry is summed in long double and rounded once
-    flat = G.reshape(-1)
-    flat[::n + 1] = flat[1::n + 1] = 0.0
+    n = rates.shape[0]
+    tables = _tables(n)
+    P = tables.ch2 * ((rates / tables.j) @ tables.M)
     w = rates.astype(np.longdouble)
-    near = w * on
-    near[1:] += w[:-1] * below
-    near += rates @ G
-    np.subtract.outer(P, P, out=G)
-    G *= E
-    flat[::n + 1] = near
+    near = w * tables.on
+    near[1:] += w[:-1] * tables.below
+    near += rates @ tables.MM
+    G = np.subtract.outer(P, P)
+    G *= tables.E
+    G.reshape(-1)[::n + 1] = near
     return G
 
 
@@ -204,27 +228,34 @@ def trace_form(kind: ProblemKind, n: int, a: float, kappa1: float,
     even/odd profile coefficients: ``[[P + Sigma, Delta], [Delta, Q + Sigma]]``
     with P and Q the region-1 and outside maps, ``Sigma = (g_e + g_o)/2``,
     ``Delta = (g_e - g_o)/2`` and ``g = der/val``.  S has poles where an edge
-    value vanishes (:func:`pole_count`).
+    value vanishes (:func:`pole_count`).  The point needs 0 <= kappa1 < sqrt(3)/2
+    (lam in (1/4, 1]) and, for two windows, l > a; a non-finite entry of S
+    raises ValueError.
     """
+    two = kind.is_two_window
+    if two and l is None:
+        raise ValueError(f"the {kind.value} form needs the half-separation l")
+    if two and l <= a:
+        raise ValueError(f"windows must be disjoint: need l > a, got l={l!r}, a={a!r}")
+    # t_1 = kappa1^2 - 3/4 < 0: the first window mode oscillates (NaN goes on to the finiteness test)
+    if kappa1 < 0.0 or kappa1 * kappa1 >= 0.75:
+        raise ValueError(f"need 0 <= kappa1 < sqrt(3)/2 (lam in (1/4, 1]), got kappa1={kappa1!r}")
     kap, t = _rates(n, kappa1)
-    M = overlap_matrix(n)
-    i = np.arange(n)
-    if kind.is_two_window:
-        r = axial_logderiv(kap, l - a, kind.parity)
-        cv, cd = window_profile_at_edge(t, a, "even")
-        sv, sd = window_profile_at_edge(t, a, "odd")
-        g_e, g_o = cd / cv, sd / sv
+    if two:
+        g_e, g_o = _edge_logderivs(t, a, ("even", "odd"))
         S = np.zeros((2 * n, 2 * n))
-        S[:n, :n] = _gram(M, r)
-        S[n:, n:] = _gram(M, kap)
-        S[i, i] += 0.5 * (g_e + g_o)
-        S[i + n, i + n] += 0.5 * (g_e + g_o)
-        S[i, i + n] = S[i + n, i] = 0.5 * (g_e - g_o)
+        S[:n, :n] = _gram(axial_logderiv(kap, l - a, kind.parity))
+        S[n:, n:] = _gram(kap)
+        # the diagonals of S and of its off-diagonal blocks, as strided views
+        flat, step = S.reshape(-1), 2 * n + 1
+        diagonal = flat[::step].reshape(2, n)
+        diagonal += 0.5 * (g_e + g_o)
+        flat[n:2 * n * n:step] = flat[2 * n * n::step] = 0.5 * (g_e - g_o)
     else:
-        val, der = window_profile_at_edge(t, a, kind.parity)
-        S = _gram(M, kap)
-        S[i, i] += der / val
-    if not np.all(np.isfinite(S)):
+        g, = _edge_logderivs(t, a, (kind.parity,))
+        S = _gram(kap)
+        S.reshape(-1)[::n + 1] += g
+    if not np.isfinite(S).all():
         raise ValueError("matching matrix contains non-finite entries")
     return S
 
@@ -239,15 +270,16 @@ def schur_complement(S: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray,
     complement ``Z = S_WW - S_WR X`` (width x width) has as many negative
     eigenvalues as S, and ``det S = det C det Z`` with ``det C > 0``.  A
     kernel vector v_W of Z extends to the kernel vector ``(v_W, -X v_W)``
-    of S, its first-mode traces W first and then R in S's order.  The
-    blocks are slices of S seen as width x width blocks of n x n, and no
-    reordered copy of S is made.  F is Z's entrywise rounding floor
-    ``FLOOR_ULPS eps (|S_WW| + |S_WR| |X|)``, from the pieces the solve has:
-    a Z whose determinant is within it has no digits left to polish.  The
-    solve with C is a hybrid on the dimension r of C, numpy only:
+    of S, its first-mode traces W first and then R in S's order.  F is Z's
+    entrywise rounding floor ``FLOOR_ULPS eps (|S_WW| + |S_WR| |X|)``, from
+    the pieces the solve has: a Z whose determinant is within it has no
+    digits left to polish.  Z and F are symmetrized as ``(A + A^T)/2``, which
+    leaves a 1 x 1 one as it is, so that case skips it.  The solve with C is
+    a hybrid on the dimension r of C, numpy only:
 
-    * r < ``PCG_MIN_DIM``: dense LU, with C one copy of the four
-      (n-1) x (n-1) blocks for two windows and a view of S for one;
+    * r < ``PCG_MIN_DIM``: dense LU, with C the view ``S[1:, 1:]`` for one
+      window, and for two one copy of the four (n-1) x (n-1) blocks of S
+      seen as 2 x 2 blocks of n x n;
     * r >= ``PCG_MIN_DIM``: conjugate gradients preconditioned by diag(C)
       (:func:`_schur_by_pcg`), which apply C through S and copy nothing.
       Scaled by its diagonal, C is nearly the identity (condition 2.4 at
@@ -257,14 +289,19 @@ def schur_complement(S: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray,
       Z then differs from the LU one by at most 0.06 eps max|S|.  CG that
       does not converge within ``PCG_MAX_ITERATIONS`` gives way to LU.
 
-    A point of a sector costs this solve and the O(N^2) assembly of
-    :func:`trace_form`.
+    A point of a sector costs this solve, the O(N^2) assembly of
+    :func:`trace_form` and a fixed part of a few dozen small numpy calls
+    (README, "What a point costs").
     """
     r = S.shape[0] - width
     if r >= PCG_MIN_DIM:
         reduced = _schur_by_pcg(S, width)
         if reduced is not None:
             return reduced
+    if width == 1:
+        X = np.linalg.solve(S[1:, 1:], S[1:, :1])
+        S_WW, S_WR = S[:1, :1], S[:1, 1:]
+        return S_WW - S_WR @ X, X, _FLOOR * (np.abs(S_WW) + np.abs(S_WR) @ np.abs(X))
     blocks = S.reshape(width, S.shape[0] // width, width, S.shape[0] // width)
     X = np.linalg.solve(blocks[:, 1:, :, 1:].reshape(r, r), blocks[:, 1:, :, 0].reshape(r, width))
     S_WW, S_WR = blocks[:, 0, :, 0], blocks[:, 0, :, 1:].reshape(width, r)
@@ -317,7 +354,7 @@ def _schur_by_pcg(S: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray, np
 
 def _floor(S_WW: np.ndarray, product: np.ndarray) -> np.ndarray:
     """Entrywise rounding floor ``FLOOR_ULPS eps (|S_WW| + |S_WR| |X|)`` of Z, symmetric as Z is."""
-    F = FLOOR_ULPS * _EPS * (np.abs(S_WW) + product)
+    F = _FLOOR * (np.abs(S_WW) + product)
     return 0.5 * (F + F.T)
 
 

@@ -187,21 +187,31 @@ def overlap_matrix(n: int) -> np.ndarray:
 # bounded no matter how large nu*a gets.
 # ---------------------------------------------------------------------------
 
-def _families(t, parity: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _families(t, *parities: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Squared rates t with w = sqrt(-t_1) of the oscillatory first mode and
-    nu = sqrt(t_m) of the evanescent rest, for a profile of the given parity."""
-    if parity not in ("even", "odd"):
-        raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
+    nu = sqrt(t_m) of the evanescent rest, for profiles of the given parities."""
+    for parity in parities:
+        if parity not in ("even", "odd"):
+            raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
     t = np.asarray(t, dtype=float)
     return t, np.sqrt(-t[..., 0]), np.sqrt(t[..., 1:])
 
 
-def _sinc(t, x):
-    """sin(w x)/w of the oscillatory rate w = sqrt(-t), by its series near w x = 0."""
-    w = np.sqrt(-t)
+def _sinc(t, x, w=None, sin_wx=None):
+    """sin(w x)/w of the oscillatory rate w = sqrt(-t), by its series near w x = 0.
+
+    ``w`` and sin(w x), where given, are the caller's; the series is built only
+    where some w x is near 0.
+    """
+    if w is None:
+        w = np.sqrt(-t)
     u = w * x
+    small = np.abs(u) < 1e-4
+    ratio = (np.sin(u) if sin_wx is None else sin_wx) / w
+    if not np.count_nonzero(small):  # the cheapest numpy "any"
+        return ratio
     series = x * (1.0 + t * x * x / 6.0 + t * t * x ** 4 / 120.0)
-    return np.where(np.abs(u) < 1e-4, series, np.sin(u) / w)
+    return np.where(small, series, ratio)
 
 
 def window_profile_scale_log(t, a: float, parity: str) -> np.ndarray:
@@ -224,6 +234,25 @@ def window_profile_scale_log(t, a: float, parity: str) -> np.ndarray:
     return out
 
 
+def _edges(t, a: float, parities) -> tuple[np.ndarray, list[tuple]]:
+    """The rates t and, per parity of ``parities``, the profiles' edge data at x = +a: the
+    oscillatory profile's value and derivative, and the evanescent ones' derivatives (their
+    values are 1).  The parities share one cos(w a), sin(w a) and tanh(nu a)."""
+    t, w, nu = _families(t, *parities)
+    wa, u = w * a, nu * a
+    cos, sin, th = np.cos(wa), np.sin(wa), np.tanh(u)
+    edges = []
+    for parity in parities:
+        if parity == "even":
+            edges.append((cos, -w * sin, nu * th))
+        else:
+            # nu/tanh(u) where u is not near 0 (every rate of _rates at a > 1e-6/sqrt(5/4))
+            coth, far = nu / th, u > 1e-6
+            edges.append((_sinc(t[..., 0], a, w, sin), cos, coth if np.count_nonzero(far) == far.size
+                          else np.where(far, coth, 1.0 / a + t[..., 1:] * a / 3.0)))
+    return t, edges
+
+
 def window_profile_at_edge(t, a: float, parity: str) -> tuple[np.ndarray, np.ndarray]:
     """Value and x-derivative of the normalized window profile at x = +a.
 
@@ -235,19 +264,27 @@ def window_profile_at_edge(t, a: float, parity: str) -> tuple[np.ndarray, np.nda
     stacked; entry 0 == 0 gives the w -> 0 limit but may warn, and other
     rates give NaN.
     """
-    t, w, nu = _families(t, parity)
-    u = nu * a
+    t, [(val0, der0, ders)] = _edges(t, a, (parity,))
     val = np.ones_like(t)
     der = np.empty_like(t)
-    if parity == "even":
-        val[..., 0] = np.cos(w * a)
-        der[..., 0] = -w * np.sin(w * a)
-        der[..., 1:] = nu * np.tanh(u)
-    else:
-        val[..., 0] = _sinc(t[..., 0], a)
-        der[..., 0] = np.cos(w * a)
-        der[..., 1:] = np.where(u > 1e-6, nu / np.tanh(u), 1.0 / a + t[..., 1:] * a / 3.0)
+    val[..., 0] = val0
+    der[..., 0] = der0
+    der[..., 1:] = ders
     return val, der
+
+
+def _edge_logderivs(t, a: float, parities) -> list[np.ndarray]:
+    """Edge log-derivatives der/val of :func:`window_profile_at_edge`, one array per parity
+    of ``parities``, from one pass over the rates (:func:`_edges`): the trace form's window
+    terms.  der/val is der itself where val is 1, so only entry 0 is divided."""
+    t, edges = _edges(t, a, parities)
+    out = []
+    for val0, der0, ders in edges:
+        g = np.empty_like(t)
+        g[..., 0] = der0 / val0
+        g[..., 1:] = ders
+        out.append(g)
+    return out
 
 
 def window_profile_eval(t, x, a: float, parity: str) -> np.ndarray:

@@ -11,8 +11,11 @@ certify the last digits: it stops once Brent's step is within the tolerance, or
 at the first point where det S is within the rounding floor the sector
 supplies.  Root k of a sector, searched from a window (:func:`kth_root`),
 counts the sector end it is indexed from only where the window's count cannot
-stand for it.  The mode-matching solver (:mod:`modeguide.solve`) and the
-finite-difference oracle (:mod:`modeguide.fd_oracle`) both use it.  numpy only.
+stand for it.  A 1 x 1 S (a single window's Z) is its own eigenvalue, and its
+count and determinant are taken in closed form, bit for bit what ``eigvalsh``
+and ``slogdet`` give, with no LAPACK call.  The mode-matching solver
+(:mod:`modeguide.solve`) and the finite-difference oracle
+(:mod:`modeguide.fd_oracle`) both use it.  numpy only.
 """
 
 from __future__ import annotations
@@ -66,8 +69,7 @@ class Sector:
         return min(self.xtol, self.xcap * abs(x)) + self.rtol * abs(x)  # min keeps xtol over inf * 0
 
 
-@dataclass(frozen=True)
-class Count:
+class Count(NamedTuple):
     """Inertia of a sector's form at x."""
 
     x: float
@@ -84,12 +86,32 @@ class Root(NamedTuple):
     at: Any
 
 
+def _inertia(S: np.ndarray) -> tuple[int, float]:
+    """Negative eigenvalues of the symmetric S and log |det S|, from ``eigvalsh``; a 1 x 1 S
+    is its own eigenvalue (what ``eigvalsh`` returns for it), so that case makes no call."""
+    if S.shape[0] == 1:
+        mu = S[0, 0]
+        return int(mu < 0.0), float(np.log(abs(mu))) if mu else -math.inf
+    mu = np.linalg.eigvalsh(S)
+    with np.errstate(divide="ignore"):
+        return int(np.count_nonzero(mu < 0.0)), float(np.sum(np.log(np.abs(mu))))
+
+
+def _slogdet(Z: np.ndarray) -> tuple[float, float]:
+    """``slogdet`` of Z; for a 1 x 1 Z in closed form, as ``slogdet`` takes it: its LU pivot's
+    sign (0 for a zero pivot) and the C library's log of its modulus, which is ``math.log``'s."""
+    if Z.shape[0] == 1:
+        z = float(Z[0, 0])
+        if z == 0.0:
+            return 0.0, -math.inf
+        return (-1.0 if z < 0.0 else 1.0), math.log(abs(z))
+    sign, logdet = np.linalg.slogdet(Z)
+    return float(sign), float(logdet)
+
+
 def count(sec: Sector, x: float) -> Count:
     at, poles = sec.form(x)
-    mu = np.linalg.eigvalsh(sec.matrix(at))
-    neg = int(np.count_nonzero(mu < 0.0))
-    with np.errstate(divide="ignore"):
-        logdet = float(np.sum(np.log(np.abs(mu))))
+    neg, logdet = _inertia(sec.matrix(at))
     return Count(x, sec.sense * (neg + poles), poles, -1.0 if neg % 2 else 1.0, logdet)
 
 
@@ -202,7 +224,7 @@ def polish(sec: Sector, lo: Count, hi: Count) -> Root | None:
     def f(x):
         at = value(x)
         Z, F = sec.matrix(at), sec.floor(at)
-        sign, logdet = np.linalg.slogdet(Z)
+        sign, logdet = _slogdet(Z)
         if F is not None and logdet <= math.log(max(_det_floor(Z, F), _TINY)):
             return 0.0  # det S is rounding there: the point is as good a root as any nearer one
         return scaled(sign, logdet)

@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -21,7 +23,7 @@ from modeguide.matching import (
     schur_complement,
     trace_form,
 )
-from modeguide.modes import overlap_matrix, window_profile_at_edge
+from modeguide.modes import axial_logderiv, overlap_matrix, window_profile_at_edge
 from modeguide.solve import _assemble_at, find_critical_widths, find_eigenvalues
 
 from conftest import reference_matrix, single_cfg, two_cfg
@@ -52,6 +54,76 @@ def test_truncation_floor():
     assert (2 * 2048) ** 2 * 8 == MAX_FORM_BYTES
     with pytest.raises(ValueError, match="2049 exceeds the cap of 2048"):
         Truncation(2049)
+
+
+@pytest.mark.parametrize("n", [40.0, 4.5, "40", None, np.float64(40.0)])
+def test_truncation_rejects_a_non_integral_mode_count(n):
+    # a float n built a Truncation that died later, indexing arrays with it
+    with pytest.raises(TypeError, match=re.escape(f"must be an integer, got {n!r}")):
+        Truncation(n)
+
+
+def test_truncation_takes_any_integer_as_a_python_int():
+    for n in (40, np.int64(40), np.int32(40)):
+        tr = Truncation(n)
+        assert tr.n == 40 and type(tr.n) is int and tr == Truncation(40)
+
+
+@pytest.mark.parametrize("kind, a, kappa1, l, match", [
+    (ProblemKind.TWO_WINDOW_EVEN, 1.0, 0.5, None, "needs the half-separation l"),
+    (ProblemKind.TWO_WINDOW_ODD, 1.0, 0.5, 1.0, "windows must be disjoint"),
+    (ProblemKind.TWO_WINDOW_EVEN, 2.0, 0.5, 1.5, "windows must be disjoint"),
+    (ProblemKind.SINGLE_WINDOW_EVEN, 1.0, math.nextafter(math.sqrt(0.75), 1.0), None, "kappa1 < sqrt"),
+    (ProblemKind.SINGLE_WINDOW_ODD, 1.0, 0.9, None, "kappa1 < sqrt"),
+    (ProblemKind.TWO_WINDOW_ODD, 1.0, 2.0, 6.0, "kappa1 < sqrt"),
+    (ProblemKind.SINGLE_WINDOW_EVEN, 1.0, -0.1, None, "0 <= kappa1"),
+])
+def test_trace_form_rejects_a_point_outside_its_domain(kind, a, kappa1, l, match):
+    # before any numpy call: no TypeError from l - a, no RuntimeWarning from a sqrt
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=match):
+            trace_form(kind, 8, a, kappa1, l)
+
+
+@pytest.mark.parametrize("kind", list(ProblemKind))
+def test_trace_form_builds_up_to_lam_a_hair_above_a_quarter(kind):
+    # the float nearest sqrt(3)/2 lies below it: t_1 = -1.1e-16 < 0, a form with no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        S = trace_form(kind, 8, 1.0, math.sqrt(0.75), 6.0 if kind.is_two_window else None)
+    assert np.isfinite(S).all()
+
+
+def _assembled_from_pieces(kind, n, a, kappa1, l):
+    # the form as zeros and fancy-index scatters of its pieces
+    kap, t = _rates(n, kappa1)
+    i = np.arange(n)
+    if kind.is_two_window:
+        cv, cd = window_profile_at_edge(t, a, "even")
+        sv, sd = window_profile_at_edge(t, a, "odd")
+        g_e, g_o = cd / cv, sd / sv
+        S = np.zeros((2 * n, 2 * n))
+        S[:n, :n] = _gram(axial_logderiv(kap, l - a, kind.parity))
+        S[n:, n:] = _gram(kap)
+        S[i, i] += 0.5 * (g_e + g_o)
+        S[i + n, i + n] += 0.5 * (g_e + g_o)
+        S[i, i + n] = S[i + n, i] = 0.5 * (g_e - g_o)
+        return S
+    val, der = window_profile_at_edge(t, a, kind.parity)
+    S = _gram(kap)
+    S[i, i] += der / val
+    return S
+
+
+@pytest.mark.parametrize("kind", list(ProblemKind))
+@pytest.mark.parametrize("n", [4, 5, 40])
+@pytest.mark.parametrize("a, kappa1, l", [(1.0, 0.5, 6.0), (3.5, 0.0, 4.0), (1e-7, 0.8, 0.3),
+                                          (2.0, 1e-9, 2.0 + 1e-9)])
+def test_trace_form_is_its_pieces_bit_for_bit(kind, n, a, kappa1, l):
+    # the strided diagonal writes and the fused edge pass against scatters of the pieces
+    l = l if kind.is_two_window else None
+    assert np.array_equal(trace_form(kind, n, a, kappa1, l), _assembled_from_pieces(kind, n, a, kappa1, l))
 
 
 def test_single_system_shape_and_finiteness():
@@ -303,7 +375,7 @@ def test_gram_by_the_cauchy_identity_is_as_accurate_as_the_rank_k_product(n, see
     if threshold:
         rates[0] = 0.0
     M = overlap_matrix(n)
-    G = _gram(M, rates)
+    G = _gram(rates)
     assert np.array_equal(G, G.T)
     B = np.sqrt(rates)[:, None] * M
     error = _gram_reference(rates)

@@ -15,6 +15,7 @@ from modeguide import (
 )
 from modeguide.matching import _rates
 from modeguide.modes import (
+    _edge_logderivs,
     axial_eval,
     axial_l2,
     axial_logderiv,
@@ -281,3 +282,37 @@ def test_axial_reflection_signature():
     d = 1e-7
     slope = (axial_eval(kap, np.full(2, d), 5.0, "even") - axial_eval(kap, np.zeros(2), 5.0, "even")) / d
     assert np.max(np.abs(slope)) < 1e-5
+
+
+def _edge_reference(t, a, parity):
+    # value and derivative at the edge, each parity and each rate family on its own,
+    # every small-argument branch taken through np.where
+    t = np.asarray(t, dtype=float)
+    w, nu = np.sqrt(-t[..., 0]), np.sqrt(t[..., 1:])
+    u, wa = nu * a, w * a
+    val, der = np.ones_like(t), np.empty_like(t)
+    if parity == "even":
+        val[..., 0], der[..., 0], der[..., 1:] = np.cos(wa), -w * np.sin(wa), nu * np.tanh(u)
+    else:
+        t1 = t[..., 0]
+        val[..., 0] = np.where(np.abs(wa) < 1e-4, a * (1.0 + t1 * a * a / 6.0 + t1 * t1 * a ** 4 / 120.0),
+                               np.sin(wa) / w)
+        der[..., 0] = np.cos(wa)
+        der[..., 1:] = np.where(u > 1e-6, nu / np.tanh(u), 1.0 / a + t[..., 1:] * a / 3.0)
+    return val, der
+
+
+@pytest.mark.parametrize("a", [1e-7, 1e-3, 0.5, 1.0, 3.5, 400.0])
+@pytest.mark.parametrize("kappa1", [0.0, 1e-9, 0.5, math.sqrt(0.75) * (1.0 - 1e-10)])
+def test_edge_values_and_logderivs_are_the_formulas_bit_for_bit(kappa1, a):
+    # window_profile_at_edge and the trace form's one pass over both parities share one
+    # cos, sin and tanh and skip the series where no argument is small; at a = 1e-7 some
+    # nu/tanh(nu a) and at a = 1, kappa1 near sqrt(3)/2 sin(w a)/w differ from their series
+    _, t = _rates(12, kappa1)
+    for rates in (t, np.stack([t, _rates(12, 0.25)[1]])):
+        logderivs = _edge_logderivs(rates, a, ("even", "odd"))
+        for parity, g in zip(("even", "odd"), logderivs):
+            val, der = _edge_reference(rates, a, parity)
+            got = window_profile_at_edge(rates, a, parity)
+            assert got[0].tobytes() == val.tobytes() and got[1].tobytes() == der.tobytes()
+            assert g.tobytes() == (der / val).tobytes()

@@ -580,6 +580,37 @@ def test_the_kernel_of_a_1x1_form_is_what_eigh_gives(z):
     assert np.array_equal(v, np.linalg.eigh(S)[1][:, 0]) and np.array_equal(v, [1.0])
 
 
+def _bits(x) -> bytes:
+    return np.float64(x).tobytes()
+
+
+# +-0, subnormals, +-1e+-300 and ordinary floats: the values a 1 x 1 Z can take
+ONE_BY_ONE = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, -1e-310,
+                     1e-300, -1e-300, 1e300, -1e300]),
+    st.floats(-2.3e-308, 2.3e-308),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@given(ONE_BY_ONE)
+@settings(max_examples=300, deadline=None)
+def test_the_1x1_count_and_polish_are_eigvalsh_and_slogdet_bit_for_bit(z):
+    # a single-window point's Z is 1 x 1: count reads it as its own eigenvalue and the
+    # polish takes its sign and log in closed form, with no LAPACK call
+    Z = np.array([[z]])
+    mu = np.linalg.eigvalsh(Z)
+    neg = int(np.count_nonzero(mu < 0.0))
+    with np.errstate(divide="ignore"):
+        logdet = float(np.sum(np.log(np.abs(mu))))
+    got = count(Sector(lambda x: (Z, 0), 0.0, 1.0, 1e-12), 0.5)
+    assert (got.roots, got.poles) == (neg, 0)
+    assert _bits(got.sign) == _bits(-1.0 if neg % 2 else 1.0)
+    assert _bits(got.logdet) == _bits(logdet)
+    sign, logdet = np.linalg.slogdet(Z)
+    assert tuple(map(_bits, roots._slogdet(Z))) == (_bits(sign), _bits(logdet))
+
+
 def test_a_sector_rejects_an_interval_it_cannot_search():
     # a polish in s = sqrt(x) from lo = 0 maps the tolerance to s by dividing by s = 0,
     # and swapped bounds hold no root to find
@@ -1193,7 +1224,7 @@ def test_forced_count_mismatch_raises(monkeypatch):
 
     def phantom(sec, x):
         c = real(sec, x)
-        return dataclasses.replace(c, roots=c.roots + (x > 0.7))  # u = 1 - lam
+        return c._replace(roots=c.roots + (x > 0.7))  # u = 1 - lam
     monkeypatch.setattr(roots, "count", phantom)
     with pytest.raises(ArithmeticError, match="count gives 2"):
         find_eigenvalues(single_cfg(1.0), Truncation(12))
